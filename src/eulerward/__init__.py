@@ -10,8 +10,8 @@ bijection demos, and the cross-verification suites.
 """
 
 from .eulerian import (
-    EulerTriangle,
     Params,
+    Recurrence,
     classic_eulerian,
     classic_second_order,
     closed_form_order1,
@@ -59,8 +59,6 @@ from .trees import (
 )
 from .verify import CheckResult, Report, run_all, run_suite
 from .ward import (
-    InversePairParams,
-    WardTriangle,
     euler_to_ward,
     general_inverse_transform,
     riordan_orthogonality_check,
@@ -73,8 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Params",
-    "EulerTriangle",
-    "WardTriangle",
+    "Recurrence",
     "PolyST",
     "TruncSeries",
     "GenStirlingWord",
@@ -82,7 +79,6 @@ __all__ = [
     "IncTree",
     "IncForest",
     "TreeNode",
-    "InversePairParams",
     "binomial",
     "rising_factorial",
     "falling_factorial",

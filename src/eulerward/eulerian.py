@@ -1,12 +1,23 @@
-"""Triangles of nu-order (s,t)-Eulerian numbers.
+"""Triangles of nu-order (s,t)-Eulerian numbers, and the recurrence engine.
 
-The triangle is defined by the two-term recurrence
+Both triangle families of the package are instances of one two-term
+recurrence with six coefficients,
 
-    E(n, k) = (k + s) E(n-1, k) + (nu n - k + t + 1 - nu) E(n-1, k-1)
+    |n, k| = (alpha n + beta k + gamma) |n-1, k|
+           + (alpha' n + beta' k + gamma') |n-1, k-1|,
 
-with E(0, 0) = 1 and E(n, k) = 0 outside 0 <= k <= n.  Row n counts the
-generalized Stirling permutations of order n by their number of ascents (see
-``stirlingperm``), and sums to prod_{k=0}^{n-1} (k nu + t + s).
+with |0, 0| = 1 and |n, k| = 0 outside 0 <= k <= n (the family of Hsu and
+Shiue, "A unified approach to generalized Stirling numbers", 1998).
+``Recurrence`` holds the six coefficients, builds the rows and audits a
+stored triangle against them; the Eulerian and Ward triangles differ only in
+their coefficients (``eulerian_recurrence`` here, ``ward.ward_recurrence``).
+The Eulerian triangle is
+
+    E(n, k) = (k + s) E(n-1, k) + (nu n - k + t + 1 - nu) E(n-1, k-1).
+
+Row n counts the generalized Stirling permutations of order n by their
+number of ascents (see ``stirlingperm``), and sums to
+prod_{k=0}^{n-1} (k nu + t + s).
 
 Entries are polynomials in s and t, so every builder here accepts either
 concrete integers ("int" mode) or the symbolic indeterminates of
@@ -31,11 +42,10 @@ from .numerics import PolyST, binomial, falling_factorial, rising_factorial
 
 __all__ = [
     "Params",
+    "Recurrence",
     "TriangleRows",
-    "EulerTriangle",
-    "recurrence_rows",
+    "eulerian_recurrence",
     "eulerian_table",
-    "satisfies_recurrence",
     "eulerian_poly",
     "row_sum_product",
     "closed_form_order1",
@@ -49,6 +59,12 @@ INT_MODE = "int"
 POLY_MODE = "poly"
 
 
+def _require_int(name: str, value):
+    # bool is an int subclass, but True as an order or a part of t is a bug
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError("%s must be an int, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class Params:
     """Parameter triple (nu, s, t) plus an optional composition of t.
@@ -58,6 +74,9 @@ class Params:
     statistics only depend on t through its total, so the default is as good
     as any composition, but enumeration and the forest model are defined per
     part and accept an explicit split.
+
+    Every number must be an int: floats, Fractions and bools raise a
+    TypeError here, so no non-integer value reaches a table.
     """
 
     nu: int
@@ -66,10 +85,14 @@ class Params:
     tvec: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        for name in ("nu", "s", "t"):
+            _require_int(name, getattr(self, name))
         if self.nu < 1:
             raise ValueError("nu must be a positive integer, got %r" % (self.nu,))
         if self.tvec is not None:
-            vec = tuple(int(x) for x in self.tvec)
+            vec = tuple(self.tvec)
+            for x in vec:
+                _require_int("each tvec part", x)
             object.__setattr__(self, "tvec", vec)
             if len(vec) != self.s:
                 raise ValueError("tvec must have s = %d parts, got %r" % (self.s, vec))
@@ -89,28 +112,84 @@ class Params:
             raise ValueError("a composition of t needs t >= 0")
         return (self.t,) + (0,) * (self.s - 1)
 
+    def st(self, mode: str = INT_MODE) -> tuple:
+        """(s, t) as these integers ("int" mode) or as the PolyST symbols ("poly")."""
+        if mode == INT_MODE:
+            return self.s, self.t
+        if mode == POLY_MODE:
+            return PolyST.s(), PolyST.t()
+        raise ValueError("mode must be 'int' or 'poly', got %r" % (mode,))
 
-def recurrence_rows(nmax, upper_coeff, diag_coeff, one=1):
-    """Rows 0..nmax of the triangle |n,k| = upper(n,k) |n-1,k| + diag(n,k) |n-1,k-1|.
 
-    ``upper_coeff`` and ``diag_coeff`` are callables (n, k) -> coefficient;
-    coefficients may be ints or PolyST.  Row 0 is (one,), the delta seed.
-    This one builder drives both the Eulerian and the Ward triangles, which
-    differ only in their diagonal coefficient.
+@dataclass(frozen=True)
+class Recurrence:
+    """The six coefficients of a two-term triangle recurrence
+
+        |n, k| = (alpha n + beta k + gamma) |n-1, k|
+               + (alpha_p n + beta_p k + gamma_p) |n-1, k-1|
+
+    seeded by |0, 0| = 1.  The slopes are ints; the constant terms may be
+    ints or PolyST (both of the same kind), and the entries then live in
+    that ring, the seed included.
     """
-    rows = [(one,)]
-    for n in range(1, nmax + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            v = 0
-            if k <= n - 1:
-                v = v + upper_coeff(n, k) * prev[k]
-            if k >= 1:
-                v = v + diag_coeff(n, k) * prev[k - 1]
-            row.append(v)
-        rows.append(tuple(row))
-    return tuple(rows)
+
+    alpha: int
+    beta: int
+    gamma: object
+    alpha_p: int
+    beta_p: int
+    gamma_p: object
+
+    @property
+    def one(self):
+        """The seed |0, 0| = 1 in the ring of the constant terms."""
+        return 0 * self.gamma + 1
+
+    @property
+    def ratio(self) -> Fraction:
+        """beta'/beta: the weight r under which the rows sit in the
+        ``ward.general_inverse_transform`` family.  The Eulerian family
+        carries r = -1 and the Ward family r = +1, and transforming an
+        order-(nu+1) Eulerian row with the Ward ratio gives the order-nu
+        Ward row (and back with the Eulerian ratio)."""
+        if self.beta == 0:
+            raise ValueError("beta must be nonzero for the ratio to exist")
+        return Fraction(self.beta_p, self.beta)
+
+    def rows(self, nmax: int) -> tuple:
+        """Rows 0..nmax, each a tuple of n + 1 entries."""
+        if nmax < 0:
+            raise ValueError("nmax must be >= 0")
+        beta, beta_p = self.beta, self.beta_p
+        rows = [(self.one,)]
+        for n in range(1, nmax + 1):
+            prev = rows[-1]
+            up = self.alpha * n + self.gamma
+            diag = self.alpha_p * n + self.gamma_p
+            row = [up * prev[0]]
+            row += [(beta * k + up) * prev[k] + (beta_p * k + diag) * prev[k - 1] for k in range(1, n)]
+            row.append((beta_p * n + diag) * prev[n - 1])
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def check(self, tri: "TriangleRows") -> bool:
+        """Audit a stored triangle against this recurrence, entry by entry.
+
+        Every entry is recomputed from the stored previous row alone, so the
+        audit does not depend on how the triangle was built and never
+        rebuilds it.
+        """
+        if tri.row(0) != (self.one,):
+            return False
+        for n in range(1, tri.nmax + 1):
+            if len(tri.row(n)) != n + 1:
+                return False
+            for k in range(n + 1):
+                upper = self.alpha * n + self.beta * k + self.gamma
+                diag = self.alpha_p * n + self.beta_p * k + self.gamma_p
+                if tri.entry(n, k) != upper * tri.entry(n - 1, k) + diag * tri.entry(n - 1, k - 1):
+                    return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -134,52 +213,15 @@ class TriangleRows:
         return self.rows[n][k]
 
 
-class EulerTriangle(TriangleRows):
-    """Triangle built by the Eulerian recurrence (see eulerian_table)."""
+def eulerian_recurrence(p: Params, mode: str = INT_MODE) -> Recurrence:
+    """The six coefficients of the nu-order (s,t)-Eulerian triangle."""
+    s, t = p.st(mode)
+    return Recurrence(0, 1, s, p.nu, -1, t + 1 - p.nu)
 
 
-def _symbols(p: Params, mode: str):
-    if mode == INT_MODE:
-        return p.s, p.t, 1
-    if mode == POLY_MODE:
-        return PolyST.s(), PolyST.t(), PolyST.constant(1)
-    raise ValueError("mode must be 'int' or 'poly', got %r" % (mode,))
-
-
-def eulerian_table(p: Params, nmax: int, mode: str = INT_MODE) -> EulerTriangle:
+def eulerian_table(p: Params, nmax: int, mode: str = INT_MODE) -> TriangleRows:
     """Build rows 0..nmax of the nu-order (s,t)-Eulerian triangle."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    s, t, one = _symbols(p, mode)
-    nu = p.nu
-    rows = recurrence_rows(
-        nmax,
-        lambda n, k: k + s,
-        lambda n, k: nu * n - k + 1 - nu + t,
-        one,
-    )
-    return EulerTriangle(p, mode, rows)
-
-
-def satisfies_recurrence(tri: TriangleRows) -> bool:
-    """Re-check every stored entry against the Eulerian recurrence.
-
-    Exposed as a validator pass so a triangle can be audited independently of
-    how it was built; ward has the matching check for its own diagonal.
-    """
-    p, mode = tri.params, tri.mode
-    s, t, one = _symbols(p, mode)
-    nu = p.nu
-    if tri.entry(0, 0) != one:
-        return False
-    for n in range(1, tri.nmax + 1):
-        for k in range(n + 1):
-            want = (k + s) * tri.entry(n - 1, k)
-            if k >= 1:
-                want = want + (nu * n - k + 1 - nu + t) * tri.entry(n - 1, k - 1)
-            if tri.entry(n, k) != want:
-                return False
-    return True
+    return TriangleRows(p, mode, eulerian_recurrence(p, mode).rows(nmax))
 
 
 def eulerian_poly(p: Params, n: int) -> list:

@@ -2,7 +2,8 @@
 
 Integers are plain Python ints (arbitrary precision) and rationals are
 ``fractions.Fraction`` (always lowest terms, positive denominator), so the
-whole package computes without rounding.  On top of those this module
+whole package computes without rounding; rational arguments pass through
+``as_fraction``, which refuses floats.  On top of those this module
 provides the generalized binomial coefficient, rising and falling factorials
 that also accept polynomial arguments, Stirling subset numbers, their
 associated variant (every block of size at least 2), and ``PolyST``, a small
@@ -20,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
+    "as_fraction",
     "binomial",
     "rising_factorial",
     "falling_factorial",
@@ -27,6 +29,26 @@ __all__ = [
     "assoc_stirling_subset",
     "PolyST",
 ]
+
+
+def as_fraction(x) -> Fraction:
+    """An exact rational from an int, a Fraction or a string such as "1/2".
+
+    Floats raise TypeError: a float holds a binary approximation, and
+    Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.
+
+    >>> as_fraction("2/3")
+    Fraction(2, 3)
+    >>> as_fraction(0.5)
+    Traceback (most recent call last):
+    ...
+    TypeError: exact rational wanted, got the float 0.5; pass a Fraction or a string such as '1/2'
+    """
+    if isinstance(x, float):
+        raise TypeError(
+            "exact rational wanted, got the float %r; pass a Fraction or a string such as '1/2'" % (x,)
+        )
+    return Fraction(x)
 
 
 def binomial(n: int, k: int) -> int:

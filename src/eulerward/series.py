@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 
 from .eulerian import Params, eulerian_table
-from .numerics import rising_factorial
+from .numerics import as_fraction, rising_factorial
 
 __all__ = [
     "TruncSeries",
@@ -325,7 +325,7 @@ def egf_eulerian_coeffs(nu: int, s: int, t: int, x0, N: int) -> list[Fraction]:
     if nu < 1:
         raise ValueError("nu must be >= 1")
     _check_st(s, t)
-    x0 = Fraction(x0)
+    x0 = as_fraction(x0)
     if not 0 < x0 < 1:
         raise ValueError("x0 must lie strictly between 0 and 1, got %s" % (x0,))
     c = (1 - x0) ** nu
@@ -341,7 +341,7 @@ def egf_order1_direct(s: int, t: int, x0, N: int) -> list[Fraction]:
     Kept as an independent second route for cross-checking the solver.
     """
     _check_st(s, t)
-    x0 = Fraction(x0)
+    x0 = as_fraction(x0)
     if not 0 < x0 < 1:
         raise ValueError("x0 must lie strictly between 0 and 1, got %s" % (x0,))
     u = TruncSeries.x(N)
@@ -361,7 +361,7 @@ def egf_ward_coeffs(nu: int, s: int, t: int, x0, N: int) -> list[Fraction]:
     if nu < 1:
         raise ValueError("nu must be >= 1")
     _check_st(s, t)
-    x0 = Fraction(x0)
+    x0 = as_fraction(x0)
     if x0 <= 0:
         raise ValueError("x0 must be positive, got %s" % (x0,))
     c = Fraction(1) / (1 + x0) ** nu
@@ -374,7 +374,7 @@ def egf_transform_check(nu: int, s: int, t: int, x0, N: int) -> bool:
     """The Ward generating function is the order-(nu+1) Eulerian one moved by
     x -> x/(1+x), y -> y(1+x): entrywise, ward_n(x0) must equal
     euler_n(x0/(1+x0)) (1+x0)^n."""
-    x0 = Fraction(x0)
+    x0 = as_fraction(x0)
     w = egf_ward_coeffs(nu, s, t, x0, N)
     e = egf_eulerian_coeffs(nu + 1, s, t, x0 / (1 + x0), N)
     return all(w[n] == e[n] * (1 + x0) ** n for n in range(N + 1))

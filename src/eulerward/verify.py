@@ -6,9 +6,13 @@ triangle vs binomial transform of the companion triangle, recurrence vs
 marked-forest counting, table rows vs generating function coefficients.  All
 comparisons are exact; there are no tolerances anywhere.
 
-Checks scan their parameter grids in ascending order and record the first
-(smallest) failing instance as the witness.  Reports carry no timestamps and
-all set-like data is sorted, so a report is byte-for-byte reproducible.
+Each check generates its cases, (instance, (name_a, a), (name_b, b)), over
+its parameter grid in ascending order; one harness (``_first_mismatch``)
+stops at the first (smallest) case whose two routes disagree and reports the
+instance plus both routes' values as the witness.  An identity that only a
+predicate can test appears as its truth value against True.  Reports carry
+no timestamps and all set-like data is sorted, so a report is byte-for-byte
+reproducible.
 
 Grids come in two sizes: "default" matches the documented acceptance ranges,
 "small" trims the expensive ones for quick interactive runs.
@@ -131,15 +135,30 @@ class Report:
         }
 
 
-def _done(check_id: str, params: dict, witness: dict | None) -> CheckResult:
-    return CheckResult(check_id, params, witness is None, witness)
-
-
 def _shown(value):
     """Witness values as decimal strings; keeps JSON safe for huge ints."""
     if isinstance(value, (list, tuple)):
         return [_shown(v) for v in value]
     return str(value)
+
+
+def _first_mismatch(check_id: str, params: dict, cases) -> CheckResult:
+    """Run the cases in order and stop at the first whose routes disagree.
+
+    The witness is the case's instance dict plus both routes' values under
+    their names.  ``cases`` is consumed lazily, so nothing past the first
+    mismatch is computed.
+    """
+    for instance, (name_a, a), (name_b, b) in cases:
+        if a != b:
+            witness = {**instance, name_a: _shown(a), name_b: _shown(b)}
+            return CheckResult(check_id, params, False, witness)
+    return CheckResult(check_id, params, True)
+
+
+def _holds(instance: dict, ok: bool):
+    """The case of an identity that a predicate checks as a whole."""
+    return instance, ("holds", ok), ("expected", True)
 
 
 # ------------------------------------------------------- golden examples
@@ -157,56 +176,53 @@ def _golden_cases():
 
 def check_golden_examples(level: str = "default") -> CheckResult:
     params = {"cases": len(_golden_cases()) + 1}
-    for text, nu, t, n, asc, eset, dset in _golden_cases():
-        w = GenStirlingWord.over_range(word_from_text(text), nu, t, n)
-        if not validate_word(w):
-            return _done("golden-examples", params, {"word": text, "failed": "validate"})
-        if ascent_positions(w) != asc:
-            return _done(
-                "golden-examples",
-                params,
-                {"word": text, "failed": "ascents", "got": _shown(sorted(ascent_positions(w)))},
+
+    def cases():
+        for text, nu, t, n, asc, eset, dset in _golden_cases():
+            w = GenStirlingWord.over_range(word_from_text(text), nu, t, n)
+            yield _holds({"word": text, "failed": "validate"}, validate_word(w))
+            yield (
+                {"word": text, "failed": "ascents"},
+                ("got", sorted(ascent_positions(w))),
+                ("expected", sorted(asc)),
             )
-        tree = perm_to_tree(w)
-        if not validate_tree(tree):
-            return _done("golden-examples", params, {"word": text, "failed": "tree-structure"})
-        if tree_to_perm(tree).letters != w.letters:
-            return _done("golden-examples", params, {"word": text, "failed": "roundtrip"})
-        if leftmost_internal_set(tree) != eset:
-            return _done(
-                "golden-examples",
-                params,
-                {"word": text, "failed": "leftmost-set", "got": _shown(sorted(leftmost_internal_set(tree)))},
+            tree = perm_to_tree(w)
+            yield _holds({"word": text, "failed": "tree-structure"}, validate_tree(tree))
+            yield (
+                {"word": text, "failed": "roundtrip"},
+                ("got", list(tree_to_perm(tree).letters)),
+                ("expected", list(w.letters)),
             )
-        if distinguished_set(tree) != dset:
-            return _done(
-                "golden-examples",
-                params,
-                {"word": text, "failed": "distinguished-set", "got": _shown(sorted(distinguished_set(tree)))},
+            yield (
+                {"word": text, "failed": "leftmost-set"},
+                ("got", sorted(leftmost_internal_set(tree))),
+                ("expected", sorted(eset)),
             )
-    # the four-entry sequence example
-    specs = [("23332200", 2), ("555111", 0), ("0444", 1), ("", 0)]
-    seq = GenStirlingSeq(tuple(GenStirlingWord(word_from_text(w), 3, ti) for w, ti in specs))
-    forest = seq_to_forest(seq)
-    ok = (
-        seq.n == 5
-        and seq_ascent_count(seq) == 2
-        and forest_distinguished_set(forest) == frozenset({1, 2, 5})
-        and [sorted(distinguished_set(tr)) for tr in forest.trees] == [[2], [1, 5], [], []]
-        and all(validate_tree(tr) for tr in forest.trees)
-    )
-    if not ok:
-        return _done(
-            "golden-examples",
-            params,
-            {
-                "word": "forest",
-                "failed": "forest-statistics",
-                "ascents": _shown(seq_ascent_count(seq)),
-                "distinguished": _shown(sorted(forest_distinguished_set(forest))),
-            },
+            yield (
+                {"word": text, "failed": "distinguished-set"},
+                ("got", sorted(distinguished_set(tree))),
+                ("expected", sorted(dset)),
+            )
+        # the four-entry sequence example: n, ascents, D sets, tree validity
+        specs = [("23332200", 2), ("555111", 0), ("0444", 1), ("", 0)]
+        seq = GenStirlingSeq(tuple(GenStirlingWord(word_from_text(w), 3, ti) for w, ti in specs))
+        forest = seq_to_forest(seq)
+        yield (
+            {"word": "forest", "failed": "forest-statistics"},
+            (
+                "got",
+                [
+                    seq.n,
+                    seq_ascent_count(seq),
+                    sorted(forest_distinguished_set(forest)),
+                    [sorted(distinguished_set(tr)) for tr in forest.trees],
+                    all(validate_tree(tr) for tr in forest.trees),
+                ],
+            ),
+            ("expected", [5, 2, [1, 2, 5], [[2], [1, 5], [], []], True]),
         )
-    return _done("golden-examples", params, None)
+
+    return _first_mismatch("golden-examples", params, cases())
 
 
 # ------------------------------------------------- recurrence vs counting
@@ -232,63 +248,48 @@ def check_recurrence_vs_enumeration(level: str = "default") -> CheckResult:
         "n_max": 5 if level == "default" else 3,
         "object_cap": ENUMERATION_CAP,
     }
-    for p, n_top in _enumeration_grid(level):
-        hists = ascent_histograms_up_to(p, n_top)
-        table = eulerian_table(p, n_top)
-        for n in range(n_top + 1):
-            if hists[n] != list(table.row(n)):
-                return _done(
-                    "recurrence-vs-enumeration",
-                    params,
-                    {
-                        "nu": p.nu,
-                        "s": p.s,
-                        "t": p.t,
-                        "n": n,
-                        "recurrence": _shown(list(table.row(n))),
-                        "enumeration": _shown(hists[n]),
-                    },
+
+    def cases():
+        for p, n_top in _enumeration_grid(level):
+            hists = ascent_histograms_up_to(p, n_top)
+            table = eulerian_table(p, n_top)
+            for n in range(n_top + 1):
+                yield (
+                    {"nu": p.nu, "s": p.s, "t": p.t, "n": n},
+                    ("recurrence", list(table.row(n))),
+                    ("enumeration", hists[n]),
                 )
-    # histogram independence from the composition of t
-    for nu in (1, 2):
-        for comps in [((2, 0), (1, 1)), ((0, 2), (1, 1))]:
-            base = None
-            for comp in comps:
-                h = ascent_histograms_up_to(Params(nu, 2, 2, comp), 4 if level == "default" else 3)
-                if base is None:
-                    base = h
-                elif h != base:
-                    return _done(
-                        "recurrence-vs-enumeration",
-                        params,
-                        {"nu": nu, "s": 2, "t": 2, "failed": "composition-independence"},
-                    )
-    return _done("recurrence-vs-enumeration", params, None)
+        # histogram independence from the composition of t
+        size = 4 if level == "default" else 3
+        for nu in (1, 2):
+            for base, comp in [((2, 0), (1, 1)), ((0, 2), (1, 1))]:
+                yield (
+                    {"nu": nu, "s": 2, "t": 2, "failed": "composition-independence", "tvec": list(comp)},
+                    ("histograms", ascent_histograms_up_to(Params(nu, 2, 2, comp), size)),
+                    ("base_histograms", ascent_histograms_up_to(Params(nu, 2, 2, base), size)),
+                )
+
+    return _first_mismatch("recurrence-vs-enumeration", params, cases())
 
 
 def check_row_sums(level: str = "default") -> CheckResult:
     nmax = 10 if level == "default" else 6
     params = {"nu_max": 3, "s_max": 3, "t_max": 2, "n_max": nmax}
-    for nu in range(1, 4):
-        for s in range(1, 4):
-            for t in range(0, 3):
-                p = Params(nu, s, t)
-                table = eulerian_table(p, nmax)
-                for n in range(nmax + 1):
-                    if sum(table.row(n)) != row_sum_product(p, n):
-                        return _done(
-                            "row-sums",
-                            params,
-                            {
-                                "nu": nu,
-                                "s": s,
-                                "t": t,
-                                "n": n,
-                                "sum": _shown(sum(table.row(n))),
-                                "product": _shown(row_sum_product(p, n)),
-                            },
+
+    def cases():
+        for nu in range(1, 4):
+            for s in range(1, 4):
+                for t in range(0, 3):
+                    p = Params(nu, s, t)
+                    table = eulerian_table(p, nmax)
+                    for n in range(nmax + 1):
+                        yield (
+                            {"nu": nu, "s": s, "t": t, "n": n},
+                            ("sum", sum(table.row(n))),
+                            ("product", row_sum_product(p, n)),
                         )
-    return _done("row-sums", params, None)
+
+    return _first_mismatch("row-sums", params, cases())
 
 
 # ------------------------------------------------------------ closed forms
@@ -298,75 +299,72 @@ def check_closed_forms(level: str = "default") -> CheckResult:
     nmax = 15 if level == "default" else 8
     pairs = [(1, 0), (0, 1), (2, 3), (3, 1)]
     params = {"n_max": nmax, "st_pairs": [list(x) for x in pairs]}
-    for s, t in pairs:
-        t1 = eulerian_table(Params(1, s, t), nmax)
-        t2 = eulerian_table(Params(2, s, t), nmax)
-        for n in range(nmax + 1):
-            for k in range(n + 1):
-                got1 = closed_form_order1(n, k, s, t)
-                if got1 != t1.entry(n, k):
-                    return _done(
-                        "closed-form-order1",
-                        params,
-                        {"s": s, "t": t, "n": n, "k": k, "closed": _shown(got1), "recurrence": _shown(t1.entry(n, k))},
-                    )
-                got2 = closed_form_order2(n, k, s, t)
-                if got2 != t2.entry(n, k):
-                    return _done(
-                        "closed-form-order2",
-                        params,
-                        {"s": s, "t": t, "n": n, "k": k, "closed": _shown(got2), "recurrence": _shown(t2.entry(n, k))},
-                    )
-    return _done("closed-forms", params, None)
+
+    def cases():
+        for s, t in pairs:
+            forms = (
+                (1, closed_form_order1, eulerian_table(Params(1, s, t), nmax)),
+                (2, closed_form_order2, eulerian_table(Params(2, s, t), nmax)),
+            )
+            for n in range(nmax + 1):
+                for k in range(n + 1):
+                    for order, closed_form, table in forms:
+                        yield (
+                            {"order": order, "s": s, "t": t, "n": n, "k": k},
+                            ("closed", closed_form(n, k, s, t)),
+                            ("recurrence", table.entry(n, k)),
+                        )
+
+    return _first_mismatch("closed-forms", params, cases())
 
 
 def check_special_cases(level: str = "default") -> CheckResult:
     nmax = 10 if level == "default" else 6
     smax = 8 if level == "default" else 5
     params = {"shift_n_max": nmax, "s_minus_s_n_max": smax}
-    # the classic triangles are the (1,0) and (0,1) instances
-    e10 = eulerian_table(Params(1, 1, 0), nmax)
-    e01 = eulerian_table(Params(1, 0, 1), nmax)
-    b10 = eulerian_table(Params(2, 1, 0), nmax)
-    b01 = eulerian_table(Params(2, 0, 1), nmax)
-    for n in range(nmax + 1):
-        for k in range(n + 1):
-            if classic_eulerian(n, k, "standard") != e10.entry(n, k):
-                return _done("special-cases", params, {"failed": "classic-standard", "n": n, "k": k})
-            if classic_eulerian(n, k, "traditional") != e01.entry(n, k):
-                return _done("special-cases", params, {"failed": "classic-traditional", "n": n, "k": k})
-            if classic_second_order(n, k, "standard") != b10.entry(n, k):
-                return _done("special-cases", params, {"failed": "second-order-standard", "n": n, "k": k})
-            if classic_second_order(n, k, "traditional") != b01.entry(n, k):
-                return _done("special-cases", params, {"failed": "second-order-traditional", "n": n, "k": k})
-    # the shift between the two indexings, on its domain n >= 1, 1 <= k <= n
-    for n in range(1, nmax + 1):
-        for k in range(1, n + 1):
-            if classic_eulerian(n, k, "traditional") != classic_eulerian(n, k - 1, "standard"):
-                return _done("special-cases", params, {"failed": "order1-shift", "n": n, "k": k})
-            if classic_second_order(n, k, "traditional") != classic_second_order(n, k - 1, "standard"):
-                return _done("special-cases", params, {"failed": "order2-shift", "n": n, "k": k})
-    # degenerate t = -s closed forms against the recurrence
-    for nu in (1, 2):
-        for s in (1, 2, 3):
-            table = eulerian_table(Params(nu, s, -s), smax)
-            for n in range(smax + 1):
-                for k in range(n + 1):
-                    if s_minus_s_closed_forms(nu, n, k, s) != table.entry(n, k):
-                        return _done(
-                            "special-cases",
-                            params,
-                            {
-                                "failed": "s-minus-s",
-                                "nu": nu,
-                                "s": s,
-                                "n": n,
-                                "k": k,
-                                "closed": _shown(s_minus_s_closed_forms(nu, n, k, s)),
-                                "recurrence": _shown(table.entry(n, k)),
-                            },
+
+    def cases():
+        # the classic triangles are the (1,0) and (0,1) instances
+        classics = [
+            (failed, classic, indexing, eulerian_table(p, nmax))
+            for failed, classic, indexing, p in (
+                ("classic-standard", classic_eulerian, "standard", Params(1, 1, 0)),
+                ("classic-traditional", classic_eulerian, "traditional", Params(1, 0, 1)),
+                ("second-order-standard", classic_second_order, "standard", Params(2, 1, 0)),
+                ("second-order-traditional", classic_second_order, "traditional", Params(2, 0, 1)),
+            )
+        ]
+        for n in range(nmax + 1):
+            for k in range(n + 1):
+                for failed, classic, indexing, table in classics:
+                    yield (
+                        {"failed": failed, "n": n, "k": k},
+                        ("classic", classic(n, k, indexing)),
+                        ("recurrence", table.entry(n, k)),
+                    )
+        # the shift between the two indexings, on its domain n >= 1, 1 <= k <= n
+        shifts = (("order1-shift", classic_eulerian), ("order2-shift", classic_second_order))
+        for n in range(1, nmax + 1):
+            for k in range(1, n + 1):
+                for failed, classic in shifts:
+                    yield (
+                        {"failed": failed, "n": n, "k": k},
+                        ("traditional", classic(n, k, "traditional")),
+                        ("standard", classic(n, k - 1, "standard")),
+                    )
+        # degenerate t = -s closed forms against the recurrence
+        for nu in (1, 2):
+            for s in (1, 2, 3):
+                table = eulerian_table(Params(nu, s, -s), smax)
+                for n in range(smax + 1):
+                    for k in range(n + 1):
+                        yield (
+                            {"failed": "s-minus-s", "nu": nu, "s": s, "n": n, "k": k},
+                            ("closed", s_minus_s_closed_forms(nu, n, k, s)),
+                            ("recurrence", table.entry(n, k)),
                         )
-    return _done("special-cases", params, None)
+
+    return _first_mismatch("special-cases", params, cases())
 
 
 # ----------------------------------------------------------- inverse pairs
@@ -376,63 +374,60 @@ def check_inverse_pairs(level: str = "default") -> CheckResult:
     nmax = 10 if level == "default" else 6
     params = {"nu_max": 3, "n_max": nmax, "ratios": ["1", "-1", "2/3"]}
     st_pairs = [(s, t) for s in range(0, 4) for t in range(-2, 3)]
-    for nu in (1, 2, 3):
-        for s, t in st_pairs:
-            e = eulerian_table(Params(nu + 1, s, t), nmax)
-            w = ward_table(Params(nu, s, t), nmax)
-            for n in range(nmax + 1):
-                if euler_to_ward(list(e.row(n)), n) != list(w.row(n)):
-                    return _done(
-                        "inverse-pairs",
-                        params,
-                        {"failed": "euler-to-ward", "nu": nu, "s": s, "t": t, "n": n},
+
+    def cases():
+        for nu in (1, 2, 3):
+            for s, t in st_pairs:
+                e = eulerian_table(Params(nu + 1, s, t), nmax)
+                w = ward_table(Params(nu, s, t), nmax)
+                for n in range(nmax + 1):
+                    at = {"nu": nu, "s": s, "t": t, "n": n}
+                    yield (
+                        {"failed": "euler-to-ward", **at},
+                        ("transform", euler_to_ward(list(e.row(n)), n)),
+                        ("ward", list(w.row(n))),
                     )
-                if ward_to_euler(list(w.row(n)), n) != list(e.row(n)):
-                    return _done(
-                        "inverse-pairs",
-                        params,
-                        {"failed": "ward-to-euler", "nu": nu, "s": s, "t": t, "n": n},
+                    yield (
+                        {"failed": "ward-to-euler", **at},
+                        ("transform", ward_to_euler(list(w.row(n)), n)),
+                        ("eulerian", list(e.row(n))),
                     )
-    for n in range(nmax + 1):
-        if not riordan_orthogonality_check(n, n):
-            return _done("inverse-pairs", params, {"failed": "orthogonality", "n": n})
-    # ratio roundtrips over deterministic pseudorandom integer rows
-    rng = random.Random(421731)
-    for r in (Fraction(1), Fraction(-1), Fraction(2, 3)):
-        for n in range(0, 9):
-            row = [rng.randrange(-50, 50) for _ in range(n + 1)]
-            fwd = general_inverse_transform(row, n, r, "forward")
-            back = general_inverse_transform(fwd, n, r, "backward")
-            if back != row:
-                return _done(
-                    "inverse-pairs",
-                    params,
-                    {"failed": "ratio-roundtrip", "r": str(r), "n": n, "row": _shown(row)},
+        for n in range(nmax + 1):
+            yield _holds({"failed": "orthogonality", "n": n}, riordan_orthogonality_check(n, n))
+        # ratio roundtrips over deterministic pseudorandom integer rows
+        rng = random.Random(421731)
+        for r in (Fraction(1), Fraction(-1), Fraction(2, 3)):
+            for n in range(0, 9):
+                row = [rng.randrange(-50, 50) for _ in range(n + 1)]
+                fwd = general_inverse_transform(row, n, r, "forward")
+                yield (
+                    {"failed": "ratio-roundtrip", "r": str(r), "n": n},
+                    ("roundtrip", general_inverse_transform(fwd, n, r, "backward")),
+                    ("row", row),
                 )
-    return _done("inverse-pairs", params, None)
+
+    return _first_mismatch("inverse-pairs", params, cases())
 
 
 def check_classic_ward(level: str = "default") -> CheckResult:
     top = 14 if level == "default" else 8
     smiley_n = 8 if level == "default" else 5
     params = {"n_plus_k_max": top, "smiley_n_max": smiley_n}
-    w = ward_table(Params(1, 0, 1), top)
-    for n in range(top + 1):
-        for k in range(min(n, top - n) + 1):
-            if w.entry(n, k) != assoc_stirling_subset(n + k, k):
-                return _done(
-                    "classic-ward",
-                    params,
-                    {
-                        "n": n,
-                        "k": k,
-                        "ward": _shown(w.entry(n, k)),
-                        "assoc_stirling": _shown(assoc_stirling_subset(n + k, k)),
-                    },
+
+    def cases():
+        w = ward_table(Params(1, 0, 1), top)
+        for n in range(top + 1):
+            for k in range(min(n, top - n) + 1):
+                yield (
+                    {"n": n, "k": k},
+                    ("ward", w.entry(n, k)),
+                    ("assoc_stirling", assoc_stirling_subset(n + k, k)),
                 )
-    if not smiley_identities_check(smiley_n):
-        return _done("classic-ward", params, {"failed": "smiley-identities", "n_max": smiley_n})
-    return _done("classic-ward", params, None)
+        yield _holds(
+            {"failed": "smiley-identities", "n_max": smiley_n}, smiley_identities_check(smiley_n)
+        )
+
+    return _first_mismatch("classic-ward", params, cases())
 
 
 # ----------------------------------------------------- ward interpretation
@@ -453,29 +448,22 @@ def _compositions_for(s: int, t: int) -> list[tuple[int, ...]]:
 def check_ward_interpretation(level: str = "default") -> CheckResult:
     nmax = 4 if level == "default" else 3
     params = {"nu_values": [1, 2], "s_values": [1, 2], "t_max": 2, "n_max": nmax}
-    for nu in (1, 2):
-        for s in (1, 2):
-            for t in range(0, 3):
-                table = ward_table(Params(nu, s, t), nmax)
-                for comp in _compositions_for(s, t):
-                    p = Params(nu, s, t, comp)
-                    for n in range(nmax + 1):
-                        got = ward_marked_row(p, n)
-                        if got != list(table.row(n)):
-                            return _done(
-                                "ward-interpretation",
-                                params,
-                                {
-                                    "nu": nu,
-                                    "s": s,
-                                    "t": t,
-                                    "tvec": list(comp),
-                                    "n": n,
-                                    "marked": _shown(got),
-                                    "recurrence": _shown(list(table.row(n))),
-                                },
+
+    def cases():
+        for nu in (1, 2):
+            for s in (1, 2):
+                for t in range(0, 3):
+                    table = ward_table(Params(nu, s, t), nmax)
+                    for comp in _compositions_for(s, t):
+                        p = Params(nu, s, t, comp)
+                        for n in range(nmax + 1):
+                            yield (
+                                {"nu": nu, "s": s, "t": t, "tvec": list(comp), "n": n},
+                                ("marked", ward_marked_row(p, n)),
+                                ("recurrence", list(table.row(n))),
                             )
-    return _done("ward-interpretation", params, None)
+
+    return _first_mismatch("ward-interpretation", params, cases())
 
 
 # ----------------------------------------------------------------- series
@@ -484,25 +472,30 @@ def check_ward_interpretation(level: str = "default") -> CheckResult:
 def check_series_tree_function(level: str = "default") -> CheckResult:
     K = 14 if level == "default" else 10
     params = {"nu_max": 4, "order": K}
-    x = TruncSeries.x(K)
-    for nu in range(1, 5):
-        T = t_nu_series(nu, K)
-        q = [Fraction(0)] * (K + 1)
-        for k in range(1, nu):
-            q[k] = Fraction(math.comb(nu - 1, k) * (-1) ** k, k)
-        f = x * TruncSeries(q).exp()
-        if f.compose(T) != x or T.compose(f) != x:
-            return _done("tree-function", params, {"failed": "reversion-contract", "nu": nu})
-        if not t_nu_derivative_check(nu, K):
-            return _done("tree-function", params, {"failed": "derivative-identity", "nu": nu})
-    T2 = t_nu_series(2, K)
-    for n in range(1, K + 1):
-        if T2.coefficient(n) != Fraction(n ** (n - 1), math.factorial(n)):
-            return _done("tree-function", params, {"failed": "tree-coefficients", "n": n})
-    for s in (1, 2, 5):
-        if not tree_power_check(s, K):
-            return _done("tree-function", params, {"failed": "tree-powers", "s": s})
-    return _done("tree-function", params, None)
+
+    def cases():
+        x = TruncSeries.x(K)
+        for nu in range(1, 5):
+            T = t_nu_series(nu, K)
+            q = [Fraction(0)] * (K + 1)
+            for k in range(1, nu):
+                q[k] = Fraction(math.comb(nu - 1, k) * (-1) ** k, k)
+            f = x * TruncSeries(q).exp()
+            at = {"failed": "reversion-contract", "nu": nu}
+            yield at, ("f_of_T", f.compose(T).coeffs), ("x", x.coeffs)
+            yield at, ("T_of_f", T.compose(f).coeffs), ("x", x.coeffs)
+            yield _holds({"failed": "derivative-identity", "nu": nu}, t_nu_derivative_check(nu, K))
+        T2 = t_nu_series(2, K)
+        for n in range(1, K + 1):
+            yield (
+                {"failed": "tree-coefficients", "n": n},
+                ("series", T2.coefficient(n)),
+                ("closed", Fraction(n ** (n - 1), math.factorial(n))),
+            )
+        for s in (1, 2, 5):
+            yield _holds({"failed": "tree-powers", "s": s}, tree_power_check(s, K))
+
+    return _first_mismatch("tree-function", params, cases())
 
 
 def _poly_value(row, x0: Fraction) -> Fraction:
@@ -513,43 +506,41 @@ def check_egf(level: str = "default") -> CheckResult:
     nmax = 8 if level == "default" else 5
     params = {"n_max": nmax, "x0_eulerian": ["1/3", "1/2", "2/3"], "x0_ward": ["1/2", "1"]}
     st_pairs = [(1, 0), (2, 1), (1, 2)]
-    for nu in (1, 2, 3):
-        for s, t in st_pairs:
-            table = eulerian_table(Params(nu, s, t), nmax)
-            for x0 in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
-                got = egf_eulerian_coeffs(nu, s, t, x0, nmax)
-                want = [_poly_value(table.row(n), x0) for n in range(nmax + 1)]
-                if got != want:
-                    return _done(
-                        "egf",
-                        params,
-                        {"failed": "eulerian", "nu": nu, "s": s, "t": t, "x0": str(x0)},
+
+    def cases():
+        for nu in (1, 2, 3):
+            for s, t in st_pairs:
+                table = eulerian_table(Params(nu, s, t), nmax)
+                for x0 in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+                    at = {"nu": nu, "s": s, "t": t, "x0": str(x0)}
+                    want = [_poly_value(table.row(n), x0) for n in range(nmax + 1)]
+                    yield (
+                        {"failed": "eulerian", **at},
+                        ("egf", egf_eulerian_coeffs(nu, s, t, x0, nmax)),
+                        ("table", want),
                     )
-                if nu == 1 and egf_order1_direct(s, t, x0, nmax) != want:
-                    return _done(
-                        "egf",
-                        params,
-                        {"failed": "order1-direct", "s": s, "t": t, "x0": str(x0)},
+                    if nu == 1:
+                        yield (
+                            {"failed": "order1-direct", **at},
+                            ("direct", egf_order1_direct(s, t, x0, nmax)),
+                            ("table", want),
+                        )
+        for nu in (1, 2):
+            for s, t in st_pairs:
+                table = ward_table(Params(nu, s, t), nmax)
+                for x0 in (Fraction(1, 2), Fraction(1)):
+                    at = {"nu": nu, "s": s, "t": t, "x0": str(x0)}
+                    want = [_poly_value(table.row(n), x0) for n in range(nmax + 1)]
+                    yield (
+                        {"failed": "ward", **at},
+                        ("egf", egf_ward_coeffs(nu, s, t, x0, nmax)),
+                        ("table", want),
                     )
-    for nu in (1, 2):
-        for s, t in st_pairs:
-            table = ward_table(Params(nu, s, t), nmax)
-            for x0 in (Fraction(1, 2), Fraction(1)):
-                got = egf_ward_coeffs(nu, s, t, x0, nmax)
-                want = [_poly_value(table.row(n), x0) for n in range(nmax + 1)]
-                if got != want:
-                    return _done(
-                        "egf",
-                        params,
-                        {"failed": "ward", "nu": nu, "s": s, "t": t, "x0": str(x0)},
+                    yield _holds(
+                        {"failed": "transform", **at}, egf_transform_check(nu, s, t, x0, nmax)
                     )
-                if not egf_transform_check(nu, s, t, x0, nmax):
-                    return _done(
-                        "egf",
-                        params,
-                        {"failed": "transform", "nu": nu, "s": s, "t": t, "x0": str(x0)},
-                    )
-    return _done("egf", params, None)
+
+    return _first_mismatch("egf", params, cases())
 
 
 def check_series_identities(level: str = "default") -> CheckResult:
@@ -557,25 +548,23 @@ def check_series_identities(level: str = "default") -> CheckResult:
     K = 12 if level == "default" else 10
     unit_n = 30 if level == "default" else 12
     params = {"n_max": nmax, "order": K, "unit_sums_n_max": unit_n}
-    for s, t in [(1, 0), (0, 1), (2, 3), (3, 1)]:
-        for n in range(nmax + 1):
-            if not eulerian_ratio_expansion_check(n, s, t, K):
-                return _done(
-                    "series-identities",
-                    params,
+
+    def cases():
+        for s, t in [(1, 0), (0, 1), (2, 3), (3, 1)]:
+            for n in range(nmax + 1):
+                yield _holds(
                     {"failed": "order1-ratio", "n": n, "s": s, "t": t},
+                    eulerian_ratio_expansion_check(n, s, t, K),
                 )
-    for s, t in [(1, 0), (2, 1), (2, 3), (3, 1)]:
-        for n in range(nmax + 1):
-            if not second_order_ratio_expansion_check(n, s, t, K):
-                return _done(
-                    "series-identities",
-                    params,
+        for s, t in [(1, 0), (2, 1), (2, 3), (3, 1)]:
+            for n in range(nmax + 1):
+                yield _holds(
                     {"failed": "order2-ratio", "n": n, "s": s, "t": t},
+                    second_order_ratio_expansion_check(n, s, t, K),
                 )
-    if not binomial_unit_sums_check(unit_n):
-        return _done("series-identities", params, {"failed": "unit-sums", "n_max": unit_n})
-    return _done("series-identities", params, None)
+        yield _holds({"failed": "unit-sums", "n_max": unit_n}, binomial_unit_sums_check(unit_n))
+
+    return _first_mismatch("series-identities", params, cases())
 
 
 # ----------------------------------------------------------------- suites

@@ -20,74 +20,43 @@ numbers, from which two Smiley-style summation identities follow
 
 As in ``eulerian``, the recurrence engine accepts any integer s and t; only
 the combinatorial interpretation (see ``trees.ward_marked_count``) insists on
-s >= 1.
+s >= 1.  Both triangles are the same six-coefficient ``Recurrence`` and
+differ only in the diagonal coefficient (``ward_recurrence``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .eulerian import (
     INT_MODE,
     Params,
+    Recurrence,
     TriangleRows,
     classic_second_order,
-    recurrence_rows,
-    _symbols,
 )
-from .numerics import assoc_stirling_subset, binomial
+from .numerics import as_fraction, assoc_stirling_subset, binomial
 
 __all__ = [
-    "WardTriangle",
+    "ward_recurrence",
     "ward_table",
-    "satisfies_recurrence",
     "euler_to_ward",
     "ward_to_euler",
     "general_inverse_transform",
     "riordan_orthogonality_check",
     "smiley_identities_check",
-    "InversePairParams",
-    "eulerian_pair_params",
-    "ward_pair_params",
-    "pair_rows",
 ]
 
 
-class WardTriangle(TriangleRows):
-    """Triangle built by the Ward recurrence (see ward_table)."""
+def ward_recurrence(p: Params, mode: str = INT_MODE) -> Recurrence:
+    """The six coefficients of the nu-order (s,t)-Ward triangle."""
+    s, t = p.st(mode)
+    return Recurrence(0, 1, s, p.nu, 1, s + t - 1 - p.nu)
 
 
-def ward_table(p: Params, nmax: int, mode: str = INT_MODE) -> WardTriangle:
+def ward_table(p: Params, nmax: int, mode: str = INT_MODE) -> TriangleRows:
     """Build rows 0..nmax of the nu-order (s,t)-Ward triangle."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    s, t, one = _symbols(p, mode)
-    nu = p.nu
-    rows = recurrence_rows(
-        nmax,
-        lambda n, k: k + s,
-        lambda n, k: nu * n + k - 1 - nu + s + t,
-        one,
-    )
-    return WardTriangle(p, mode, rows)
-
-
-def satisfies_recurrence(tri: WardTriangle) -> bool:
-    """Re-check every stored entry against the Ward recurrence."""
-    p, mode = tri.params, tri.mode
-    s, t, one = _symbols(p, mode)
-    nu = p.nu
-    if tri.entry(0, 0) != one:
-        return False
-    for n in range(1, tri.nmax + 1):
-        for k in range(n + 1):
-            want = (k + s) * tri.entry(n - 1, k)
-            if k >= 1:
-                want = want + (nu * n + k - 1 - nu + s + t) * tri.entry(n - 1, k - 1)
-            if tri.entry(n, k) != want:
-                return False
-    return True
+    return TriangleRows(p, mode, ward_recurrence(p, mode).rows(nmax))
 
 
 def _check_row(row, n: int):
@@ -131,16 +100,14 @@ def general_inverse_transform(row, n: int, r, direction: str = "forward") -> lis
     The two compose to the identity for every r, which is exactly the
     orthogonality relation of riordan_orthogonality_check dressed with a
     geometric weight.  r = 1 reproduces euler_to_ward / ward_to_euler; r = 0
-    is the identity transform.  Fractional r is fine; entries that come out
-    integral are returned as ints.
+    is the identity transform.  Fractional r is fine (a Fraction or a string
+    such as "2/3"; a float raises TypeError); entries that come out integral
+    are returned as ints.
     """
     _check_row(row, n)
-    if direction == "forward":
-        rr = Fraction(r)
-    elif direction == "backward":
-        rr = -Fraction(r)
-    else:
+    if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward', got %r" % (direction,))
+    rr = as_fraction(r) if direction == "forward" else -as_fraction(r)
     out = []
     for k in range(n + 1):
         acc = sum(Fraction(row[j]) * binomial(n - j, n - k) * rr ** (k - j) for j in range(k + 1))
@@ -195,54 +162,3 @@ def smiley_identities_check(nmax: int) -> bool:
             if lhs2 != rhs2:
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class InversePairParams:
-    """Coefficients (alpha n + beta k + gamma, alpha' n + beta' k + gamma') of a
-    two-term triangle recurrence
-
-        |n, k| = (alpha n + beta k + gamma) |n-1, k|
-               + (alpha' n + beta' k + gamma') |n-1, k-1|  + delta seed.
-
-    The ratio beta'/beta is the weight r under which the triangle's rows sit
-    in the general_inverse_transform family: the Eulerian family carries
-    r = -1 and the Ward family r = +1, and transforming one family's rows
-    with the other's ratio lands exactly on the companion triangle.
-    """
-
-    alpha: int
-    beta: int
-    gamma: int
-    alpha_p: int
-    beta_p: int
-    gamma_p: int
-
-    def __post_init__(self):
-        if self.beta == 0:
-            raise ValueError("beta must be nonzero for the ratio to exist")
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.beta_p, self.beta)
-
-    def upper_coeff(self, n: int, k: int) -> int:
-        return self.alpha * n + self.beta * k + self.gamma
-
-    def diag_coeff(self, n: int, k: int) -> int:
-        return self.alpha_p * n + self.beta_p * k + self.gamma_p
-
-
-def eulerian_pair_params(nu: int, s: int, t: int) -> InversePairParams:
-    """The six recurrence coefficients of the nu-order (s,t)-Eulerian triangle."""
-    return InversePairParams(0, 1, s, nu, -1, t + 1 - nu)
-
-
-def ward_pair_params(nu: int, s: int, t: int) -> InversePairParams:
-    """The six recurrence coefficients of the nu-order (s,t)-Ward triangle."""
-    return InversePairParams(0, 1, s, nu, 1, s + t - 1 - nu)
-
-
-def pair_rows(pair: InversePairParams, nmax: int) -> tuple:
-    """Rows of the triangle a given coefficient sextuple generates."""
-    return recurrence_rows(nmax, pair.upper_coeff, pair.diag_coeff)

@@ -1,22 +1,28 @@
 """Triangle recurrences, closed forms, and classic specializations."""
 
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from eulerward.eulerian import (
     Params,
+    Recurrence,
+    TriangleRows,
     classic_eulerian,
     classic_second_order,
     closed_form_order1,
     closed_form_order2,
     eulerian_poly,
+    eulerian_recurrence,
     eulerian_table,
     row_sum_product,
     s_minus_s_closed_forms,
-    satisfies_recurrence,
 )
-from eulerward.numerics import PolyST, binomial
+from eulerward.numerics import PolyST, binomial, stirling_subset
+from eulerward.ward import ward_recurrence, ward_table
 
 
 class TestParams:
@@ -35,6 +41,28 @@ class TestParams:
     def test_default_composition_front_loads_t(self):
         assert Params(2, 3, 2).composition == (2, 0, 0)
         assert Params(1, 1, 0).composition == (0,)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2, 1.5, 0),
+            (2.0, 1, 0),
+            (2, 1, 0.0),
+            (Fraction(2), 1, 0),
+            (True, 1, 0),
+            (2, True, 0),
+            (2, 1, False),
+            (2, 2, 3, (1.9, 2.0)),
+            (2, 2, 3, (Fraction(1), 2)),
+            (2, 2, 1, (True, 0)),
+        ],
+    )
+    def test_rejects_non_integer_numbers(self, args):
+        with pytest.raises(TypeError):
+            Params(*args)
+
+    def test_accepts_tvec_as_any_integer_sequence(self):
+        assert Params(2, 2, 3, [1, 2]).tvec == (1, 2)
 
     def test_composition_requires_combinatorial_regime(self):
         with pytest.raises(ValueError):
@@ -72,7 +100,8 @@ class TestTriangles:
         for nu in (1, 2, 3):
             for s in (0, 1, 3):
                 for t in (-2, 0, 2):
-                    assert satisfies_recurrence(eulerian_table(Params(nu, s, t), 8))
+                    p = Params(nu, s, t)
+                    assert eulerian_recurrence(p).check(eulerian_table(p, 8))
 
     def test_polynomial_mode_specializes(self):
         nmax = 8
@@ -110,6 +139,65 @@ class TestTriangles:
         tri = eulerian_table(p, 6)
         for n in range(7):
             assert sum(tri.row(n)) == row_sum_product(p, n)
+
+
+def _with_entry(tri, n, k, value):
+    rows = list(tri.rows)
+    rows[n] = rows[n][:k] + (value,) + rows[n][k + 1 :]
+    return TriangleRows(tri.params, tri.mode, tuple(rows))
+
+
+@lru_cache(maxsize=None)
+def _poly_rows(build, nu, nmax):
+    return build(Params(nu, 0, 0), nmax, "poly").rows
+
+
+class TestRecurrence:
+    @pytest.mark.parametrize("mode", ["int", "poly"])
+    @pytest.mark.parametrize("n,k", [(0, 0), (3, 0), (5, 2), (6, 6)])
+    def test_check_rejects_one_changed_entry(self, mode, n, k):
+        p = Params(2, 2, 1)
+        spec = eulerian_recurrence(p, mode)
+        tri = eulerian_table(p, 6, mode)
+        assert spec.check(tri)
+        assert not spec.check(_with_entry(tri, n, k, tri.entry(n, k) + 1))
+
+    def test_check_rejects_a_short_row(self):
+        p = Params(1, 1, 0)
+        tri = eulerian_table(p, 4)
+        rows = tri.rows[:3] + (tri.rows[3][:-1],) + tri.rows[4:]
+        assert not eulerian_recurrence(p).check(TriangleRows(p, "int", rows))
+
+    @pytest.mark.parametrize("mode", ["int", "poly"])
+    def test_check_tells_the_families_apart(self, mode):
+        p = Params(2, 1, 1)
+        assert ward_recurrence(p, mode).check(ward_table(p, 6, mode))
+        assert not eulerian_recurrence(p, mode).check(ward_table(p, 6, mode))
+        assert not ward_recurrence(p, mode).check(eulerian_table(p, 6, mode))
+
+    def test_any_sextuple_builds_its_triangle(self):
+        # {n, k} = k {n-1, k} + {n-1, k-1}: the Stirling subset numbers
+        rows = Recurrence(0, 1, 0, 0, 0, 1).rows(9)
+        assert rows == tuple(
+            tuple(stirling_subset(n, k) for k in range(n + 1)) for n in range(10)
+        )
+
+    def test_rejects_negative_size(self):
+        with pytest.raises(ValueError):
+            eulerian_recurrence(Params(1, 1, 0)).rows(-1)
+
+    @given(
+        st.sampled_from([eulerian_table, ward_table]),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=-5, max_value=5),
+        st.integers(min_value=-5, max_value=5),
+    )
+    def test_poly_rows_specialize_to_int_rows(self, build, nu, s0, t0):
+        nmax = 7
+        rows = _poly_rows(build, nu, nmax)
+        assert all(isinstance(v, PolyST) for row in rows for v in row)
+        want = build(Params(nu, s0, t0), nmax).rows
+        assert tuple(tuple(v.evaluate(s0, t0) for v in row) for row in rows) == want
 
 
 class TestClosedForms:

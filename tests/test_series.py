@@ -183,6 +183,20 @@ class TestEgf:
         with pytest.raises(ValueError):
             egf_eulerian_coeffs(1, 1, 0, Fraction(1), 4)
 
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda x0: egf_eulerian_coeffs(2, 1, 0, x0, 4),
+            lambda x0: egf_order1_direct(1, 0, x0, 4),
+            lambda x0: egf_ward_coeffs(1, 1, 0, x0, 4),
+            lambda x0: egf_transform_check(1, 1, 0, x0, 4),
+        ],
+    )
+    def test_x0_must_be_exact(self, route):
+        with pytest.raises(TypeError):
+            route(0.5)
+        assert route("1/2") == route(Fraction(1, 2))
+
     @pytest.mark.parametrize("nu", [1, 2])
     @pytest.mark.parametrize("x0", [Fraction(1, 2), Fraction(1)])
     def test_ward_coefficients_evaluate_the_rows(self, nu, x0):

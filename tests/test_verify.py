@@ -1,0 +1,110 @@
+"""Seeded faults: a check that fails keeps its id and reports a witness with
+the first failing instance and both routes' values."""
+
+from fractions import Fraction
+
+import pytest
+
+from eulerward import verify
+from eulerward.eulerian import (
+    Params,
+    classic_eulerian,
+    closed_form_order1,
+    closed_form_order2,
+    eulerian_table,
+)
+from eulerward.series import egf_eulerian_coeffs
+from eulerward.ward import ward_to_euler
+
+
+def _shown(values):
+    return [str(v) for v in values]
+
+
+def test_inverse_pairs_fault(monkeypatch):
+    def faulty(row, n):
+        out = ward_to_euler(row, n)
+        return out[:-1] + [out[-1] + 1] if n == 2 else out
+
+    monkeypatch.setattr(verify, "ward_to_euler", faulty)
+    result = verify.check_inverse_pairs("small")
+    want = list(eulerian_table(Params(2, 0, -2), 2).row(2))
+    assert result.check_id == "inverse-pairs"
+    assert not result.passed
+    assert result.witness == {
+        "failed": "ward-to-euler",
+        "nu": 1,
+        "s": 0,
+        "t": -2,
+        "n": 2,
+        "transform": _shown(want[:-1] + [want[-1] + 1]),
+        "eulerian": _shown(want),
+    }
+
+
+def test_egf_fault(monkeypatch):
+    def faulty(nu, s, t, x0, N):
+        out = egf_eulerian_coeffs(nu, s, t, x0, N)
+        return out[:3] + [out[3] + 1] + out[4:] if nu == 2 else out
+
+    monkeypatch.setattr(verify, "egf_eulerian_coeffs", faulty)
+    result = verify.check_egf("small")
+    x0 = Fraction(1, 3)
+    want = [
+        sum(c * x0**k for k, c in enumerate(row))
+        for row in eulerian_table(Params(2, 1, 0), 5).rows
+    ]
+    assert result.check_id == "egf"
+    assert not result.passed
+    assert result.witness == {
+        "failed": "eulerian",
+        "nu": 2,
+        "s": 1,
+        "t": 0,
+        "x0": "1/3",
+        "egf": _shown(want[:3] + [want[3] + 1] + want[4:]),
+        "table": _shown(want),
+    }
+
+
+def test_special_cases_fault(monkeypatch):
+    def faulty(n, k, indexing="standard"):
+        value = classic_eulerian(n, k, indexing)
+        return value + 1 if (n, k, indexing) == (4, 1, "traditional") else value
+
+    monkeypatch.setattr(verify, "classic_eulerian", faulty)
+    result = verify.check_special_cases("small")
+    assert result.check_id == "special-cases"
+    assert not result.passed
+    assert result.witness == {
+        "failed": "classic-traditional",
+        "n": 4,
+        "k": 1,
+        "classic": "2",
+        "recurrence": "1",
+    }
+
+
+@pytest.mark.parametrize("order,route", [(1, closed_form_order1), (2, closed_form_order2)])
+def test_closed_forms_fault_keeps_the_check_id(monkeypatch, order, route):
+    def faulty(n, k, s, t):
+        value = route(n, k, s, t)
+        return value - 5 if (n, k, s, t) == (3, 2, 0, 1) else value
+
+    monkeypatch.setattr(verify, route.__name__, faulty)
+    result = verify.check_closed_forms("small")
+    want = eulerian_table(Params(order, 0, 1), 3).entry(3, 2)
+    assert result.check_id == "closed-forms"
+    assert not result.passed
+    assert result.witness == {
+        "order": order,
+        "s": 0,
+        "t": 1,
+        "n": 3,
+        "k": 2,
+        "closed": str(want - 5),
+        "recurrence": str(want),
+    }
+    report = verify.run_suite("closed-forms", "small").to_json()
+    assert [c["id"] for c in report["checks"]] == ["closed-forms", "special-cases"]
+    assert not report["passed"]

@@ -6,18 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eulerward.eulerian import Params, eulerian_table
+from eulerward.eulerian import Params, Recurrence, eulerian_recurrence, eulerian_table
 from eulerward.numerics import assoc_stirling_subset
 from eulerward.ward import (
-    InversePairParams,
     euler_to_ward,
-    eulerian_pair_params,
     general_inverse_transform,
-    pair_rows,
     riordan_orthogonality_check,
-    satisfies_recurrence,
     smiley_identities_check,
-    ward_pair_params,
+    ward_recurrence,
     ward_table,
     ward_to_euler,
 )
@@ -50,7 +46,8 @@ class TestWardTriangle:
         for nu in (1, 2, 3):
             for s in (0, 1, 2):
                 for t in (-1, 0, 2):
-                    assert satisfies_recurrence(ward_table(Params(nu, s, t), 8))
+                    p = Params(nu, s, t)
+                    assert ward_recurrence(p).check(ward_table(p, 8))
 
     def test_polynomial_mode_specializes(self):
         tri = ward_table(Params(2, 1, 0), 6, "poly")
@@ -81,7 +78,12 @@ class TestInversePair:
         with pytest.raises(ValueError):
             general_inverse_transform([1], 0, 1, "sideways")
 
-    @given(int_rows, st.sampled_from([1, -1, Fraction(2, 3), Fraction(-5, 7)]))
+    def test_ratio_must_be_exact(self):
+        with pytest.raises(TypeError):
+            general_inverse_transform([1, 2], 1, 0.1)
+        assert general_inverse_transform([1, 2], 1, "1/2") == [1, Fraction(5, 2)]
+
+    @given(int_rows, st.sampled_from([1, -1, Fraction(2, 3), Fraction(-5, 7), "3/4"]))
     def test_general_transform_roundtrips(self, row, r):
         n = len(row) - 1
         fwd = general_inverse_transform(row, n, r, "forward")
@@ -104,26 +106,35 @@ class TestInversePair:
 
 
 class TestPairParams:
+    """The six coefficients of each family, and the ratio beta'/beta that
+    places its rows in the general_inverse_transform family."""
+
     def test_eulerian_triangle_fits_its_pair(self):
         for nu in (2, 3, 4):
             for s, t in [(1, 0), (2, 1), (0, 1)]:
-                pair = eulerian_pair_params(nu, s, t)
-                assert pair.ratio == -1
-                tri = eulerian_table(Params(nu, s, t), 8)
-                assert pair_rows(pair, 8) == tuple(tri.row(n) for n in range(9))
+                spec = eulerian_recurrence(Params(nu, s, t))
+                assert spec == Recurrence(0, 1, s, nu, -1, t + 1 - nu)
+                assert spec.ratio == -1
+                # the Eulerian ratio carries the order-(nu-1) Ward rows onto these
+                e = eulerian_table(Params(nu, s, t), 8)
+                w = ward_table(Params(nu - 1, s, t), 8)
+                for n in range(9):
+                    assert general_inverse_transform(list(w.row(n)), n, spec.ratio) == list(e.row(n))
 
     def test_ward_triangle_fits_its_pair(self):
         for nu in (1, 2, 3):
             for s, t in [(0, 1), (1, 0), (2, 1)]:
-                pair = ward_pair_params(nu, s, t)
-                assert pair.ratio == 1
-                tri = ward_table(Params(nu, s, t), 8)
-                assert pair_rows(pair, 8) == tuple(tri.row(n) for n in range(9))
+                spec = ward_recurrence(Params(nu, s, t))
+                assert spec == Recurrence(0, 1, s, nu, 1, s + t - 1 - nu)
+                assert spec.ratio == 1
+                e = eulerian_table(Params(nu + 1, s, t), 8)
+                w = ward_table(Params(nu, s, t), 8)
+                for n in range(9):
+                    assert general_inverse_transform(list(e.row(n)), n, spec.ratio) == list(w.row(n))
 
     def test_beta_must_be_nonzero(self):
         with pytest.raises(ValueError):
-            InversePairParams(0, 0, 1, 1, 1, 0)
+            Recurrence(0, 0, 1, 1, 1, 0).ratio
 
     def test_ratio_value(self):
-        pair = InversePairParams(0, 2, 1, 1, 3, 0)
-        assert pair.ratio == Fraction(3, 2)
+        assert Recurrence(0, 2, 1, 1, 3, 0).ratio == Fraction(3, 2)
