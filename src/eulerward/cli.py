@@ -116,6 +116,8 @@ def _resolve_composition(args, width: int | None = None) -> tuple[int, ...]:
 def cmd_enumerate(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be >= 0")
+    if args.max_count < 0:
+        raise ValueError("--max-count must be >= 0")
     tvec = _resolve_composition(args)
     p = Params(args.nu, len(tvec), sum(tvec), tvec)
     total = count_sequences(p, args.n)
@@ -125,8 +127,7 @@ def cmd_enumerate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    lines = []
-    for seq in enumerate_sequences(p, args.n):
+    for idx, seq in enumerate(enumerate_sequences(p, args.n)):
         record = {
             "entries": [word_text(w) for w in seq.entries],
             "ascent_count": str(seq_ascent_count(seq)),
@@ -137,9 +138,11 @@ def cmd_enumerate(args) -> int:
         if args.format == "jsonl":
             print(json.dumps(record, sort_keys=True))
         else:
-            lines.append(record)
+            # one element of the indented array, written as soon as it is built
+            text = json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n  ")
+            print(",\n  " if idx else "[\n  ", text, sep="", end="")
     if args.format == "json":
-        print(json.dumps(lines, indent=2, sort_keys=True))
+        print("\n]")
     return 0
 
 
@@ -185,7 +188,11 @@ def cmd_bijection(args) -> int:
         },
         "dot": forest_to_dot(forest),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    except RecursionError:
+        raise ValueError("the forest is too deep to print as JSON") from None
+    print(text)
     return 0
 
 

@@ -21,7 +21,10 @@ is (0^t_1, ..., 0^t_s), and every object of order m arises exactly once by
 inserting the block m^nu into one of the sum(len_i + 1) = nu(m-1) + t + s
 gaps of an object of order m-1 (a gap being any position of any entry,
 including its two ends).  Gaps are visited entry-major, left to right, giving
-a reproducible ordering.
+a reproducible ordering.  One streaming depth-first walk serves enumeration,
+the ascent histograms and the marked-forest counts in ``trees``: it holds one
+cursor per order, so its memory is O(n) in the depth, and it updates the
+ascent count from the two neighbours of each gap instead of rescanning.
 """
 
 from __future__ import annotations
@@ -175,41 +178,38 @@ def seq_ascent_count(seq: GenStirlingSeq) -> int:
     return sum(len(ascent_positions(e)) for e in seq.entries)
 
 
-def _seed(tvec: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple((0,) * ti for ti in tvec)
+def _insertions(nu: int, tvec: tuple[int, ...], n: int):
+    """Stream (m, obj, ascents) for every object of order 0..n, depth first.
+
+    Objects are raw tuples of letter tuples.  The block m^nu is larger than
+    both neighbours of its gap and has no inner ascents, so the ascent count
+    changes by [left letter exists] - [left < right].
+    """
+    blocks = [(m,) * nu for m in range(n + 1)]
+    obj = tuple((0,) * ti for ti in tvec)
+    yield 0, obj, 0
+    # one cursor per open order: [parent, its ascents, entry index, gap index]
+    path = [[obj, 0, 0, 0]] if n > 0 else []
+    while path:
+        cursor = path[-1]
+        obj, asc, i, g = cursor
+        if i == len(obj):
+            path.pop()
+            continue
+        entry = obj[i]
+        cursor[2:] = (i, g + 1) if g < len(entry) else (i + 1, 0)
+        if g:
+            asc += 1 - (g < len(entry) and entry[g - 1] < entry[g])
+        m = len(path)
+        child = obj[:i] + (entry[:g] + blocks[m] + entry[g:],) + obj[i + 1 :]
+        yield m, child, asc
+        if m < n:
+            path.append([child, asc, 0, 0])
 
 
-def _children(obj, block):
-    """All insertions of a block into one object, entry-major, gaps left to right."""
-    for i, entry in enumerate(obj):
-        for g in range(len(entry) + 1):
-            yield obj[:i] + (entry[:g] + block + entry[g:],) + obj[i + 1 :]
-
-
-def _raw_sequences(nu: int, tvec: tuple[int, ...], n: int):
-    """Depth-first stream of raw letter tuples for all order-n objects."""
-
-    def rec(obj, m):
-        if m > n:
-            yield obj
-            return
-        block = (m,) * nu
-        for child in _children(obj, block):
-            yield from rec(child, m + 1)
-
-    yield from rec(_seed(tvec), 1)
-
-
-def _raw_ascents(obj) -> int:
-    total = 0
-    for entry in obj:
-        for a, b in zip(entry, entry[1:]):
-            if a < b:
-                total += 1
-    return total
-
-
-def _enumeration_params(p: Params) -> tuple[int, tuple[int, ...]]:
+def _enumeration_params(p: Params, n: int) -> tuple[int, tuple[int, ...]]:
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if p.s < 1:
         raise ValueError("enumeration needs s >= 1 entries")
     return p.nu, p.composition
@@ -217,7 +217,7 @@ def _enumeration_params(p: Params) -> tuple[int, tuple[int, ...]]:
 
 def count_sequences(p: Params, n: int) -> int:
     """How many (nu, tvec, n)-Stirling permutations there are, in product form."""
-    _enumeration_params(p)
+    _enumeration_params(p, n)
     return row_sum_product(p, n)
 
 
@@ -234,44 +234,28 @@ def enumerate_sequences(p: Params, n: int) -> Iterator[GenStirlingSeq]:
     stream is deterministic: each order-m prefix is extended by inserting
     m^nu into gaps entry-major, left to right.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    nu, tvec = _enumeration_params(p)
-    for obj in _raw_sequences(nu, tvec, n):
-        yield _wrap(obj, nu, tvec)
+    nu, tvec = _enumeration_params(p, n)
+    for m, obj, _ in _insertions(nu, tvec, n):
+        if m == n:
+            yield _wrap(obj, nu, tvec)
+
+
+def _histograms(p: Params, nmax: int) -> list[list[int]]:
+    nu, tvec = _enumeration_params(p, nmax)
+    hists = [[0] * (m + 1) for m in range(nmax + 1)]
+    for m, _, asc in _insertions(nu, tvec, nmax):
+        hists[m][asc] += 1
+    return hists
 
 
 def ascent_histogram(p: Params, n: int) -> list[int]:
     """histogram[k] = number of order-n objects with exactly k ascents."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    nu, tvec = _enumeration_params(p)
-    hist = [0] * (n + 1)
-    for obj in _raw_sequences(nu, tvec, n):
-        hist[_raw_ascents(obj)] += 1
-    return hist
+    return _histograms(p, n)[n]
 
 
 def ascent_histograms_up_to(p: Params, nmax: int) -> list[list[int]]:
-    """Ascent histograms for every order 0..nmax in a single breadth-first pass.
-
-    Cheaper than nmax separate calls when a whole triangle is being checked,
-    since each level is built once and reused for the next.
-    """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    nu, tvec = _enumeration_params(p)
-    cur = [_seed(tvec)]
-    hists = []
-    for m in range(nmax + 1):
-        if m > 0:
-            block = (m,) * nu
-            cur = [child for obj in cur for child in _children(obj, block)]
-        hist = [0] * (m + 1)
-        for obj in cur:
-            hist[_raw_ascents(obj)] += 1
-        hists.append(hist)
-    return hists
+    """Ascent histograms for every order 0..nmax from one depth-first walk."""
+    return _histograms(p, nmax)
 
 
 def word_text(w) -> str:

@@ -20,11 +20,19 @@ tuple), which is the bridge to the Ward numbers: the order-nu Ward number
 W(n, k) counts pairs (F, M) where F ranges over the forests of the
 order-(nu+1) word model and M over (n-k)-subsets of D(F).  That count is
 implemented literally in ``ward_marked_count``, giving a route to the Ward
-triangle that never touches its recurrence.
+triangle that never touches its recurrence.  It runs on the raw objects of
+the insertion walk in ``stirlingperm``, which are valid by construction, so
+they skip validation and go straight to the factorization.
+
+The factorization is one left-to-right stack pass, and every other walk over
+a tree (reading, validation, statistics, JSON and DOT output) keeps its own
+stack, so a tree's depth is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .eulerian import Params
@@ -32,7 +40,8 @@ from .numerics import binomial
 from .stirlingperm import (
     GenStirlingSeq,
     GenStirlingWord,
-    enumerate_sequences,
+    _enumeration_params,
+    _insertions,
     seq_ascent_count,
     validate_word,
 )
@@ -105,55 +114,53 @@ class IncForest:
         return sum(len(tree_labels(tr)) for tr in self.trees)
 
 
-def _split_at(letters, positions):
-    """Cut a word at the given letter positions, dropping the cutters."""
-    parts = []
-    prev = -1
-    for p in list(positions) + [len(letters)]:
-        parts.append(letters[prev + 1 : p])
-        prev = p
-    return parts
-
-
 def perm_to_tree(w: GenStirlingWord) -> IncTree:
     """Factorize a valid word on least letters into its increasing tree."""
     if not validate_word(w):
         raise ValueError("not a valid generalized Stirling permutation: %r" % (w,))
-    nu = w.nu
+    return _tree(w.letters, w.t, w.nu + 1)
 
-    def build(seg) -> TreeNode:
-        x = min(seg)
-        pos = [i for i, y in enumerate(seg) if y == x]
-        parts = _split_at(seg, pos)
-        return TreeNode(x, tuple(build(part) if part else None for part in parts))
 
-    letters = w.letters
-    if w.t >= 1:
-        zero_pos = [i for i, y in enumerate(letters) if y == 0]
-        parts = _split_at(letters, zero_pos)
-        root = TreeNode(0, tuple(build(part) if part else None for part in parts))
-    elif letters:
-        root = build(letters)
-    else:
-        root = None
-    return IncTree(w.t, nu + 1, root)
+def _tree(letters, t: int, d: int) -> IncTree:
+    """Least-letter factorization of a valid word, in one left-to-right pass.
+
+    The stack holds the nodes whose last slot is still open, labels
+    increasing upwards, each with the slots filled so far; ``done`` is the
+    subtree finished since the last letter.  A letter x closes every open
+    node above x, then either fills the next slot of the open node x or opens
+    x with ``done`` as its first slot.  A final -1, below every letter,
+    closes all nodes and keeps the root (or None) as its only slot.
+    Validity of the word is assumed.
+    """
+    stack: list[tuple[int, list]] = []
+    done = None
+    for x in (*letters, -1):
+        while stack and stack[-1][0] > x:
+            label, slots = stack.pop()
+            slots.append(done)
+            done = TreeNode(label, slots)
+        if stack and stack[-1][0] == x:
+            stack[-1][1].append(done)
+        else:
+            stack.append((x, [done]))
+        done = None
+    return IncTree(t, d, stack[0][1][0])
 
 
 def tree_to_perm(tree: IncTree) -> GenStirlingWord:
     """Depth-first reading of a tree; exact inverse of perm_to_tree."""
-
-    def emit(node: TreeNode) -> list[int]:
-        out: list[int] = []
-        last = len(node.slots) - 1
-        for idx, child in enumerate(node.slots):
-            if child is not None:
-                out.extend(emit(child))
-            if idx < last:
-                out.append(node.label)
-        return out
-
-    letters = tuple(emit(tree.root)) if tree.root is not None else ()
-    return GenStirlingWord(letters, tree.d - 1, tree.t)
+    letters: list[int] = []
+    # pending items, next on top: subtrees (None = external) and labels
+    stack: list = [tree.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, TreeNode):
+            for child in reversed(item.slots[1:]):
+                stack += (child, item.label)
+            stack.append(item.slots[0])
+        elif item is not None:
+            letters.append(item)
+    return GenStirlingWord(tuple(letters), tree.d - 1, tree.t)
 
 
 def seq_to_forest(seq: GenStirlingSeq) -> IncForest:
@@ -165,10 +172,12 @@ def forest_to_seq(forest: IncForest) -> GenStirlingSeq:
 
 
 def _walk(node: TreeNode):
-    yield node
-    for child in node.slots:
-        if child is not None:
-            yield from _walk(child)
+    """Every internal node of the subtree at node, in depth-first pre-order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in reversed(node.slots) if c is not None)
 
 
 def tree_labels(tree: IncTree) -> tuple[int, ...]:
@@ -217,23 +226,21 @@ def marked_statistic_check(seq: GenStirlingSeq) -> bool:
 def ward_marked_row(p: Params, n: int) -> list[int]:
     """Row n of the order-nu (s,t)-Ward triangle, counted through marked forests.
 
-    Enumerates the order-(nu+1) word model (the Ward order sits one below
-    the Eulerian order of the words it marks), maps every sequence to its
-    forest, and counts the (n-k)-subsets of each distinguished pool.  No
-    recurrence involved, which is the point: this is the independent
+    Streams the order-(nu+1) word model (the Ward order sits one below the
+    Eulerian order of the words it marks), builds each object's forest, and
+    counts the (n-k)-subsets of each distinguished pool.  No recurrence and
+    no ascent count is involved, which is the point: this is the independent
     combinatorial route the Ward recurrence is checked against.
     """
     if p.s < 1:
         raise ValueError("the forest model needs s >= 1")
-    word_params = Params(p.nu + 1, p.s, p.t, p.tvec)
-    row = [0] * (n + 1)
-    for seq in enumerate_sequences(word_params, n):
-        dsize = len(forest_distinguished_set(seq_to_forest(seq)))
-        for k in range(n + 1):
-            c = binomial(dsize, n - k)
-            if c:
-                row[k] += c
-    return row
+    nu, tvec = _enumeration_params(Params(p.nu + 1, p.s, p.t, p.tvec), n)
+    pools: Counter[int] = Counter()
+    for m, obj, _ in _insertions(nu, tvec, n):
+        if m == n:
+            forest = IncForest(tuple(_tree(e, ti, nu + 1) for e, ti in zip(obj, tvec)))
+            pools[len(forest_distinguished_set(forest))] += 1
+    return [sum(c * binomial(size, n - k) for size, c in pools.items()) for k in range(n + 1)]
 
 
 def ward_marked_count(p: Params, n: int, k: int) -> int:
@@ -275,21 +282,10 @@ def validate_tree(tree: IncTree) -> bool:
         return False
     if tree.t == 0 and tree.root.label <= 0:
         return False
-
-    def grows(node: TreeNode) -> bool:
+    for node in _walk(tree.root):
         for child in node.slots:
-            if child is None:
-                continue
-            if len(child.slots) != tree.d:
+            if child is not None and (len(child.slots) != tree.d or child.label <= node.label):
                 return False
-            if child.label <= node.label:
-                return False
-            if not grows(child):
-                return False
-        return True
-
-    if not grows(tree.root):
-        return False
     labels = tree_labels(tree)
     if tree.t == 0 and labels and tree.root.label != labels[0]:
         return False
@@ -297,42 +293,53 @@ def validate_tree(tree: IncTree) -> bool:
     return edges == tree.d * m + root_arity and externals == (tree.d - 1) * m + root_arity
 
 
-def _node_to_json(node: TreeNode | None):
-    if node is None:
-        return None
-    return {"label": node.label, "slots": [_node_to_json(c) for c in node.slots]}
-
-
 def tree_to_json(tree: IncTree) -> dict:
     """Nested dict form: {'t', 'd', 'root'}, external slots as null."""
-    return {"t": tree.t, "d": tree.d, "root": _node_to_json(tree.root)}
+    out = {"t": tree.t, "d": tree.d, "root": None}
+    # (container, key, node): the node's dict goes to container[key]
+    stack = [(out, "root", tree.root)]
+    while stack:
+        holder, key, node = stack.pop()
+        if node is not None:
+            slots = [None] * len(node.slots)
+            holder[key] = {"label": node.label, "slots": slots}
+            stack.extend((slots, i, c) for i, c in enumerate(node.slots))
+    return out
 
 
 def forest_to_json(forest: IncForest) -> list[dict]:
     return [tree_to_json(tr) for tr in forest.trees]
 
 
-def _emit_dot(node: TreeNode, prefix: str, counter: list[int], lines: list[str]) -> str:
-    my_id = "%sn%d" % (prefix, counter[0])
-    counter[0] += 1
-    lines.append('  %s [label="%d"];' % (my_id, node.label))
-    for idx, child in enumerate(node.slots):
-        if child is None:
-            ext_id = "%se%d" % (prefix, counter[1])
-            counter[1] += 1
-            lines.append("  %s [shape=point];" % (ext_id,))
-            lines.append('  %s -> %s [label="%d"];' % (my_id, ext_id, idx + 1))
+def _emit_dot(root: TreeNode, prefix: str, lines: list[str]) -> None:
+    """Append one tree's nodes and edges in depth-first order; the edge into
+    an internal node follows its whole subtree."""
+    internal, external = itertools.count(), itertools.count()
+    # pending work, next on top: (slot content, parent id, slot number) or a line
+    stack: list = [(root, None, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, parent, slot = item
+        if node is None:
+            my_id = "%se%d" % (prefix, next(external))
+            lines.append("  %s [shape=point];" % (my_id,))
         else:
-            child_id = _emit_dot(child, prefix, counter, lines)
-            lines.append('  %s -> %s [label="%d"];' % (my_id, child_id, idx + 1))
-    return my_id
+            my_id = "%sn%d" % (prefix, next(internal))
+            lines.append('  %s [label="%d"];' % (my_id, node.label))
+        if parent is not None:
+            stack.append('  %s -> %s [label="%d"];' % (parent, my_id, slot))
+        if node is not None:
+            stack.extend((c, my_id, i) for i, c in reversed(list(enumerate(node.slots, 1))))
 
 
 def tree_to_dot(tree: IncTree, name: str = "tree") -> str:
     """GraphViz text; slot order is preserved as 1-based edge labels."""
     lines = ["digraph %s {" % (name,), "  ordering=out;"]
     if tree.root is not None:
-        _emit_dot(tree.root, "", [0, 0], lines)
+        _emit_dot(tree.root, "", lines)
     lines.append("}")
     return "\n".join(lines)
 
@@ -344,7 +351,7 @@ def forest_to_dot(forest: IncForest, name: str = "forest") -> str:
         lines.append('    label="tree %d (t=%d)";' % (i + 1, tr.t))
         if tr.root is not None:
             sub: list[str] = []
-            _emit_dot(tr.root, "t%d_" % (i,), [0, 0], sub)
+            _emit_dot(tr.root, "t%d_" % (i,), sub)
             lines.extend("  " + l for l in sub)
         lines.append("  }")
     lines.append("}")

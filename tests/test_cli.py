@@ -134,6 +134,14 @@ class TestEnumerate:
         assert out == ""
         assert "exceed" in err
 
+    def test_rejects_negative_cap(self, capsys):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--nu", "2", "--n", "1", "--max-count", "-5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--max-count" in err and "exceed" not in err
+
     def test_rejects_malformed_tvec(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--nu", "2", "--n", "1", "--tvec", "1,x")
         assert code == 2
@@ -187,6 +195,17 @@ class TestBijection:
     def test_labels_must_partition_the_range(self, capsys):
         code, _, err = run_cli(capsys, "bijection", "11", "33", "--nu", "2")
         assert code == 2
+
+    def test_deep_tree_fails_cleanly(self, capsys):
+        # a 3000-level chain: the library handles it, the JSON encoder cannot
+        word = " ".join(str(x) for x in range(1, 3001))
+        code, out, err = run_cli(capsys, "bijection", word, "--nu", "1")
+        if code == 0:
+            assert json.loads(out)["statistic"]["agree"] is True
+        else:
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerify:

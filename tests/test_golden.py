@@ -1,11 +1,14 @@
 """Golden-output guard: sha256 digests of CLI outputs that must not change.
 
 The digests pin the exact bytes of integer and symbolic tables in both
-formats and of the quick verify report; any change to the engine, the
-rendering or the verify report shows up here first.
+formats, of the enumeration stream in both formats, of two bijection reports
+and of the quick verify report; any change to the engine, the enumeration
+order, the tree bijection, the rendering or the verify report shows up here
+first.
 """
 
 import hashlib
+import shlex
 
 import pytest
 
@@ -37,6 +40,22 @@ GOLDEN = [
         "bdd3d6e4ea966d50d875249bbae47ba3fea7399b8fa4b3a6d5e51950c3e5ba9f",
     ),
     (
+        "enumerate --nu 2 --tvec 1,0,1 --n 4",
+        "ada75608b48b63974107192aa8e7db9e7de3dce3eb320de14850efc347a1b107",
+    ),
+    (
+        "enumerate --nu 1 --tvec 1,1 --n 5 --format json",
+        "0c4fdf0728b47287e8da3ee9ff0d0cf6f1bcf598e8c8f70659ca32142781820c",
+    ),
+    (
+        'bijection 23332200 555111 0444 "" --nu 3',
+        "85c5d8fe586b95734438820c58037af9b5e7a5aac9a7da9f53c975c1c910359e",
+    ),
+    (
+        "bijection 133322211 --nu 3",
+        "63aa45454fb9ff3009f47d109b1d9f8040b76c1bc0fea65e06bb0c0317a91d3b",
+    ),
+    (
         "verify --suite all --size-level small",
         "3c066b0a2db5e2e9a17f2fda1fe68c4281e20c5b89dccc2872eff054e323204d",
     ),
@@ -45,6 +64,6 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[argv for argv, _ in GOLDEN])
 def test_output_digest(capsys, argv, digest):
-    assert main(argv.split()) == 0
+    assert main(shlex.split(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

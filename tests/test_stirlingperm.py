@@ -1,6 +1,7 @@
 """Generalized Stirling permutations: validity, ascents, enumeration."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -116,11 +117,43 @@ class TestEnumeration:
                     for n in range(5):
                         assert hists[n] == list(tri.row(n))
 
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    @pytest.mark.parametrize("tvec", [(0,), (2,), (0, 0), (1, 1), (0, 2), (2, 1)])
+    def test_histograms_match_ascents_read_letter_by_letter(self, nu, tvec):
+        # the slow route wraps every object and rescans all of its letters
+        p = Params(nu, len(tvec), sum(tvec), tvec)
+        n_top = max(n for n in range(6) if count_sequences(p, n) <= 5000)
+        hists = ascent_histograms_up_to(p, n_top)
+        for n in range(n_top + 1):
+            slow = [0] * (n + 1)
+            for seq in enumerate_sequences(p, n):
+                slow[seq_ascent_count(seq)] += 1
+            assert hists[n] == slow
+            assert ascent_histogram(p, n) == slow
+
+    def test_histograms_stream_in_small_memory(self):
+        # 10395 objects at n = 6: holding a level at once costs megabytes
+        tracemalloc.start()
+        try:
+            ascent_histograms_up_to(Params(2, 1, 0), 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     def test_histogram_ignores_the_composition_of_t(self):
         for comp in [(2, 0), (1, 1), (0, 2)]:
             assert ascent_histograms_up_to(Params(2, 2, 2, comp), 4) == ascent_histograms_up_to(
                 Params(2, 2, 2), 4
             )
+
+    def test_rejects_a_negative_order(self):
+        p = Params(2, 1, 0)
+        for call in (count_sequences, ascent_histogram, ascent_histograms_up_to):
+            with pytest.raises(ValueError):
+                call(p, -1)
+        with pytest.raises(ValueError):
+            list(enumerate_sequences(p, -1))
 
     def test_requires_at_least_one_word(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,17 @@
 """Increasing trees and forests, the word bijection, and marked counts."""
 
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerward.eulerian import Params
 from eulerward.stirlingperm import (
     GenStirlingSeq,
     GenStirlingWord,
+    ascent_positions,
     enumerate_sequences,
     seq_ascent_count,
     word_from_text,
@@ -38,6 +42,18 @@ from eulerward.ward import ward_table
 
 def word(text, nu, t):
     return GenStirlingWord(word_from_text(text), nu, t)
+
+
+@st.composite
+def insertion_words(draw):
+    """A valid word, built by inserting m^nu into a random gap for m = 1..n."""
+    nu = draw(st.integers(min_value=1, max_value=3))
+    t = draw(st.integers(min_value=0, max_value=2))
+    letters = (0,) * t
+    for m in range(1, draw(st.integers(min_value=0, max_value=40)) + 1):
+        g = draw(st.integers(min_value=0, max_value=len(letters)))
+        letters = letters[:g] + (m,) * nu + letters[g:]
+    return GenStirlingWord(letters, nu, t)
 
 
 def sample_forest():
@@ -100,6 +116,24 @@ class TestSingleTreeBijection:
                 back = tree_to_perm(tree)
                 assert back.letters == w.letters
                 assert back.nu == w.nu and back.t == w.t
+
+    @settings(max_examples=40, deadline=None)
+    @given(insertion_words())
+    def test_random_insertion_paths(self, w):
+        tree = perm_to_tree(w)
+        assert validate_tree(tree)
+        assert tree_to_perm(tree) == w
+        assert len(distinguished_set(tree)) == w.n - len(ascent_positions(w))
+
+    def test_deep_chain_needs_no_recursion(self):
+        w = GenStirlingWord(tuple(range(1, 3001)), 1, 0)
+        tree = perm_to_tree(w)
+        assert validate_tree(tree)
+        assert tree_to_perm(tree) == w
+        assert distinguished_set(tree) == {1}
+        assert tree_stats(tree) == (2999, 6000, 3001)
+        assert tree_to_json(tree)["root"]["slots"][1]["label"] == 2
+        assert tree_to_dot(tree).count(" -> ") == 6000
 
     def test_trees_are_distinct_across_words(self):
         p = Params(2, 1, 1)
@@ -194,6 +228,19 @@ class TestMarkedCounts:
             p = Params(nu, s, t, comp)
             for n in range(5):
                 assert ward_marked_row(p, n) == list(table.row(n))
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("tvec", [(0,), (2,), (1, 0), (0, 2), (1, 1, 0)])
+    def test_rows_match_validated_forests(self, nu, tvec):
+        # the slow route: wrapped objects through the validated public bijection
+        p = Params(nu, len(tvec), sum(tvec), tvec)
+        for n in range(5):
+            slow = [0] * (n + 1)
+            for seq in enumerate_sequences(Params(nu + 1, p.s, p.t, tvec), n):
+                pool = len(forest_distinguished_set(seq_to_forest(seq)))
+                for k in range(n + 1):
+                    slow[k] += math.comb(pool, n - k)
+            assert ward_marked_row(p, n) == slow
 
     def test_single_count_agrees_with_the_table(self):
         p = Params(1, 1, 0)
