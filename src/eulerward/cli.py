@@ -25,22 +25,23 @@ from .numerics import PolyST
 from .stirlingperm import (
     GenStirlingSeq,
     GenStirlingWord,
+    _labels_partition_range,
     ascent_positions,
     count_sequences,
     enumerate_sequences,
     seq_ascent_count,
-    validate_sequence,
     validate_word,
     word_from_text,
     word_text,
 )
 from .trees import (
+    IncForest,
+    _tree,
     distinguished_set,
     forest_distinguished_set,
     forest_to_dot,
     forest_to_json,
     leftmost_internal_set,
-    seq_to_forest,
 )
 from .verify import SUITE_NAMES, run_all, run_suite
 from .ward import ward_table
@@ -159,9 +160,10 @@ def cmd_bijection(args) -> int:
         if not validate_word(w):
             raise ValueError("word %d is not a valid order-%d word" % (idx + 1, args.nu))
     seq = GenStirlingSeq(entries)
-    if not validate_sequence(seq):
+    if not _labels_partition_range(seq):
         raise ValueError("the labels across the words must partition 1..n")
-    forest = seq_to_forest(seq)
+    # the words are valid (checked above), so _tree can skip perm_to_tree's check
+    forest = IncForest(tuple(_tree(w.letters, w.t, args.nu + 1) for w in entries))
     n, j = seq.n, seq_ascent_count(seq)
     dset = forest_distinguished_set(forest)
     payload = {

@@ -194,8 +194,20 @@ class PolyST:
         raise AttributeError("PolyST is immutable")
 
     @classmethod
+    def _of(cls, clean: dict) -> "PolyST":
+        """Wrap a term map that already has int keys and no zero coefficient.
+
+        The arithmetic below builds its results that way, so it skips the
+        validating merge of ``__init__``.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", clean)
+        return out
+
+    @classmethod
     def constant(cls, c: int) -> "PolyST":
-        return cls({(0, 0): int(c)})
+        c = int(c)
+        return cls._of({(0, 0): c} if c else {})
 
     @classmethod
     def s(cls) -> "PolyST":
@@ -232,12 +244,12 @@ class PolyST:
                 merged[key] = acc
             elif key in merged:
                 del merged[key]
-        return PolyST(merged)
+        return PolyST._of(merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyST({key: -c for key, c in self._terms.items()})
+        return PolyST._of({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -264,7 +276,7 @@ class PolyST:
                     out[key] = acc
                 elif key in out:
                     del out[key]
-        return PolyST(out)
+        return PolyST._of(out)
 
     __rmul__ = __mul__
 

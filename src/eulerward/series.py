@@ -6,19 +6,25 @@ arithmetic is coefficient-exact modulo degree > K.  The toolkit covers ring
 operations, integer powers of either sign, exp and log, composition (inner
 series must vanish at 0), reversion (compositional inverse), and the Euler
 operator z d/dz, which is all the generating function work here needs.
+Powers use J.C.P. Miller's recurrence and cost O(K^2) for any exponent, like
+products, exp and log.  Composition and reversion are generic and slower
+(reversion runs one composition per coefficient); no route below needs
+them, and the tests and ``verify`` use them as independent oracles.
 
 The star of the family is T_nu, the reversion of z e^(Q_nu(z)) with
 Q_nu(z) = sum_{k=1}^{nu-1} C(nu-1, k) (-z)^k / k.  T_1 is the identity and
-T_2 is the tree function sum n^(n-1) z^n / n!.  Its defining property
-T_nu'(x) = T_nu(x) / (x (1 - T_nu(x))^(nu-1)) turns the Eulerian generating
-function in y,
+T_2 is the tree function sum n^(n-1) z^n / n!.  ``t_nu_series`` computes it
+by Lagrange inversion, one short integer recurrence per coefficient.  Its
+defining property T_nu'(x) = T_nu(x) / (x (1 - T_nu(x))^(nu-1)) turns the
+Eulerian generating function in y,
 
     F = (g / x0)^s ((1 - x0) / (1 - g))^(s+t),
     g(y) = T_nu(e^(y c) T_nu^{-1}(x0)),  c = (1 - x0)^nu,
 
 into the rational initial value problem g' = c g (1 - g)^(1-nu), g(0) = x0,
-which is solved by plain coefficient recursion; no composition with units is
-ever needed.  The coefficient of y^n/n! in F is the Eulerian row polynomial
+which is solved by plain coefficient recursion, with (1 - g)^(1-nu)
+advanced one Miller step per coefficient; no composition with units is ever
+needed.  The coefficient of y^n/n! in F is the Eulerian row polynomial
 P_n evaluated at x0, and the Ward analogue runs through the substitution
 h = x0/(1+x0) with g' = c h (1 - h)^(-nu).  These series routes never touch
 the triangle recurrences, so agreement between the two is a genuine
@@ -46,6 +52,23 @@ __all__ = [
     "second_order_ratio_expansion_check",
     "binomial_unit_sums_check",
 ]
+
+
+def _power_coeff(b, P, e: int, m: int) -> Fraction:
+    """Coefficient m of b^e by J.C.P. Miller's recurrence (TAOCP Vol. 2, 4.7).
+
+    m b_0 P_m = sum_{k=1}^{m} ((e+1) k - m) b_k P_(m-k) holds for every
+    integer e when b_0 != 0.  ``b`` needs entries 0..m and ``P`` the
+    coefficients 0..m-1 of b^e; one call costs at most m products, so a
+    power costs O(K^2), and a caller that learns b one coefficient at a
+    time can advance its power in step.
+    """
+    acc = 0
+    for k in range(1, m + 1):
+        bk = b[k]
+        if bk:
+            acc += ((e + 1) * k - m) * bk * P[m - k]
+    return acc / (m * b[0])
 
 
 class TruncSeries:
@@ -165,18 +188,27 @@ class TruncSeries:
         return TruncSeries(out)
 
     def __pow__(self, e: int):
+        """self^e for any integer e, by Miller's recurrence in O(K^2).
+
+        The lowest power z^v is factored out first: self = z^v b with b_0
+        nonzero, so self^e = z^(ve) b^e.  A negative e needs v = 0.
+        """
         if not isinstance(e, int):
             raise TypeError("series powers must be integers")
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = TruncSeries.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        K = self.order
+        if e == 0:
+            return TruncSeries.one(K)
+        a = self._coeffs
+        v = next((i for i, c in enumerate(a) if c), None)
+        if e < 0 and v != 0:
+            raise ValueError("no multiplicative inverse: constant term is zero")
+        if v is None or v * e > K:
+            return TruncSeries.zero(K)
+        b = a[v:]
+        P = [b[0] ** e]
+        for m in range(1, K - v * e + 1):
+            P.append(_power_coeff(b, P, e, m))
+        return TruncSeries((0,) * (v * e) + tuple(P))
 
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term."""
@@ -256,21 +288,36 @@ class TruncSeries:
 
 
 def t_nu_series(nu: int, K: int) -> TruncSeries:
-    """T_nu to order K: the reversion of z e^(Q_nu(z)).
+    """T_nu to order K: the reversion of z e^(Q_nu(z)), by Lagrange inversion.
 
     Q_nu(z) = sum_{k=1}^{nu-1} C(nu-1, k) (-z)^k / k, empty for nu = 1, so
     T_1 is the identity series and T_2 reverts z e^(-z), giving the tree
     function with coefficients n^(n-1)/n!.
+
+    Lagrange inversion gives [z^n] T_nu = (1/n) [w^(n-1)] e^(-n Q_nu(w)).
+    The exponential E = e^(-n Q_nu) satisfies E' = -n Q_nu' E, so its
+    coefficients follow m e_m = -n sum_j q'_j e_(m-1-j), where
+    Q_nu'(w) = sum_j q'_j w^j has degree nu - 2.  In the integers
+    a_m = m! e_m the recurrence needs no division, and [z^n] T_nu is
+    a_(n-1) / n!.  The whole series costs O(nu K^2) integer operations;
+    ``TruncSeries.reversion`` is the generic (slow) route to the same series.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
     if K < 1:
         raise ValueError("need K >= 1 to hold a reversion")
-    q = [Fraction(0)] * (K + 1)
-    for k in range(1, nu):
-        q[k] = Fraction(math.comb(nu - 1, k) * (-1) ** k, k)
-    f = TruncSeries.x(K) * TruncSeries(q).exp()
-    return f.reversion()
+    dq = [math.comb(nu - 1, j + 1) * (-1) ** (j + 1) for j in range(nu - 1)]
+    coeffs = [Fraction(0)] * (K + 1)
+    for n in range(1, K + 1):
+        a = [1]
+        for m in range(1, n):
+            acc, ff = 0, 1  # ff = (m-1)! / (m-1-j)!
+            for j in range(min(len(dq), m)):
+                acc += dq[j] * ff * a[m - 1 - j]
+                ff *= m - 1 - j
+            a.append(-n * acc)
+        coeffs[n] = Fraction(a[n - 1], math.factorial(n))
+    return TruncSeries(coeffs)
 
 
 def t_nu_derivative_check(nu: int, K: int) -> bool:
@@ -299,14 +346,21 @@ def _ode_march(h0: Fraction, c: Fraction, expo: int, N: int) -> TruncSeries:
 
     Coefficient m+1 of g is coefficient m of the right side divided by m+1,
     and the right side at degree m only involves g_0..g_m, so a straight
-    march resolves the series.  Requires h0 != 1 when expo < 0.
+    march resolves the series.  P = (1 - g)^expo advances one Miller step
+    per coefficient alongside g, so the march costs O(N^2).  Requires
+    h0 != 1.
     """
-    g = [Fraction(0)] * (N + 1)
-    g[0] = Fraction(h0)
+    g = [Fraction(h0)]
+    u = [1 - g[0]]  # 1 - g, as far as g is known
+    if not u[0]:
+        raise ValueError("the march needs g(0) != 1")
+    P = [u[0] ** expo]
     for m in range(N):
-        gs = TruncSeries(g)
-        rhs = c * gs * (1 - gs) ** expo
-        g[m + 1] = rhs.coefficient(m) / (m + 1)
+        if m:
+            u.append(-g[m])
+            P.append(_power_coeff(u, P, expo, m))
+        rhs = sum(g[j] * P[m - j] for j in range(m + 1))
+        g.append(c * rhs / (m + 1))
     return TruncSeries(g)
 
 

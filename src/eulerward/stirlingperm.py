@@ -146,14 +146,14 @@ def validate_word(w: GenStirlingWord) -> bool:
 
 def validate_sequence(seq: GenStirlingSeq) -> bool:
     """True iff every entry is valid and the label sets partition 1..n."""
-    if any(not validate_word(e) for e in seq.entries):
-        return False
+    return all(validate_word(e) for e in seq.entries) and _labels_partition_range(seq)
+
+
+def _labels_partition_range(seq: GenStirlingSeq) -> bool:
+    """True iff the entries share one nu and their label sets partition 1..n."""
     if any(e.nu != seq.nu for e in seq.entries):
         return False
-    seen: list[int] = []
-    for part in seq.label_partition:
-        seen.extend(part)
-    return sorted(seen) == list(range(1, seq.n + 1)) and len(seen) == len(set(seen))
+    return sorted(x for part in seq.label_partition for x in part) == list(range(1, seq.n + 1))
 
 
 def _letters_of(w) -> tuple[int, ...]:

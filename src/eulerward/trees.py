@@ -25,8 +25,9 @@ the insertion walk in ``stirlingperm``, which are valid by construction, so
 they skip validation and go straight to the factorization.
 
 The factorization is one left-to-right stack pass, and every other walk over
-a tree (reading, validation, statistics, JSON and DOT output) keeps its own
-stack, so a tree's depth is not bounded by the interpreter's recursion limit.
+a tree (reading, validation, statistics, equality, hashing, repr, JSON and
+DOT output) keeps its own stack, so a tree's depth is not bounded by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -70,15 +71,61 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TreeNode:
-    """Internal node: a label and an ordered tuple of slots (None = external)."""
+    """Internal node: a label and an ordered tuple of slots (None = external).
+
+    Equality, hashing and repr walk the subtree with a stack, so they work
+    on trees of any depth.
+    """
 
     label: int
     slots: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "slots", tuple(self.slots))
+
+    def _preorder(self) -> tuple:
+        """(label, slot count) per internal node and None per external slot,
+        in pre-order; it determines the subtree."""
+        key = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, TreeNode):
+                key.append((node.label, len(node.slots)))
+                stack.extend(reversed(node.slots))
+            else:
+                key.append(node)
+        return tuple(key)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(self._preorder())
+
+    def __repr__(self):
+        """The dataclass form, TreeNode(label=1, slots=(None, ...)), built
+        without recursion."""
+        out = []
+        stack = [(False, self)]  # (True, text to copy) or (False, slot to show)
+        while stack:
+            is_text, item = stack.pop()
+            if is_text:
+                out.append(item)
+            elif isinstance(item, TreeNode):
+                out.append("TreeNode(label=%r, slots=(" % (item.label,))
+                stack.append((True, ",))" if len(item.slots) == 1 else "))"))
+                for i, child in enumerate(reversed(item.slots)):
+                    if i:
+                        stack.append((True, ", "))
+                    stack.append((False, child))
+            else:
+                out.append(repr(item))
+        return "".join(out)
 
 
 @dataclass(frozen=True)

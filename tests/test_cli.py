@@ -1,11 +1,19 @@
 """Command-line behavior: output shapes, golden rows, exit codes."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eulerward.cli as cli
+import eulerward.stirlingperm as stirlingperm
+import eulerward.trees as trees
 from eulerward.cli import main
 from eulerward.numerics import assoc_stirling_subset
 
@@ -196,6 +204,22 @@ class TestBijection:
         code, _, err = run_cli(capsys, "bijection", "11", "33", "--nu", "2")
         assert code == 2
 
+    def test_each_word_is_validated_once(self, capsys, monkeypatch):
+        calls = []
+        real = stirlingperm.validate_word
+
+        def counting(w):
+            calls.append(w.letters)
+            return real(w)
+
+        for module in (cli, stirlingperm, trees):
+            monkeypatch.setattr(module, "validate_word", counting)
+        code, _, _ = run_cli(capsys, "bijection", "23332200", "555111", "0444", "", "--nu", "3")
+        assert code == 0
+        assert sorted(calls) == sorted(
+            [(2, 3, 3, 3, 2, 2, 0, 0), (5, 5, 5, 1, 1, 1), (0, 4, 4, 4), ()]
+        )
+
     def test_deep_tree_fails_cleanly(self, capsys):
         # a 3000-level chain: the library handles it, the JSON encoder cannot
         word = " ".join(str(x) for x in range(1, 3001))
@@ -259,3 +283,43 @@ class TestProcessLevel:
             text=True,
         )
         assert proc.returncode == 2
+
+
+# Argument soup: every flag of the four subcommands, values in -2..3, words,
+# choice values, and digit-free text, so no draw asks for a large table.
+ARG_TOKENS = st.sampled_from(
+    [
+        "--nu", "--s", "--t", "--nmax", "--n", "--tvec", "--format", "--mode",
+        "--max-count", "--suite", "--size-level", "--s=-1", "--t=x", "--",
+        "-2", "-1", "0", "1", "2", "3", "", "x", "1,0", "0,,1", "-1,2", "1/2", "0.5",
+        "eulerian", "ward", "csv", "json", "jsonl", "poly", "int", "all", "egf",
+        "closed-forms", "small", "default", "121", "1122", "0110", "33", "1 1", "2 1 2",
+    ]
+) | st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
+
+
+class _StubReport:
+    passed = True
+
+    def to_json(self):
+        return {"suite": "stub"}
+
+
+class TestArgvProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["table", "enumerate", "bijection", "verify"]),
+        st.lists(ARG_TOKENS, max_size=8),
+    )
+    def test_malformed_argv_exits_cleanly(self, command, tokens):
+        # the suites themselves are tested above; here only argument handling runs
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "run_all", lambda level: {"passed": True}), \
+                mock.patch.object(cli, "run_suite", lambda name, level: _StubReport()), \
+                redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([command, *tokens])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()

@@ -1,18 +1,21 @@
-"""Golden-output guard: sha256 digests of CLI outputs that must not change.
+"""Golden-output guard: sha256 digests of outputs that must not change.
 
 The digests pin the exact bytes of integer and symbolic tables in both
 formats, of the enumeration stream in both formats, of two bijection reports
 and of the quick verify report; any change to the engine, the enumeration
 order, the tree bijection, the rendering or the verify report shows up here
-first.
+first.  A second set pins the series layer: T_nu and both egf coefficient
+routes, one exact rational per line.
 """
 
 import hashlib
 import shlex
+from fractions import Fraction
 
 import pytest
 
 from eulerward.cli import main
+from eulerward.series import egf_eulerian_coeffs, egf_ward_coeffs, t_nu_series
 
 GOLDEN = [
     (
@@ -67,3 +70,33 @@ def test_output_digest(capsys, argv, digest):
     assert main(shlex.split(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+SERIES_GOLDEN = [
+    ("t_nu", (2, 22), "a8a06fc5faf6b08d251ea148b92b784461a933c8289290275b5568db6cf6c7fc"),
+    ("t_nu", (3, 22), "f5c0723cd6235d03476366a7f6988f5950ad2b295c7d3fc75d71ab64347fa765"),
+    ("t_nu", (4, 22), "1181e9e2b1302ade842145b49d975ea25919986778b40436a8505f8926c2dc06"),
+    ("eulerian", (1, 1, 0, "1/2", 24), "7f0e8ed5205d4b0102c9964827cd8d063c9e28e721253692dd380939f809bf1f"),
+    ("eulerian", (2, 2, 1, "1/3", 20), "449bdf6acc40144051b6831f5468c92a90f62a798517664b631d28e76bbdb0e9"),
+    ("eulerian", (3, 1, 2, "3/4", 16), "6928c160fb86dc1e52cbf5769de946648142663cb2693bfc2a3e909141dc92b1"),
+    ("eulerian", (4, 3, 0, "2/3", 12), "24606ecc48cf353207b8688680e401b8db521dc779bda76a563367b76f0b5d76"),
+    ("ward", (1, 1, 0, "1", 24), "82850a16ec58ba9a54652cc9e200cbcf799e888d3918badde9e80fa870e40078"),
+    ("ward", (2, 2, 1, "1/2", 20), "cf08daa464bd498802f3c275081c47d2d24cf13a94833333fc79a4db84cb56ab"),
+    ("ward", (3, 1, 2, "3/2", 16), "c9ad27ae1c939ea5d3f28817f00b0e9699ab53ff3e1be6b41801750cc87eea86"),
+    ("ward", (4, 3, 0, "2", 12), "54f91a4b78667332381740ac419eb56c60c856c592f2c46b23dde8967f5a9781"),
+]
+
+SERIES_ROUTES = {
+    "t_nu": lambda nu, K: t_nu_series(nu, K).coeffs,
+    "eulerian": egf_eulerian_coeffs,
+    "ward": egf_ward_coeffs,
+}
+
+
+@pytest.mark.parametrize(
+    "route,args,digest", SERIES_GOLDEN, ids=["%s%s" % (r, a) for r, a, _ in SERIES_GOLDEN]
+)
+def test_series_digest(route, args, digest):
+    values = SERIES_ROUTES[route](*args)
+    text = "\n".join(str(Fraction(v)) for v in values)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -156,3 +156,22 @@ class TestPolyST:
             pass
         else:
             raise AssertionError("PolyST should reject attribute writes")
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=6
+        ),
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=6
+        ),
+        st.integers(min_value=-3, max_value=3),
+    )
+    def test_arithmetic_results_are_clean(self, a, b, c):
+        p, q = PolyST(a), PolyST(b)
+        results = [p + q, p - q, p * q, -p, p + c, c + p, p - c, c - p, p * c, c * p, p**2]
+        for r in results:
+            terms = r.terms
+            assert r == PolyST(terms)
+            assert 0 not in terms.values()
+            assert all(type(x) is int for key in terms for x in key)
+        assert PolyST.constant(0).is_zero() and PolyST.constant(c) == PolyST({(0, 0): c})

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerward import series
 from eulerward.eulerian import Params, eulerian_table
 from eulerward.series import (
     TruncSeries,
+    _ode_march,
     binomial_unit_sums_check,
     egf_eulerian_coeffs,
     egf_order1_direct,
@@ -33,6 +35,45 @@ series_coeffs = st.lists(fracs, min_size=K + 1, max_size=K + 1)
 
 def mk(coeffs):
     return TruncSeries([Fraction(c) for c in coeffs])
+
+
+def slow_pow(f, e):
+    """f^e by repeated multiplication, through inverse() when e < 0."""
+    base = f if e >= 0 else f.inverse()
+    out = TruncSeries.one(f.order)
+    for _ in range(abs(e)):
+        out = out * base
+    return out
+
+
+def slow_march(h0, c, expo, N):
+    """The ODE march by full recompute: (1 - g)^expo rebuilt from g at every step."""
+    g = [Fraction(0)] * (N + 1)
+    g[0] = Fraction(h0)
+    for m in range(N):
+        gs = TruncSeries(g)
+        rhs = c * gs * slow_pow(1 - gs, expo)
+        g[m + 1] = rhs.coefficient(m) / (m + 1)
+    return TruncSeries(g)
+
+
+def reverted_t_nu(nu, K):
+    """T_nu by generic reversion of z e^(Q_nu(z))."""
+    q = [Fraction(0)] * (K + 1)
+    for k in range(1, min(nu, K + 1)):
+        q[k] = Fraction(math.comb(nu - 1, k) * (-1) ** k, k)
+    return (TruncSeries.x(K) * TruncSeries(q).exp()).reversion()
+
+
+nonzero_fracs = fracs.filter(bool)
+
+
+@st.composite
+def series_with_valuation(draw):
+    """A series of order K whose lowest nonzero coefficient sits at 0, 1 or 2."""
+    v = draw(st.integers(min_value=0, max_value=2))
+    tail = draw(st.lists(fracs, min_size=K - v, max_size=K - v))
+    return mk([0] * v + [draw(nonzero_fracs)] + tail), v
 
 
 class TestSeriesCore:
@@ -86,6 +127,28 @@ class TestSeriesCore:
         assert f**3 == f * f * f
         assert f**-2 == (f * f).inverse()
         assert f**0 == TruncSeries.one(6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series_with_valuation(), st.integers(min_value=-6, max_value=8))
+    def test_miller_pow_matches_repeated_products(self, fv, e):
+        f, v = fv
+        if e < 0 and v > 0:
+            with pytest.raises(ValueError):
+                f**e
+        else:
+            assert f**e == slow_pow(f, e)
+
+    def test_pow_of_zero_and_of_nonunits(self):
+        zero, x = TruncSeries.zero(5), TruncSeries.x(5)
+        assert zero**3 == zero
+        assert zero**0 == TruncSeries.one(5)
+        assert x**6 == zero
+        assert (x * x) ** 2 == TruncSeries([0, 0, 0, 0, 1, 0])
+        for f in (zero, x, x * x):
+            with pytest.raises(ValueError):
+                f**-1
+        with pytest.raises(TypeError):
+            x ** Fraction(1, 2)
 
     def test_compose_needs_nilpotent_inner(self):
         with pytest.raises(ValueError):
@@ -142,7 +205,42 @@ class TestSeriesCore:
         assert f.reversion().compose(f) == TruncSeries.x(K)
 
 
+class TestOdeMarch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fracs.filter(lambda h: h != 1),
+        fracs,
+        st.integers(min_value=-4, max_value=3),
+        st.integers(min_value=0, max_value=9),
+    )
+    def test_incremental_march_matches_full_recompute(self, h0, c, expo, N):
+        assert _ode_march(h0, c, expo, N) == slow_march(h0, c, expo, N)
+
+    def test_march_needs_g0_other_than_one(self):
+        with pytest.raises(ValueError):
+            _ode_march(Fraction(1), Fraction(1), -2, 4)
+
+
 class TestTreeFunction:
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("K", [1, 2, 7, 12])
+    def test_lagrange_inversion_matches_generic_reversion(self, nu, K):
+        assert t_nu_series(nu, K) == reverted_t_nu(nu, K)
+
+    def test_needs_no_composition(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("t_nu_series must not compose or revert")
+
+        monkeypatch.setattr(series.TruncSeries, "compose", refuse)
+        monkeypatch.setattr(series.TruncSeries, "reversion", refuse)
+        assert t_nu_series(3, 40).coefficient(1) == 1
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            t_nu_series(0, 5)
+        with pytest.raises(ValueError):
+            t_nu_series(2, 0)
+
     def test_order2_coefficients_are_cayley(self):
         T = t_nu_series(2, 9)
         for n in range(1, 10):

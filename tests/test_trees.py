@@ -134,6 +134,30 @@ class TestSingleTreeBijection:
         assert tree_stats(tree) == (2999, 6000, 3001)
         assert tree_to_json(tree)["root"]["slots"][1]["label"] == 2
         assert tree_to_dot(tree).count(" -> ") == 6000
+        twin = perm_to_tree(w)
+        assert tree == twin and hash(tree) == hash(twin)
+        assert tree != perm_to_tree(GenStirlingWord(tuple(range(1, 3000)), 1, 0))
+        shown = repr(tree.root)
+        assert shown.startswith("TreeNode(label=1, slots=(None, TreeNode(label=2, ")
+        assert shown.count("TreeNode(") == 3000 and shown.endswith("))" * 3000)
+
+    def test_node_repr_is_the_dataclass_form(self):
+        assert repr(perm_to_tree(word("1", 1, 0)).root) == "TreeNode(label=1, slots=(None, None))"
+        assert repr(perm_to_tree(word("1221", 2, 0)).root) == (
+            "TreeNode(label=1, slots=(None, TreeNode(label=2, slots=(None, None, None)), None))"
+        )
+        assert repr(TreeNode(1, (None,))) == "TreeNode(label=1, slots=(None,))"
+        assert repr(TreeNode(1, ())) == "TreeNode(label=1, slots=())"
+
+    def test_node_equality_sees_shape_and_labels(self):
+        a = TreeNode(1, (TreeNode(2, (None, None)), None))
+        assert a == TreeNode(1, (TreeNode(2, (None, None)), None))
+        assert hash(a) == hash(TreeNode(1, (TreeNode(2, (None, None)), None)))
+        assert a != TreeNode(1, (None, TreeNode(2, (None, None))))
+        assert a != TreeNode(1, (TreeNode(3, (None, None)), None))
+        assert a != TreeNode(1, (TreeNode(2, (None, None, None)), None))
+        assert a != TreeNode(1, (TreeNode(2, (None,)), None, None))
+        assert a != (1, (None, None))
 
     def test_trees_are_distinct_across_words(self):
         p = Params(2, 1, 1)
