@@ -64,6 +64,45 @@ def _trimmed(row) -> list:
     return out
 
 
+def _write_json(obj, write) -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` through ``write``,
+    byte for byte, piece by piece and with no recursion, so a forest of any
+    depth prints and the pending work grows with its depth only.
+
+    Takes dicts with str keys, lists, str, int, bool and None.
+    """
+    # pending work, next on top: text to copy, an int depth to start a new
+    # line indented to, or a (value, depth) pair to write
+    stack: list = [(obj, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            write(item)
+            continue
+        if isinstance(item, int):
+            write("\n" + "  " * item)
+            continue
+        value, depth = item
+        if isinstance(value, dict) and value:
+            if not all(isinstance(key, str) for key in value):
+                raise TypeError("JSON object keys must be str")
+            brackets = "{}"
+            members = [(json.dumps(key) + ": ", value[key]) for key in sorted(value)]
+        elif isinstance(value, list) and value:
+            brackets = "[]"
+            members = [("", v) for v in value]
+        elif value is None or isinstance(value, (str, int, dict, list)):
+            write(json.dumps(value))
+            continue
+        else:
+            raise TypeError("cannot write %s as JSON" % (type(value).__name__,))
+        work: list = []
+        for i, (key, v) in enumerate(members):
+            work += [brackets[0] if i == 0 else ",", depth + 1, key, (v, depth + 1)]
+        work += [depth, brackets[1]]
+        stack.extend(reversed(work))
+
+
 def _parse_tvec(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -111,6 +150,8 @@ def _resolve_composition(args, width: int | None = None) -> tuple[int, ...]:
     t = args.t if args.t is not None else 0
     if width is not None and s != width:
         raise ValueError("--s disagrees with the number of words given")
+    if s < 1:
+        raise ValueError("enumeration needs s >= 1 entries")
     return (t,) + (0,) * (s - 1)
 
 
@@ -190,11 +231,8 @@ def cmd_bijection(args) -> int:
         },
         "dot": forest_to_dot(forest),
     }
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    except RecursionError:
-        raise ValueError("the forest is too deep to print as JSON") from None
-    print(text)
+    _write_json(payload, sys.stdout.write)
+    print()
     return 0
 
 

@@ -23,8 +23,9 @@ gaps of an object of order m-1 (a gap being any position of any entry,
 including its two ends).  Gaps are visited entry-major, left to right, giving
 a reproducible ordering.  One streaming depth-first walk serves enumeration,
 the ascent histograms and the marked-forest counts in ``trees``: it holds one
-cursor per order, so its memory is O(n) in the depth, and it updates the
-ascent count from the two neighbours of each gap instead of rescanning.
+child generator per order, so its memory is O(n) in the depth, and it
+updates the ascent count from the two neighbours of each gap instead of
+rescanning.
 """
 
 from __future__ import annotations
@@ -178,33 +179,49 @@ def seq_ascent_count(seq: GenStirlingSeq) -> int:
     return sum(len(ascent_positions(e)) for e in seq.entries)
 
 
-def _insertions(nu: int, tvec: tuple[int, ...], n: int):
-    """Stream (m, obj, ascents) for every object of order 0..n, depth first.
+def _children(obj, asc: int, block: tuple[int, ...]):
+    """Yield (m, child, ascents) for every child of obj, where block = m^nu.
 
-    Objects are raw tuples of letter tuples.  The block m^nu is larger than
+    Children come entry-major, gaps left to right.  The block is larger than
     both neighbours of its gap and has no inner ascents, so the ascent count
     changes by [left letter exists] - [left < right].
     """
-    blocks = [(m,) * nu for m in range(n + 1)]
+    m = block[0]
+    for i, entry in enumerate(obj):
+        head, tail = obj[:i], obj[i + 1 :]
+        yield m, head + (block + entry,) + tail, asc
+        for g in range(1, len(entry)):
+            child = head + (entry[:g] + block + entry[g:],) + tail
+            yield m, child, asc + (entry[g - 1] >= entry[g])
+        if entry:
+            yield m, head + (entry + block,) + tail, asc + 1
+
+
+def _insertions(nu: int, tvec: tuple[int, ...], n: int):
+    """Stream (m, obj, ascents) for every object of order 0..n, depth first.
+
+    Objects are raw tuples of letter tuples.  The walk holds one ``_children``
+    generator per open order, so its memory is O(n).  Each object is yielded
+    before its descendants; the generator of order n is drained in one loop,
+    since its children are leaves.
+    """
     obj = tuple((0,) * ti for ti in tvec)
     yield 0, obj, 0
-    # one cursor per open order: [parent, its ascents, entry index, gap index]
-    path = [[obj, 0, 0, 0]] if n > 0 else []
-    while path:
-        cursor = path[-1]
-        obj, asc, i, g = cursor
-        if i == len(obj):
-            path.pop()
+    if n == 0:
+        return
+    blocks = [(m,) * nu for m in range(n + 1)]
+    stack = [_children(obj, 0, blocks[1])]
+    while stack:
+        m = len(stack)
+        if m == n:
+            yield from stack.pop()
             continue
-        entry = obj[i]
-        cursor[2:] = (i, g + 1) if g < len(entry) else (i + 1, 0)
-        if g:
-            asc += 1 - (g < len(entry) and entry[g - 1] < entry[g])
-        m = len(path)
-        child = obj[:i] + (entry[:g] + blocks[m] + entry[g:],) + obj[i + 1 :]
-        yield m, child, asc
-        if m < n:
-            path.append([child, asc, 0, 0])
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        else:
+            yield step
+            stack.append(_children(step[1], step[2], blocks[m + 1]))
 
 
 def _enumeration_params(p: Params, n: int) -> tuple[int, tuple[int, ...]]:

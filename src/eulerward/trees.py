@@ -22,7 +22,8 @@ order-(nu+1) word model and M over (n-k)-subsets of D(F).  That count is
 implemented literally in ``ward_marked_count``, giving a route to the Ward
 triangle that never touches its recurrence.  It runs on the raw objects of
 the insertion walk in ``stirlingperm``, which are valid by construction, so
-they skip validation and go straight to the factorization.
+they skip validation, and it reads |D(F)| off the factorization pass itself
+(``_pool_size``) without building the trees.
 
 The factorization is one left-to-right stack pass, and every other walk over
 a tree (reading, validation, statistics, equality, hashing, repr, JSON and
@@ -270,13 +271,36 @@ def marked_statistic_check(seq: GenStirlingSeq) -> bool:
     return len(forest_distinguished_set(forest)) == seq.n - seq_ascent_count(seq)
 
 
+def _pool_size(letters, t: int) -> int:
+    """|D(T)| for the tree of a valid word, read off ``_tree``'s pass.
+
+    The pass is the same least-letter stack, holding only the labels of the
+    open nodes, so no node is built.  A letter that opens a new node right
+    after the pass closed at least one node gets the closed subtree as its
+    first slot, so that subtree's root is one label of E(T).  A nonempty
+    tree with t = 0 adds its root.  Validity of the word is assumed.
+    """
+    open_labels = [-1]  # -1 sits below every letter, like _tree's sentinel
+    size = 0
+    for x in letters:
+        closed = open_labels[-1] > x
+        while open_labels[-1] > x:
+            open_labels.pop()
+        if open_labels[-1] != x:
+            open_labels.append(x)
+            size += closed
+    return size + (t == 0 and len(letters) > 0)
+
+
 def ward_marked_row(p: Params, n: int) -> list[int]:
     """Row n of the order-nu (s,t)-Ward triangle, counted through marked forests.
 
     Streams the order-(nu+1) word model (the Ward order sits one below the
-    Eulerian order of the words it marks), builds each object's forest, and
-    counts the (n-k)-subsets of each distinguished pool.  No recurrence and
-    no ascent count is involved, which is the point: this is the independent
+    Eulerian order of the words it marks), reads each object's pool size
+    |D(F)| off the factorization pass of its words (``_pool_size``, which
+    builds no tree), and counts the (n-k)-subsets of each pool.  No
+    recurrence and no ascent count is involved (the ascent count the walk
+    yields is ignored), which is the point: this is the independent
     combinatorial route the Ward recurrence is checked against.
     """
     if p.s < 1:
@@ -285,8 +309,7 @@ def ward_marked_row(p: Params, n: int) -> list[int]:
     pools: Counter[int] = Counter()
     for m, obj, _ in _insertions(nu, tvec, n):
         if m == n:
-            forest = IncForest(tuple(_tree(e, ti, nu + 1) for e, ti in zip(obj, tvec)))
-            pools[len(forest_distinguished_set(forest))] += 1
+            pools[sum(map(_pool_size, obj, tvec))] += 1
     return [sum(c * binomial(size, n - k) for size, c in pools.items()) for k in range(n + 1)]
 
 

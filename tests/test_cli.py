@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import eulerward.cli as cli
 import eulerward.stirlingperm as stirlingperm
 import eulerward.trees as trees
-from eulerward.cli import main
+from eulerward.cli import _write_json, main
 from eulerward.numerics import assoc_stirling_subset
+from eulerward.stirlingperm import GenStirlingSeq, GenStirlingWord
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +143,14 @@ class TestEnumerate:
         assert out == ""
         assert "exceed" in err
 
+    @pytest.mark.parametrize("s", ["0", "-3"])
+    def test_rejects_fewer_than_one_word(self, capsys, s):
+        for extra in ([], ["--t", "2"]):
+            code, out, err = run_cli(capsys, "enumerate", "--nu", "1", "--n", "1", "--s", s, *extra)
+            assert code == 2
+            assert out == ""
+            assert err == "error: enumeration needs s >= 1 entries\n"
+
     def test_rejects_negative_cap(self, capsys):
         code, out, err = run_cli(
             capsys, "enumerate", "--nu", "2", "--n", "1", "--max-count", "-5"
@@ -220,16 +229,58 @@ class TestBijection:
             [(2, 3, 3, 3, 2, 2, 0, 0), (5, 5, 5, 1, 1, 1), (0, 4, 4, 4), ()]
         )
 
-    def test_deep_tree_fails_cleanly(self, capsys):
-        # a 3000-level chain: the library handles it, the JSON encoder cannot
+    def test_deep_tree_prints(self):
+        # a 3000-level chain prints about 100 MB, so only its size and tail are kept
+        class Tail(io.TextIOBase):
+            chars, labels, text = 0, 0, ""
+
+            def write(self, piece):
+                self.chars += len(piece)
+                self.labels += piece == '"label": '
+                self.text = (self.text + piece)[-200:]
+                return len(piece)
+
+        out, err = Tail(), io.StringIO()
         word = " ".join(str(x) for x in range(1, 3001))
-        code, out, err = run_cli(capsys, "bijection", word, "--nu", "1")
-        if code == 0:
-            assert json.loads(out)["statistic"]["agree"] is True
-        else:
-            assert code == 2
-            assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["bijection", word, "--nu", "1"])
+        assert code == 0 and err.getvalue() == ""
+        assert out.labels == 3000
+        assert out.text.endswith('"n_minus_ascents": "1"\n  },\n  "tvec": [\n    "0"\n  ]\n}\n')
+
+    def test_deep_tree_parses_back_to_its_forest(self, capsys):
+        # 600 levels nest the JSON 1200 deep, past json's default recursion limit
+        letters = tuple(range(1, 601))
+        code, out, err = run_cli(capsys, "bijection", " ".join(map(str, letters)), "--nu", "1")
+        assert code == 0 and err == ""
+        forest = trees.seq_to_forest(GenStirlingSeq((GenStirlingWord(letters, 1, 0),)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            assert json.loads(out)["forest"] == trees.forest_to_json(forest)
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        pieces = []
+        _write_json(value, pieces.append)
+        assert "".join(pieces) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_rejects_what_it_cannot_write(self):
+        for value in ({1: "x"}, [1.5], {"a": (1, 2)}):
+            with pytest.raises(TypeError):
+                _write_json(value, lambda piece: None)
 
 
 class TestVerify:

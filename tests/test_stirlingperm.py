@@ -1,5 +1,6 @@
 """Generalized Stirling permutations: validity, ascents, enumeration."""
 
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -12,6 +13,7 @@ from eulerward.eulerian import Params, eulerian_table, row_sum_product
 from eulerward.stirlingperm import (
     GenStirlingSeq,
     GenStirlingWord,
+    _insertions,
     ascent_histogram,
     ascent_histograms_up_to,
     ascent_positions,
@@ -176,6 +178,39 @@ class TestEnumeration:
                 assert counts[x] == nu
             seen.add(w.letters)
         assert len(seen) == math.prod(k * nu + t + 1 for k in range(n))
+
+
+def cursor_insertions(nu, tvec, n):
+    """The older walk, kept as the oracle: one [parent, ascents, entry, gap]
+    cursor per open order instead of one child generator."""
+    blocks = [(m,) * nu for m in range(n + 1)]
+    obj = tuple((0,) * ti for ti in tvec)
+    yield 0, obj, 0
+    path = [[obj, 0, 0, 0]] if n > 0 else []
+    while path:
+        cursor = path[-1]
+        obj, asc, i, g = cursor
+        if i == len(obj):
+            path.pop()
+            continue
+        entry = obj[i]
+        cursor[2:] = (i, g + 1) if g < len(entry) else (i + 1, 0)
+        if g:
+            asc += 1 - (g < len(entry) and entry[g - 1] < entry[g])
+        m = len(path)
+        child = obj[:i] + (entry[:g] + blocks[m] + entry[g:],) + obj[i + 1 :]
+        yield m, child, asc
+        if m < n:
+            path.append([child, asc, 0, 0])
+
+
+class TestInsertionWalk:
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    @pytest.mark.parametrize("tvec", [(0,), (2,), (0, 0), (1, 1), (1, 0, 1), (0, 2, 0), (3,)])
+    def test_same_stream_as_the_cursor_walk(self, nu, tvec):
+        for n in range(6):
+            pairs = itertools.zip_longest(_insertions(nu, tvec, n), cursor_insertions(nu, tvec, n))
+            assert all(new == old for new, old in pairs)
 
 
 class TestTextRoundtrip:

@@ -7,18 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eulerward.trees as trees
 from eulerward.eulerian import Params
 from eulerward.stirlingperm import (
     GenStirlingSeq,
     GenStirlingWord,
+    _insertions,
     ascent_positions,
     enumerate_sequences,
     seq_ascent_count,
     word_from_text,
 )
 from eulerward.trees import (
+    IncForest,
     IncTree,
     TreeNode,
+    _pool_size,
+    _tree,
     distinguished_set,
     forest_distinguished_set,
     forest_to_dot,
@@ -37,6 +42,7 @@ from eulerward.trees import (
     ward_marked_count,
     ward_marked_row,
 )
+from eulerward.verify import _compositions_for
 from eulerward.ward import ward_table
 
 
@@ -276,3 +282,48 @@ class TestMarkedCounts:
     def test_needs_a_combinatorial_s(self):
         with pytest.raises(ValueError):
             ward_marked_row(Params(1, 0, 1), 2)
+
+    def test_rows_do_not_read_the_ascent_count(self, monkeypatch):
+        # the pool sizes come from the forests: a wrong ascent count changes nothing
+        real = trees._insertions
+
+        def wrong_ascents(nu, tvec, n):
+            return ((m, obj, -1) for m, obj, _ in real(nu, tvec, n))
+
+        monkeypatch.setattr(trees, "_insertions", wrong_ascents)
+        for nu in (1, 2):
+            for tvec in [(0,), (2,), (1, 0), (0, 2), (1, 1, 0)]:
+                p = Params(nu, len(tvec), sum(tvec), tvec)
+                table = ward_table(p, 4)
+                for n in range(5):
+                    assert ward_marked_row(p, n) == list(table.row(n))
+
+
+def built_pool_size(obj, tvec, nu):
+    """The slow route: build the forest and collect its distinguished labels."""
+    forest = IncForest(tuple(_tree(e, ti, nu + 1) for e, ti in zip(obj, tvec)))
+    return len(forest_distinguished_set(forest))
+
+
+class TestPoolSize:
+    @settings(max_examples=60, deadline=None)
+    @given(insertion_words())
+    def test_random_insertion_paths(self, w):
+        assert _pool_size(w.letters, w.t) == built_pool_size((w.letters,), (w.t,), w.nu)
+
+    def test_every_object_of_the_verify_grid(self):
+        # ward-interpretation runs nu 1..2, s 1..2, t 0..2, n <= 4 on the words of order nu + 1
+        for nu in (2, 3):
+            for s in (1, 2):
+                for t in range(3):
+                    for tvec in _compositions_for(s, t):
+                        for _, obj, _ in _insertions(nu, tvec, 4):
+                            fast = sum(_pool_size(e, ti) for e, ti in zip(obj, tvec))
+                            assert fast == built_pool_size(obj, tvec, nu), (obj, tvec)
+
+    def test_known_trees(self):
+        assert _pool_size((), 0) == 0
+        assert _pool_size((3, 3, 3, 2, 2, 2, 1, 1, 1), 0) == 3
+        assert _pool_size((1, 3, 3, 3, 2, 2, 2, 1, 1), 0) == 2
+        assert _pool_size((1, 1, 2, 2, 2, 1, 0, 0), 2) == 1
+        assert _pool_size((0, 0, 1, 1, 2, 2, 2, 1), 2) == 0
