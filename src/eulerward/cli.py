@@ -17,6 +17,7 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 
@@ -54,7 +55,11 @@ DEFAULT_ENUMERATION_CAP = 1_000_000
 def _render(value) -> str:
     if isinstance(value, PolyST):
         return value.render()
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:
+        # past the interpreter's int-to-str digit limit; Decimal has none
+        return str(decimal.Decimal(value))
 
 
 def _trimmed(row) -> list:

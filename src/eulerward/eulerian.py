@@ -9,8 +9,10 @@ recurrence with six coefficients,
 with |0, 0| = 1 and |n, k| = 0 outside 0 <= k <= n (the family of Hsu and
 Shiue, "A unified approach to generalized Stirling numbers", 1998).
 ``Recurrence`` holds the six coefficients, builds the rows and audits a
-stored triangle against them; the Eulerian and Ward triangles differ only in
-their coefficients (``eulerian_recurrence`` here, ``ward.ward_recurrence``).
+stored triangle against them.  The Eulerian coefficients are written out in
+``eulerian_recurrence``; the Ward family is the image of the order-(nu+1)
+Eulerian one under the paper's involution (``Recurrence.involution``,
+``ward.ward_recurrence``).
 The Eulerian triangle is
 
     E(n, k) = (k + s) E(n-1, k) + (nu n - k + t + 1 - nu) E(n-1, k-1).
@@ -145,16 +147,23 @@ class Recurrence:
         """The seed |0, 0| = 1 in the ring of the constant terms."""
         return 0 * self.gamma + 1
 
-    @property
-    def ratio(self) -> Fraction:
-        """beta'/beta: the weight r under which the rows sit in the
-        ``ward.general_inverse_transform`` family.  The Eulerian family
-        carries r = -1 and the Ward family r = +1, and transforming an
-        order-(nu+1) Eulerian row with the Ward ratio gives the order-nu
-        Ward row (and back with the Eulerian ratio)."""
-        if self.beta == 0:
-            raise ValueError("beta must be nonzero for the ratio to exist")
-        return Fraction(self.beta_p, self.beta)
+    def involution(self) -> "Recurrence":
+        """The paper's involution, with r = -beta'/beta:
+
+            (alpha, beta, gamma, alpha', beta', gamma')
+            -> (alpha, beta, gamma, alpha' + r alpha + beta', -beta', gamma' + r gamma + beta').
+
+        Row n of the image is ``ward.general_inverse_transform(row_n, n, r)``:
+        Q_n(y) = (1 + r y)^n P_n(y / (1 + r y)) keeps the recurrence's shape
+        exactly when r beta + beta' = 0.  It maps the order-(nu+1) Eulerian
+        coefficients onto the order-nu Ward ones, and twice is the identity.
+        r must be an integer (beta != 0 divides beta') in both modes.
+        """
+        a, b, c, a_p, b_p, c_p = self.alpha, self.beta, self.gamma, self.alpha_p, self.beta_p, self.gamma_p
+        if b == 0 or b_p % b:
+            raise ValueError("the involution needs beta != 0 dividing beta', got %r and %r" % (b, b_p))
+        r = -(b_p // b)
+        return Recurrence(a, b, c, a_p + r * a + b_p, -b_p, c_p + r * c + b_p)
 
     def rows(self, nmax: int) -> tuple:
         """Rows 0..nmax, each a tuple of n + 1 entries."""

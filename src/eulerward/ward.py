@@ -20,12 +20,13 @@ numbers, from which two Smiley-style summation identities follow
 
 As in ``eulerian``, the recurrence engine accepts any integer s and t; only
 the combinatorial interpretation (see ``trees.ward_marked_count``) insists on
-s >= 1.  Both triangles are the same six-coefficient ``Recurrence`` and
-differ only in the diagonal coefficient (``ward_recurrence``).
+s >= 1.  The Ward family is the involution's image of the Eulerian family
+one order up (``Recurrence.involution``, applied in ``ward_recurrence``).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .eulerian import (
@@ -34,8 +35,9 @@ from .eulerian import (
     Recurrence,
     TriangleRows,
     classic_second_order,
+    eulerian_recurrence,
 )
-from .numerics import as_fraction, assoc_stirling_subset, binomial
+from .numerics import PolyST, as_fraction, assoc_stirling_subset, binomial
 
 __all__ = [
     "ward_recurrence",
@@ -49,9 +51,9 @@ __all__ = [
 
 
 def ward_recurrence(p: Params, mode: str = INT_MODE) -> Recurrence:
-    """The six coefficients of the nu-order (s,t)-Ward triangle."""
-    s, t = p.st(mode)
-    return Recurrence(0, 1, s, p.nu, 1, s + t - 1 - p.nu)
+    """The six coefficients of the nu-order (s,t)-Ward triangle: the
+    involution's image of the order-(nu+1) Eulerian ones."""
+    return eulerian_recurrence(Params(p.nu + 1, p.s, p.t), mode).involution()
 
 
 def ward_table(p: Params, nmax: int, mode: str = INT_MODE) -> TriangleRows:
@@ -59,36 +61,17 @@ def ward_table(p: Params, nmax: int, mode: str = INT_MODE) -> TriangleRows:
     return TriangleRows(p, mode, ward_recurrence(p, mode).rows(nmax))
 
 
-def _check_row(row, n: int):
-    if len(row) != n + 1:
-        raise ValueError("row for index n = %d must have %d entries, got %d" % (n, n + 1, len(row)))
-
-
 def euler_to_ward(euler_row, n: int) -> list:
     """Row n of the order-nu Ward triangle from row n of the order-(nu+1) Eulerian one.
 
     W(n, k) = sum_{j=0}^{k} E(n, j) C(n-j, n-k).
     """
-    _check_row(euler_row, n)
-    return [
-        sum(euler_row[j] * binomial(n - j, n - k) for j in range(k + 1))
-        for k in range(n + 1)
-    ]
+    return general_inverse_transform(euler_row, n, 1)
 
 
 def ward_to_euler(ward_row, n: int) -> list:
     """Inverse of euler_to_ward: E(n, k) = sum_j (-1)^(k-j) W(n, j) C(n-j, n-k)."""
-    _check_row(ward_row, n)
-    return [
-        sum((-1) ** (k - j) * ward_row[j] * binomial(n - j, n - k) for j in range(k + 1))
-        for k in range(n + 1)
-    ]
-
-
-def _as_exact(v):
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    return v
+    return general_inverse_transform(ward_row, n, -1)
 
 
 def general_inverse_transform(row, n: int, r, direction: str = "forward") -> list:
@@ -99,19 +82,27 @@ def general_inverse_transform(row, n: int, r, direction: str = "forward") -> lis
 
     The two compose to the identity for every r, which is exactly the
     orthogonality relation of riordan_orthogonality_check dressed with a
-    geometric weight.  r = 1 reproduces euler_to_ward / ward_to_euler; r = 0
-    is the identity transform.  Fractional r is fine (a Fraction or a string
-    such as "2/3"; a float raises TypeError); entries that come out integral
-    are returned as ints.
+    geometric weight.  r = 1 is euler_to_ward, r = -1 ward_to_euler, r = 0
+    the identity, and r = -beta'/beta takes the rows of a ``Recurrence`` R to
+    those of ``R.involution()``.  With r = p/q the sum runs as
+    q^k a_k = sum_j b_j C(n-j, n-k) p^(k-j) q^j in the ring of the entries
+    (so an integer r takes int and PolyST rows alike), then divides by q^k.
+    r may be a Fraction or a string such as "2/3" (a float r or entry raises
+    TypeError); entries that come out integral are ints, the others Fractions.
     """
-    _check_row(row, n)
+    if len(row) != n + 1:
+        raise ValueError("row for index n = %d must have %d entries, got %d" % (n, n + 1, len(row)))
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward', got %r" % (direction,))
     rr = as_fraction(r) if direction == "forward" else -as_fraction(r)
+    p, q = rr.numerator, rr.denominator
     out = []
     for k in range(n + 1):
-        acc = sum(Fraction(row[j]) * binomial(n - j, n - k) * rr ** (k - j) for j in range(k + 1))
-        out.append(_as_exact(acc))
+        acc = sum(row[j] * (math.comb(n - j, n - k) * p ** (k - j) * q**j) for j in range(k + 1))
+        if q != 1 or not isinstance(acc, (int, PolyST)):
+            acc = Fraction(acc, q**k)
+            acc = acc.numerator if acc.denominator == 1 else acc
+        out.append(acc)
     return out
 
 

@@ -80,6 +80,21 @@ class TestTable:
         assert code == 0
         assert out.splitlines() == ["0,1*s^0*t^0", "1,1*s^1*t^0,1*s^0*t^1"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_entries_past_the_int_to_str_digit_limit(self, capsys, fmt):
+        # s = 10^100 makes E(45, 0) = s^45 a 4501-digit number, past the
+        # interpreter's default 4300-digit limit for str(int)
+        code, out, err = run_cli(
+            capsys, "table", "eulerian", "--nu", "1", "--s", "1" + "0" * 100, "--t", "0",
+            "--nmax", "45", "--format", fmt,
+        )
+        assert code == 0, err
+        if fmt == "csv":
+            row45 = out.splitlines()[45].split(",")[1:]
+        else:
+            row45 = json.loads(out)["rows"][45]
+        assert row45[0] == "1" + "0" * 4500
+
     def test_rejects_bad_order(self, capsys):
         code, _, err = run_cli(capsys, "table", "eulerian", "--nu", "0", "--nmax", "2")
         assert code == 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eulerward import verify
+from eulerward import verify, ward
 from eulerward.eulerian import (
     Params,
     classic_eulerian,
@@ -14,7 +14,7 @@ from eulerward.eulerian import (
     eulerian_table,
 )
 from eulerward.series import egf_eulerian_coeffs
-from eulerward.ward import ward_to_euler
+from eulerward.ward import ward_table, ward_to_euler
 
 
 def _shown(values):
@@ -39,6 +39,33 @@ def test_inverse_pairs_fault(monkeypatch):
         "n": 2,
         "transform": _shown(want[:-1] + [want[-1] + 1]),
         "eulerian": _shown(want),
+    }
+
+
+def test_transform_fault_is_caught_against_the_recurrence(monkeypatch):
+    # one wrong entry, (n, k) = (9, 3), in the shared transform body: both
+    # named wrappers route through it, and the Ward table is the independent side
+    transform = ward.general_inverse_transform
+
+    def faulty(row, n, r, direction="forward"):
+        out = transform(row, n, r, direction)
+        if n == 9:
+            out[3] += 1
+        return out
+
+    monkeypatch.setattr(ward, "general_inverse_transform", faulty)
+    result = verify.check_inverse_pairs("default")
+    want = list(ward_table(Params(1, 0, -2), 9).row(9))
+    assert result.check_id == "inverse-pairs"
+    assert not result.passed
+    assert result.witness == {
+        "failed": "euler-to-ward",
+        "nu": 1,
+        "s": 0,
+        "t": -2,
+        "n": 9,
+        "transform": _shown(want[:3] + [want[3] + 1] + want[4:]),
+        "ward": _shown(want),
     }
 
 

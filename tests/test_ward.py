@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eulerward.eulerian import Params, Recurrence, eulerian_recurrence, eulerian_table
-from eulerward.numerics import assoc_stirling_subset
+from eulerward.numerics import PolyST, as_fraction, assoc_stirling_subset, binomial
 from eulerward.ward import (
     euler_to_ward,
     general_inverse_transform,
@@ -23,6 +23,64 @@ int_rows = st.integers(min_value=0, max_value=8).flatmap(
         st.integers(min_value=-99, max_value=99), min_size=n + 1, max_size=n + 1
     )
 )
+mixed_rows = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.lists(
+        st.one_of(
+            st.integers(min_value=-99, max_value=99),
+            st.fractions(min_value=-99, max_value=99, max_denominator=12),
+        ),
+        min_size=n + 1,
+        max_size=n + 1,
+    )
+)
+RATIOS = [0, 1, -1, 3, Fraction(2, 3), Fraction(-5, 7), "3/4"]
+
+
+# Oracles: the transform written out the slow, obvious way, as integer sums for
+# r = +-1 and as a Fraction sum for any r, with integral results turned into ints.
+
+
+def _oracle_check_row(row, n):
+    if len(row) != n + 1:
+        raise ValueError("row for index n = %d must have %d entries, got %d" % (n, n + 1, len(row)))
+
+
+def oracle_euler_to_ward(euler_row, n):
+    _oracle_check_row(euler_row, n)
+    return [
+        sum(euler_row[j] * binomial(n - j, n - k) for j in range(k + 1))
+        for k in range(n + 1)
+    ]
+
+
+def oracle_ward_to_euler(ward_row, n):
+    _oracle_check_row(ward_row, n)
+    return [
+        sum((-1) ** (k - j) * ward_row[j] * binomial(n - j, n - k) for j in range(k + 1))
+        for k in range(n + 1)
+    ]
+
+
+def _oracle_as_exact(v):
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return int(v)
+    return v
+
+
+def oracle_general_inverse_transform(row, n, r, direction="forward"):
+    _oracle_check_row(row, n)
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be 'forward' or 'backward', got %r" % (direction,))
+    rr = as_fraction(r) if direction == "forward" else -as_fraction(r)
+    out = []
+    for k in range(n + 1):
+        acc = sum(Fraction(row[j]) * binomial(n - j, n - k) * rr ** (k - j) for j in range(k + 1))
+        out.append(_oracle_as_exact(acc))
+    return out
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
 
 
 class TestWardTriangle:
@@ -94,8 +152,34 @@ class TestInversePair:
     @given(int_rows)
     def test_ratio_one_specializes_to_the_named_transforms(self, row):
         n = len(row) - 1
-        assert general_inverse_transform(row, n, 1, "forward") == euler_to_ward(row, n)
-        assert general_inverse_transform(row, n, -1, "forward") == ward_to_euler(row, n)
+        want_ward, want_euler = oracle_euler_to_ward(row, n), oracle_ward_to_euler(row, n)
+        assert _typed(general_inverse_transform(row, n, 1, "forward")) == _typed(want_ward)
+        assert _typed(general_inverse_transform(row, n, -1, "forward")) == _typed(want_euler)
+        assert _typed(euler_to_ward(row, n)) == _typed(want_ward)
+        assert _typed(ward_to_euler(row, n)) == _typed(want_euler)
+
+    @given(
+        st.one_of(int_rows, mixed_rows),
+        st.sampled_from(RATIOS),
+        st.sampled_from(["forward", "backward"]),
+    )
+    def test_matches_the_fraction_oracle(self, row, r, direction):
+        n = len(row) - 1
+        got = general_inverse_transform(row, n, r, direction)
+        assert _typed(got) == _typed(oracle_general_inverse_transform(row, n, r, direction))
+
+    def test_integer_ratio_transforms_polynomial_rows(self):
+        e = eulerian_table(Params(3, 1, 0), 7, "poly")
+        w = ward_table(Params(2, 1, 0), 7, "poly")
+        for n in range(8):
+            assert general_inverse_transform(list(e.row(n)), n, 1) == list(w.row(n))
+            assert ward_to_euler(list(w.row(n)), n) == list(e.row(n))
+        with pytest.raises(TypeError):
+            general_inverse_transform(list(e.row(3)), 3, "1/2")
+
+    def test_float_entries_raise(self):
+        with pytest.raises(TypeError):
+            general_inverse_transform([1, 0.5], 1, 1)
 
     def test_riordan_orthogonality(self):
         for n in range(11):
@@ -106,35 +190,87 @@ class TestInversePair:
 
 
 class TestPairParams:
-    """The six coefficients of each family, and the ratio beta'/beta that
-    places its rows in the general_inverse_transform family."""
+    """The six coefficients of each family, and the involution that carries
+    each onto the other, with r = -beta'/beta as the general_inverse_transform
+    weight from its rows to the image's rows."""
 
     def test_eulerian_triangle_fits_its_pair(self):
         for nu in (2, 3, 4):
             for s, t in [(1, 0), (2, 1), (0, 1)]:
                 spec = eulerian_recurrence(Params(nu, s, t))
                 assert spec == Recurrence(0, 1, s, nu, -1, t + 1 - nu)
-                assert spec.ratio == -1
-                # the Eulerian ratio carries the order-(nu-1) Ward rows onto these
+                image = spec.involution()
+                assert image == ward_recurrence(Params(nu - 1, s, t))
+                # the image's own r = -1 carries the order-(nu-1) Ward rows back onto these
+                r = -image.beta_p // image.beta
+                assert r == -1
                 e = eulerian_table(Params(nu, s, t), 8)
                 w = ward_table(Params(nu - 1, s, t), 8)
                 for n in range(9):
-                    assert general_inverse_transform(list(w.row(n)), n, spec.ratio) == list(e.row(n))
+                    assert general_inverse_transform(list(w.row(n)), n, r) == list(e.row(n))
 
     def test_ward_triangle_fits_its_pair(self):
         for nu in (1, 2, 3):
             for s, t in [(0, 1), (1, 0), (2, 1)]:
                 spec = ward_recurrence(Params(nu, s, t))
                 assert spec == Recurrence(0, 1, s, nu, 1, s + t - 1 - nu)
-                assert spec.ratio == 1
+                source = eulerian_recurrence(Params(nu + 1, s, t))
+                assert source.involution() == spec
+                r = -source.beta_p // source.beta
+                assert r == 1
                 e = eulerian_table(Params(nu + 1, s, t), 8)
                 w = ward_table(Params(nu, s, t), 8)
                 for n in range(9):
-                    assert general_inverse_transform(list(e.row(n)), n, spec.ratio) == list(w.row(n))
+                    assert general_inverse_transform(list(e.row(n)), n, r) == list(w.row(n))
 
     def test_beta_must_be_nonzero(self):
         with pytest.raises(ValueError):
-            Recurrence(0, 0, 1, 1, 1, 0).ratio
+            Recurrence(0, 0, 1, 1, 1, 0).involution()
 
     def test_ratio_value(self):
-        assert Recurrence(0, 2, 1, 1, 3, 0).ratio == Fraction(3, 2)
+        # r = -6/2 = -3 enters alpha' and gamma'; beta' only flips its sign
+        assert Recurrence(1, 2, 5, 1, 6, 0).involution() == Recurrence(1, 2, 5, 1 - 3 + 6, -6, 0 - 15 + 6)
+        with pytest.raises(ValueError):
+            Recurrence(0, 2, 1, 1, 3, 0).involution()
+
+
+@st.composite
+def six_tuples(draw):
+    beta = draw(st.sampled_from([1, 2, 3, -1, -2, -3]))
+    beta_p = draw(st.integers(min_value=-3, max_value=3)) * beta
+    small = st.integers(min_value=-3, max_value=3)
+    alpha, alpha_p, gamma, gamma_p = (draw(small) for _ in range(4))
+    if draw(st.booleans()):
+        gamma = gamma + draw(st.sampled_from([PolyST.s(), PolyST.t(), PolyST.s() + PolyST.t()]))
+        gamma_p = gamma_p + draw(st.sampled_from([PolyST.s(), PolyST.t(), PolyST.constant(0)]))
+    return Recurrence(alpha, beta, gamma, alpha_p, beta_p, gamma_p)
+
+
+class TestInvolution:
+    @given(six_tuples())
+    def test_image_rows_are_the_transformed_rows(self, spec):
+        r = -spec.beta_p // spec.beta
+        source, image = spec.rows(8), spec.involution().rows(8)
+        for n in range(9):
+            assert list(image[n]) == general_inverse_transform(list(source[n]), n, r)
+
+    @given(six_tuples())
+    def test_twice_is_the_identity(self, spec):
+        assert spec.involution().involution() == spec
+
+    def test_needs_beta_dividing_beta_prime(self):
+        with pytest.raises(ValueError):
+            Recurrence(1, 0, 2, 1, 3, 0).involution()
+        with pytest.raises(ValueError):
+            Recurrence(1, 0, 2, 1, 0, 0).involution()
+        with pytest.raises(ValueError):
+            Recurrence(0, 2, PolyST.s(), 1, -3, PolyST.t()).involution()
+
+    @pytest.mark.parametrize("mode", ["int", "poly"])
+    def test_ward_coefficients_match_the_written_tuple(self, mode):
+        for nu in range(1, 5):
+            for s in range(4):
+                for t in range(-2, 3):
+                    p = Params(nu, s, t)
+                    ss, tt = p.st(mode)
+                    assert ward_recurrence(p, mode) == Recurrence(0, 1, ss, nu, 1, ss + tt - 1 - nu)
