@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import PolyST, binomial, falling_factorial, rising_factorial
+from .numerics import PolyST, _require_int, binomial, falling_factorial, rising_factorial
 
 __all__ = [
     "Params",
@@ -59,12 +59,6 @@ __all__ = [
 
 INT_MODE = "int"
 POLY_MODE = "poly"
-
-
-def _require_int(name: str, value):
-    # bool is an int subclass, but True as an order or a part of t is a bug
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError("%s must be an int, got %r" % (name, value))
 
 
 @dataclass(frozen=True)
@@ -132,7 +126,8 @@ class Recurrence:
 
     seeded by |0, 0| = 1.  The slopes are ints; the constant terms may be
     ints or PolyST (both of the same kind), and the entries then live in
-    that ring, the seed included.
+    that ring, the seed included.  Anything else (floats, bools, Fractions)
+    raises TypeError.
     """
 
     alpha: int
@@ -141,6 +136,14 @@ class Recurrence:
     alpha_p: int
     beta_p: int
     gamma_p: object
+
+    def __post_init__(self):
+        for name in ("alpha", "beta", "alpha_p", "beta_p"):
+            _require_int(name, getattr(self, name))
+        for name in ("gamma", "gamma_p"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, PolyST)) or isinstance(value, bool):
+                raise TypeError("%s must be an int or a PolyST, got %r" % (name, value))
 
     @property
     def one(self):

@@ -35,7 +35,8 @@ def as_fraction(x) -> Fraction:
     """An exact rational from an int, a Fraction or a string such as "1/2".
 
     Floats raise TypeError: a float holds a binary approximation, and
-    Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.
+    Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.  So do
+    bools, which are ints to Python but a bug wherever a number is wanted.
 
     >>> as_fraction("2/3")
     Fraction(2, 3)
@@ -44,11 +45,18 @@ def as_fraction(x) -> Fraction:
     ...
     TypeError: exact rational wanted, got the float 0.5; pass a Fraction or a string such as '1/2'
     """
-    if isinstance(x, float):
+    if isinstance(x, (float, bool)):
         raise TypeError(
-            "exact rational wanted, got the float %r; pass a Fraction or a string such as '1/2'" % (x,)
+            "exact rational wanted, got the %s %r; pass a Fraction or a string such as '1/2'"
+            % (type(x).__name__, x)
         )
     return Fraction(x)
+
+
+def _require_int(name: str, value):
+    # bool is an int subclass, but True as an exponent or a coefficient is a bug
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError("%s must be an int, got %r" % (name, value))
 
 
 def binomial(n: int, k: int) -> int:
@@ -162,10 +170,11 @@ class PolyST:
     """Polynomial in the two indeterminates s and t with integer coefficients.
 
     Immutable and sparse: a map (degree in s, degree in t) -> coefficient with
-    no zero coefficients stored.  Mixed arithmetic with plain ints works on
-    either side, and :meth:`evaluate` at an integer point (s0, t0) is a ring
-    homomorphism onto the integers, which is what lets a symbolically built
-    triangle be checked against its integer-mode twin.
+    no zero coefficients stored; exponents and coefficients must be ints
+    (floats and bools raise TypeError).  Mixed arithmetic with plain ints
+    works on either side, and :meth:`evaluate` at an integer point (s0, t0)
+    is a ring homomorphism onto the integers, which is what lets a
+    symbolically built triangle be checked against its integer-mode twin.
 
     >>> p = (PolyST.s() + PolyST.t()) * (PolyST.s() + PolyST.t() + 1)
     >>> p.evaluate(1, 0)
@@ -180,6 +189,8 @@ class PolyST:
         items = terms.items() if isinstance(terms, dict) else terms
         clean: dict[tuple[int, int], int] = {}
         for (a, b), c in items:
+            for name, x in (("exponent", a), ("exponent", b), ("coefficient", c)):
+                _require_int("a PolyST " + name, x)
             if a < 0 or b < 0:
                 raise ValueError("PolyST exponents must be nonnegative")
             key = (int(a), int(b))
@@ -206,7 +217,7 @@ class PolyST:
 
     @classmethod
     def constant(cls, c: int) -> "PolyST":
-        c = int(c)
+        _require_int("a PolyST coefficient", c)
         return cls._of({(0, 0): c} if c else {})
 
     @classmethod

@@ -7,9 +7,11 @@ operations, integer powers of either sign, exp and log, composition (inner
 series must vanish at 0), reversion (compositional inverse), and the Euler
 operator z d/dz, which is all the generating function work here needs.
 Powers use J.C.P. Miller's recurrence and cost O(K^2) for any exponent, like
-products, exp and log.  Composition and reversion are generic and slower
-(reversion runs one composition per coefficient); no route below needs
-them, and the tests and ``verify`` use them as independent oracles.
+products, exp and log; these sums run over integer numerators on one common
+denominator, so each coefficient becomes a Fraction once.  Composition and
+reversion are generic and slower (reversion runs one composition per
+coefficient); no route below needs them, and the tests and ``verify`` use
+them as independent oracles.
 
 The star of the family is T_nu, the reversion of z e^(Q_nu(z)) with
 Q_nu(z) = sum_{k=1}^{nu-1} C(nu-1, k) (-z)^k / k.  T_1 is the identity and
@@ -54,21 +56,36 @@ __all__ = [
 ]
 
 
+def _over(values) -> tuple[list[int], int]:
+    """Integer numerators of exact ``values`` over their least common denominator.
+
+    The O(K^2) sums below run over these plain ints, so each output
+    coefficient is built as a Fraction once instead of once per product.
+    """
+    # a list, not a generator: unpacking a generator grows its argument
+    # tuple by resizing, which strands tuples in the interpreter's free lists
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def _power_coeff(b, P, e: int, m: int) -> Fraction:
     """Coefficient m of b^e by J.C.P. Miller's recurrence (TAOCP Vol. 2, 4.7).
 
     m b_0 P_m = sum_{k=1}^{m} ((e+1) k - m) b_k P_(m-k) holds for every
     integer e when b_0 != 0.  ``b`` needs entries 0..m and ``P`` the
-    coefficients 0..m-1 of b^e; one call costs at most m products, so a
+    coefficients 0..m-1 of b^e; one call costs at most m integer products
+    over the common denominators of b_1..b_m and of P (see ``_over``), so a
     power costs O(K^2), and a caller that learns b one coefficient at a
     time can advance its power in step.
     """
+    B, db = _over(b[1 : m + 1])
+    Q, dq = _over(P[:m])
     acc = 0
-    for k in range(1, m + 1):
-        bk = b[k]
+    for k, bk in enumerate(B, 1):
         if bk:
-            acc += ((e + 1) * k - m) * bk * P[m - k]
-    return acc / (m * b[0])
+            acc += ((e + 1) * k - m) * bk * Q[m - k]
+    b0 = b[0]
+    return Fraction(acc * b0.denominator, m * db * dq * b0.numerator)
 
 
 class TruncSeries:
@@ -82,7 +99,7 @@ class TruncSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(c if type(c) is Fraction else as_fraction(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "_coeffs", coeffs)
@@ -124,7 +141,7 @@ class TruncSeries:
                 )
             return other._coeffs
         if isinstance(other, (int, Fraction)):
-            return (Fraction(other),) + (Fraction(0),) * self.order
+            return (as_fraction(other),) + (Fraction(0),) * self.order
         return None
 
     def __add__(self, other):
@@ -152,26 +169,27 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
+            f = as_fraction(other)
             return TruncSeries(tuple(a * f for a in self._coeffs))
         oc = self._match(other)
         if oc is None:
             return NotImplemented
+        A, da = _over(self._coeffs)
+        B, db = _over(oc)
         K = self.order
-        out = [Fraction(0)] * (K + 1)
-        for i, a in enumerate(self._coeffs):
+        out = [0] * (K + 1)
+        for i, a in enumerate(A):
             if a:
-                for j in range(K + 1 - i):
-                    b = oc[j]
+                for j, b in enumerate(B[: K + 1 - i], i):
                     if b:
-                        out[i + j] += a * b
-        return TruncSeries(out)
+                        out[j] += a * b
+        return TruncSeries([Fraction(c, da * db) for c in out])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / as_fraction(other))
         return NotImplemented
 
     def inverse(self) -> "TruncSeries":
@@ -179,12 +197,12 @@ class TruncSeries:
         a = self._coeffs
         if a[0] == 0:
             raise ValueError("no multiplicative inverse: constant term is zero")
-        K = self.order
-        out = [Fraction(0)] * (K + 1)
-        out[0] = Fraction(1) / a[0]
-        for m in range(1, K + 1):
-            acc = sum(a[i] * out[m - i] for i in range(1, m + 1))
-            out[m] = -acc / a[0]
+        A, da = _over(a)
+        out = [Fraction(da, A[0])]
+        for m in range(1, self.order + 1):
+            O, do = _over(out)
+            acc = sum(A[i] * O[m - i] for i in range(1, m + 1))
+            out.append(Fraction(-acc, do * A[0]))
         return TruncSeries(out)
 
     def __pow__(self, e: int):
@@ -215,12 +233,12 @@ class TruncSeries:
         a = self._coeffs
         if a[0] != 0:
             raise ValueError("exp needs a zero constant term")
-        K = self.order
-        out = [Fraction(0)] * (K + 1)
-        out[0] = Fraction(1)
-        for m in range(1, K + 1):
-            acc = sum(j * a[j] * out[m - j] for j in range(1, m + 1))
-            out[m] = acc / m
+        A, da = _over(a)
+        out = [Fraction(1)]
+        for m in range(1, self.order + 1):
+            O, do = _over(out)
+            acc = sum(j * A[j] * O[m - j] for j in range(1, m + 1))
+            out.append(Fraction(acc, m * da * do))
         return TruncSeries(out)
 
     def log(self) -> "TruncSeries":
@@ -228,11 +246,12 @@ class TruncSeries:
         a = self._coeffs
         if a[0] != 1:
             raise ValueError("log needs constant term 1")
-        K = self.order
-        out = [Fraction(0)] * (K + 1)
-        for m in range(1, K + 1):
-            acc = sum((j * out[j] * a[m - j] for j in range(1, m)), Fraction(0))
-            out[m] = a[m] - acc / m
+        A, da = _over(a)
+        out = [Fraction(0)]
+        for m in range(1, self.order + 1):
+            O, do = _over(out)
+            acc = sum(j * O[j] * A[m - j] for j in range(1, m))
+            out.append(Fraction(m * do * A[m] - acc, m * da * do))
         return TruncSeries(out)
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
@@ -359,8 +378,10 @@ def _ode_march(h0: Fraction, c: Fraction, expo: int, N: int) -> TruncSeries:
         if m:
             u.append(-g[m])
             P.append(_power_coeff(u, P, expo, m))
-        rhs = sum(g[j] * P[m - j] for j in range(m + 1))
-        g.append(c * rhs / (m + 1))
+        G, dg = _over(g)
+        Q, dq = _over(P)
+        rhs = sum(G[j] * Q[m - j] for j in range(m + 1))
+        g.append(c * Fraction(rhs, dg * dq * (m + 1)))
     return TruncSeries(g)
 
 

@@ -25,13 +25,16 @@ a reproducible ordering.  One streaming depth-first walk serves enumeration,
 the ascent histograms and the marked-forest counts in ``trees``: it holds one
 child generator per order, so its memory is O(n) in the depth, and it
 updates the ascent count from the two neighbours of each gap instead of
-rescanning.
+rescanning.  The histograms stop the walk one order short: each parent
+there tallies its children gap by gap, so the last order, nearly all of the
+objects, is never built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterator
 
 from .eulerian import Params, row_sum_product
@@ -258,10 +261,26 @@ def enumerate_sequences(p: Params, n: int) -> Iterator[GenStirlingSeq]:
 
 
 def _histograms(p: Params, nmax: int) -> list[list[int]]:
+    """Ascent histograms of orders 0..nmax; the last order is tallied, not built.
+
+    The walk stops at order nmax - 1.  Each parent there tallies its
+    children gap by gap, comparing the letters on either side of the gap
+    the way ``_children`` does: the front gap of an entry adds no ascent,
+    the back gap adds one, and an inner gap adds one iff its left letter is
+    >= its right one.  No leaf tuple is ever built.
+    """
     nu, tvec = _enumeration_params(p, nmax)
     hists = [[0] * (m + 1) for m in range(nmax + 1)]
-    for m, _, asc in _insertions(nu, tvec, nmax):
+    for m, obj, asc in _insertions(nu, tvec, max(nmax - 1, 0)):
         hists[m][asc] += 1
+        if m == nmax - 1:
+            up = gaps = 0
+            for entry in obj:
+                gaps += len(entry) + 1
+                if entry:
+                    up += 1 + sum(map(ge, entry, entry[1:]))
+            hists[nmax][asc] += gaps - up
+            hists[nmax][asc + 1] += up
     return hists
 
 

@@ -186,6 +186,27 @@ class TestRecurrence:
         with pytest.raises(ValueError):
             eulerian_recurrence(Params(1, 1, 0)).rows(-1)
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (0.5, 1, 1, 1, -1, 0),
+            (0, True, 1, 1, -1, 0),
+            (0, 1, 1, Fraction(1), -1, 0),
+            (0, 1, 1, 1, -1.0, 0),
+            (0, 1, 1.5, 1, -1, 0),
+            (0, 1, 1, 1, -1, Fraction(1, 2)),
+            (0, 1, False, 1, -1, 0),
+            (0, 1, "s", 1, -1, 0),
+        ],
+    )
+    def test_rejects_non_integer_coefficients(self, coeffs):
+        with pytest.raises(TypeError):
+            Recurrence(*coeffs)
+
+    def test_accepts_int_and_poly_constant_terms(self):
+        s = PolyST.s()
+        assert Recurrence(0, 1, s, 1, -1, s + 1).rows(1) == ((1,), (s, s + 1))
+
     @given(
         st.sampled_from([eulerian_table, ward_table]),
         st.integers(min_value=1, max_value=4),

@@ -3,12 +3,14 @@
 import doctest
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import eulerward.numerics as numerics
 from eulerward.numerics import (
     PolyST,
+    as_fraction,
     assoc_stirling_subset,
     binomial,
     falling_factorial,
@@ -175,3 +177,33 @@ class TestPolyST:
             assert 0 not in terms.values()
             assert all(type(x) is int for key in terms for x in key)
         assert PolyST.constant(0).is_zero() and PolyST.constant(c) == PolyST({(0, 0): c})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PolyST.constant(2.7),
+            lambda: PolyST.constant(True),
+            lambda: PolyST({(1.5, 0): 1}),
+            lambda: PolyST({(1, 0.0): 1}),
+            lambda: PolyST({(True, 0): 1}),
+            lambda: PolyST({(1, 0): 0.5}),
+            lambda: PolyST({(1, 0): Fraction(1, 2)}),
+            lambda: PolyST({(1, 0): False}),
+            lambda: PolyST.s() + True,
+        ],
+    )
+    def test_rejects_non_integer_exponents_and_coefficients(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+
+class TestAsFraction:
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
+    def test_floats_and_bools_raise(self, bad):
+        with pytest.raises(TypeError):
+            as_fraction(bad)
+
+    def test_exact_values_pass(self):
+        assert as_fraction(3) == Fraction(3)
+        assert as_fraction("-2/6") == Fraction(-1, 3)
+        assert as_fraction(Fraction(5, 7)) == Fraction(5, 7)

@@ -205,6 +205,130 @@ class TestSeriesCore:
         assert f.reversion().compose(f) == TruncSeries.x(K)
 
 
+# The Fraction-loop bodies of TruncSeries' O(K^2) sums, kept as oracles for
+# the common-denominator integer sums that replaced them.
+
+
+def fraction_mul(a, b):
+    K = len(a) - 1
+    out = [Fraction(0)] * (K + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(K + 1 - i):
+                y = b[j]
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def fraction_power_coeff(b, P, e, m):
+    acc = 0
+    for k in range(1, m + 1):
+        bk = b[k]
+        if bk:
+            acc += ((e + 1) * k - m) * bk * P[m - k]
+    return acc / (m * b[0])
+
+
+def fraction_inverse(a):
+    K = len(a) - 1
+    out = [Fraction(0)] * (K + 1)
+    out[0] = Fraction(1) / a[0]
+    for m in range(1, K + 1):
+        acc = sum(a[i] * out[m - i] for i in range(1, m + 1))
+        out[m] = -acc / a[0]
+    return out
+
+
+def fraction_exp(a):
+    K = len(a) - 1
+    out = [Fraction(0)] * (K + 1)
+    out[0] = Fraction(1)
+    for m in range(1, K + 1):
+        acc = sum(j * a[j] * out[m - j] for j in range(1, m + 1))
+        out[m] = acc / m
+    return out
+
+
+def fraction_log(a):
+    K = len(a) - 1
+    out = [Fraction(0)] * (K + 1)
+    for m in range(1, K + 1):
+        acc = sum((j * out[j] * a[m - j] for j in range(1, m)), Fraction(0))
+        out[m] = a[m] - acc / m
+    return out
+
+
+wide_fracs = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12)
+
+
+@st.composite
+def wide_coeffs(draw, head=None):
+    """Coefficients 0..K, K <= 10, negative and with large denominators;
+    ``head`` pins the constant term."""
+    K = draw(st.integers(min_value=0, max_value=10))
+    tail = draw(st.lists(wide_fracs, min_size=K, max_size=K))
+    return [draw(wide_fracs.filter(bool)) if head is None else Fraction(head)] + tail
+
+
+def same_coeffs(series_, oracle):
+    return series_.coeffs == tuple(oracle) and all(type(c) is Fraction for c in series_.coeffs)
+
+
+class TestCommonDenominatorSums:
+    @settings(max_examples=60, deadline=None)
+    @given(wide_coeffs(), st.data())
+    def test_mul(self, a, data):
+        b = data.draw(st.lists(wide_fracs, min_size=len(a), max_size=len(a)))
+        a[0] = data.draw(st.sampled_from([a[0], Fraction(0)]))
+        assert same_coeffs(TruncSeries(a) * TruncSeries(b), fraction_mul(a, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_coeffs(), st.integers(min_value=-5, max_value=5))
+    def test_power_coeff(self, b, e):
+        new, old = [b[0] ** e], [b[0] ** e]
+        for m in range(1, len(b)):
+            new.append(series._power_coeff(b, new, e, m))
+            old.append(fraction_power_coeff(b, old, e, m))
+        assert new == old and all(type(c) is Fraction for c in new)
+        assert same_coeffs(TruncSeries(b) ** e, old)
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_coeffs())
+    def test_inverse(self, a):
+        assert same_coeffs(TruncSeries(a).inverse(), fraction_inverse(a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_coeffs(head=0))
+    def test_exp(self, a):
+        assert same_coeffs(TruncSeries(a).exp(), fraction_exp(a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_coeffs(head=1))
+    def test_log(self, a):
+        assert same_coeffs(TruncSeries(a).log(), fraction_log(a))
+
+
+class TestExactCoefficients:
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, False])
+    def test_floats_and_bools_raise(self, bad):
+        with pytest.raises(TypeError):
+            TruncSeries([bad, 1])
+        with pytest.raises(TypeError):
+            TruncSeries([1, bad])
+        with pytest.raises(TypeError):
+            TruncSeries.one(2) * bad
+        with pytest.raises(TypeError):
+            TruncSeries.one(2) + bad
+        with pytest.raises(TypeError):
+            TruncSeries.one(2) / bad
+
+    def test_ints_strings_and_fractions_become_fractions(self):
+        f = TruncSeries([1, "1/2", Fraction(-3, 4)])
+        assert f.coeffs == (1, Fraction(1, 2), Fraction(-3, 4))
+        assert all(type(c) is Fraction for c in f.coeffs)
+
+
 class TestOdeMarch:
     @settings(max_examples=40, deadline=None)
     @given(

@@ -204,6 +204,30 @@ def cursor_insertions(nu, tvec, n):
             path.append([child, asc, 0, 0])
 
 
+def leaf_building_histograms(p, nmax):
+    """The older histograms, kept as the oracle: the walk runs to order nmax
+    and builds every leaf tuple to read its ascent count."""
+    hists = [[0] * (m + 1) for m in range(nmax + 1)]
+    for m, _, asc in _insertions(p.nu, p.composition, nmax):
+        hists[m][asc] += 1
+    return hists
+
+
+class TestLeafTally:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([(0,), (2,), (0, 0), (1, 1), (2, 0), (0, 2), (1, 0, 1), (0, 2, 0), (2, 1)]),
+        st.integers(min_value=0, max_value=5),
+    )
+    def test_tally_matches_the_leaf_building_walk(self, nu, tvec, n):
+        p = Params(nu, len(tvec), sum(tvec), tvec)
+        while count_sequences(p, n) > 20_000:
+            n -= 1
+        assert ascent_histograms_up_to(p, n) == leaf_building_histograms(p, n)
+        assert ascent_histogram(p, n) == leaf_building_histograms(p, n)[n]
+
+
 class TestInsertionWalk:
     @pytest.mark.parametrize("nu", [1, 2, 3])
     @pytest.mark.parametrize("tvec", [(0,), (2,), (0, 0), (1, 1), (1, 0, 1), (0, 2, 0), (3,)])

@@ -1,11 +1,12 @@
 """Seeded faults: a check that fails keeps its id and reports a witness with
 the first failing instance and both routes' values."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 
-from eulerward import verify, ward
+from eulerward import stirlingperm, verify, ward
 from eulerward.eulerian import (
     Params,
     classic_eulerian,
@@ -67,6 +68,25 @@ def test_transform_fault_is_caught_against_the_recurrence(monkeypatch):
         "transform": _shown(want[:3] + [want[3] + 1] + want[4:]),
         "ward": _shown(want),
     }
+
+
+def test_leaf_tally_fault_is_caught_at_the_top_order(monkeypatch):
+    # > for >= in the leaf tally: an inner gap between equal letters stops
+    # counting as an ascent.  Only the last order is tallied, so the first
+    # grid point with equal neighbours, (1, 1, 2) with its 0 0, fails at n_top
+    monkeypatch.setattr(stirlingperm, "ge", operator.gt)
+    result = verify.check_recurrence_vs_enumeration("default")
+    assert result.check_id == "recurrence-vs-enumeration"
+    assert not result.passed
+    w = result.witness
+    p = Params(w["nu"], w["s"], w["t"])
+    n_top = dict(verify._enumeration_grid("default"))[p]
+    assert (w["nu"], w["s"], w["t"], w["n"]) == (1, 1, 2, n_top)
+    want = list(eulerian_table(p, n_top).row(n_top))
+    faulty = stirlingperm.ascent_histogram(p, n_top)
+    assert faulty != want and sum(faulty) == sum(want)
+    assert w["recurrence"] == _shown(want)
+    assert w["enumeration"] == _shown(faulty)
 
 
 def test_egf_fault(monkeypatch):
