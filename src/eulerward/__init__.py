@@ -16,7 +16,6 @@ from .eulerian import (
     classic_second_order,
     closed_form_order1,
     closed_form_order2,
-    eulerian_poly,
     eulerian_table,
     row_sum_product,
     s_minus_s_closed_forms,
@@ -45,7 +44,6 @@ from .stirlingperm import (
     validate_word,
 )
 from .trees import (
-    IncForest,
     IncTree,
     TreeNode,
     distinguished_set,
@@ -55,7 +53,6 @@ from .trees import (
     perm_to_tree,
     seq_to_forest,
     tree_to_perm,
-    ward_marked_count,
 )
 from .verify import CheckResult, Report, run_all, run_suite
 from .ward import (
@@ -77,7 +74,6 @@ __all__ = [
     "GenStirlingWord",
     "GenStirlingSeq",
     "IncTree",
-    "IncForest",
     "TreeNode",
     "binomial",
     "rising_factorial",
@@ -85,7 +81,6 @@ __all__ = [
     "stirling_subset",
     "assoc_stirling_subset",
     "eulerian_table",
-    "eulerian_poly",
     "row_sum_product",
     "closed_form_order1",
     "closed_form_order2",
@@ -110,7 +105,6 @@ __all__ = [
     "leftmost_internal_set",
     "distinguished_set",
     "forest_distinguished_set",
-    "ward_marked_count",
     "t_nu_series",
     "egf_eulerian_coeffs",
     "egf_ward_coeffs",

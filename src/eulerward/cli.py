@@ -36,7 +36,6 @@ from .stirlingperm import (
     word_text,
 )
 from .trees import (
-    IncForest,
     _tree,
     distinguished_set,
     forest_distinguished_set,
@@ -209,7 +208,7 @@ def cmd_bijection(args) -> int:
     if not _labels_partition_range(seq):
         raise ValueError("the labels across the words must partition 1..n")
     # the words are valid (checked above), so _tree can skip perm_to_tree's check
-    forest = IncForest(tuple(_tree(w.letters, w.t, args.nu + 1) for w in entries))
+    forest = tuple(_tree(w.letters, w.t, args.nu + 1) for w in entries)
     n, j = seq.n, seq_ascent_count(seq)
     dset = forest_distinguished_set(forest)
     payload = {
@@ -223,10 +222,10 @@ def cmd_bijection(args) -> int:
         ],
         "forest": forest_to_json(forest),
         "leftmost_sets": [
-            [str(x) for x in sorted(leftmost_internal_set(tr))] for tr in forest.trees
+            [str(x) for x in sorted(leftmost_internal_set(tr))] for tr in forest
         ],
         "distinguished_sets": [
-            [str(x) for x in sorted(distinguished_set(tr))] for tr in forest.trees
+            [str(x) for x in sorted(distinguished_set(tr))] for tr in forest
         ],
         "distinguished_union": [str(x) for x in sorted(dset)],
         "statistic": {

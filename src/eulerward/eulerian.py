@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import PolyST, _require_int, binomial, falling_factorial, rising_factorial
+from .numerics import PolyST, _require_int, binomial, falling_factorial, rising_factorial, stirling_subset
 
 __all__ = [
     "Params",
@@ -48,7 +48,6 @@ __all__ = [
     "TriangleRows",
     "eulerian_recurrence",
     "eulerian_table",
-    "eulerian_poly",
     "row_sum_product",
     "closed_form_order1",
     "closed_form_order2",
@@ -124,10 +123,10 @@ class Recurrence:
         |n, k| = (alpha n + beta k + gamma) |n-1, k|
                + (alpha_p n + beta_p k + gamma_p) |n-1, k-1|
 
-    seeded by |0, 0| = 1.  The slopes are ints; the constant terms may be
-    ints or PolyST (both of the same kind), and the entries then live in
-    that ring, the seed included.  Anything else (floats, bools, Fractions)
-    raises TypeError.
+    seeded by |0, 0| = 1.  The slopes are ints; the constant terms are
+    both ints or both PolyST, and the entries then live in that ring, the
+    seed included.  Anything else (floats, bools, Fractions, or one int next
+    to one PolyST) raises TypeError.
     """
 
     alpha: int
@@ -144,6 +143,11 @@ class Recurrence:
             value = getattr(self, name)
             if not isinstance(value, (int, PolyST)) or isinstance(value, bool):
                 raise TypeError("%s must be an int or a PolyST, got %r" % (name, value))
+        if isinstance(self.gamma, PolyST) != isinstance(self.gamma_p, PolyST):
+            raise TypeError(
+                "gamma and gamma_p must both be ints or both PolyST, got %r and %r"
+                % (self.gamma, self.gamma_p)
+            )
 
     @property
     def one(self):
@@ -208,8 +212,6 @@ class Recurrence:
 class TriangleRows:
     """Dense lower-triangular table; entry(n, k) = 0 outside 0 <= k <= n."""
 
-    params: Params
-    mode: str
     rows: tuple
 
     @property
@@ -233,20 +235,7 @@ def eulerian_recurrence(p: Params, mode: str = INT_MODE) -> Recurrence:
 
 def eulerian_table(p: Params, nmax: int, mode: str = INT_MODE) -> TriangleRows:
     """Build rows 0..nmax of the nu-order (s,t)-Eulerian triangle."""
-    return TriangleRows(p, mode, eulerian_recurrence(p, mode).rows(nmax))
-
-
-def eulerian_poly(p: Params, n: int) -> list:
-    """Coefficients, degree ascending, of P_n(x) = sum_k E(n, k) x^k.
-
-    Trailing zero entries of the row are structural (for nu >= 2 the top
-    entry E(n, n) vanishes for n >= 2), so they are dropped: the result is a
-    genuine coefficient vector of the polynomial.
-    """
-    row = list(eulerian_table(p, n).row(n))
-    while len(row) > 1 and row[-1] == 0:
-        row.pop()
-    return row
+    return TriangleRows(eulerian_recurrence(p, mode).rows(nmax))
 
 
 def row_sum_product(p: Params, n: int) -> int:
@@ -346,8 +335,6 @@ def classic_second_order(n: int, k: int, indexing: str = "standard") -> int:
     standard indexing is the (1,0) instance of the order-2 triangle and the
     traditional one is its (0,1) instance.
     """
-    from .numerics import stirling_subset
-
     if n < 0 or k < 0:
         raise ValueError("need n, k >= 0")
     if indexing == "standard":

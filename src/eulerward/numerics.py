@@ -122,11 +122,13 @@ def falling_factorial(x, j: int):
     return out
 
 
-@lru_cache(maxsize=None)
+# typed caches: 3.0 or True must reach the int check, not the entry cached for 3 or 1
+@lru_cache(maxsize=None, typed=True)
 def stirling_subset(n: int, k: int) -> int:
     """Stirling subset number: partitions of an n-set into k nonempty blocks.
 
-    Recurrence {n, k} = k {n-1, k} + {n-1, k-1} with {0, 0} = 1.
+    Explicit sum {n, k} = (1/k!) sum_{j=0}^{k} (-1)^j C(k, j) (k-j)^n, so no
+    recursion is involved and any n works.  n and k must be ints.
 
     >>> stirling_subset(0, 0)
     1
@@ -135,22 +137,22 @@ def stirling_subset(n: int, k: int) -> int:
     >>> stirling_subset(3, 0)
     0
     """
-    if n < 0 or k < 0:
+    _require_int("n", n)
+    _require_int("k", k)
+    if n < 0 or k < 0 or k > n:
         return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return k * stirling_subset(n - 1, k) + stirling_subset(n - 1, k - 1)
+    total = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    return total // math.factorial(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def assoc_stirling_subset(n: int, k: int) -> int:
     """Partitions of an n-set into k blocks, every block of size >= 2.
 
-    Recurrence {{n, k}} = k {{n-1, k}} + (n-1) {{n-2, k-1}} with {{0, 0}} = 1:
-    element n either joins one of the k existing blocks or forms a new block
-    together with one of the other n-1 elements.
+    Inclusion-exclusion over the singleton blocks,
+    {{n, k}} = sum_{j=0}^{k} (-1)^j C(n, j) {n-j, k-j}: choose j elements
+    forced to be singletons and partition the rest freely.  n and k must be
+    ints.
 
     >>> assoc_stirling_subset(0, 0)
     1
@@ -159,11 +161,11 @@ def assoc_stirling_subset(n: int, k: int) -> int:
     >>> assoc_stirling_subset(3, 2)
     0
     """
+    _require_int("n", n)
+    _require_int("k", k)
     if n < 0 or k < 0:
         return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    return k * assoc_stirling_subset(n - 1, k) + (n - 1) * assoc_stirling_subset(n - 2, k - 1)
+    return sum((-1) ** j * math.comb(n, j) * stirling_subset(n - j, k - j) for j in range(k + 1))
 
 
 class PolyST:
@@ -292,7 +294,8 @@ class PolyST:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
+        _require_int("a PolyST exponent", e)
+        if e < 0:
             raise ValueError("PolyST powers must be nonnegative integers")
         out = PolyST.constant(1)
         for _ in range(e):

@@ -38,12 +38,12 @@ from operator import ge
 from typing import Iterator
 
 from .eulerian import Params, row_sum_product
+from .numerics import _require_int
 
 __all__ = [
     "GenStirlingWord",
     "GenStirlingSeq",
     "validate_word",
-    "validate_sequence",
     "ascent_positions",
     "seq_ascent_count",
     "count_sequences",
@@ -62,7 +62,8 @@ class GenStirlingWord:
     ``labels`` is the alphabet the word is supposed to cover (each label nu
     times); it defaults to the nonzero letters actually present, but can be
     given explicitly to express "this word should have used 1..n" when
-    checking standalone words.
+    checking standalone words.  Letters, labels, nu and t must be ints:
+    anything else raises TypeError rather than being truncated.
     """
 
     letters: tuple[int, ...]
@@ -71,12 +72,18 @@ class GenStirlingWord:
     labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
+        _require_int("nu", self.nu)
+        _require_int("t", self.t)
+        object.__setattr__(self, "letters", tuple(self.letters))
+        for x in self.letters:
+            _require_int("each letter", x)
         if self.labels is None:
             inferred = tuple(sorted({x for x in self.letters if x != 0}))
             object.__setattr__(self, "labels", inferred)
         else:
-            object.__setattr__(self, "labels", tuple(int(x) for x in self.labels))
+            object.__setattr__(self, "labels", tuple(self.labels))
+            for x in self.labels:
+                _require_int("each label", x)
 
     @classmethod
     def over_range(cls, letters, nu: int, t: int, n: int) -> "GenStirlingWord":
@@ -146,11 +153,6 @@ def validate_word(w: GenStirlingWord) -> bool:
             if any(y < x for y in w.letters[a + 1 : b]):
                 return False
     return True
-
-
-def validate_sequence(seq: GenStirlingSeq) -> bool:
-    """True iff every entry is valid and the label sets partition 1..n."""
-    return all(validate_word(e) for e in seq.entries) and _labels_partition_range(seq)
 
 
 def _labels_partition_range(seq: GenStirlingSeq) -> bool:

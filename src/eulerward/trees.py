@@ -15,15 +15,16 @@ construction exactly.
 Statistics: E(T) collects the internal non-root nodes sitting in the first
 (leftmost) slot of their parent, and the distinguished pool D(T) is E(T) for
 t >= 1, E(T) plus the root label for t = 0 on a nonempty tree, and empty for
-the empty tree.  Over a forest, |D(F)| = n - (total ascents of the word
-tuple), which is the bridge to the Ward numbers: the order-nu Ward number
-W(n, k) counts pairs (F, M) where F ranges over the forests of the
-order-(nu+1) word model and M over (n-k)-subsets of D(F).  That count is
-implemented literally in ``ward_marked_count``, giving a route to the Ward
-triangle that never touches its recurrence.  It runs on the raw objects of
-the insertion walk in ``stirlingperm``, which are valid by construction, so
-they skip validation, and it reads |D(F)| off the factorization pass itself
-(``_pool_size``) without building the trees.
+the empty tree.  A forest is a plain tuple of trees.  Over a forest,
+|D(F)| = n - (total ascents of the word tuple), which is the bridge to the
+Ward numbers: the order-nu Ward number W(n, k) counts pairs (F, M) where F
+ranges over the forests of the order-(nu+1) word model and M over
+(n-k)-subsets of D(F).  That count is implemented literally in
+``ward_marked_row``, giving a route to the Ward triangle that never touches
+its recurrence.  It runs on the raw objects of the insertion walk in
+``stirlingperm``, which are valid by construction, so they skip validation,
+and it reads |D(F)| off the factorization pass itself (``_pool_size``)
+without building the trees.
 
 The factorization is one left-to-right stack pass, and every other walk over
 a tree (reading, validation, statistics, equality, hashing, repr, JSON and
@@ -44,30 +45,23 @@ from .stirlingperm import (
     GenStirlingWord,
     _enumeration_params,
     _insertions,
-    seq_ascent_count,
     validate_word,
 )
 
 __all__ = [
     "TreeNode",
     "IncTree",
-    "IncForest",
     "perm_to_tree",
     "tree_to_perm",
     "seq_to_forest",
     "forest_to_seq",
-    "tree_labels",
     "leftmost_internal_set",
     "distinguished_set",
     "forest_distinguished_set",
-    "marked_statistic_check",
     "ward_marked_row",
-    "ward_marked_count",
-    "tree_stats",
     "validate_tree",
     "tree_to_json",
     "forest_to_json",
-    "tree_to_dot",
     "forest_to_dot",
 ]
 
@@ -144,24 +138,6 @@ class IncTree:
     root: TreeNode | None
 
 
-@dataclass(frozen=True)
-class IncForest:
-    """Ordered tuple of increasing trees over disjoint label sets."""
-
-    trees: tuple[IncTree, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "trees", tuple(self.trees))
-
-    @property
-    def tvec(self) -> tuple[int, ...]:
-        return tuple(tr.t for tr in self.trees)
-
-    @property
-    def n(self) -> int:
-        return sum(len(tree_labels(tr)) for tr in self.trees)
-
-
 def perm_to_tree(w: GenStirlingWord) -> IncTree:
     """Factorize a valid word on least letters into its increasing tree."""
     if not validate_word(w):
@@ -211,12 +187,12 @@ def tree_to_perm(tree: IncTree) -> GenStirlingWord:
     return GenStirlingWord(tuple(letters), tree.d - 1, tree.t)
 
 
-def seq_to_forest(seq: GenStirlingSeq) -> IncForest:
-    return IncForest(tuple(perm_to_tree(e) for e in seq.entries))
+def seq_to_forest(seq: GenStirlingSeq) -> tuple[IncTree, ...]:
+    return tuple(perm_to_tree(e) for e in seq.entries)
 
 
-def forest_to_seq(forest: IncForest) -> GenStirlingSeq:
-    return GenStirlingSeq(tuple(tree_to_perm(tr) for tr in forest.trees))
+def forest_to_seq(forest: tuple[IncTree, ...]) -> GenStirlingSeq:
+    return GenStirlingSeq(tuple(tree_to_perm(tr) for tr in forest))
 
 
 def _walk(node: TreeNode):
@@ -226,14 +202,6 @@ def _walk(node: TreeNode):
         node = stack.pop()
         yield node
         stack.extend(c for c in reversed(node.slots) if c is not None)
-
-
-def tree_labels(tree: IncTree) -> tuple[int, ...]:
-    """Sorted labels of the tree (the 0-root, when present, is not a label)."""
-    if tree.root is None:
-        return ()
-    labels = [node.label for node in _walk(tree.root) if node.label != 0]
-    return tuple(sorted(labels))
 
 
 def leftmost_internal_set(tree: IncTree) -> frozenset[int]:
@@ -258,17 +226,11 @@ def distinguished_set(tree: IncTree) -> frozenset[int]:
     return base
 
 
-def forest_distinguished_set(forest: IncForest) -> frozenset[int]:
+def forest_distinguished_set(forest: tuple[IncTree, ...]) -> frozenset[int]:
     out: frozenset[int] = frozenset()
-    for tr in forest.trees:
+    for tr in forest:
         out = out | distinguished_set(tr)
     return out
-
-
-def marked_statistic_check(seq: GenStirlingSeq) -> bool:
-    """|D(F)| must equal n minus the total ascent count of the sequence."""
-    forest = seq_to_forest(seq)
-    return len(forest_distinguished_set(forest)) == seq.n - seq_ascent_count(seq)
 
 
 def _pool_size(letters, t: int) -> int:
@@ -313,34 +275,14 @@ def ward_marked_row(p: Params, n: int) -> list[int]:
     return [sum(c * binomial(size, n - k) for size, c in pools.items()) for k in range(n + 1)]
 
 
-def ward_marked_count(p: Params, n: int, k: int) -> int:
-    """The single entry W(n, k) of ward_marked_row."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    return ward_marked_row(p, n)[k]
-
-
-def tree_stats(tree: IncTree) -> tuple[int, int, int]:
-    """(internal non-root nodes, edges, external slots) of a tree.
-
-    Every slot is one edge, to an internal child or to an external leaf, so
-    a tree with m internal non-root nodes and root arity d0 must show
-    d m + d0 edges and (d-1) m + d0 externals.
-    """
-    if tree.root is None:
-        return (0, 0, 0)
-    nodes = 0
-    slots = 0
-    externals = 0
-    for node in _walk(tree.root):
-        nodes += 1
-        slots += len(node.slots)
-        externals += sum(1 for c in node.slots if c is None)
-    return (nodes - 1, slots, externals)
-
-
 def validate_tree(tree: IncTree) -> bool:
-    """Audit arities, label growth along paths, and the edge/leaf counts."""
+    """Audit the root, the arities and label growth along every edge.
+
+    Nothing else can fail once these pass: every non-root node has d slots
+    and fills one slot of its parent, so the tree has d m + (root arity)
+    edges and (d-1) m + (root arity) external leaves for m non-root nodes,
+    and labels grow along every edge, so a t = 0 root holds the least label.
+    """
     if tree.d < 2:
         return False
     if tree.root is None:
@@ -356,11 +298,7 @@ def validate_tree(tree: IncTree) -> bool:
         for child in node.slots:
             if child is not None and (len(child.slots) != tree.d or child.label <= node.label):
                 return False
-    labels = tree_labels(tree)
-    if tree.t == 0 and labels and tree.root.label != labels[0]:
-        return False
-    m, edges, externals = tree_stats(tree)
-    return edges == tree.d * m + root_arity and externals == (tree.d - 1) * m + root_arity
+    return True
 
 
 def tree_to_json(tree: IncTree) -> dict:
@@ -377,8 +315,8 @@ def tree_to_json(tree: IncTree) -> dict:
     return out
 
 
-def forest_to_json(forest: IncForest) -> list[dict]:
-    return [tree_to_json(tr) for tr in forest.trees]
+def forest_to_json(forest: tuple[IncTree, ...]) -> list[dict]:
+    return [tree_to_json(tr) for tr in forest]
 
 
 def _emit_dot(root: TreeNode, prefix: str, lines: list[str]) -> None:
@@ -405,18 +343,11 @@ def _emit_dot(root: TreeNode, prefix: str, lines: list[str]) -> None:
             stack.extend((c, my_id, i) for i, c in reversed(list(enumerate(node.slots, 1))))
 
 
-def tree_to_dot(tree: IncTree, name: str = "tree") -> str:
-    """GraphViz text; slot order is preserved as 1-based edge labels."""
+def forest_to_dot(forest: tuple[IncTree, ...], name: str = "forest") -> str:
+    """GraphViz text, one cluster per tree; slot order is preserved as
+    1-based edge labels."""
     lines = ["digraph %s {" % (name,), "  ordering=out;"]
-    if tree.root is not None:
-        _emit_dot(tree.root, "", lines)
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def forest_to_dot(forest: IncForest, name: str = "forest") -> str:
-    lines = ["digraph %s {" % (name,), "  ordering=out;"]
-    for i, tr in enumerate(forest.trees):
+    for i, tr in enumerate(forest):
         lines.append("  subgraph cluster_%d {" % (i,))
         lines.append('    label="tree %d (t=%d)";' % (i + 1, tr.t))
         if tr.root is not None:

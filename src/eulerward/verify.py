@@ -215,8 +215,8 @@ def check_golden_examples(level: str = "default") -> CheckResult:
                     seq.n,
                     seq_ascent_count(seq),
                     sorted(forest_distinguished_set(forest)),
-                    [sorted(distinguished_set(tr)) for tr in forest.trees],
-                    all(validate_tree(tr) for tr in forest.trees),
+                    [sorted(distinguished_set(tr)) for tr in forest],
+                    all(validate_tree(tr) for tr in forest),
                 ],
             ),
             ("expected", [5, 2, [1, 2, 5], [[2], [1, 5], [], []], True]),

@@ -19,7 +19,7 @@ numbers, from which two Smiley-style summation identities follow
 (``smiley_identities_check``).
 
 As in ``eulerian``, the recurrence engine accepts any integer s and t; only
-the combinatorial interpretation (see ``trees.ward_marked_count``) insists on
+the combinatorial interpretation (see ``trees.ward_marked_row``) insists on
 s >= 1.  The Ward family is the involution's image of the Eulerian family
 one order up (``Recurrence.involution``, applied in ``ward_recurrence``).
 """
@@ -58,7 +58,7 @@ def ward_recurrence(p: Params, mode: str = INT_MODE) -> Recurrence:
 
 def ward_table(p: Params, nmax: int, mode: str = INT_MODE) -> TriangleRows:
     """Build rows 0..nmax of the nu-order (s,t)-Ward triangle."""
-    return TriangleRows(p, mode, ward_recurrence(p, mode).rows(nmax))
+    return TriangleRows(ward_recurrence(p, mode).rows(nmax))
 
 
 def euler_to_ward(euler_row, n: int) -> list:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eulerward.cli import _trimmed
 from eulerward.eulerian import (
     Params,
     Recurrence,
@@ -15,7 +16,6 @@ from eulerward.eulerian import (
     classic_second_order,
     closed_form_order1,
     closed_form_order2,
-    eulerian_poly,
     eulerian_recurrence,
     eulerian_table,
     row_sum_product,
@@ -117,8 +117,9 @@ class TestTriangles:
         assert tri.entry(2, 1) == 2 * PolyST.s() + PolyST.t() + 2 * PolyST.s() * PolyST.t()
 
     def test_poly_extraction_trims_structural_zeros(self):
-        assert eulerian_poly(Params(2, 1, 0), 3) == [1, 8, 6]
-        assert eulerian_poly(Params(2, 1, 0), 0) == [1]
+        tri = eulerian_table(Params(2, 1, 0), 3)
+        assert _trimmed(tri.row(3)) == [1, 8, 6]
+        assert _trimmed(tri.row(0)) == [1]
 
     def test_row_sums_match_product_formula(self):
         for nu in (1, 2, 3):
@@ -144,7 +145,7 @@ class TestTriangles:
 def _with_entry(tri, n, k, value):
     rows = list(tri.rows)
     rows[n] = rows[n][:k] + (value,) + rows[n][k + 1 :]
-    return TriangleRows(tri.params, tri.mode, tuple(rows))
+    return TriangleRows(tuple(rows))
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +167,7 @@ class TestRecurrence:
         p = Params(1, 1, 0)
         tri = eulerian_table(p, 4)
         rows = tri.rows[:3] + (tri.rows[3][:-1],) + tri.rows[4:]
-        assert not eulerian_recurrence(p).check(TriangleRows(p, "int", rows))
+        assert not eulerian_recurrence(p).check(TriangleRows(rows))
 
     @pytest.mark.parametrize("mode", ["int", "poly"])
     def test_check_tells_the_families_apart(self, mode):
@@ -202,6 +203,14 @@ class TestRecurrence:
     def test_rejects_non_integer_coefficients(self, coeffs):
         with pytest.raises(TypeError):
             Recurrence(*coeffs)
+
+    @pytest.mark.parametrize(
+        "gammas", [(0, PolyST.s()), (PolyST.s(), 1), (PolyST.constant(0), 0)]
+    )
+    def test_rejects_mixed_constant_terms(self, gammas):
+        # the seed follows gamma, so one int next to one PolyST would mix rings in a row
+        with pytest.raises(TypeError):
+            Recurrence(0, 1, gammas[0], 1, -1, gammas[1])
 
     def test_accepts_int_and_poly_constant_terms(self):
         s = PolyST.s()
@@ -256,6 +265,12 @@ class TestClassicTriangles:
                 assert classic_second_order(n, k, "traditional") == classic_second_order(
                     n, k - 1, "standard"
                 )
+
+    def test_large_second_order_needs_no_recursion(self):
+        # <<n, 1>> = 2^(n+1) - 2n - 2; the Stirling numbers behind it start cold
+        stirling_subset.cache_clear()
+        assert classic_second_order(600, 1, "standard") == 2**601 - 1202
+        assert classic_second_order(600, 3, "standard") > 0
 
     def test_shift_fails_outside_its_domain(self):
         # the (0,1) cell is the known mismatch, so the domain must exclude it

@@ -83,7 +83,53 @@ class TestFactorialProducts:
         assert falling_factorial(x, j) == (-1) ** j * rising_factorial(-x, j)
 
 
+def oracle_subset(n, k, memo={}):
+    """{n, k} = k {n-1, k} + {n-1, k-1} with {0, 0} = 1."""
+    if n < 0 or k < 0:
+        return 0
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k == 0 or k > n:
+        return 0
+    if (n, k) not in memo:
+        memo[n, k] = k * oracle_subset(n - 1, k) + oracle_subset(n - 1, k - 1)
+    return memo[n, k]
+
+
+def oracle_assoc(n, k, memo={}):
+    """{{n, k}} = k {{n-1, k}} + (n-1) {{n-2, k-1}} with {{0, 0}} = 1: element n
+    joins one of the k blocks or forms a new one with one of the other n-1."""
+    if n < 0 or k < 0:
+        return 0
+    if n == 0:
+        return 1 if k == 0 else 0
+    if (n, k) not in memo:
+        memo[n, k] = k * oracle_assoc(n - 1, k) + (n - 1) * oracle_assoc(n - 2, k - 1)
+    return memo[n, k]
+
+
 class TestStirlingArrays:
+    def test_explicit_sums_match_the_recurrences(self):
+        for n in range(-2, 41):
+            for k in range(-2, 43):
+                assert stirling_subset(n, k) == oracle_subset(n, k), (n, k)
+                assert assoc_stirling_subset(n, k) == oracle_assoc(n, k), (n, k)
+
+    def test_large_arguments_need_no_recursion(self):
+        # cold caches, far past the recursion limit: the sums must not recurse
+        stirling_subset.cache_clear()
+        assoc_stirling_subset.cache_clear()
+        assert stirling_subset(3000, 3) == (3**3000 - 3 * 2**3000 + 3) // 6
+        assert assoc_stirling_subset(3000, 2) == 2**2999 - 3001
+        assert stirling_subset(1200, 3) > 0 and assoc_stirling_subset(2500, 3) > 0
+
+    @pytest.mark.parametrize("number", [stirling_subset, assoc_stirling_subset])
+    @pytest.mark.parametrize("n,k", [(3.0, 2), (4, 2.0), (True, 1), (3, False)])
+    def test_non_integer_arguments_raise(self, number, n, k):
+        number(int(n), int(k))  # 3.0 == 3 and True == 1: the cached int entry must not answer
+        with pytest.raises(TypeError):
+            number(n, k)
+
     def test_subset_numbers_small(self):
         assert stirling_subset(0, 0) == 1
         assert stirling_subset(4, 2) == 7
@@ -134,6 +180,15 @@ class TestPolyST:
     def test_power(self):
         p = (PolyST.s() + 1) ** 3
         assert p.evaluate(2, 0) == 27
+
+    @pytest.mark.parametrize("e", [True, False, 2.0, Fraction(2)])
+    def test_power_rejects_non_integer_exponents(self, e):
+        with pytest.raises(TypeError):
+            PolyST.s() ** e
+
+    def test_power_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            PolyST.s() ** -1
 
     @given(
         st.integers(min_value=-9, max_value=9),

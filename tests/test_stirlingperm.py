@@ -64,6 +64,22 @@ class TestWordValidity:
         assert validate_word(w)
         assert w.labels == (3, 5)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GenStirlingWord((1.7, 1.2), 2, 0),
+            lambda: GenStirlingWord((1, 1), 2.0, 0),
+            lambda: GenStirlingWord((1, 1, 0), 2, 1.0),
+            lambda: GenStirlingWord((1, 1), 2, False),
+            lambda: GenStirlingWord((True, True), 2, 0),
+            lambda: GenStirlingWord((1, 1), 2, 0, (1.0,)),
+            lambda: GenStirlingWord.over_range((1, 1), 2, 0, 1.5),
+        ],
+    )
+    def test_non_integers_raise_instead_of_truncating(self, build):
+        with pytest.raises(TypeError):
+            build()
+
 
 class TestAscents:
     def test_known_ascent_sets(self):

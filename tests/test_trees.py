@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from eulerward.stirlingperm import (
     word_from_text,
 )
 from eulerward.trees import (
-    IncForest,
     IncTree,
     TreeNode,
     _pool_size,
@@ -30,16 +31,11 @@ from eulerward.trees import (
     forest_to_json,
     forest_to_seq,
     leftmost_internal_set,
-    marked_statistic_check,
     perm_to_tree,
     seq_to_forest,
-    tree_labels,
-    tree_stats,
-    tree_to_dot,
     tree_to_json,
     tree_to_perm,
     validate_tree,
-    ward_marked_count,
     ward_marked_row,
 )
 from eulerward.verify import _compositions_for
@@ -137,9 +133,9 @@ class TestSingleTreeBijection:
         assert validate_tree(tree)
         assert tree_to_perm(tree) == w
         assert distinguished_set(tree) == {1}
-        assert tree_stats(tree) == (2999, 6000, 3001)
         assert tree_to_json(tree)["root"]["slots"][1]["label"] == 2
-        assert tree_to_dot(tree).count(" -> ") == 6000
+        dot = forest_to_dot((tree,))
+        assert dot.count(" -> ") == 6000 and dot.count("shape=point") == 3001
         twin = perm_to_tree(w)
         assert tree == twin and hash(tree) == hash(twin)
         assert tree != perm_to_tree(GenStirlingWord(tuple(range(1, 3000)), 1, 0))
@@ -177,9 +173,9 @@ class TestForestBijection:
         forest = seq_to_forest(seq)
         assert seq.n == 5
         assert seq_ascent_count(seq) == 2
-        assert [sorted(distinguished_set(tr)) for tr in forest.trees] == [[2], [1, 5], [], []]
+        assert [sorted(distinguished_set(tr)) for tr in forest] == [[2], [1, 5], [], []]
         assert sorted(forest_distinguished_set(forest)) == [1, 2, 5]
-        assert marked_statistic_check(seq)
+        assert len(forest_distinguished_set(forest)) == seq.n - seq_ascent_count(seq)
         assert forest_to_seq(forest).entries == seq.entries
 
     def test_forest_roundtrip_is_exhaustive(self):
@@ -187,7 +183,7 @@ class TestForestBijection:
         for n in range(4):
             for seq in enumerate_sequences(p, n):
                 forest = seq_to_forest(seq)
-                assert all(validate_tree(tr) for tr in forest.trees)
+                assert all(validate_tree(tr) for tr in forest)
                 assert forest_to_seq(forest).entries == seq.entries
 
     def test_statistic_identity_is_exhaustive(self):
@@ -197,23 +193,23 @@ class TestForestBijection:
                     p = Params(nu, s, t)
                     for n in range(4):
                         for seq in enumerate_sequences(p, n):
-                            assert marked_statistic_check(seq)
+                            pool = forest_distinguished_set(seq_to_forest(seq))
+                            assert len(pool) == seq.n - seq_ascent_count(seq)
 
 
 class TestTreeShape:
     def test_labels_and_stats(self):
-        tree = perm_to_tree(word("133322211", 3, 0))
-        assert tree_labels(tree) == (1, 2, 3)
-        internal_nonroot, edges, externals = tree_stats(tree)
-        assert internal_nonroot == 2
-        assert edges == 4 * 2 + 4
-        assert externals == 3 * 2 + 4
+        # a root of arity 4 over 2 internal non-root nodes of arity 4
+        dot = forest_to_dot((perm_to_tree(word("133322211", 3, 0)),))
+        assert sorted(re.findall(r'^ +\S+ \[label="(\d+)"\];$', dot, re.M)) == ["1", "2", "3"]
+        assert dot.count(" -> ") == 4 * 2 + 4
+        assert dot.count("shape=point") == 3 * 2 + 4
 
     def test_zero_root_arity(self):
-        tree = perm_to_tree(word("010", 1, 2))
-        _, edges, externals = tree_stats(tree)
-        assert edges == 2 * 1 + 3
-        assert externals == 1 * 1 + 3
+        # a 0-root with t + 1 = 3 slots over 1 internal node of arity 2
+        dot = forest_to_dot((perm_to_tree(word("010", 1, 2)),))
+        assert dot.count(" -> ") == 2 * 1 + 3
+        assert dot.count("shape=point") == 1 * 1 + 3
 
     def test_validator_rejects_label_inversions(self):
         inner = TreeNode(1, (None, None, None))
@@ -223,6 +219,126 @@ class TestTreeShape:
     def test_validator_rejects_wrong_root_arity(self):
         stub = TreeNode(1, (None, None))
         assert not validate_tree(IncTree(0, 3, stub))
+
+
+def oracle_tree_labels(tree):
+    """Sorted labels of the tree, the 0-root excluded."""
+    if tree.root is None:
+        return ()
+    return tuple(sorted(node.label for node in trees._walk(tree.root) if node.label != 0))
+
+
+def oracle_tree_stats(tree):
+    """(internal non-root nodes, edges, external slots) of a tree."""
+    if tree.root is None:
+        return (0, 0, 0)
+    nodes = slots = externals = 0
+    for node in trees._walk(tree.root):
+        nodes += 1
+        slots += len(node.slots)
+        externals += sum(1 for c in node.slots if c is None)
+    return (nodes - 1, slots, externals)
+
+
+def oracle_validate_tree(tree):
+    """validate_tree plus the edge/leaf-count and least-label-root audits."""
+    if tree.d < 2:
+        return False
+    if tree.root is None:
+        return tree.t == 0
+    root_arity = tree.t + 1 if tree.t >= 1 else tree.d
+    if len(tree.root.slots) != root_arity:
+        return False
+    if tree.t >= 1 and tree.root.label != 0:
+        return False
+    if tree.t == 0 and tree.root.label <= 0:
+        return False
+    for node in trees._walk(tree.root):
+        for child in node.slots:
+            if child is not None and (len(child.slots) != tree.d or child.label <= node.label):
+                return False
+    labels = oracle_tree_labels(tree)
+    if tree.t == 0 and labels and tree.root.label != labels[0]:
+        return False
+    m, edges, externals = oracle_tree_stats(tree)
+    return edges == tree.d * m + root_arity and externals == (tree.d - 1) * m + root_arity
+
+
+def _paths(node, path=()):
+    """Slot-index paths from node to every internal node below it, itself first."""
+    yield path
+    for i, child in enumerate(node.slots):
+        if child is not None:
+            yield from _paths(child, path + (i,))
+
+
+def _replaced(node, path, new):
+    """node with the internal node at path swapped for new."""
+    if not path:
+        return new
+    slots = list(node.slots)
+    slots[path[0]] = _replaced(slots[path[0]], path[1:], new)
+    return TreeNode(node.label, slots)
+
+
+def _node_mutations(node):
+    """Every one-step change of one node: label shifted, slot added, slot
+    removed, slots reversed or rotated."""
+    slots = node.slots
+    out = [TreeNode(node.label + delta, slots) for delta in (-2, -1, 1)]
+    out += [TreeNode(node.label, slots[:g] + (None,) + slots[g:]) for g in range(len(slots) + 1)]
+    out += [TreeNode(node.label, slots[:g] + slots[g + 1 :]) for g in range(len(slots))]
+    out += [TreeNode(node.label, slots[::-1]), TreeNode(node.label, slots[1:] + slots[:1])]
+    return out
+
+
+def _mutants(tree):
+    """Trees one step away from tree: one node changed, or d or t shifted."""
+    out = [IncTree(tree.t, tree.d + delta, tree.root) for delta in (-1, 1)]
+    out += [IncTree(tree.t + delta, tree.d, tree.root) for delta in (-1, 1)]
+    if tree.root is not None:
+        for path in _paths(tree.root):
+            node = tree.root
+            for i in path:
+                node = node.slots[i]
+            for mutant in _node_mutations(node):
+                root = _replaced(tree.root, path, mutant)
+                out.append(IncTree(tree.t, tree.d, root))
+    return out
+
+
+@st.composite
+def mutated_trees(draw):
+    """A tree from a random insertion path, then up to three random one-step changes."""
+    tree = perm_to_tree(draw(insertion_words()))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        tree = draw(st.sampled_from(_mutants(tree)))
+    return tree
+
+
+class TestValidatorOracle:
+    """The arity and label-growth walk implies the edge/leaf counts and the
+    least-label root, so a validator that also audits those must agree."""
+
+    def test_every_small_word_and_every_one_step_mutant(self):
+        verdicts = Counter()
+        for nu in (1, 2, 3):
+            for t in (0, 1, 2):
+                for n in range(4):
+                    for seq in enumerate_sequences(Params(nu, 1, t), n):
+                        tree = perm_to_tree(seq.entries[0])
+                        assert validate_tree(tree) and oracle_validate_tree(tree)
+                        for mutant in _mutants(tree):
+                            verdict = validate_tree(mutant)
+                            assert verdict == oracle_validate_tree(mutant), mutant
+                            verdicts[verdict] += 1
+        # both verdicts occur often, so the agreement is not vacuous
+        assert min(verdicts.values()) > 1000
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_trees())
+    def test_random_mutated_trees(self, tree):
+        assert validate_tree(tree) == oracle_validate_tree(tree)
 
 
 class TestSerialization:
@@ -236,8 +352,8 @@ class TestSerialization:
 
     def test_dot_contains_every_labelled_node(self):
         tree = perm_to_tree(word("133322211", 3, 0))
-        dot = tree_to_dot(tree)
-        assert dot.startswith("digraph tree {")
+        dot = forest_to_dot((tree,))
+        assert dot.startswith("digraph forest {")
         for label in (1, 2, 3):
             assert 'label="%d"' % label in dot
 
@@ -275,9 +391,7 @@ class TestMarkedCounts:
     def test_single_count_agrees_with_the_table(self):
         p = Params(1, 1, 0)
         table = ward_table(p, 3)
-        assert ward_marked_count(p, 3, 2) == table.entry(3, 2)
-        with pytest.raises(ValueError):
-            ward_marked_count(p, 3, 4)
+        assert ward_marked_row(p, 3)[2] == table.entry(3, 2)
 
     def test_needs_a_combinatorial_s(self):
         with pytest.raises(ValueError):
@@ -301,7 +415,7 @@ class TestMarkedCounts:
 
 def built_pool_size(obj, tvec, nu):
     """The slow route: build the forest and collect its distinguished labels."""
-    forest = IncForest(tuple(_tree(e, ti, nu + 1) for e, ti in zip(obj, tvec)))
+    forest = tuple(_tree(e, ti, nu + 1) for e, ti in zip(obj, tvec))
     return len(forest_distinguished_set(forest))
 
 
