@@ -58,8 +58,8 @@ from .verify import CheckResult, Report, run_all, run_suite
 from .ward import (
     euler_to_ward,
     general_inverse_transform,
-    riordan_orthogonality_check,
-    smiley_identities_check,
+    riordan_orthogonality_sides,
+    smiley_identities_sides,
     ward_table,
     ward_to_euler,
 )
@@ -91,8 +91,8 @@ __all__ = [
     "euler_to_ward",
     "ward_to_euler",
     "general_inverse_transform",
-    "riordan_orthogonality_check",
-    "smiley_identities_check",
+    "riordan_orthogonality_sides",
+    "smiley_identities_sides",
     "validate_word",
     "ascent_positions",
     "seq_ascent_count",

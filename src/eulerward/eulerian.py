@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .numerics import PolyST, _require_int, binomial, falling_factorial, rising_factorial, stirling_subset
 
@@ -260,6 +259,8 @@ def closed_form_order1(n: int, k: int, s: int, t: int) -> int:
 
     The division by k! must come out exact; anything else raises.
     """
+    for name, value in (("n", n), ("k", k), ("s", s), ("t", t)):
+        _require_int(name, value)
     if n < 0 or k < 0 or k > n:
         raise ValueError("need 0 <= k <= n")
     total = 0
@@ -285,6 +286,8 @@ def closed_form_order2(n: int, k: int, s: int, t: int) -> int:
     safe; n = 0 would hit (p+s)^(-1), so that row is returned directly from
     the base case E(0, 0) = 1.
     """
+    for name, value in (("n", n), ("k", k), ("s", s), ("t", t)):
+        _require_int(name, value)
     if n < 0 or k < 0 or k > n:
         raise ValueError("need 0 <= k <= n")
     if n == 0:
@@ -356,23 +359,24 @@ def s_minus_s_closed_forms(nu: int, n: int, k: int, s: int) -> int:
     Order 1 collapses to signed binomials, (-1)^k C(n, k) s^n.  Order 2 keeps
     one alternating double sum,
 
-        s sum_r (1/r!) C(2n, k-r) sum_p C(r,p) (-1)^(k-p) (p+s)^(n+r-1),
+        (s/k!) sum_r (k!/r!) C(2n, k-r) sum_p C(r,p) (-1)^(k-p) (p+s)^(n+r-1),
 
-    whose inner powers need rational arithmetic at n = 0 (exponent -1); the
-    final value is asserted to be an integer.
+    whose division by k! must come out exact.  Its exponents are >= 0 for
+    n >= 1; n = 0 would hit (p+s)^(-1), a division by zero at s = 0, so that
+    row (and k < 0) is returned directly from the base case E(0, 0) = 1.
     """
+    for name, value in (("nu", nu), ("n", n), ("k", k), ("s", s)):
+        _require_int(name, value)
     if nu == 1:
         return (-1) ** k * binomial(n, k) * s**n
     if nu == 2:
-        total = Fraction(0)
+        if n == 0 or k < 0:
+            return int(k == 0)
+        total = 0
         for r in range(k + 1):
             inner = sum(
-                math.comb(r, p) * (-1) ** (k - p) * Fraction(p + s) ** (n + r - 1)
-                for p in range(r + 1)
+                math.comb(r, p) * (-1) ** (k - p) * (p + s) ** (n + r - 1) for p in range(r + 1)
             )
-            total += Fraction(binomial(2 * n, k - r), math.factorial(r)) * inner
-        total *= s
-        if total.denominator != 1:
-            raise ArithmeticError("t = -s order-2 sum came out non-integral: %r" % (total,))
-        return int(total)
+            total += falling_factorial(k, k - r) * binomial(2 * n, k - r) * inner
+        return _exact_div(s * total, math.factorial(k))
     raise ValueError("closed forms are available for nu in {1, 2}, got %r" % (nu,))

@@ -304,6 +304,8 @@ class PolyST:
 
     def evaluate(self, s0: int, t0: int) -> int:
         """Substitute integers for s and t."""
+        _require_int("s0", s0)
+        _require_int("t0", t0)
         return sum(c * s0**a * t0**b for (a, b), c in self._terms.items())
 
     def render(self) -> str:

@@ -39,20 +39,20 @@ import math
 from fractions import Fraction
 
 from .eulerian import Params, eulerian_table
-from .numerics import as_fraction, rising_factorial
+from .numerics import _require_int, as_fraction, rising_factorial
 
 __all__ = [
     "TruncSeries",
     "t_nu_series",
-    "t_nu_derivative_check",
-    "tree_power_check",
+    "t_nu_derivative_sides",
+    "tree_power_sides",
     "egf_eulerian_coeffs",
     "egf_order1_direct",
     "egf_ward_coeffs",
-    "egf_transform_check",
-    "eulerian_ratio_expansion_check",
-    "second_order_ratio_expansion_check",
-    "binomial_unit_sums_check",
+    "egf_transform_sides",
+    "eulerian_ratio_expansion_sides",
+    "second_order_ratio_expansion_sides",
+    "binomial_unit_sums_sides",
 ]
 
 
@@ -194,16 +194,7 @@ class TruncSeries:
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse; needs a nonzero constant term."""
-        a = self._coeffs
-        if a[0] == 0:
-            raise ValueError("no multiplicative inverse: constant term is zero")
-        A, da = _over(a)
-        out = [Fraction(da, A[0])]
-        for m in range(1, self.order + 1):
-            O, do = _over(out)
-            acc = sum(A[i] * O[m - i] for i in range(1, m + 1))
-            out.append(Fraction(-acc, do * A[0]))
-        return TruncSeries(out)
+        return self ** -1
 
     def __pow__(self, e: int):
         """self^e for any integer e, by Miller's recurrence in O(K^2).
@@ -321,6 +312,8 @@ def t_nu_series(nu: int, K: int) -> TruncSeries:
     a_(n-1) / n!.  The whole series costs O(nu K^2) integer operations;
     ``TruncSeries.reversion`` is the generic (slow) route to the same series.
     """
+    _require_int("nu", nu)
+    _require_int("K", K)
     if nu < 1:
         raise ValueError("nu must be >= 1")
     if K < 1:
@@ -339,25 +332,25 @@ def t_nu_series(nu: int, K: int) -> TruncSeries:
     return TruncSeries(coeffs)
 
 
-def t_nu_derivative_check(nu: int, K: int) -> bool:
-    """Verify zdz(T_nu) (1 - T_nu)^(nu-1) = T_nu to order K.
+def t_nu_derivative_sides(nu: int, K: int) -> tuple[list, list]:
+    """Coefficients 0..K of both sides of zdz(T_nu) (1 - T_nu)^(nu-1) = T_nu.
 
     This is the derivative identity T' = T / (x (1-T)^(nu-1)) multiplied
     through by x (1-T)^(nu-1); using zdz keeps the full order K.
     """
     T = t_nu_series(nu, K)
-    return T.zdz() * (1 - T) ** (nu - 1) == T
+    return list((T.zdz() * (1 - T) ** (nu - 1)).coeffs), list(T.coeffs)
 
 
-def tree_power_check(s: int, K: int) -> bool:
-    """Verify T_2(z)^s = sum_{k>=0} s (k+s)^(k-1) / k! z^(s+k) to order K."""
+def tree_power_sides(s: int, K: int) -> tuple[list, list]:
+    """Coefficients 0..K of both sides of
+    T_2(z)^s = sum_{k>=0} s (k+s)^(k-1) / k! z^(s+k)."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    lhs = t_nu_series(2, K) ** s
     rhs = [Fraction(0)] * (K + 1)
     for k in range(0, K + 1 - s):
         rhs[s + k] = s * Fraction(k + s) ** (k - 1) / math.factorial(k)
-    return lhs == TruncSeries(rhs)
+    return list((t_nu_series(2, K) ** s).coeffs), rhs
 
 
 def _ode_march(h0: Fraction, c: Fraction, expo: int, N: int) -> TruncSeries:
@@ -385,9 +378,15 @@ def _ode_march(h0: Fraction, c: Fraction, expo: int, N: int) -> TruncSeries:
     return TruncSeries(g)
 
 
-def _check_st(s: int, t: int):
+def _check_args(nu: int, s: int, t: int, N: int):
+    for name, value in (("nu", nu), ("s", s), ("t", t), ("N", N)):
+        _require_int(name, value)
+    if nu < 1:
+        raise ValueError("nu must be >= 1")
     if s < 1 or t < 0:
         raise ValueError("the generating functions are set up for s >= 1, t >= 0")
+    if N < 0:
+        raise ValueError("N must be >= 0")
 
 
 def egf_eulerian_coeffs(nu: int, s: int, t: int, x0, N: int) -> list[Fraction]:
@@ -397,9 +396,7 @@ def egf_eulerian_coeffs(nu: int, s: int, t: int, x0, N: int) -> list[Fraction]:
     coefficients of y^n/n! in (g/x0)^s ((1-x0)/(1-g))^(s+t).  Entry n must
     equal sum_k E(n, k) x0^k for the nu-order (s,t)-Eulerian triangle.
     """
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    _check_st(s, t)
+    _check_args(nu, s, t, N)
     x0 = as_fraction(x0)
     if not 0 < x0 < 1:
         raise ValueError("x0 must lie strictly between 0 and 1, got %s" % (x0,))
@@ -415,7 +412,7 @@ def egf_order1_direct(s: int, t: int, x0, N: int) -> list[Fraction]:
     P_n at x0 equals (1-x0)^(s+t+n) n! [u^n] e^(s u) / (1 - x0 e^u)^(s+t).
     Kept as an independent second route for cross-checking the solver.
     """
-    _check_st(s, t)
+    _check_args(1, s, t, N)
     x0 = as_fraction(x0)
     if not 0 < x0 < 1:
         raise ValueError("x0 must lie strictly between 0 and 1, got %s" % (x0,))
@@ -433,9 +430,7 @@ def egf_ward_coeffs(nu: int, s: int, t: int, x0, N: int) -> list[Fraction]:
     Solves h' = (1+x0)^(-nu) h (1-h)^(-nu) with h(0) = x0/(1+x0) and reads
     the coefficients of y^n/n! in h^s / ((1-h)^(s+t) x0^s (1+x0)^t).
     """
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    _check_st(s, t)
+    _check_args(nu, s, t, N)
     x0 = as_fraction(x0)
     if x0 <= 0:
         raise ValueError("x0 must be positive, got %s" % (x0,))
@@ -445,19 +440,18 @@ def egf_ward_coeffs(nu: int, s: int, t: int, x0, N: int) -> list[Fraction]:
     return [F.coefficient(n) * math.factorial(n) for n in range(N + 1)]
 
 
-def egf_transform_check(nu: int, s: int, t: int, x0, N: int) -> bool:
+def egf_transform_sides(nu: int, s: int, t: int, x0, N: int) -> tuple[list, list]:
     """The Ward generating function is the order-(nu+1) Eulerian one moved by
-    x -> x/(1+x), y -> y(1+x): entrywise, ward_n(x0) must equal
-    euler_n(x0/(1+x0)) (1+x0)^n."""
+    x -> x/(1+x), y -> y(1+x): the sides are [ward_n(x0)]_n and
+    [euler_n(x0/(1+x0)) (1+x0)^n]_n for n = 0..N."""
     x0 = as_fraction(x0)
-    w = egf_ward_coeffs(nu, s, t, x0, N)
     e = egf_eulerian_coeffs(nu + 1, s, t, x0 / (1 + x0), N)
-    return all(w[n] == e[n] * (1 + x0) ** n for n in range(N + 1))
+    return egf_ward_coeffs(nu, s, t, x0, N), [e[n] * (1 + x0) ** n for n in range(N + 1)]
 
 
-def eulerian_ratio_expansion_check(n: int, s: int, t: int, K: int) -> bool:
-    """Expand x P_n(x) / (1-x)^(n+s+t) for the order-1 triangle and compare
-    with sum_{k>=1} ((s+t)^rising(k-1) / (k-1)!) (k+s-1)^n x^k, to order K.
+def eulerian_ratio_expansion_sides(n: int, s: int, t: int, K: int) -> tuple[list, list]:
+    """Coefficients 0..K of x P_n(x) / (1-x)^(n+s+t) for the order-1 triangle
+    and of sum_{k>=1} ((s+t)^rising(k-1) / (k-1)!) (k+s-1)^n x^k.
 
     At (s,t) = (1,0) this is the classical staircase sum_{k>=1} k^n x^k.
     """
@@ -477,20 +471,20 @@ def eulerian_ratio_expansion_check(n: int, s: int, t: int, K: int) -> bool:
             Fraction(rising_factorial(s + t, k - 1), math.factorial(k - 1))
             * (k + s - 1) ** n
         )
-    return lhs == TruncSeries(rhs)
+    return list(lhs.coeffs), rhs
 
 
-def second_order_ratio_expansion_check(n: int, s: int, t: int, K: int) -> bool:
-    """Expand x e^(x(s-1)) P_n(x) / (1-x)^(2n+s+t) for the order-2 triangle
-    and compare with
+def second_order_ratio_expansion_sides(n: int, s: int, t: int, K: int) -> tuple[list, list]:
+    """Coefficients 0..K of x e^(x(s-1)) P_n(x) / (1-x)^(2n+s+t) for the
+    order-2 triangle and of
 
         sum_{k>=1} (x e^(-x))^k / (k-1)!
                    sum_{j=0}^{k-1} C(k-1, j) (s+t)^rising(j) (s+j)
                                    (k+s-1)^(n+k-j-2)
 
-    to order K.  The inner exponent can be -1 (n = 0, j = k-1), which is why
-    the powers run over Fraction and why s >= 1 is required: the base k+s-1
-    stays positive.
+    The inner exponent can be -1 (n = 0, j = k-1), which is why the powers
+    run over Fraction and why s >= 1 is required: the base k+s-1 stays
+    positive.
     """
     if s < 1 or t < 0:
         raise ValueError("need s >= 1 and t >= 0")
@@ -516,24 +510,19 @@ def second_order_ratio_expansion_check(n: int, s: int, t: int, K: int) -> bool:
             for j in range(k)
         )
         rhs = rhs + pw * (Fraction(inner) / math.factorial(k - 1))
-    return lhs == rhs
+    return list(lhs.coeffs), list(rhs.coeffs)
 
 
-def binomial_unit_sums_check(nmax: int) -> bool:
-    """Verify, exactly over rationals for 1 <= n <= nmax, that
+def binomial_unit_sums_sides(n: int) -> tuple[list, list]:
+    """Both sides of the two unit sums, exactly over rationals for n >= 1:
 
         1 = sum_{j=0}^{n} C(n, j) j! j / n^(j+1)
         1 = sum_{j=0}^{n} C(n, j) (j+1)! / (n+1)^(j+1).
     """
-    for n in range(1, nmax + 1):
-        s1 = sum(
-            Fraction(math.comb(n, j) * math.factorial(j) * j, n ** (j + 1))
-            for j in range(n + 1)
-        )
-        s2 = sum(
-            Fraction(math.comb(n, j) * math.factorial(j + 1), (n + 1) ** (j + 1))
-            for j in range(n + 1)
-        )
-        if s1 != 1 or s2 != 1:
-            return False
-    return True
+    if n < 1:
+        raise ValueError("need n >= 1")
+    s1 = sum(Fraction(math.comb(n, j) * math.factorial(j) * j, n ** (j + 1)) for j in range(n + 1))
+    s2 = sum(
+        Fraction(math.comb(n, j) * math.factorial(j + 1), (n + 1) ** (j + 1)) for j in range(n + 1)
+    )
+    return [s1, s2], [1, 1]

@@ -131,12 +131,12 @@ def validate_word(w: GenStirlingWord) -> bool:
     """True iff the multiset and betweenness invariants hold.
 
     Multiset: 0 occurs exactly w.t times, every label of w.labels exactly
-    w.nu times, nothing else occurs.  Betweenness: letters strictly between
-    two consecutive occurrences of x are all >= x (checking consecutive
-    occurrences suffices, since the intermediate copies of x pass for
-    themselves).
+    w.nu times, nothing else occurs; labels are >= 1, so no letter is
+    negative.  Betweenness: letters strictly between two consecutive
+    occurrences of x are all >= x (checking consecutive occurrences
+    suffices, since the intermediate copies of x pass for themselves).
     """
-    if w.nu < 1 or w.t < 0:
+    if w.nu < 1 or w.t < 0 or min(w.labels, default=1) < 1:
         return False
     counts = Counter(w.letters)
     if counts.pop(0, 0) != w.t:

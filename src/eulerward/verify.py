@@ -9,10 +9,10 @@ comparisons are exact; there are no tolerances anywhere.
 Each check generates its cases, (instance, (name_a, a), (name_b, b)), over
 its parameter grid in ascending order; one harness (``_first_mismatch``)
 stops at the first (smallest) case whose two routes disagree and reports the
-instance plus both routes' values as the witness.  An identity that only a
-predicate can test appears as its truth value against True.  Reports carry
-no timestamps and all set-like data is sorted, so a report is byte-for-byte
-reproducible.
+instance plus both routes' values as the witness.  An identity enters as one
+more case: its ``*_sides`` function returns both sides, compared like any two
+routes.  Reports carry no timestamps and all set-like data is sorted, so a
+report is byte-for-byte reproducible.
 
 Grids come in two sizes: "default" matches the documented acceptance ranges,
 "small" trims the expensive ones for quick interactive runs.
@@ -38,16 +38,16 @@ from .eulerian import (
 from .numerics import assoc_stirling_subset
 from .series import (
     TruncSeries,
-    binomial_unit_sums_check,
+    binomial_unit_sums_sides,
     egf_eulerian_coeffs,
     egf_order1_direct,
-    egf_transform_check,
+    egf_transform_sides,
     egf_ward_coeffs,
-    eulerian_ratio_expansion_check,
-    second_order_ratio_expansion_check,
-    t_nu_derivative_check,
+    eulerian_ratio_expansion_sides,
+    second_order_ratio_expansion_sides,
+    t_nu_derivative_sides,
     t_nu_series,
-    tree_power_check,
+    tree_power_sides,
 )
 from .stirlingperm import (
     GenStirlingSeq,
@@ -72,8 +72,8 @@ from .trees import (
 from .ward import (
     euler_to_ward,
     general_inverse_transform,
-    riordan_orthogonality_check,
-    smiley_identities_check,
+    riordan_orthogonality_sides,
+    smiley_identities_sides,
     ward_table,
     ward_to_euler,
 )
@@ -156,9 +156,10 @@ def _first_mismatch(check_id: str, params: dict, cases) -> CheckResult:
     return CheckResult(check_id, params, True)
 
 
-def _holds(instance: dict, ok: bool):
-    """The case of an identity that a predicate checks as a whole."""
-    return instance, ("holds", ok), ("expected", True)
+def _sides(instance: dict, sides):
+    """The case of an identity whose ``*_sides`` function returned (lhs, rhs)."""
+    lhs, rhs = sides
+    return instance, ("lhs", lhs), ("rhs", rhs)
 
 
 # ------------------------------------------------------- golden examples
@@ -178,16 +179,17 @@ def check_golden_examples(level: str = "default") -> CheckResult:
     params = {"cases": len(_golden_cases()) + 1}
 
     def cases():
+        ok = ("expected", True)
         for text, nu, t, n, asc, eset, dset in _golden_cases():
             w = GenStirlingWord.over_range(word_from_text(text), nu, t, n)
-            yield _holds({"word": text, "failed": "validate"}, validate_word(w))
+            yield {"word": text, "failed": "validate"}, ("valid", validate_word(w)), ok
             yield (
                 {"word": text, "failed": "ascents"},
                 ("got", sorted(ascent_positions(w))),
                 ("expected", sorted(asc)),
             )
             tree = perm_to_tree(w)
-            yield _holds({"word": text, "failed": "tree-structure"}, validate_tree(tree))
+            yield {"word": text, "failed": "tree-structure"}, ("valid", validate_tree(tree)), ok
             yield (
                 {"word": text, "failed": "roundtrip"},
                 ("got", list(tree_to_perm(tree).letters)),
@@ -393,7 +395,7 @@ def check_inverse_pairs(level: str = "default") -> CheckResult:
                         ("eulerian", list(e.row(n))),
                     )
         for n in range(nmax + 1):
-            yield _holds({"failed": "orthogonality", "n": n}, riordan_orthogonality_check(n, n))
+            yield _sides({"failed": "orthogonality", "n": n}, riordan_orthogonality_sides(n))
         # ratio roundtrips over deterministic pseudorandom integer rows
         rng = random.Random(421731)
         for r in (Fraction(1), Fraction(-1), Fraction(2, 3)):
@@ -423,9 +425,8 @@ def check_classic_ward(level: str = "default") -> CheckResult:
                     ("ward", w.entry(n, k)),
                     ("assoc_stirling", assoc_stirling_subset(n + k, k)),
                 )
-        yield _holds(
-            {"failed": "smiley-identities", "n_max": smiley_n}, smiley_identities_check(smiley_n)
-        )
+        for n in range(1, smiley_n + 1):
+            yield _sides({"failed": "smiley-identities", "n": n}, smiley_identities_sides(n))
 
     return _first_mismatch("classic-ward", params, cases())
 
@@ -484,7 +485,7 @@ def check_series_tree_function(level: str = "default") -> CheckResult:
             at = {"failed": "reversion-contract", "nu": nu}
             yield at, ("f_of_T", f.compose(T).coeffs), ("x", x.coeffs)
             yield at, ("T_of_f", T.compose(f).coeffs), ("x", x.coeffs)
-            yield _holds({"failed": "derivative-identity", "nu": nu}, t_nu_derivative_check(nu, K))
+            yield _sides({"failed": "derivative-identity", "nu": nu}, t_nu_derivative_sides(nu, K))
         T2 = t_nu_series(2, K)
         for n in range(1, K + 1):
             yield (
@@ -493,7 +494,7 @@ def check_series_tree_function(level: str = "default") -> CheckResult:
                 ("closed", Fraction(n ** (n - 1), math.factorial(n))),
             )
         for s in (1, 2, 5):
-            yield _holds({"failed": "tree-powers", "s": s}, tree_power_check(s, K))
+            yield _sides({"failed": "tree-powers", "s": s}, tree_power_sides(s, K))
 
     return _first_mismatch("tree-function", params, cases())
 
@@ -536,9 +537,8 @@ def check_egf(level: str = "default") -> CheckResult:
                         ("egf", egf_ward_coeffs(nu, s, t, x0, nmax)),
                         ("table", want),
                     )
-                    yield _holds(
-                        {"failed": "transform", **at}, egf_transform_check(nu, s, t, x0, nmax)
-                    )
+                    sides = egf_transform_sides(nu, s, t, x0, nmax)
+                    yield _sides({"failed": "transform", **at}, sides)
 
     return _first_mismatch("egf", params, cases())
 
@@ -552,17 +552,18 @@ def check_series_identities(level: str = "default") -> CheckResult:
     def cases():
         for s, t in [(1, 0), (0, 1), (2, 3), (3, 1)]:
             for n in range(nmax + 1):
-                yield _holds(
+                yield _sides(
                     {"failed": "order1-ratio", "n": n, "s": s, "t": t},
-                    eulerian_ratio_expansion_check(n, s, t, K),
+                    eulerian_ratio_expansion_sides(n, s, t, K),
                 )
         for s, t in [(1, 0), (2, 1), (2, 3), (3, 1)]:
             for n in range(nmax + 1):
-                yield _holds(
+                yield _sides(
                     {"failed": "order2-ratio", "n": n, "s": s, "t": t},
-                    second_order_ratio_expansion_check(n, s, t, K),
+                    second_order_ratio_expansion_sides(n, s, t, K),
                 )
-        yield _holds({"failed": "unit-sums", "n_max": unit_n}, binomial_unit_sums_check(unit_n))
+        for n in range(1, unit_n + 1):
+            yield _sides({"failed": "unit-sums", "n": n}, binomial_unit_sums_sides(n))
 
     return _first_mismatch("series-identities", params, cases())
 

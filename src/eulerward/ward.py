@@ -13,10 +13,10 @@ with the Eulerian triangle one order up:
 Both directions are instances of a one-parameter family of mutually inverse
 row transforms (``general_inverse_transform``); the classical orthogonality
 relation behind the inversion is checkable directly
-(``riordan_orthogonality_check``).  The s = 0, t = 1 column of order 1
+(``riordan_orthogonality_sides``).  The s = 0, t = 1 column of order 1
 recovers the classical Ward numbers, equal to associated Stirling subset
 numbers, from which two Smiley-style summation identities follow
-(``smiley_identities_check``).
+(``smiley_identities_sides``).
 
 As in ``eulerian``, the recurrence engine accepts any integer s and t; only
 the combinatorial interpretation (see ``trees.ward_marked_row``) insists on
@@ -45,8 +45,8 @@ __all__ = [
     "euler_to_ward",
     "ward_to_euler",
     "general_inverse_transform",
-    "riordan_orthogonality_check",
-    "smiley_identities_check",
+    "riordan_orthogonality_sides",
+    "smiley_identities_sides",
 ]
 
 
@@ -81,7 +81,7 @@ def general_inverse_transform(row, n: int, r, direction: str = "forward") -> lis
     backward: the same sum with r replaced by -r
 
     The two compose to the identity for every r, which is exactly the
-    orthogonality relation of riordan_orthogonality_check dressed with a
+    orthogonality relation of riordan_orthogonality_sides dressed with a
     geometric weight.  r = 1 is euler_to_ward, r = -1 ward_to_euler, r = 0
     the identity, and r = -beta'/beta takes the rows of a ``Recurrence`` R to
     those of ``R.involution()``.  With r = p/q the sum runs as
@@ -106,50 +106,46 @@ def general_inverse_transform(row, n: int, r, direction: str = "forward") -> lis
     return out
 
 
-def riordan_orthogonality_check(n: int, kmax: int) -> bool:
-    """Verify sum_{i=j}^{k} (-1)^(i+j) C(n-i, n-k) C(n-j, n-i) = delta_{kj}.
+def riordan_orthogonality_sides(n: int) -> tuple[list, list]:
+    """Both sides of sum_{i=j}^{k} (-1)^(i+j) C(n-i, n-k) C(n-j, n-i) = delta_{kj}.
 
     This is the inverse-pair kernel: the signed binomial matrix is its own
-    two-sided inverse up to the sign conjugation used above.
+    two-sided inverse up to the sign conjugation used above.  Row k of each
+    side holds the entries j = 0..k, for 0 <= k <= n.
     """
-    if not 0 <= kmax <= n:
-        raise ValueError("need 0 <= kmax <= n")
-    for k in range(kmax + 1):
-        for j in range(k + 1):
-            total = sum(
+    if n < 0:
+        raise ValueError("need n >= 0")
+    lhs = [
+        [
+            sum(
                 (-1) ** (i + j) * binomial(n - i, n - k) * binomial(n - j, n - i)
                 for i in range(j, k + 1)
             )
-            if total != (1 if j == k else 0):
-                return False
-    return True
+            for j in range(k + 1)
+        ]
+        for k in range(n + 1)
+    ]
+    return lhs, [[int(j == k) for j in range(k + 1)] for k in range(n + 1)]
 
 
-def smiley_identities_check(nmax: int) -> bool:
-    """Verify the two summation identities tying <<n, k>> to {{n+k, k}}.
+def smiley_identities_sides(n: int) -> tuple[list, list]:
+    """Both sides of the two summation identities tying <<n, k>> to {{n+k, k}}.
 
-    For 1 <= n <= nmax and 0 <= k <= n:
+    For 0 <= k <= n, with n >= 1:
 
         <<n, k>>   = sum_j (-1)^(k-j) {{n+j+1, j+1}} C(n-j-1, k-j)
         {{n+k, k}} = sum_j <<n, j>> C(n-j-1, k-j-1)
 
-    The binomials run into negative upper arguments (C(-1, 0) = 1 at j = n),
-    where the generalized convention of numerics.binomial is essential.
+    The left side is the two rows [<<n, k>>]_k and [{{n+k, k}}]_k, the right
+    side the two rows of sums.  The binomials vanish for j > k and run into
+    negative upper arguments (C(-1, 0) = 1 at j = n), where the generalized
+    convention of numerics.binomial is essential.
     """
-    for n in range(1, nmax + 1):
-        for k in range(n + 1):
-            lhs1 = classic_second_order(n, k, "standard")
-            rhs1 = sum(
-                (-1) ** (k - j) * assoc_stirling_subset(n + j + 1, j + 1) * binomial(n - j - 1, k - j)
-                for j in range(k + 1)
-            )
-            if lhs1 != rhs1:
-                return False
-            lhs2 = assoc_stirling_subset(n + k, k)
-            rhs2 = sum(
-                classic_second_order(n, j, "standard") * binomial(n - j - 1, k - j - 1)
-                for j in range(k + 1)
-            )
-            if lhs2 != rhs2:
-                return False
-    return True
+    if n < 1:
+        raise ValueError("need n >= 1")
+    ks = range(n + 1)
+    eul = [classic_second_order(n, k, "standard") for k in ks]
+    assoc = [assoc_stirling_subset(n + j + 1, j + 1) for j in ks]
+    sums1 = [sum((-1) ** (k + j) * assoc[j] * binomial(n - j - 1, k - j) for j in ks) for k in ks]
+    sums2 = [sum(eul[j] * binomial(n - j - 1, k - j - 1) for j in ks) for k in ks]
+    return [eul, [assoc_stirling_subset(n + k, k) for k in ks]], [sums1, sums2]

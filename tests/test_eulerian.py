@@ -248,6 +248,16 @@ class TestClosedForms:
     def test_order2_empty_case(self):
         assert closed_form_order2(0, 0, 3, 1) == 1
 
+    @pytest.mark.parametrize("form", [closed_form_order1, closed_form_order2])
+    @pytest.mark.parametrize(
+        "args", [(3, 1, 1.5, 0), (3, 1, 1, True), (3.0, 1, 1, 0), (3, Fraction(1), 1, 0)]
+    )
+    def test_non_integers_raise(self, form, args):
+        # a float s once reached the exact division and was reported as a
+        # mistranscribed formula (ArithmeticError)
+        with pytest.raises(TypeError):
+            form(*args)
+
 
 class TestClassicTriangles:
     def test_standard_values(self):
@@ -307,6 +317,21 @@ class TestDegenerateParameters:
                 for k in range(n + 1):
                     assert s_minus_s_closed_forms(2, n, k, s) == tri.entry(n, k)
 
+    @pytest.mark.parametrize("s", range(-3, 4))
+    def test_order2_matches_recurrence_for_every_sign_of_s(self, s):
+        # s = 0 used to divide by zero in the n = 0 row
+        tri = eulerian_table(Params(2, s, -s), 8)
+        for n in range(9):
+            for k in range(n + 1):
+                assert s_minus_s_closed_forms(2, n, k, s) == tri.entry(n, k)
+
     def test_orders_above_two_unsupported(self):
         with pytest.raises(ValueError):
             s_minus_s_closed_forms(3, 2, 1, 1)
+
+    @pytest.mark.parametrize(
+        "args", [(1, 3, 1, 1.5), (2, 3, 1, 1.5), (1.0, 3, 1, 1), (2, 3, True, 1), (2, 3.0, 1, 1)]
+    )
+    def test_non_integers_raise(self, args):
+        with pytest.raises(TypeError):
+            s_minus_s_closed_forms(*args)

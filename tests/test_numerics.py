@@ -186,6 +186,11 @@ class TestPolyST:
         with pytest.raises(TypeError):
             PolyST.s() ** e
 
+    @pytest.mark.parametrize("point", [(1.5, 0), (1, 0.5), (True, 0), (1, Fraction(2))])
+    def test_evaluate_rejects_non_integers(self, point):
+        with pytest.raises(TypeError):
+            PolyST.s().evaluate(*point)
+
     def test_power_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             PolyST.s() ** -1

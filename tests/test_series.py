@@ -12,16 +12,16 @@ from eulerward.eulerian import Params, eulerian_table
 from eulerward.series import (
     TruncSeries,
     _ode_march,
-    binomial_unit_sums_check,
+    binomial_unit_sums_sides,
     egf_eulerian_coeffs,
     egf_order1_direct,
-    egf_transform_check,
+    egf_transform_sides,
     egf_ward_coeffs,
-    eulerian_ratio_expansion_check,
-    second_order_ratio_expansion_check,
-    t_nu_derivative_check,
+    eulerian_ratio_expansion_sides,
+    second_order_ratio_expansion_sides,
+    t_nu_derivative_sides,
     t_nu_series,
-    tree_power_check,
+    tree_power_sides,
 )
 from eulerward.ward import ward_table
 
@@ -117,6 +117,11 @@ class TestSeriesCore:
         geo = one_minus_x.inverse()
         assert geo.coeffs == (1,) * 9
         assert (geo * one_minus_x).coeffs == (1,) + (0,) * 8
+
+    def test_inverse_is_the_minus_first_power(self):
+        f = mk([2, 1, -3, 0, Fraction(1, 2)] + [0] * (K - 4))
+        assert f.inverse() == f**-1
+        assert (f * f.inverse()) == TruncSeries.one(K)
 
     def test_inverse_needs_a_unit(self):
         with pytest.raises(ValueError):
@@ -365,6 +370,11 @@ class TestTreeFunction:
         with pytest.raises(ValueError):
             t_nu_series(2, 0)
 
+    @pytest.mark.parametrize("args", [(True, 5), (2.0, 5), (2, 5.0), (2, False)])
+    def test_rejects_non_integers(self, args):
+        with pytest.raises(TypeError):
+            t_nu_series(*args)
+
     def test_order2_coefficients_are_cayley(self):
         T = t_nu_series(2, 9)
         for n in range(1, 10):
@@ -375,11 +385,13 @@ class TestTreeFunction:
 
     @pytest.mark.parametrize("nu", [1, 2, 3, 4])
     def test_derivative_identity(self, nu):
-        assert t_nu_derivative_check(nu, 12)
+        lhs, rhs = t_nu_derivative_sides(nu, 12)
+        assert lhs == rhs
 
     @pytest.mark.parametrize("s", [1, 2, 5])
     def test_powers_expand_over_shifted_cayley_terms(self, s):
-        assert tree_power_check(s, 12)
+        lhs, rhs = tree_power_sides(s, 12)
+        assert lhs == rhs
 
 
 class TestEgf:
@@ -408,10 +420,32 @@ class TestEgf:
     @pytest.mark.parametrize(
         "route",
         [
+            lambda nu, s, t, N: egf_eulerian_coeffs(nu, s, t, "1/2", N),
+            lambda nu, s, t, N: egf_ward_coeffs(nu, s, t, "1/2", N),
+            lambda nu, s, t, N: egf_order1_direct(s, t, "1/2", N),
+        ],
+    )
+    def test_integer_arguments_are_checked_at_the_entry(self, route):
+        for args in [(1, 1.5, 0, 3), (1, 1, True, 3), (1, 1, 0, 3.0), (1, True, 0, 3)]:
+            with pytest.raises(TypeError):
+                route(*args)
+        with pytest.raises(ValueError):
+            route(1, 1, 0, -1)
+        assert len(route(1, 1, 0, 0)) == 1
+
+    @pytest.mark.parametrize("route", [egf_eulerian_coeffs, egf_ward_coeffs])
+    @pytest.mark.parametrize("nu", [2.0, True])
+    def test_order_must_be_an_int(self, route, nu):
+        with pytest.raises(TypeError):
+            route(nu, 1, 0, "1/2", 3)
+
+    @pytest.mark.parametrize(
+        "route",
+        [
             lambda x0: egf_eulerian_coeffs(2, 1, 0, x0, 4),
             lambda x0: egf_order1_direct(1, 0, x0, 4),
             lambda x0: egf_ward_coeffs(1, 1, 0, x0, 4),
-            lambda x0: egf_transform_check(1, 1, 0, x0, 4),
+            lambda x0: egf_transform_sides(1, 1, 0, x0, 4),
         ],
     )
     def test_x0_must_be_exact(self, route):
@@ -436,24 +470,29 @@ class TestEgf:
     @pytest.mark.parametrize("nu", [1, 2])
     def test_substitution_links_the_two_families(self, nu):
         for x0 in (Fraction(1, 2), Fraction(1), Fraction(3)):
-            assert egf_transform_check(nu, 1, 0, x0, 6)
-            assert egf_transform_check(nu, 2, 1, x0, 6)
+            for s, t in [(1, 0), (2, 1)]:
+                lhs, rhs = egf_transform_sides(nu, s, t, x0, 6)
+                assert lhs == rhs
 
 
 class TestRatioExpansions:
     @pytest.mark.parametrize("s,t", [(1, 0), (0, 1), (2, 3), (3, 1)])
     def test_order1(self, s, t):
         for n in range(5):
-            assert eulerian_ratio_expansion_check(n, s, t, 11)
+            lhs, rhs = eulerian_ratio_expansion_sides(n, s, t, 11)
+            assert lhs == rhs
 
     @pytest.mark.parametrize("s,t", [(1, 0), (2, 1), (2, 3), (3, 1)])
     def test_order2(self, s, t):
         for n in range(5):
-            assert second_order_ratio_expansion_check(n, s, t, 11)
+            lhs, rhs = second_order_ratio_expansion_sides(n, s, t, 11)
+            assert lhs == rhs
 
     def test_order1_rejects_empty_weight(self):
         with pytest.raises(ValueError):
-            eulerian_ratio_expansion_check(2, 0, 0, 8)
+            eulerian_ratio_expansion_sides(2, 0, 0, 8)
 
     def test_unit_sums(self):
-        assert binomial_unit_sums_check(30)
+        for n in range(1, 31):
+            lhs, rhs = binomial_unit_sums_sides(n)
+            assert lhs == rhs

@@ -24,6 +24,7 @@ from eulerward.stirlingperm import (
     word_from_text,
     word_text,
 )
+from eulerward.trees import perm_to_tree
 
 
 def word(text, nu, t):
@@ -79,6 +80,30 @@ class TestWordValidity:
     def test_non_integers_raise_instead_of_truncating(self, build):
         with pytest.raises(TypeError):
             build()
+
+    def test_negative_letter_is_rejected(self):
+        # the tree factorization's -1 sentinel assumes letters >= 0; a
+        # negative letter used to pass and then vanish from the tree
+        assert not validate_word(GenStirlingWord((-3,), 1, 0))
+        with pytest.raises(ValueError):
+            perm_to_tree(GenStirlingWord((-3,), 1, 0))
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_words_with_a_negative_letter_are_invalid(self, nu):
+        letters = range(-3, 4)
+        words = [(x,) for x in letters] + list(itertools.product(letters, repeat=2))
+        for w in words:
+            if min(w) >= 0:
+                continue
+            for t in range(3):
+                assert not validate_word(GenStirlingWord(w, nu, t)), (w, t)
+                labels = tuple(sorted({x for x in w if x}))
+                assert not validate_word(GenStirlingWord(w, nu, t, labels)), (w, t)
+
+    def test_labels_below_one_are_invalid(self):
+        assert not validate_word(GenStirlingWord((0, 0), 2, 2, (0,)))
+        assert not validate_word(GenStirlingWord((-1, -1), 2, 0, (-1,)))
+        assert not validate_word(GenStirlingWord((), 2, 0, (-1,)))
 
 
 class TestAscents:

@@ -1,19 +1,22 @@
 """Seeded faults: a check that fails keeps its id and reports a witness with
 the first failing instance and both routes' values."""
 
+import math
 import operator
 from fractions import Fraction
 
 import pytest
 
-from eulerward import stirlingperm, verify, ward
+from eulerward import series, stirlingperm, verify, ward
 from eulerward.eulerian import (
     Params,
+    TriangleRows,
     classic_eulerian,
     closed_form_order1,
     closed_form_order2,
     eulerian_table,
 )
+from eulerward.numerics import assoc_stirling_subset, binomial
 from eulerward.series import egf_eulerian_coeffs
 from eulerward.ward import ward_table, ward_to_euler
 
@@ -155,3 +158,183 @@ def test_closed_forms_fault_keeps_the_check_id(monkeypatch, order, route):
     report = verify.run_suite("closed-forms", "small").to_json()
     assert [c["id"] for c in report["checks"]] == ["closed-forms", "special-cases"]
     assert not report["passed"]
+
+
+# ----------------------------------------------- identities with two sides
+
+
+def _first_difference(a, b):
+    """Index path of the first entry where two equally shaped nested lists differ."""
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return (i,) + (_first_difference(x, y) if isinstance(x, list) else ())
+    return None
+
+
+def _leaves(value):
+    return [x for v in value for x in _leaves(v)] if isinstance(value, list) else [value]
+
+
+def _bump_where(fn, key, index):
+    """fn, except that its (list) value gains 1 at ``index`` when key(*args) holds."""
+
+    def faulty(*args):
+        out = fn(*args)
+        if key(*args):
+            out = list(out)
+            out[index] += 1
+        return out
+
+    return faulty
+
+
+def _bump_table_entry(nu, s, t, n, k):
+    """eulerian_table with entry (n, k) of the (nu, s, t) triangle one too large."""
+
+    def faulty(p, nmax, mode="int"):
+        tri = eulerian_table(p, nmax, mode)
+        if (p.nu, p.s, p.t) != (nu, s, t) or nmax < n:
+            return tri
+        rows = [list(r) for r in tri.rows]
+        rows[n][k] += 1
+        return TriangleRows(tuple(map(tuple, rows)))
+
+    return faulty
+
+
+class _MathWithBadComb:
+    """The math module, except that C(11, 3) is one too large."""
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    @staticmethod
+    def comb(n, k):
+        return math.comb(n, k) + ((n, k) == (11, 3))
+
+
+def _plant_orthogonality(mp):
+    mp.setattr(ward, "binomial", lambda n, k: binomial(n, k) + ((n, k) == (2, 1)))
+
+
+def _plant_smiley(mp):
+    def bumped(n, k):
+        return assoc_stirling_subset(n, k) + ((n, k) == (7, 2))
+
+    mp.setattr(ward, "assoc_stirling_subset", bumped)
+
+
+def _plant_derivative(mp):
+    t_nu = series.t_nu_series
+    bumped = _bump_where(lambda nu, K: list(t_nu(nu, K).coeffs), lambda nu, K: nu == 3, 4)
+    mp.setattr(series, "t_nu_series", lambda nu, K: series.TruncSeries(bumped(nu, K)))
+
+
+def _plant_tree_powers(mp):
+    power = series.TruncSeries.__pow__
+    bumped = _bump_where(lambda f, e: list(power(f, e).coeffs), lambda f, e: e == 5, 7)
+    mp.setattr(series.TruncSeries, "__pow__", lambda f, e: series.TruncSeries(bumped(f, e)))
+
+
+def _plant_transform(mp):
+    mp.setattr(
+        series,
+        "egf_ward_coeffs",
+        _bump_where(series.egf_ward_coeffs, lambda nu, s, t, x0, N: nu == 2, 3),
+    )
+
+
+# (check, sides function, its arguments at the first failing instance,
+#  that instance, index path of the first mismatch, planting function)
+IDENTITY_FAULTS = {
+    "orthogonality": (
+        verify.check_inverse_pairs,
+        ward.riordan_orthogonality_sides,
+        (2,),
+        {"failed": "orthogonality", "n": 2},
+        (2, 0),
+        _plant_orthogonality,
+    ),
+    "smiley": (
+        verify.check_classic_ward,
+        ward.smiley_identities_sides,
+        (5,),
+        {"failed": "smiley-identities", "n": 5},
+        (0, 1),
+        _plant_smiley,
+    ),
+    "derivative": (
+        verify.check_series_tree_function,
+        series.t_nu_derivative_sides,
+        (3, 10),
+        {"failed": "derivative-identity", "nu": 3},
+        (4,),
+        _plant_derivative,
+    ),
+    "tree-powers": (
+        verify.check_series_tree_function,
+        series.tree_power_sides,
+        (5, 10),
+        {"failed": "tree-powers", "s": 5},
+        (7,),
+        _plant_tree_powers,
+    ),
+    "egf-transform": (
+        verify.check_egf,
+        series.egf_transform_sides,
+        (2, 1, 0, Fraction(1, 2), 5),
+        {"failed": "transform", "nu": 2, "s": 1, "t": 0, "x0": "1/2"},
+        (3,),
+        _plant_transform,
+    ),
+    "order1-ratio": (
+        verify.check_series_identities,
+        series.eulerian_ratio_expansion_sides,
+        (2, 2, 3, 10),
+        {"failed": "order1-ratio", "n": 2, "s": 2, "t": 3},
+        (2,),
+        lambda mp: mp.setattr(series, "eulerian_table", _bump_table_entry(1, 2, 3, 2, 1)),
+    ),
+    "order2-ratio": (
+        verify.check_series_identities,
+        series.second_order_ratio_expansion_sides,
+        (1, 2, 1, 10),
+        {"failed": "order2-ratio", "n": 1, "s": 2, "t": 1},
+        (2,),
+        lambda mp: mp.setattr(series, "eulerian_table", _bump_table_entry(2, 2, 1, 1, 1)),
+    ),
+    "unit-sums": (
+        verify.check_series_identities,
+        series.binomial_unit_sums_sides,
+        (11,),
+        {"failed": "unit-sums", "n": 11},
+        (0,),
+        lambda mp: mp.setattr(series, "math", _MathWithBadComb()),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(IDENTITY_FAULTS))
+def test_identity_fault_shows_both_sides(monkeypatch, name):
+    # a fault inside one route of the identity fails its check at the first
+    # failing instance, and the witness carries both sides in full
+    check, sides, args, instance, path, plant = IDENTITY_FAULTS[name]
+    healthy = check("small")
+    lhs, rhs = sides(*args)
+    assert type(lhs) is list and type(rhs) is list and lhs == rhs
+    assert not any(isinstance(x, (bool, float)) for x in _leaves([lhs, rhs]))
+    plant(monkeypatch)
+    result = check("small")
+    assert result.check_id == healthy.check_id
+    assert healthy.passed and not result.passed
+    lhs, rhs = sides(*args)
+    assert result.witness == {**instance, "lhs": verify._shown(lhs), "rhs": verify._shown(rhs)}
+    assert _first_difference(result.witness["lhs"], result.witness["rhs"]) == path
+
+
+def test_smiley_fault_shows_both_rows(monkeypatch):
+    # {{7, 2}} = 2^6 - 8 = 56, planted as 57: the second identity's rows
+    # disagree at k = 2, beside the first identity's sums that use it
+    _plant_smiley(monkeypatch)
+    w = verify.check_classic_ward("small").witness
+    assert (w["lhs"][1][2], w["rhs"][1][2]) == ("57", "56")

@@ -11,8 +11,8 @@ from eulerward.numerics import PolyST, as_fraction, assoc_stirling_subset, binom
 from eulerward.ward import (
     euler_to_ward,
     general_inverse_transform,
-    riordan_orthogonality_check,
-    smiley_identities_check,
+    riordan_orthogonality_sides,
+    smiley_identities_sides,
     ward_recurrence,
     ward_table,
     ward_to_euler,
@@ -183,10 +183,13 @@ class TestInversePair:
 
     def test_riordan_orthogonality(self):
         for n in range(11):
-            assert riordan_orthogonality_check(n, n)
+            lhs, rhs = riordan_orthogonality_sides(n)
+            assert lhs == rhs
 
     def test_smiley_identities(self):
-        assert smiley_identities_check(8)
+        for n in range(1, 9):
+            lhs, rhs = smiley_identities_sides(n)
+            assert lhs == rhs
 
 
 class TestPairParams:
