@@ -239,6 +239,7 @@ def eulerian_table(p: Params, nmax: int, mode: str = INT_MODE) -> TriangleRows:
 
 def row_sum_product(p: Params, n: int) -> int:
     """The row sum sum_k E(n, k) in product form: prod_{k=0}^{n-1} (k nu + t + s)."""
+    _require_int("n", n)
     return math.prod(k * p.nu + p.t + p.s for k in range(n))
 
 
@@ -319,6 +320,8 @@ def classic_eulerian(n: int, k: int, indexing: str = "standard") -> int:
     which agrees with <n, k-1> for n >= 1 and 1 <= k <= n (not at (0, 1),
     where A vanishes but <0, 0> = 1).
     """
+    _require_int("n", n)
+    _require_int("k", k)
     if n < 0 or k < 0:
         raise ValueError("need n, k >= 0")
     if indexing == "standard":
@@ -338,6 +341,8 @@ def classic_second_order(n: int, k: int, indexing: str = "standard") -> int:
     standard indexing is the (1,0) instance of the order-2 triangle and the
     traditional one is its (0,1) instance.
     """
+    _require_int("n", n)
+    _require_int("k", k)
     if n < 0 or k < 0:
         raise ValueError("need n, k >= 0")
     if indexing == "standard":

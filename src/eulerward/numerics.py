@@ -86,20 +86,29 @@ def binomial(n: int, k: int) -> int:
     return (-1) ** k * math.comb(k - n - 1, k)
 
 
+def _factorial_args(name: str, x, j):
+    # checked once per call, not per factor: the closed forms call these often
+    _require_int("j", j)
+    if isinstance(x, (float, bool)):
+        raise TypeError("%s needs an int, a Fraction or a PolyST x, got %r" % (name, x))
+    if j < 0:
+        raise ValueError("%s needs j >= 0, got %r" % (name, j))
+
+
 def rising_factorial(x, j: int):
     """Rising factorial x (x+1) ... (x+j-1), the empty product 1 when j = 0.
 
     ``x`` may be an int, a Fraction, or a PolyST; the result has the same
     flavour (except that the j = 0 value is the plain int 1, which mixes
-    fine with all three).
+    fine with all three).  A float or bool ``x`` raises TypeError, as does a
+    non-int ``j``.
 
     >>> rising_factorial(3, 2)
     12
     >>> rising_factorial(Fraction(1, 2), 3)
     Fraction(15, 8)
     """
-    if j < 0:
-        raise ValueError("rising_factorial needs j >= 0, got %r" % (j,))
+    _factorial_args("rising_factorial", x, j)
     out = 1
     for i in range(j):
         out = out * (x + i)
@@ -114,8 +123,7 @@ def falling_factorial(x, j: int):
     >>> falling_factorial(2, 4)
     0
     """
-    if j < 0:
-        raise ValueError("falling_factorial needs j >= 0, got %r" % (j,))
+    _factorial_args("falling_factorial", x, j)
     out = 1
     for i in range(j):
         out = out * (x - i)

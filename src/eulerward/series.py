@@ -345,6 +345,8 @@ def t_nu_derivative_sides(nu: int, K: int) -> tuple[list, list]:
 def tree_power_sides(s: int, K: int) -> tuple[list, list]:
     """Coefficients 0..K of both sides of
     T_2(z)^s = sum_{k>=0} s (k+s)^(k-1) / k! z^(s+k)."""
+    _require_int("s", s)
+    _require_int("K", K)
     if s < 1:
         raise ValueError("s must be >= 1")
     rhs = [Fraction(0)] * (K + 1)
@@ -444,6 +446,7 @@ def egf_transform_sides(nu: int, s: int, t: int, x0, N: int) -> tuple[list, list
     """The Ward generating function is the order-(nu+1) Eulerian one moved by
     x -> x/(1+x), y -> y(1+x): the sides are [ward_n(x0)]_n and
     [euler_n(x0/(1+x0)) (1+x0)^n]_n for n = 0..N."""
+    _check_args(nu, s, t, N)
     x0 = as_fraction(x0)
     e = egf_eulerian_coeffs(nu + 1, s, t, x0 / (1 + x0), N)
     return egf_ward_coeffs(nu, s, t, x0, N), [e[n] * (1 + x0) ** n for n in range(N + 1)]
@@ -455,6 +458,8 @@ def eulerian_ratio_expansion_sides(n: int, s: int, t: int, K: int) -> tuple[list
 
     At (s,t) = (1,0) this is the classical staircase sum_{k>=1} k^n x^k.
     """
+    for name, value in (("n", n), ("s", s), ("t", t), ("K", K)):
+        _require_int(name, value)
     if s < 0 or t < 0 or s + t < 1:
         raise ValueError("need s >= 0, t >= 0 with s + t >= 1")
     if n < 0:
@@ -486,6 +491,8 @@ def second_order_ratio_expansion_sides(n: int, s: int, t: int, K: int) -> tuple[
     run over Fraction and why s >= 1 is required: the base k+s-1 stays
     positive.
     """
+    for name, value in (("n", n), ("s", s), ("t", t), ("K", K)):
+        _require_int(name, value)
     if s < 1 or t < 0:
         raise ValueError("need s >= 1 and t >= 0")
     if n < 0:
@@ -519,6 +526,7 @@ def binomial_unit_sums_sides(n: int) -> tuple[list, list]:
         1 = sum_{j=0}^{n} C(n, j) j! j / n^(j+1)
         1 = sum_{j=0}^{n} C(n, j) (j+1)! / (n+1)^(j+1).
     """
+    _require_int("n", n)
     if n < 1:
         raise ValueError("need n >= 1")
     s1 = sum(Fraction(math.comb(n, j) * math.factorial(j) * j, n ** (j + 1)) for j in range(n + 1))

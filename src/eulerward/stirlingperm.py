@@ -131,8 +131,8 @@ def validate_word(w: GenStirlingWord) -> bool:
     """True iff the multiset and betweenness invariants hold.
 
     Multiset: 0 occurs exactly w.t times, every label of w.labels exactly
-    w.nu times, nothing else occurs; labels are >= 1, so no letter is
-    negative.  Betweenness: letters strictly between two consecutive
+    w.nu times, nothing else occurs; labels are distinct and >= 1, so no
+    letter is negative.  Betweenness: letters strictly between two consecutive
     occurrences of x are all >= x (checking consecutive occurrences
     suffices, since the intermediate copies of x pass for themselves).
     """
@@ -141,7 +141,7 @@ def validate_word(w: GenStirlingWord) -> bool:
     counts = Counter(w.letters)
     if counts.pop(0, 0) != w.t:
         return False
-    if set(counts) != set(w.labels):
+    if sorted(counts) != sorted(w.labels):  # also rejects a repeated label
         return False
     if any(c != w.nu for c in counts.values()):
         return False

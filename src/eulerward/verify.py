@@ -15,7 +15,9 @@ routes.  Reports carry no timestamps and all set-like data is sorted, so a
 report is byte-for-byte reproducible.
 
 Grids come in two sizes: "default" matches the documented acceptance ranges,
-"small" trims the expensive ones for quick interactive runs.
+"small" trims the expensive ones for quick interactive runs.  A check's
+``params`` are the grid its loops read, and Tier-1 pins how many cases each
+check compares (``CheckResult.cases``), so no grid shrinks unseen.
 """
 
 from __future__ import annotations
@@ -97,8 +99,6 @@ __all__ = [
     "check_series_identities",
 ]
 
-ENUMERATION_CAP = 100_000
-
 
 @dataclass
 class CheckResult:
@@ -106,6 +106,7 @@ class CheckResult:
     params: dict
     passed: bool
     witness: dict | None = None
+    cases: int = 0  # cases compared; left out of the report
 
     def to_json(self) -> dict:
         return {
@@ -147,13 +148,22 @@ def _first_mismatch(check_id: str, params: dict, cases) -> CheckResult:
 
     The witness is the case's instance dict plus both routes' values under
     their names.  ``cases`` is consumed lazily, so nothing past the first
-    mismatch is computed.
+    mismatch is computed.  The result counts the cases compared.
     """
-    for instance, (name_a, a), (name_b, b) in cases:
+    count = 0
+    for count, (instance, (name_a, a), (name_b, b)) in enumerate(cases, 1):
         if a != b:
             witness = {**instance, name_a: _shown(a), name_b: _shown(b)}
-            return CheckResult(check_id, params, False, witness)
-    return CheckResult(check_id, params, True)
+            return CheckResult(check_id, params, False, witness, count)
+    return CheckResult(check_id, params, True, cases=count)
+
+
+def _box(params: dict):
+    """Params over 1 <= nu <= nu_max, 1 <= s <= s_max, 0 <= t <= t_max, nu outermost."""
+    for nu in range(1, params["nu_max"] + 1):
+        for s in range(1, params["s_max"] + 1):
+            for t in range(params["t_max"] + 1):
+                yield Params(nu, s, t)
 
 
 def _sides(instance: dict, sides):
@@ -230,29 +240,20 @@ def check_golden_examples(level: str = "default") -> CheckResult:
 # ------------------------------------------------- recurrence vs counting
 
 
-def _enumeration_grid(level: str):
-    nmax = 5 if level == "default" else 3
-    for nu in range(1, 4):
-        for s in range(1, 4):
-            for t in range(0, 3):
-                p = Params(nu, s, t)
-                n_top = nmax
-                while n_top > 0 and count_sequences(p, n_top) > ENUMERATION_CAP:
-                    n_top -= 1
-                yield p, n_top
-
-
 def check_recurrence_vs_enumeration(level: str = "default") -> CheckResult:
     params = {
         "nu_max": 3,
         "s_max": 3,
         "t_max": 2,
         "n_max": 5 if level == "default" else 3,
-        "object_cap": ENUMERATION_CAP,
+        "object_cap": 100_000,
     }
 
     def cases():
-        for p, n_top in _enumeration_grid(level):
+        for p in _box(params):
+            n_top = params["n_max"]
+            while n_top > 0 and count_sequences(p, n_top) > params["object_cap"]:
+                n_top -= 1
             hists = ascent_histograms_up_to(p, n_top)
             table = eulerian_table(p, n_top)
             for n in range(n_top + 1):
@@ -279,17 +280,14 @@ def check_row_sums(level: str = "default") -> CheckResult:
     params = {"nu_max": 3, "s_max": 3, "t_max": 2, "n_max": nmax}
 
     def cases():
-        for nu in range(1, 4):
-            for s in range(1, 4):
-                for t in range(0, 3):
-                    p = Params(nu, s, t)
-                    table = eulerian_table(p, nmax)
-                    for n in range(nmax + 1):
-                        yield (
-                            {"nu": nu, "s": s, "t": t, "n": n},
-                            ("sum", sum(table.row(n))),
-                            ("product", row_sum_product(p, n)),
-                        )
+        for p in _box(params):
+            table = eulerian_table(p, nmax)
+            for n in range(nmax + 1):
+                yield (
+                    {"nu": p.nu, "s": p.s, "t": p.t, "n": n},
+                    ("sum", sum(table.row(n))),
+                    ("product", row_sum_product(p, n)),
+                )
 
     return _first_mismatch("row-sums", params, cases())
 
@@ -378,7 +376,7 @@ def check_inverse_pairs(level: str = "default") -> CheckResult:
     st_pairs = [(s, t) for s in range(0, 4) for t in range(-2, 3)]
 
     def cases():
-        for nu in (1, 2, 3):
+        for nu in range(1, params["nu_max"] + 1):
             for s, t in st_pairs:
                 e = eulerian_table(Params(nu + 1, s, t), nmax)
                 w = ward_table(Params(nu, s, t), nmax)
@@ -398,7 +396,7 @@ def check_inverse_pairs(level: str = "default") -> CheckResult:
             yield _sides({"failed": "orthogonality", "n": n}, riordan_orthogonality_sides(n))
         # ratio roundtrips over deterministic pseudorandom integer rows
         rng = random.Random(421731)
-        for r in (Fraction(1), Fraction(-1), Fraction(2, 3)):
+        for r in map(Fraction, params["ratios"]):
             for n in range(0, 9):
                 row = [rng.randrange(-50, 50) for _ in range(n + 1)]
                 fwd = general_inverse_transform(row, n, r, "forward")
@@ -451,9 +449,9 @@ def check_ward_interpretation(level: str = "default") -> CheckResult:
     params = {"nu_values": [1, 2], "s_values": [1, 2], "t_max": 2, "n_max": nmax}
 
     def cases():
-        for nu in (1, 2):
-            for s in (1, 2):
-                for t in range(0, 3):
+        for nu in params["nu_values"]:
+            for s in params["s_values"]:
+                for t in range(params["t_max"] + 1):
                     table = ward_table(Params(nu, s, t), nmax)
                     for comp in _compositions_for(s, t):
                         p = Params(nu, s, t, comp)
@@ -476,7 +474,7 @@ def check_series_tree_function(level: str = "default") -> CheckResult:
 
     def cases():
         x = TruncSeries.x(K)
-        for nu in range(1, 5):
+        for nu in range(1, params["nu_max"] + 1):
             T = t_nu_series(nu, K)
             q = [Fraction(0)] * (K + 1)
             for k in range(1, nu):
@@ -512,7 +510,7 @@ def check_egf(level: str = "default") -> CheckResult:
         for nu in (1, 2, 3):
             for s, t in st_pairs:
                 table = eulerian_table(Params(nu, s, t), nmax)
-                for x0 in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+                for x0 in map(Fraction, params["x0_eulerian"]):
                     at = {"nu": nu, "s": s, "t": t, "x0": str(x0)}
                     want = [_poly_value(table.row(n), x0) for n in range(nmax + 1)]
                     yield (
@@ -529,7 +527,7 @@ def check_egf(level: str = "default") -> CheckResult:
         for nu in (1, 2):
             for s, t in st_pairs:
                 table = ward_table(Params(nu, s, t), nmax)
-                for x0 in (Fraction(1, 2), Fraction(1)):
+                for x0 in map(Fraction, params["x0_ward"]):
                     at = {"nu": nu, "s": s, "t": t, "x0": str(x0)}
                     want = [_poly_value(table.row(n), x0) for n in range(nmax + 1)]
                     yield (

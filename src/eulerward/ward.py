@@ -37,7 +37,7 @@ from .eulerian import (
     classic_second_order,
     eulerian_recurrence,
 )
-from .numerics import PolyST, as_fraction, assoc_stirling_subset, binomial
+from .numerics import PolyST, _require_int, as_fraction, assoc_stirling_subset, binomial
 
 __all__ = [
     "ward_recurrence",
@@ -113,6 +113,7 @@ def riordan_orthogonality_sides(n: int) -> tuple[list, list]:
     two-sided inverse up to the sign conjugation used above.  Row k of each
     side holds the entries j = 0..k, for 0 <= k <= n.
     """
+    _require_int("n", n)
     if n < 0:
         raise ValueError("need n >= 0")
     lhs = [
@@ -141,6 +142,7 @@ def smiley_identities_sides(n: int) -> tuple[list, list]:
     negative upper arguments (C(-1, 0) = 1 at j = n), where the generalized
     convention of numerics.binomial is essential.
     """
+    _require_int("n", n)
     if n < 1:
         raise ValueError("need n >= 1")
     ks = range(n + 1)

@@ -129,6 +129,8 @@ class TestTriangles:
                     tri = eulerian_table(p, 10)
                     for n in range(11):
                         assert sum(tri.row(n)) == row_sum_product(p, n)
+        with pytest.raises(TypeError):
+            row_sum_product(Params(1, 1, 0), True)
 
     @given(
         st.integers(min_value=1, max_value=3),
@@ -281,6 +283,12 @@ class TestClassicTriangles:
         stirling_subset.cache_clear()
         assert classic_second_order(600, 1, "standard") == 2**601 - 1202
         assert classic_second_order(600, 3, "standard") > 0
+
+    @pytest.mark.parametrize("classic", [classic_eulerian, classic_second_order])
+    @pytest.mark.parametrize("n,k", [(True, 0), (2, True), (2.0, 1), (2, 1.0)])
+    def test_non_integers_raise(self, classic, n, k):
+        with pytest.raises(TypeError):
+            classic(n, k)
 
     def test_shift_fails_outside_its_domain(self):
         # the (0,1) cell is the known mismatch, so the domain must exclude it

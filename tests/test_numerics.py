@@ -73,6 +73,15 @@ class TestFactorialProducts:
         x = Fraction(1, 2)
         assert rising_factorial(x, 3) == Fraction(1 * 3 * 5, 8)
         assert falling_factorial(x, 2) == Fraction(-1, 4)
+        s = PolyST.s()
+        assert rising_factorial(s, 2) == s * (s + 1)
+        assert falling_factorial(s, 2) == s * (s - 1)
+
+    @pytest.mark.parametrize("product", [rising_factorial, falling_factorial])
+    @pytest.mark.parametrize("x,j", [(0.5, 2), (2.5, 2), (True, 2), (3, 2.0), (3, True)])
+    def test_floats_and_bools_raise(self, product, x, j):
+        with pytest.raises(TypeError):
+            product(x, j)
 
     @given(small_int, small_nat, small_nat)
     def test_rising_concatenation(self, x, j, m):

@@ -496,3 +496,22 @@ class TestRatioExpansions:
         for n in range(1, 31):
             lhs, rhs = binomial_unit_sums_sides(n)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tree_power_sides(True, 3),
+        lambda: tree_power_sides(2, 3.0),
+        lambda: binomial_unit_sums_sides(True),
+        lambda: eulerian_ratio_expansion_sides(1, 1, 0, True),
+        lambda: eulerian_ratio_expansion_sides(1.0, 1, 0, 4),
+        lambda: second_order_ratio_expansion_sides(1, 1, 0, 2.0),
+        lambda: second_order_ratio_expansion_sides(1, True, 0, 4),
+        lambda: egf_transform_sides(True, 1, 0, "1/2", 3),
+    ],
+)
+def test_sides_reject_non_integers(call):
+    # checked at the entry, before any series is built
+    with pytest.raises(TypeError, match="must be an int"):
+        call()

@@ -65,6 +65,11 @@ class TestWordValidity:
         assert validate_word(w)
         assert w.labels == (3, 5)
 
+    def test_repeated_label_is_rejected(self):
+        # n counts labels, so a label given twice would count one letter twice
+        assert validate_word(GenStirlingWord((2, 2, 1, 1), 2, 0, (2, 1)))
+        assert not validate_word(GenStirlingWord((1, 1), 2, 0, (1, 1)))
+
     @pytest.mark.parametrize(
         "build",
         [

@@ -1,5 +1,6 @@
 """Seeded faults: a check that fails keeps its id and reports a witness with
-the first failing instance and both routes' values."""
+the first failing instance and both routes' values.  Each check's case count
+is pinned, so no grid shrinks unseen."""
 
 import math
 import operator
@@ -83,7 +84,8 @@ def test_leaf_tally_fault_is_caught_at_the_top_order(monkeypatch):
     assert not result.passed
     w = result.witness
     p = Params(w["nu"], w["s"], w["t"])
-    n_top = dict(verify._enumeration_grid("default"))[p]
+    n_top = result.params["n_max"]
+    assert stirlingperm.count_sequences(p, n_top) <= result.params["object_cap"]
     assert (w["nu"], w["s"], w["t"], w["n"]) == (1, 1, 2, n_top)
     want = list(eulerian_table(p, n_top).row(n_top))
     faulty = stirlingperm.ascent_histogram(p, n_top)
@@ -338,3 +340,50 @@ def test_smiley_fault_shows_both_rows(monkeypatch):
     _plant_smiley(monkeypatch)
     w = verify.check_classic_ward("small").witness
     assert (w["lhs"][1][2], w["rhs"][1][2]) == ("57", "56")
+
+
+# Cases each check compares, per size level.  Growing a grid re-pins these on
+# purpose, like the report digests; a shrink fails here even in a grid
+# dimension that the report's params do not show.
+CASE_COUNTS = {
+    "default": {
+        "golden-examples": 25,
+        "recurrence-vs-enumeration": 165,
+        "row-sums": 297,
+        "closed-forms": 1088,
+        "special-cases": 644,
+        "inverse-pairs": 1358,
+        "classic-ward": 72,
+        "egf": 60,
+        "tree-function": 29,
+        "series-identities": 78,
+        "ward-interpretation": 90,
+    },
+    "small": {
+        "golden-examples": 25,
+        "recurrence-vs-enumeration": 112,
+        "row-sums": 189,
+        "closed-forms": 360,
+        "special-cases": 280,
+        "inverse-pairs": 874,
+        "classic-ward": 30,
+        "egf": 60,
+        "tree-function": 25,
+        "series-identities": 44,
+        "ward-interpretation": 72,
+    },
+}
+
+
+@pytest.mark.parametrize("level", list(CASE_COUNTS))
+def test_case_counts_are_pinned(level):
+    checks = [c for name in verify.SUITE_NAMES for c in verify.run_suite(name, level).checks]
+    assert all(c.passed for c in checks)
+    assert {c.check_id: c.cases for c in checks} == CASE_COUNTS[level]
+    assert "cases" not in checks[0].to_json()
+
+
+def test_first_mismatch_counts_up_to_the_witness():
+    cases = [({"i": i}, ("a", i), ("b", 0 if i == 3 else i)) for i in range(6)]
+    assert verify._first_mismatch("x", {}, iter(cases)).cases == 4
+    assert verify._first_mismatch("x", {}, iter(cases[:3])).cases == 3

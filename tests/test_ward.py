@@ -191,6 +191,12 @@ class TestInversePair:
             lhs, rhs = smiley_identities_sides(n)
             assert lhs == rhs
 
+    @pytest.mark.parametrize("sides", [riordan_orthogonality_sides, smiley_identities_sides])
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_identities_reject_non_integers(self, sides, n):
+        with pytest.raises(TypeError):
+            sides(n)
+
 
 class TestPairParams:
     """The six coefficients of each family, and the involution that carries
