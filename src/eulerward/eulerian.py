@@ -28,6 +28,14 @@ s >= 1 or t >= 0; those constraints belong to the combinatorial models, and
 the engine deliberately accepts things like (s, t) = (0, 1) or t = -s, both
 of which have closed forms of their own (see ``s_minus_s_closed_forms``).
 
+Poly mode still runs the recurrence on ints.  Substituting s -> 2^B and
+t -> 2^(B W) (Kronecker substitution) is a ring homomorphism from Z[s, t]
+to the integers, so every entry is built as one packed int and read back
+into a ``PolyST`` once, row by row.  ``Recurrence.rows`` states the slot
+layout and the coefficient bound that make the reading exact.  ``PolyST``
+arithmetic stays the oracle: ``Recurrence.check`` recomputes every entry
+with it.
+
 Besides the recurrence, this module evaluates the explicit summation formulas
 for orders 1 and 2, the classic Eulerian and second-order Eulerian numbers in
 both of their usual indexings, and the degenerate t = -s forms.  All of them
@@ -39,7 +47,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import PolyST, _require_int, binomial, falling_factorial, rising_factorial, stirling_subset
+from .numerics import (
+    PolyST,
+    _Kronecker,
+    _require_int,
+    binomial,
+    falling_factorial,
+    rising_factorial,
+    stirling_subset,
+)
 
 __all__ = [
     "Params",
@@ -172,9 +188,45 @@ class Recurrence:
         return Recurrence(a, b, c, a_p + r * a + b_p, -b_p, c_p + r * c + b_p)
 
     def rows(self, nmax: int) -> tuple:
-        """Rows 0..nmax, each a tuple of n + 1 entries."""
+        """Rows 0..nmax, each a tuple of n + 1 entries.
+
+        Int mode runs the recurrence as written.  Poly mode runs the same
+        loop on packed ints (Kronecker substitution, ``numerics._Kronecker``):
+        s -> 2^B and t -> 2^(B W) is a ring homomorphism Z[s, t] -> Z, so an
+        entry is one int, and each row is decoded into ``PolyST`` entries as
+        soon as it is built; only the previous packed row is kept.  The
+        constant terms gamma_0 and gamma'_0 join the int factors
+        alpha n + beta k + gamma_0 and alpha' n + beta' k + gamma'_0, as in
+        int mode, and each other term c s^a t^b enters as
+        c * (x << B (a + W b)): shifts, never a product with a packed gamma.
+
+        The layout.  Every factor has s-degree <= d_s, the larger s-degree of
+        gamma and gamma', so row n has s-degree <= n d_s, and W = nmax d_s + 1
+        slots hold every power of s.  Entry (n, k) has degrees at most the
+        larger of (n-1, k)'s plus its factor's and (n-1, k-1)'s plus its
+        factor's; the decoder reads only the slots inside these bounds.
+
+        The bound.  B is the least multiple of 8 with every coefficient below
+        2^(B-1) in absolute value.  Write |P| for the l1 norm of P (the sum
+        of |coefficients|), which bounds every coefficient and is
+        submultiplicative, and S_n for the sum of |E(n, k)| over row n.
+        E(n-1, j) feeds only E(n, j), through u(n, j) = alpha n + beta j +
+        gamma, and E(n, j+1), through d(n, j+1) = alpha' n + beta' (j+1) +
+        gamma'.  So S_n <= L_n S_{n-1}, with S_0 = 1 and
+
+            L_n = max_{0 <= j < n} |u(n, j)| + |d(n, j+1)|
+                = |gamma - gamma_0| + |gamma' - gamma'_0|
+                  + max_{0 <= j < n} |alpha n + beta j + gamma_0| + |alpha' n + beta' (j+1) + gamma'_0|.
+
+        A sum of absolute values of affine functions of j is convex, so the
+        max sits at j = 0 or j = n - 1.  Every coefficient of rows 1..nmax
+        is then at most prod_{m=1}^{nmax} max(L_m, 1).
+        """
+        _require_int("nmax", nmax)
         if nmax < 0:
             raise ValueError("nmax must be >= 0")
+        if isinstance(self.gamma, PolyST):
+            return self._packed_rows(nmax)
         beta, beta_p = self.beta, self.beta_p
         rows = [(self.one,)]
         for n in range(1, nmax + 1):
@@ -185,6 +237,49 @@ class Recurrence:
             row += [(beta * k + up) * prev[k] + (beta_p * k + diag) * prev[k - 1] for k in range(1, n)]
             row.append((beta_p * n + diag) * prev[n - 1])
             rows.append(tuple(row))
+        return tuple(rows)
+
+    def _packed_rows(self, nmax: int) -> tuple:
+        """Poly-mode rows by Kronecker substitution; ``rows`` gives the layout and the bound."""
+        alpha, beta, alpha_p, beta_p = self.alpha, self.beta, self.alpha_p, self.beta_p
+        gammas = [self.gamma.terms, self.gamma_p.terms]
+        c0, c0_p = [g.get((0, 0), 0) for g in gammas]
+        rest = sum(abs(c) for g in gammas for key, c in g.items() if key != (0, 0))
+
+        def spread(n):  # L_n, its max taken at j = 0 and j = n - 1
+            up, diag = alpha * n + c0, alpha_p * n + c0_p
+            return rest + max(abs(up + beta * j) + abs(diag + beta_p * (j + 1)) for j in (0, n - 1))
+
+        # (s-degree, t-degree) of gamma and of gamma'
+        (su, tu), (sd, td) = [(max(i for i, _ in g), max(j for _, j in g)) if g else (0, 0) for g in gammas]
+        bound = math.prod(max(spread(n), 1) for n in range(1, nmax + 1))
+        packing = _Kronecker(bound, nmax * max(su, sd), nmax * max(tu, td))
+        up_terms, diag_terms = packing.shifts(self.gamma), packing.shifts(self.gamma_p)
+
+        def lifted(x, terms):
+            out = 0
+            for c, shift in terms:
+                out += x << shift if c == 1 else c * (x << shift)
+            return out
+
+        rows = [(self.one,)]
+        prev, degrees = [1], [(0, 0)]
+        for n in range(1, nmax + 1):
+            up = alpha * n + c0
+            diag = alpha_p * n + c0_p
+            ups = [lifted(x, up_terms) for x in prev]
+            diags = [lifted(x, diag_terms) for x in prev]
+            row = [up * prev[0] + ups[0]]
+            row += [
+                (beta * k + up) * prev[k] + ups[k] + (beta_p * k + diag) * prev[k - 1] + diags[k - 1]
+                for k in range(1, n)
+            ]
+            row.append((beta_p * n + diag) * prev[n - 1] + diags[n - 1])
+            above = [(i + su, j + tu) for i, j in degrees] + [(0, 0)]
+            left = [(0, 0)] + [(i + sd, j + td) for i, j in degrees]
+            degrees = [(max(i1, i2), max(j1, j2)) for (i1, j1), (i2, j2) in zip(above, left)]
+            rows.append(tuple(packing.unpack(row, degrees)))
+            prev = row
         return tuple(rows)
 
     def check(self, tri: "TriangleRows") -> bool:

@@ -8,7 +8,9 @@ provides the generalized binomial coefficient, rising and falling factorials
 that also accept polynomial arguments, Stirling subset numbers, their
 associated variant (every block of size at least 2), and ``PolyST``, a small
 sparse polynomial type in the two indeterminates s and t used by the triangle
-builders when s and t are left symbolic.
+builders when s and t are left symbolic.  Beside it sits ``_Kronecker``, the
+packing that lets the triangle engine run on plain ints in poly mode and read
+each entry back into a ``PolyST`` once.
 
 Everything here is immutable and pure; values can be shared freely between
 threads.
@@ -17,8 +19,11 @@ threads.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress, repeat
+from operator import sub
 
 __all__ = [
     "as_fraction",
@@ -79,6 +84,8 @@ def binomial(n: int, k: int) -> int:
     >>> binomial(-2, 3)
     -4
     """
+    _require_int("n", n)
+    _require_int("k", k)
     if k < 0:
         return 0
     if n >= 0:
@@ -344,7 +351,59 @@ class PolyST:
         return "PolyST(%s)" % self.render()
 
 
-if __name__ == "__main__":
-    import doctest
+class _Kronecker:
+    """Kronecker substitution s -> 2^B, t -> 2^(B W), a ring homomorphism Z[s, t] -> Z.
 
-    doctest.testmod(verbose=True)
+    The term c s^a t^b (0 <= a < W) lands in the B-bit slot a + W b of an
+    int, so polynomials add and multiply as their packed ints do.  A packed
+    int reads back as balanced base-2^B digits, which is exact for every
+    polynomial of s-degree < W whose coefficients all have |c| < 2^(B-1).
+    The caller vouches for that through ``bound`` (>= every |c|) and
+    ``s_deg`` (W = s_deg + 1); B is the least multiple of 8 above
+    ``bound``'s bit length, and ``t_deg`` bounds the t-degree.
+
+    ``unpack`` reads only the slots inside the degree bounds it is given, so
+    those must hold too.  A term past an int's top slot makes
+    ``int.to_bytes`` raise OverflowError; one past the s-bound at a lower
+    power of t would go unread.
+    """
+
+    def __init__(self, bound: int, s_deg: int, t_deg: int):
+        size = (bound.bit_length() + 8) // 8  # bytes per slot, so that bound < 2^(B - 1)
+        self.bits = 8 * size
+        self.width = s_deg + 1
+        self._size = size
+        self._keys = [(a, b) for b in range(t_deg + 1) for a in range(self.width)]
+        # 2^(B-1) in every slot turns balanced digits into plain base-2^B ones
+        self._offset = int.from_bytes((bytes(size - 1) + b"\x80") * len(self._keys), "little")
+        self._half = 1 << (self.bits - 1)
+        # _runs[a] reads the a + 1 slots of s-degree 0..a at one power of t, in one C call
+        self._runs = [struct.Struct(("%ds" % size) * (a + 1)).unpack_from for a in range(self.width)]
+
+    def shifts(self, p: "PolyST") -> tuple:
+        """(c, shift) for each nonconstant term c s^a t^b of p.
+
+        Times a packed x, those terms are the sum of c * (x << shift):
+        shifts and small multiplies, never a product with p's packed value.
+        """
+        terms = sorted(p._terms.items())
+        return tuple((c, self.bits * (a + self.width * b)) for (a, b), c in terms if a or b)
+
+    def unpack(self, xs, degrees) -> list:
+        """The PolyST of each packed int in xs, given its (s-degree, t-degree) bounds.
+
+        Per int: one addition of the offset, one ``to_bytes``, then one
+        C-level read per power of t of the slots within the bounds.
+        """
+        width, size, bits, keys, runs = self.width, self._size, self.bits, self._keys, self._runs
+        out = []
+        for x, (a, b) in zip(xs, degrees):
+            top = width * b + a + 1  # the slots up to the int's highest term
+            offset = self._offset >> bits * (len(keys) - top)
+            buf = (x + offset).to_bytes(top * size, "little")
+            starts = range(0, top, width)
+            digits = chain.from_iterable([runs[a](buf, i * size) for i in starts])
+            coeffs = list(map(sub, map(int.from_bytes, digits, repeat("little")), repeat(self._half)))
+            found = compress(chain.from_iterable([keys[i : i + a + 1] for i in starts]), coeffs)
+            out.append(PolyST._of(dict(zip(found, filter(None, coeffs)))))
+        return out

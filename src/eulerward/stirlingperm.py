@@ -230,6 +230,7 @@ def _insertions(nu: int, tvec: tuple[int, ...], n: int):
 
 
 def _enumeration_params(p: Params, n: int) -> tuple[int, tuple[int, ...]]:
+    _require_int("n", n)
     if n < 0:
         raise ValueError("n must be >= 0")
     if p.s < 1:

@@ -9,7 +9,9 @@ comparisons are exact; there are no tolerances anywhere.
 Each check generates its cases, (instance, (name_a, a), (name_b, b)), over
 its parameter grid in ascending order; one harness (``_first_mismatch``)
 stops at the first (smallest) case whose two routes disagree and reports the
-instance plus both routes' values as the witness.  An identity enters as one
+instance plus both routes' values as the witness.  A route that raises fails
+its check the same way, with the case's number and the exception as the
+witness, so the report is still written.  An identity enters as one
 more case: its ``*_sides`` function returns both sides, compared like any two
 routes.  Reports carry no timestamps and all set-like data is sorted, so a
 report is byte-for-byte reproducible.
@@ -148,13 +150,20 @@ def _first_mismatch(check_id: str, params: dict, cases) -> CheckResult:
 
     The witness is the case's instance dict plus both routes' values under
     their names.  ``cases`` is consumed lazily, so nothing past the first
-    mismatch is computed.  The result counts the cases compared.
+    mismatch is computed.  The result counts the cases compared.  A route
+    that raises fails the check as well: the witness then holds the
+    case's number, counted from 1, and ``"raised": "<type>: <message>"``.
     """
-    count = 0
-    for count, (instance, (name_a, a), (name_b, b)) in enumerate(cases, 1):
-        if a != b:
-            witness = {**instance, name_a: _shown(a), name_b: _shown(b)}
-            return CheckResult(check_id, params, False, witness, count)
+    count = 0  # cases that passed; the current one is count + 1
+    try:
+        for instance, (name_a, a), (name_b, b) in cases:
+            if a != b:
+                witness = {**instance, name_a: _shown(a), name_b: _shown(b)}
+                return CheckResult(check_id, params, False, witness, count + 1)
+            count += 1
+    except Exception as exc:  # the report must still be written, with this check failed
+        raised = "%s: %s" % (type(exc).__name__, exc)
+        return CheckResult(check_id, params, False, {"case": count + 1, "raised": raised}, count + 1)
     return CheckResult(check_id, params, True, cases=count)
 
 

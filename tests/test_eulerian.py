@@ -189,6 +189,13 @@ class TestRecurrence:
         with pytest.raises(ValueError):
             eulerian_recurrence(Params(1, 1, 0)).rows(-1)
 
+    @pytest.mark.parametrize("mode", ["int", "poly"])
+    @pytest.mark.parametrize("build", [eulerian_table, ward_table])
+    @pytest.mark.parametrize("nmax", [True, False, 3.0, Fraction(3)])
+    def test_rejects_non_integer_size(self, build, mode, nmax):
+        with pytest.raises(TypeError):
+            build(Params(2, 1, 0), nmax, mode)
+
     @pytest.mark.parametrize(
         "coeffs",
         [
@@ -230,6 +237,67 @@ class TestRecurrence:
         assert all(isinstance(v, PolyST) for row in rows for v in row)
         want = build(Params(nu, s0, t0), nmax).rows
         assert tuple(tuple(v.evaluate(s0, t0) for v in row) for row in rows) == want
+
+
+def _polyst_rows(rec, nmax):
+    """The recurrence in PolyST arithmetic, as the engine ran it before
+    packing: the oracle for poly-mode rows."""
+    beta, beta_p = rec.beta, rec.beta_p
+    rows = [(rec.one,)]
+    for n in range(1, nmax + 1):
+        prev = rows[-1]
+        up = rec.alpha * n + rec.gamma
+        diag = rec.alpha_p * n + rec.gamma_p
+        row = [up * prev[0]]
+        row += [(beta * k + up) * prev[k] + (beta_p * k + diag) * prev[k - 1] for k in range(1, n)]
+        row.append((beta_p * n + diag) * prev[n - 1])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _term_maps(rows):
+    return [[v.terms for v in row] for row in rows]
+
+
+_slopes = st.integers(min_value=-4, max_value=4)
+_gammas = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-9, 9), max_size=4
+).map(PolyST)
+
+
+class TestPackedPolyRows:
+    """Poly mode runs on packed ints; PolyST arithmetic is the oracle."""
+
+    @given(_slopes, _slopes, _gammas, _slopes, _slopes, _gammas, st.integers(0, 10))
+    def test_rows_equal_the_polyst_rows(self, alpha, beta, gamma, alpha_p, beta_p, gamma_p, nmax):
+        rec = Recurrence(alpha, beta, gamma, alpha_p, beta_p, gamma_p)
+        rows = rec.rows(nmax)
+        assert all(isinstance(v, PolyST) for row in rows for v in row)
+        assert _term_maps(rows) == _term_maps(_polyst_rows(rec, nmax))
+
+    @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, 1, -1, -1), (-1, 1, 1, -1)])
+    def test_large_mixed_sign_coefficients(self, signs):
+        # coefficients of both signs within a few bits of the packing bound,
+        # so negative digits borrow from their neighbours all through the rows
+        s, t = PolyST.s(), PolyST.t()
+        gamma = -50 * s + 70 * t - 90
+        rec = Recurrence(*(3 * x for x in signs[:2]), gamma, *(3 * x for x in signs[2:]), 60 * t - 40 * s + 80)
+        rows = rec.rows(10)
+        assert max(abs(c) for v in rows[10] for c in v.terms.values()).bit_length() > 70
+        assert _term_maps(rows) == _term_maps(_polyst_rows(rec, 10))
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "recurrence,build", [(eulerian_recurrence, eulerian_table), (ward_recurrence, ward_table)]
+    )
+    def test_check_passes_on_poly_tables(self, recurrence, build, nu):
+        p = Params(nu, 0, 0)
+        assert recurrence(p, "poly").check(build(p, 15, "poly"))
+
+    def test_constant_and_zero_gammas(self):
+        zero, two = PolyST(), PolyST.constant(2)
+        for rec in (Recurrence(0, 1, zero, 0, 0, two), Recurrence(1, -1, zero, 0, 0, zero)):
+            assert _term_maps(rec.rows(6)) == _term_maps(_polyst_rows(rec, 6))
 
 
 class TestClosedForms:

@@ -56,6 +56,11 @@ class TestBinomial:
     def test_pascal_identity_everywhere(self, n, k):
         assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
+    @pytest.mark.parametrize("args", [(True, 1), (3, True), (2.0, 1), (3, 1.0)])
+    def test_non_integer_arguments_raise(self, args):
+        with pytest.raises(TypeError):
+            binomial(*args)
+
 
 class TestFactorialProducts:
     def test_rising_small(self):
@@ -264,6 +269,49 @@ class TestPolyST:
     def test_rejects_non_integer_exponents_and_coefficients(self, build):
         with pytest.raises(TypeError):
             build()
+
+
+def _packed(packing, p):
+    """p at s = 2^B, t = 2^(B W), by the substitution itself."""
+    return p.evaluate(1 << packing.bits, 1 << (packing.bits * packing.width))
+
+
+class TestKronecker:
+    @pytest.mark.parametrize("bound", [1, 127, 128, 255, 2**64 - 1])
+    def test_coefficients_at_the_bound_read_back(self, bound):
+        # neighbouring slots at +-bound: each negative digit borrows from the
+        # slot above it, which the balanced read must give back
+        packing = numerics._Kronecker(bound, 2, 2)
+        assert bound < 1 << (packing.bits - 1) <= 256 * bound
+        signs = [1, -1, -1, 1, -1, 1, 1, -1, -1]
+        p = PolyST({(i % 3, i // 3): sign * bound for i, sign in enumerate(signs)})
+        q = PolyST({(2, 2): -bound, (0, 0): 1})
+        assert packing.unpack([_packed(packing, p), _packed(packing, q), 0], [(2, 2)] * 3) == [
+            p,
+            q,
+            PolyST(),
+        ]
+
+    def test_shifts_skip_the_constant_term(self):
+        packing = numerics._Kronecker(100, 3, 1)
+        p = 5 * PolyST.s() ** 2 - 3 * PolyST.t() + 7
+        assert packing.shifts(p) == ((-3, 4 * packing.bits), (5, 2 * packing.bits))
+        x = _packed(packing, PolyST.s() + 2)
+        lifted = sum(c * (x << shift) for c, shift in packing.shifts(p))
+        assert lifted == _packed(packing, (p - 7) * (PolyST.s() + 2))
+
+    @given(
+        st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 3)), st.integers(-500, 500), max_size=12)
+    )
+    def test_unpack_inverts_the_substitution(self, terms):
+        p = PolyST(terms)
+        packing = numerics._Kronecker(500, 4, 3)
+        assert packing.unpack([_packed(packing, p)], [(4, 3)]) == [p]
+
+    def test_degree_bounds_past_the_top_slot_raise(self):
+        packing = numerics._Kronecker(9, 2, 2)
+        with pytest.raises(OverflowError):
+            packing.unpack([_packed(packing, PolyST.t() ** 2)], [(2, 1)])
 
 
 class TestAsFraction:

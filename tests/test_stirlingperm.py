@@ -203,6 +203,15 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_sequences(p, -1))
 
+    @pytest.mark.parametrize("size", [True, False, 3.0])
+    def test_rejects_a_non_integer_order(self, size):
+        p = Params(2, 1, 0)
+        for call in (count_sequences, ascent_histogram, ascent_histograms_up_to):
+            with pytest.raises(TypeError):
+                call(p, size)
+        with pytest.raises(TypeError):
+            list(enumerate_sequences(p, size))
+
     def test_requires_at_least_one_word(self):
         with pytest.raises(ValueError):
             list(enumerate_sequences(Params(2, 0, 0), 2))

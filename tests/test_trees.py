@@ -397,6 +397,11 @@ class TestMarkedCounts:
         with pytest.raises(ValueError):
             ward_marked_row(Params(1, 0, 1), 2)
 
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_rejects_a_non_integer_size(self, n):
+        with pytest.raises(TypeError):
+            ward_marked_row(Params(1, 1, 0), n)
+
     def test_rows_do_not_read_the_ascent_count(self, monkeypatch):
         # the pool sizes come from the forests: a wrong ascent count changes nothing
         real = trees._insertions

@@ -2,6 +2,7 @@
 the first failing instance and both routes' values.  Each check's case count
 is pinned, so no grid shrinks unseen."""
 
+import json
 import math
 import operator
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from eulerward import series, stirlingperm, verify, ward
+from eulerward.cli import main
 from eulerward.eulerian import (
     Params,
     TriangleRows,
@@ -16,6 +18,7 @@ from eulerward.eulerian import (
     closed_form_order1,
     closed_form_order2,
     eulerian_table,
+    row_sum_product,
 )
 from eulerward.numerics import assoc_stirling_subset, binomial
 from eulerward.series import egf_eulerian_coeffs
@@ -387,3 +390,37 @@ def test_first_mismatch_counts_up_to_the_witness():
     cases = [({"i": i}, ("a", i), ("b", 0 if i == 3 else i)) for i in range(6)]
     assert verify._first_mismatch("x", {}, iter(cases)).cases == 4
     assert verify._first_mismatch("x", {}, iter(cases[:3])).cases == 3
+
+
+def test_first_mismatch_reports_a_route_that_raises():
+    def cases():
+        yield {"i": 0}, ("a", 0), ("b", 0)
+        raise ZeroDivisionError("planted")
+
+    class Unequal:
+        def __ne__(self, other):
+            raise TypeError("cannot compare")
+
+    result = verify._first_mismatch("x", {}, cases())
+    assert (result.passed, result.cases) == (False, 2)
+    assert result.witness == {"case": 2, "raised": "ZeroDivisionError: planted"}
+    # raised while comparing, after the case was yielded: the same case number
+    result = verify._first_mismatch("x", {}, iter([({}, ("a", Unequal()), ("b", 0))]))
+    assert result.witness == {"case": 1, "raised": "TypeError: cannot compare"}
+
+
+def test_a_check_that_raises_fails_in_the_written_report(monkeypatch, capsys):
+    def faulty(p, n):
+        if n == 3:
+            raise ArithmeticError("planted")
+        return row_sum_product(p, n)
+
+    monkeypatch.setattr(verify, "row_sum_product", faulty)
+    assert main(["verify", "--suite", "recurrence-vs-enumeration"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    checks = {c["id"]: c for c in report["checks"]}
+    assert report["passed"] is False
+    assert checks["row-sums"]["passed"] is False
+    # the first grid point, (nu, s, t) = (1, 1, 0), reaches n = 3 at its fourth case
+    assert checks["row-sums"]["witness"] == {"case": 4, "raised": "ArithmeticError: planted"}
+    assert checks["golden-examples"]["passed"] and checks["recurrence-vs-enumeration"]["passed"]
