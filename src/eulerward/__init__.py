@@ -37,7 +37,6 @@ from .series import (
 from .stirlingperm import (
     GenStirlingSeq,
     GenStirlingWord,
-    ascent_histogram,
     ascent_positions,
     enumerate_sequences,
     seq_ascent_count,
@@ -48,7 +47,6 @@ from .trees import (
     TreeNode,
     distinguished_set,
     forest_distinguished_set,
-    forest_to_seq,
     leftmost_internal_set,
     perm_to_tree,
     seq_to_forest,
@@ -97,11 +95,9 @@ __all__ = [
     "ascent_positions",
     "seq_ascent_count",
     "enumerate_sequences",
-    "ascent_histogram",
     "perm_to_tree",
     "tree_to_perm",
     "seq_to_forest",
-    "forest_to_seq",
     "leftmost_internal_set",
     "distinguished_set",
     "forest_distinguished_set",

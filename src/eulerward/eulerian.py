@@ -28,13 +28,13 @@ s >= 1 or t >= 0; those constraints belong to the combinatorial models, and
 the engine deliberately accepts things like (s, t) = (0, 1) or t = -s, both
 of which have closed forms of their own (see ``s_minus_s_closed_forms``).
 
-Poly mode still runs the recurrence on ints.  Substituting s -> 2^B and
+Both modes run one loop over ints.  In poly mode, substituting s -> 2^B and
 t -> 2^(B W) (Kronecker substitution) is a ring homomorphism from Z[s, t]
 to the integers, so every entry is built as one packed int and read back
-into a ``PolyST`` once, row by row.  ``Recurrence.rows`` states the slot
-layout and the coefficient bound that make the reading exact.  ``PolyST``
-arithmetic stays the oracle: ``Recurrence.check`` recomputes every entry
-with it.
+into a ``PolyST`` once, row by row; int mode is the same loop with no shift
+terms and no decoding.  ``Recurrence.rows`` states the slot layout and the
+coefficient bound that make the reading exact.  ``PolyST`` arithmetic stays
+the oracle: ``Recurrence.check`` recomputes every entry with it.
 
 Besides the recurrence, this module evaluates the explicit summation formulas
 for orders 1 and 2, the classic Eulerian and second-order Eulerian numbers in
@@ -190,21 +190,21 @@ class Recurrence:
     def rows(self, nmax: int) -> tuple:
         """Rows 0..nmax, each a tuple of n + 1 entries.
 
-        Int mode runs the recurrence as written.  Poly mode runs the same
-        loop on packed ints (Kronecker substitution, ``numerics._Kronecker``):
-        s -> 2^B and t -> 2^(B W) is a ring homomorphism Z[s, t] -> Z, so an
-        entry is one int, and each row is decoded into ``PolyST`` entries as
-        soon as it is built; only the previous packed row is kept.  The
-        constant terms gamma_0 and gamma'_0 join the int factors
-        alpha n + beta k + gamma_0 and alpha' n + beta' k + gamma'_0, as in
-        int mode, and each other term c s^a t^b enters as
+        Both modes run one loop over ints.  Poly mode packs each entry into
+        one int by Kronecker substitution (``numerics._Kronecker``: s -> 2^B
+        and t -> 2^(B W) is a ring homomorphism Z[s, t] -> Z) and decodes
+        each row into ``PolyST`` entries once it is built.  The constant
+        terms gamma_0 and gamma'_0 enter the int factors as gamma and gamma'
+        do in int mode; each other term c s^a t^b is then added in place as
         c * (x << B (a + W b)): shifts, never a product with a packed gamma.
 
-        The layout.  Every factor has s-degree <= d_s, the larger s-degree of
-        gamma and gamma', so row n has s-degree <= n d_s, and W = nmax d_s + 1
-        slots hold every power of s.  Entry (n, k) has degrees at most the
-        larger of (n-1, k)'s plus its factor's and (n-1, k-1)'s plus its
-        factor's; the decoder reads only the slots inside these bounds.
+        The layout.  Let (d_s, d_t) and (d'_s, d'_t) be the s- and t-degrees
+        of gamma and gamma'.  Entry (n, k) has s-degree at most
+        (n - k) d_s + k d'_s and t-degree at most (n - k) d_t + k d'_t:
+        every path from (0, 0) to (n, k) takes n - k steps through the first
+        factor and k through the second.  So W = nmax max(d_s, d'_s) + 1
+        slots hold every power of s, and the decoder reads only the slots
+        inside each entry's box.
 
         The bound.  B is the least multiple of 8 with every coefficient below
         2^(B-1) in absolute value.  Write |P| for the l1 norm of P (the sum
@@ -226,21 +226,25 @@ class Recurrence:
         if nmax < 0:
             raise ValueError("nmax must be >= 0")
         if isinstance(self.gamma, PolyST):
-            return self._packed_rows(nmax)
-        beta, beta_p = self.beta, self.beta_p
-        rows = [(self.one,)]
+            gamma, gamma_p, lift, decode = self._packing(nmax)
+        else:
+            gamma, gamma_p, lift, decode = self.gamma, self.gamma_p, None, tuple
+        alpha, beta, alpha_p, beta_p = self.alpha, self.beta, self.alpha_p, self.beta_p
+        rows, prev = [(self.one,)], [1]
         for n in range(1, nmax + 1):
-            prev = rows[-1]
-            up = self.alpha * n + self.gamma
-            diag = self.alpha_p * n + self.gamma_p
+            up = alpha * n + gamma
+            diag = alpha_p * n + gamma_p
             row = [up * prev[0]]
             row += [(beta * k + up) * prev[k] + (beta_p * k + diag) * prev[k - 1] for k in range(1, n)]
             row.append((beta_p * n + diag) * prev[n - 1])
-            rows.append(tuple(row))
+            if lift:
+                lift(row, prev)
+            rows.append(decode(row))
+            prev = row
         return tuple(rows)
 
-    def _packed_rows(self, nmax: int) -> tuple:
-        """Poly-mode rows by Kronecker substitution; ``rows`` gives the layout and the bound."""
+    def _packing(self, nmax: int) -> tuple:
+        """(gamma_0, gamma'_0, lift, decode) for poly mode; ``rows`` gives the layout and the bound."""
         alpha, beta, alpha_p, beta_p = self.alpha, self.beta, self.alpha_p, self.beta_p
         gammas = [self.gamma.terms, self.gamma_p.terms]
         c0, c0_p = [g.get((0, 0), 0) for g in gammas]
@@ -254,33 +258,19 @@ class Recurrence:
         (su, tu), (sd, td) = [(max(i for i, _ in g), max(j for _, j in g)) if g else (0, 0) for g in gammas]
         bound = math.prod(max(spread(n), 1) for n in range(1, nmax + 1))
         packing = _Kronecker(bound, nmax * max(su, sd), nmax * max(tu, td))
-        up_terms, diag_terms = packing.shifts(self.gamma), packing.shifts(self.gamma_p)
+        lifts = ((packing.shifts(self.gamma), 0), (packing.shifts(self.gamma_p), 1))
 
-        def lifted(x, terms):
-            out = 0
-            for c, shift in terms:
-                out += x << shift if c == 1 else c * (x << shift)
-            return out
+        def lift(row, prev):  # the nonconstant terms of gamma (into k) and gamma' (into k + 1)
+            for terms, start in lifts:
+                for c, shift in terms:
+                    for k, x in enumerate(prev, start):
+                        row[k] += x << shift if c == 1 else c * (x << shift)
 
-        rows = [(self.one,)]
-        prev, degrees = [1], [(0, 0)]
-        for n in range(1, nmax + 1):
-            up = alpha * n + c0
-            diag = alpha_p * n + c0_p
-            ups = [lifted(x, up_terms) for x in prev]
-            diags = [lifted(x, diag_terms) for x in prev]
-            row = [up * prev[0] + ups[0]]
-            row += [
-                (beta * k + up) * prev[k] + ups[k] + (beta_p * k + diag) * prev[k - 1] + diags[k - 1]
-                for k in range(1, n)
-            ]
-            row.append((beta_p * n + diag) * prev[n - 1] + diags[n - 1])
-            above = [(i + su, j + tu) for i, j in degrees] + [(0, 0)]
-            left = [(0, 0)] + [(i + sd, j + td) for i, j in degrees]
-            degrees = [(max(i1, i2), max(j1, j2)) for (i1, j1), (i2, j2) in zip(above, left)]
-            rows.append(tuple(packing.unpack(row, degrees)))
-            prev = row
-        return tuple(rows)
+        def decode(row):
+            n = len(row) - 1
+            return tuple(packing.unpack(row, [((n - k) * su + k * sd, (n - k) * tu + k * td) for k in range(n + 1)]))
+
+        return c0, c0_p, lift, decode
 
     def check(self, tri: "TriangleRows") -> bool:
         """Audit a stored triangle against this recurrence, entry by entry.
@@ -335,6 +325,8 @@ def eulerian_table(p: Params, nmax: int, mode: str = INT_MODE) -> TriangleRows:
 def row_sum_product(p: Params, n: int) -> int:
     """The row sum sum_k E(n, k) in product form: prod_{k=0}^{n-1} (k nu + t + s)."""
     _require_int("n", n)
+    if n < 0:
+        raise ValueError("need n >= 0, got %r" % (n,))
     return math.prod(k * p.nu + p.t + p.s for k in range(n))
 
 
@@ -463,20 +455,23 @@ def s_minus_s_closed_forms(nu: int, n: int, k: int, s: int) -> int:
 
     whose division by k! must come out exact.  Its exponents are >= 0 for
     n >= 1; n = 0 would hit (p+s)^(-1), a division by zero at s = 0, so that
-    row (and k < 0) is returned directly from the base case E(0, 0) = 1.
+    row is returned directly from the base case E(0, 0) = 1.  In both orders
+    k outside 0..n gives the int 0, and n < 0 raises ValueError.
     """
     for name, value in (("nu", nu), ("n", n), ("k", k), ("s", s)):
         _require_int(name, value)
+    if n < 0:
+        raise ValueError("need n >= 0, got %r" % (n,))
+    if nu not in (1, 2):
+        raise ValueError("closed forms are available for nu in {1, 2}, got %r" % (nu,))
+    if k < 0 or k > n:
+        return 0
     if nu == 1:
         return (-1) ** k * binomial(n, k) * s**n
-    if nu == 2:
-        if n == 0 or k < 0:
-            return int(k == 0)
-        total = 0
-        for r in range(k + 1):
-            inner = sum(
-                math.comb(r, p) * (-1) ** (k - p) * (p + s) ** (n + r - 1) for p in range(r + 1)
-            )
-            total += falling_factorial(k, k - r) * binomial(2 * n, k - r) * inner
-        return _exact_div(s * total, math.factorial(k))
-    raise ValueError("closed forms are available for nu in {1, 2}, got %r" % (nu,))
+    if n == 0:
+        return 1
+    total = 0
+    for r in range(k + 1):
+        inner = sum(math.comb(r, p) * (-1) ** (k - p) * (p + s) ** (n + r - 1) for p in range(r + 1))
+        total += falling_factorial(k, k - r) * binomial(2 * n, k - r) * inner
+    return _exact_div(s * total, math.factorial(k))

@@ -250,9 +250,6 @@ class PolyST:
         """Copy of the sparse term map."""
         return dict(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     @staticmethod
     def _coerce(other) -> "PolyST | None":
         if isinstance(other, PolyST):

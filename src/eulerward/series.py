@@ -202,8 +202,7 @@ class TruncSeries:
         The lowest power z^v is factored out first: self = z^v b with b_0
         nonzero, so self^e = z^(ve) b^e.  A negative e needs v = 0.
         """
-        if not isinstance(e, int):
-            raise TypeError("series powers must be integers")
+        _require_int("a series exponent", e)
         K = self.order
         if e == 0:
             return TruncSeries.one(K)

@@ -48,7 +48,6 @@ __all__ = [
     "seq_ascent_count",
     "count_sequences",
     "enumerate_sequences",
-    "ascent_histogram",
     "ascent_histograms_up_to",
     "word_text",
     "word_from_text",
@@ -263,12 +262,14 @@ def enumerate_sequences(p: Params, n: int) -> Iterator[GenStirlingSeq]:
             yield _wrap(obj, nu, tvec)
 
 
-def _histograms(p: Params, nmax: int) -> list[list[int]]:
-    """Ascent histograms of orders 0..nmax; the last order is tallied, not built.
+def ascent_histograms_up_to(p: Params, nmax: int) -> list[list[int]]:
+    """Ascent histograms of orders 0..nmax from one depth-first walk:
+    histogram[m][k] = number of order-m objects with exactly k ascents.
+    The last order is tallied, not built.
 
     The walk stops at order nmax - 1.  Each parent there tallies its
     children gap by gap, comparing the letters on either side of the gap
-    the way ``_children`` does: the front gap of an entry adds no ascent,
+    the way ``_insertions`` does: the front gap of an entry adds no ascent,
     the back gap adds one, and an inner gap adds one iff its left letter is
     >= its right one.  No leaf tuple is ever built.
     """
@@ -285,16 +286,6 @@ def _histograms(p: Params, nmax: int) -> list[list[int]]:
             hists[nmax][asc] += gaps - up
             hists[nmax][asc + 1] += up
     return hists
-
-
-def ascent_histogram(p: Params, n: int) -> list[int]:
-    """histogram[k] = number of order-n objects with exactly k ascents."""
-    return _histograms(p, n)[n]
-
-
-def ascent_histograms_up_to(p: Params, nmax: int) -> list[list[int]]:
-    """Ascent histograms for every order 0..nmax from one depth-first walk."""
-    return _histograms(p, nmax)
 
 
 def word_text(w) -> str:

@@ -54,7 +54,6 @@ __all__ = [
     "perm_to_tree",
     "tree_to_perm",
     "seq_to_forest",
-    "forest_to_seq",
     "leftmost_internal_set",
     "distinguished_set",
     "forest_distinguished_set",
@@ -189,10 +188,6 @@ def tree_to_perm(tree: IncTree) -> GenStirlingWord:
 
 def seq_to_forest(seq: GenStirlingSeq) -> tuple[IncTree, ...]:
     return tuple(perm_to_tree(e) for e in seq.entries)
-
-
-def forest_to_seq(forest: tuple[IncTree, ...]) -> GenStirlingSeq:
-    return GenStirlingSeq(tuple(tree_to_perm(tr) for tr in forest))
 
 
 def _walk(node: TreeNode):

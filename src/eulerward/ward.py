@@ -90,6 +90,7 @@ def general_inverse_transform(row, n: int, r, direction: str = "forward") -> lis
     r may be a Fraction or a string such as "2/3" (a float r or entry raises
     TypeError); entries that come out integral are ints, the others Fractions.
     """
+    _require_int("n", n)
     if len(row) != n + 1:
         raise ValueError("row for index n = %d must have %d entries, got %d" % (n, n + 1, len(row)))
     if direction not in ("forward", "backward"):

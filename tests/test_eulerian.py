@@ -131,6 +131,8 @@ class TestTriangles:
                         assert sum(tri.row(n)) == row_sum_product(p, n)
         with pytest.raises(TypeError):
             row_sum_product(Params(1, 1, 0), True)
+        with pytest.raises(ValueError):  # the empty product once made this 1
+            row_sum_product(Params(1, 1, 0), -3)
 
     @given(
         st.integers(min_value=1, max_value=3),
@@ -240,8 +242,10 @@ class TestRecurrence:
 
 
 def _polyst_rows(rec, nmax):
-    """The recurrence in PolyST arithmetic, as the engine ran it before
-    packing: the oracle for poly-mode rows."""
+    """The recurrence as written, in the ring of the constant terms.  On
+    PolyST terms it is the loop the engine ran before packing, the oracle
+    for poly rows; on int terms it is the int-mode loop from before the two
+    modes shared one, the oracle for int rows (``_int_rows``)."""
     beta, beta_p = rec.beta, rec.beta_p
     rows = [(rec.one,)]
     for n in range(1, nmax + 1):
@@ -255,6 +259,9 @@ def _polyst_rows(rec, nmax):
     return tuple(rows)
 
 
+_int_rows = _polyst_rows
+
+
 def _term_maps(rows):
     return [[v.terms for v in row] for row in rows]
 
@@ -263,10 +270,33 @@ _slopes = st.integers(min_value=-4, max_value=4)
 _gammas = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-9, 9), max_size=4
 ).map(PolyST)
+_int_gammas = st.integers(-9, 9)
 
 
 class TestPackedPolyRows:
-    """Poly mode runs on packed ints; PolyST arithmetic is the oracle."""
+    """Both modes run one loop over ints, poly mode on packed ones; the
+    recurrence as written is the oracle."""
+
+    @given(_slopes, _slopes, _int_gammas, _slopes, _slopes, _int_gammas, st.integers(0, 12))
+    def test_int_rows_equal_the_int_loop(self, alpha, beta, gamma, alpha_p, beta_p, gamma_p, nmax):
+        rec = Recurrence(alpha, beta, gamma, alpha_p, beta_p, gamma_p)
+        rows = rec.rows(nmax)
+        assert type(rows) is tuple
+        assert all(type(row) is tuple and all(type(v) is int for v in row) for row in rows)
+        assert rows == _int_rows(rec, nmax)
+
+    @given(_slopes, _slopes, _gammas, _slopes, _slopes, _gammas, st.integers(0, 10))
+    def test_polyst_rows_stay_in_the_degree_box(self, alpha, beta, gamma, alpha_p, beta_p, gamma_p, nmax):
+        # the decoder reads only the box; a term past the s-bound below the
+        # top power of t would be dropped without an error
+        rec = Recurrence(alpha, beta, gamma, alpha_p, beta_p, gamma_p)
+        (su, tu), (sd, td) = [
+            (max(i for i, _ in g), max(j for _, j in g)) if g else (0, 0) for g in (gamma.terms, gamma_p.terms)
+        ]
+        for n, row in enumerate(_polyst_rows(rec, nmax)):
+            for k, v in enumerate(row):
+                for i, j in v.terms:
+                    assert i <= (n - k) * su + k * sd and j <= (n - k) * tu + k * td
 
     @given(_slopes, _slopes, _gammas, _slopes, _slopes, _gammas, st.integers(0, 10))
     def test_rows_equal_the_polyst_rows(self, alpha, beta, gamma, alpha_p, beta_p, gamma_p, nmax):
@@ -404,6 +434,20 @@ class TestDegenerateParameters:
     def test_orders_above_two_unsupported(self):
         with pytest.raises(ValueError):
             s_minus_s_closed_forms(3, 2, 1, 1)
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("n,k", [(3, -1), (3, 4), (0, 1), (0, -2), (5, 9)])
+    def test_outside_the_triangle_is_the_int_zero(self, nu, n, k):
+        # order 1 once returned -0.0 at k = -1
+        value = s_minus_s_closed_forms(nu, n, k, 2)
+        assert type(value) is int and value == 0
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_row_raises(self, nu, n):
+        # order 1 once returned the float 0.5, order 2 an ArithmeticError
+        with pytest.raises(ValueError):
+            s_minus_s_closed_forms(nu, n, 0, 2)
 
     @pytest.mark.parametrize(
         "args", [(1, 3, 1, 1.5), (2, 3, 1, 1.5), (1.0, 3, 1, 1), (2, 3, True, 1), (2, 3.0, 1, 1)]

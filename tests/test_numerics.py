@@ -250,7 +250,7 @@ class TestPolyST:
             assert r == PolyST(terms)
             assert 0 not in terms.values()
             assert all(type(x) is int for key in terms for x in key)
-        assert PolyST.constant(0).is_zero() and PolyST.constant(c) == PolyST({(0, 0): c})
+        assert not PolyST.constant(0).terms and PolyST.constant(c) == PolyST({(0, 0): c})
 
     @pytest.mark.parametrize(
         "build",

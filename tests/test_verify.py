@@ -91,7 +91,7 @@ def test_leaf_tally_fault_is_caught_at_the_top_order(monkeypatch):
     assert stirlingperm.count_sequences(p, n_top) <= result.params["object_cap"]
     assert (w["nu"], w["s"], w["t"], w["n"]) == (1, 1, 2, n_top)
     want = list(eulerian_table(p, n_top).row(n_top))
-    faulty = stirlingperm.ascent_histogram(p, n_top)
+    faulty = stirlingperm.ascent_histograms_up_to(p, n_top)[n_top]
     assert faulty != want and sum(faulty) == sum(want)
     assert w["recurrence"] == _shown(want)
     assert w["enumeration"] == _shown(faulty)

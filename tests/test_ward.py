@@ -131,6 +131,8 @@ class TestInversePair:
             euler_to_ward([1, 2], 2)
         with pytest.raises(ValueError):
             ward_to_euler([1, 2, 3], 1)
+        with pytest.raises(TypeError):  # True + 1 == len([1, 2]) once passed the length check
+            general_inverse_transform([1, 2], True, 1)
 
     def test_direction_name_is_checked(self):
         with pytest.raises(ValueError):
