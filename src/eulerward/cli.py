@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or invalid input.
 Table entries, counts, and statistics are rendered as decimal strings so
 consumers never hit 64-bit truncation (tree-shape JSON keeps its small
 structural integers as numbers).  Structure and key order are fixed, so
-repeated runs are byte-identical.
+repeated runs are byte-identical.  ``table`` is streamed one row at a time,
+so its memory stays near one row whatever the table's size, and every
+input is checked first, so bad input writes nothing to stdout.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import decimal
 import json
 import sys
 
-from .eulerian import Params, eulerian_table
-from .numerics import PolyST
+from .eulerian import Params, eulerian_recurrence
 from .stirlingperm import (
     GenStirlingSeq,
     GenStirlingWord,
@@ -44,21 +45,23 @@ from .trees import (
     leftmost_internal_set,
 )
 from .verify import SUITE_NAMES, run_all, run_suite
-from .ward import ward_table
+from .ward import ward_recurrence
 
 __all__ = ["main", "cmd_table", "cmd_enumerate", "cmd_bijection", "cmd_verify"]
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
 
-def _render(value) -> str:
-    if isinstance(value, PolyST):
-        return value.render()
+def _int_texts(row) -> list:
     try:
-        return str(value)
+        return list(map(str, row))
     except ValueError:
         # past the interpreter's int-to-str digit limit; Decimal has none
-        return str(decimal.Decimal(value))
+        return [str(decimal.Decimal(v)) for v in row]
+
+
+def _poly_texts(row) -> list:
+    return [v.render() for v in row]
 
 
 def _trimmed(row) -> list:
@@ -115,26 +118,28 @@ def _parse_tvec(text: str) -> tuple[int, ...]:
 
 
 def cmd_table(args) -> int:
+    """Write the table one row at a time, as soon as each row is built, so
+    neither the triangle nor its text is ever held whole.  Every input is
+    checked before the first byte is written."""
     if args.nmax < 0:
         raise ValueError("--nmax must be >= 0")
     p = Params(args.nu, args.s, args.t)
-    build = eulerian_table if args.kind == "eulerian" else ward_table
-    tri = build(p, args.nmax, args.mode)
-    rows = [[_render(v) for v in _trimmed(tri.row(n))] for n in range(args.nmax + 1)]
+    recurrence = eulerian_recurrence if args.kind == "eulerian" else ward_recurrence
+    rows = recurrence(p, args.mode).iter_rows(args.nmax)
+    texts = _poly_texts if args.mode == "poly" else _int_texts
+    write = sys.stdout.write
     if args.format == "csv":
         for n, row in enumerate(rows):
-            print(",".join([str(n)] + row))
-    else:
-        payload = {
-            "kind": args.kind,
-            "mode": args.mode,
-            "nu": str(args.nu),
-            "s": str(args.s),
-            "t": str(args.t),
-            "nmax": str(args.nmax),
-            "rows": rows,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+            write(",".join([str(n), *texts(_trimmed(row))]) + "\n")
+        return 0
+    # json.dumps(payload, indent=2, sort_keys=True) of the payload
+    # {kind, mode, nmax, nu, rows, s, t}, every value a string, laid out by hand
+    head = [("kind", args.kind), ("mode", args.mode), ("nmax", str(args.nmax)), ("nu", str(args.nu))]
+    write("{\n" + "".join('  "%s": %s,\n' % (key, json.dumps(v)) for key, v in head) + '  "rows": [')
+    for n, row in enumerate(rows):
+        entries = ",\n      ".join(map(json.dumps, texts(_trimmed(row))))
+        write((",\n" if n else "\n") + "    [\n      " + entries + "\n    ]")
+    write('\n  ],\n  "s": %s,\n  "t": %s\n}\n' % (json.dumps(str(args.s)), json.dumps(str(args.t))))
     return 0
 
 

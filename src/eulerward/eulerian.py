@@ -32,8 +32,8 @@ Both modes run one loop over ints.  In poly mode, substituting s -> 2^B and
 t -> 2^(B W) (Kronecker substitution) is a ring homomorphism from Z[s, t]
 to the integers, so every entry is built as one packed int and read back
 into a ``PolyST`` once, row by row; int mode is the same loop with no shift
-terms and no decoding.  ``Recurrence.rows`` states the slot layout and the
-coefficient bound that make the reading exact.  ``PolyST`` arithmetic stays
+terms and no decoding.  ``Recurrence.iter_rows`` states the slot layout and
+the coefficient bound that make the reading exact.  ``PolyST`` arithmetic stays
 the oracle: ``Recurrence.check`` recomputes every entry with it.
 
 Besides the recurrence, this module evaluates the explicit summation formulas
@@ -188,7 +188,15 @@ class Recurrence:
         return Recurrence(a, b, c, a_p + r * a + b_p, -b_p, c_p + r * c + b_p)
 
     def rows(self, nmax: int) -> tuple:
-        """Rows 0..nmax, each a tuple of n + 1 entries.
+        """Rows 0..nmax, each a tuple of n + 1 entries: ``iter_rows`` collected."""
+        return tuple(self.iter_rows(nmax))
+
+    def iter_rows(self, nmax: int):
+        """Rows 0..nmax, each a tuple of n + 1 entries, yielded one at a time
+        so a caller that streams them never holds the whole triangle.
+
+        ``nmax`` is checked, and poly mode's packing fixed, when this is
+        called, before the first row is asked for.
 
         Both modes run one loop over ints.  Poly mode packs each entry into
         one int by Kronecker substitution (``numerics._Kronecker``: s -> 2^B
@@ -226,11 +234,14 @@ class Recurrence:
         if nmax < 0:
             raise ValueError("nmax must be >= 0")
         if isinstance(self.gamma, PolyST):
-            gamma, gamma_p, lift, decode = self._packing(nmax)
-        else:
-            gamma, gamma_p, lift, decode = self.gamma, self.gamma_p, None, tuple
+            return self._row_loop(nmax, *self._packing(nmax))
+        return self._row_loop(nmax, self.gamma, self.gamma_p, None, tuple)
+
+    def _row_loop(self, nmax: int, gamma, gamma_p, lift, decode):
+        """The loop behind ``iter_rows``, over ints in both modes."""
         alpha, beta, alpha_p, beta_p = self.alpha, self.beta, self.alpha_p, self.beta_p
-        rows, prev = [(self.one,)], [1]
+        yield (self.one,)
+        prev = [1]
         for n in range(1, nmax + 1):
             up = alpha * n + gamma
             diag = alpha_p * n + gamma_p
@@ -239,12 +250,11 @@ class Recurrence:
             row.append((beta_p * n + diag) * prev[n - 1])
             if lift:
                 lift(row, prev)
-            rows.append(decode(row))
+            yield decode(row)
             prev = row
-        return tuple(rows)
 
     def _packing(self, nmax: int) -> tuple:
-        """(gamma_0, gamma'_0, lift, decode) for poly mode; ``rows`` gives the layout and the bound."""
+        """(gamma_0, gamma'_0, lift, decode) for poly mode; ``iter_rows`` gives the layout and the bound."""
         alpha, beta, alpha_p, beta_p = self.alpha, self.beta, self.alpha_p, self.beta_p
         gammas = [self.gamma.terms, self.gamma_p.terms]
         c0, c0_p = [g.get((0, 0), 0) for g in gammas]

@@ -88,6 +88,12 @@ def _power_coeff(b, P, e: int, m: int) -> Fraction:
     return Fraction(acc * b0.denominator, m * db * dq * b0.numerator)
 
 
+def _require_order(order) -> None:
+    _require_int("order", order)
+    if order < 0:
+        raise ValueError("order must be >= 0, got %r" % (order,))
+
+
 class TruncSeries:
     """Coefficients 0..K of a formal power series, exact rationals.
 
@@ -109,14 +115,17 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
+        _require_order(order)
         return cls((0,) * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
+        _require_order(order)
         return cls((1,) + (0,) * order)
 
     @classmethod
     def x(cls, order: int) -> "TruncSeries":
+        _require_order(order)
         if order < 1:
             return cls.zero(order)
         return cls((0, 1) + (0,) * (order - 1))
@@ -130,6 +139,9 @@ class TruncSeries:
         return self._coeffs
 
     def coefficient(self, i: int) -> Fraction:
+        _require_int("a coefficient index", i)
+        if not 0 <= i <= self.order:
+            raise ValueError("coefficient index must be in 0..%d, got %r" % (self.order, i))
         return self._coeffs[i]
 
     def _match(self, other) -> tuple | None:

@@ -1,9 +1,12 @@
 """Command-line behavior: output shapes, golden rows, exit codes."""
 
+import decimal
 import io
 import json
+import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -15,8 +18,10 @@ import eulerward.cli as cli
 import eulerward.stirlingperm as stirlingperm
 import eulerward.trees as trees
 from eulerward.cli import _write_json, main
-from eulerward.numerics import assoc_stirling_subset
+from eulerward.eulerian import Params, eulerian_table
+from eulerward.numerics import PolyST, assoc_stirling_subset
 from eulerward.stirlingperm import GenStirlingSeq, GenStirlingWord
+from eulerward.ward import ward_table
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +109,111 @@ class TestTable:
         with pytest.raises(SystemExit) as exc:
             main(["table", "pascal", "--nu", "1", "--nmax", "2"])
         assert exc.value.code == 2
+
+
+def _oracle_render(value) -> str:
+    if isinstance(value, PolyST):
+        return value.render()
+    try:
+        return str(value)
+    except ValueError:
+        return str(decimal.Decimal(value))
+
+
+def _oracle_trimmed(row) -> list:
+    out = list(row)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _oracle_table(kind, nu, s, t, nmax, fmt, mode):
+    """The text ``table`` printed when it built the whole triangle and
+    handed it to json.dumps: the oracle for the streaming writer."""
+    out = io.StringIO()
+    build = eulerian_table if kind == "eulerian" else ward_table
+    tri = build(Params(nu, s, t), nmax, mode)
+    rows = [[_oracle_render(v) for v in _oracle_trimmed(tri.row(n))] for n in range(nmax + 1)]
+    if fmt == "csv":
+        for n, row in enumerate(rows):
+            print(",".join([str(n)] + row), file=out)
+    else:
+        payload = {
+            "kind": kind,
+            "mode": mode,
+            "nu": str(nu),
+            "s": str(s),
+            "t": str(t),
+            "nmax": str(nmax),
+            "rows": rows,
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+    return out.getvalue()
+
+
+def _table_argv(kind, nu, s, t, nmax, fmt, mode="int"):
+    return ["table", kind, "--nu", str(nu), "--s=%d" % s, "--t=%d" % t,
+            "--nmax", str(nmax), "--format", fmt, "--mode", mode]
+
+
+class _WriteLog(io.TextIOBase):
+    """A stdout that keeps only the length of each write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, piece):
+        self.sizes.append(len(piece))
+        return len(piece)
+
+
+class TestTableStreaming:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(["eulerian", "ward"]),
+        st.sampled_from(["int", "poly"]),
+        st.integers(1, 3),
+        st.integers(-2, 3),
+        st.integers(-2, 3),
+        st.integers(0, 20),
+        st.sampled_from(["csv", "json"]),
+    )
+    def test_matches_the_whole_table_writer(self, kind, mode, nu, s, t, nmax, fmt):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(_table_argv(kind, nu, s, t, nmax, fmt, mode))
+        assert code == 0
+        assert out.getvalue() == _oracle_table(kind, nu, s, t, nmax, fmt, mode)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_holds_one_row_at_a_time(self, fmt):
+        args = ("eulerian", 3, 2, 1, 150, fmt)
+        want = _oracle_table(*args, "int")
+        if fmt == "csv":
+            longest = max(map(len, want.splitlines()))
+        else:
+            longest = max(map(len, re.findall(r"\n    \[\n.*?\n    \]", want, re.S)))
+        out = _WriteLog()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(out):
+                code = main(_table_argv(*args))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sum(out.sizes) == len(want)
+        assert max(out.sizes) <= longest + 16
+        assert peak < len(want) / 3
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [["--nu", "0"], ["--nu", "2", "--nmax=-1"]])
+    def test_bad_input_writes_nothing(self, capsys, fmt, bad):
+        argv = ["table", "eulerian", "--nmax", "3", *bad, "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestEnumerate:

@@ -330,6 +330,30 @@ class TestPackedPolyRows:
             assert _term_maps(rec.rows(6)) == _term_maps(_polyst_rows(rec, 6))
 
 
+class TestIterRows:
+    """``iter_rows`` yields the rows ``rows`` collects, one at a time."""
+
+    @given(
+        _slopes, _slopes, st.one_of(st.tuples(_int_gammas, _int_gammas), st.tuples(_gammas, _gammas)),
+        _slopes, _slopes, st.integers(0, 10),
+    )
+    def test_yields_the_rows(self, alpha, beta, gammas, alpha_p, beta_p, nmax):
+        rec = Recurrence(alpha, beta, gammas[0], alpha_p, beta_p, gammas[1])
+        streamed = tuple(rec.iter_rows(nmax))
+        assert streamed == rec.rows(nmax)
+        assert [[getattr(v, "terms", v) for v in row] for row in streamed] == [
+            [getattr(v, "terms", v) for v in row] for row in _polyst_rows(rec, nmax)
+        ]
+
+    @pytest.mark.parametrize("mode", ["int", "poly"])
+    @pytest.mark.parametrize("nmax,error", [(True, TypeError), (2.0, TypeError), (-1, ValueError)])
+    def test_checks_nmax_when_called(self, mode, nmax, error):
+        # no next(): the generator body has not started when the check must fire
+        rec = eulerian_recurrence(Params(2, 1, 0), mode)
+        with pytest.raises(error):
+            rec.iter_rows(nmax)
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("s,t", [(1, 0), (0, 1), (2, 3), (3, 1)])
     def test_order1_matches_recurrence(self, s, t):

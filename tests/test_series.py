@@ -82,6 +82,19 @@ class TestSeriesCore:
         assert TruncSeries.x(3).coeffs == (0, 1, 0, 0)
         assert TruncSeries.zero(0).coeffs == (0,)
 
+    @pytest.mark.parametrize("make", [TruncSeries.zero, TruncSeries.one, TruncSeries.x])
+    def test_constructors_reject_bad_orders(self, make):
+        for order, error in ((-1, ValueError), (-2, ValueError), (True, TypeError), (2.0, TypeError)):
+            with pytest.raises(error):
+                make(order)
+
+    def test_coefficient_rejects_bad_indexes(self):
+        f = TruncSeries.x(4)
+        assert [f.coefficient(i) for i in range(5)] == [0, 1, 0, 0, 0]
+        for i, error in ((-1, ValueError), (5, ValueError), (True, TypeError), (1.0, TypeError)):
+            with pytest.raises(error):
+                f.coefficient(i)
+
     def test_mul_is_truncated_convolution(self):
         a = mk([1, 1, 1])
         assert (a * a).coeffs == (1, 2, 3)
