@@ -136,8 +136,10 @@ def cmd_table(args) -> int:
     # {kind, mode, nmax, nu, rows, s, t}, every value a string, laid out by hand
     head = [("kind", args.kind), ("mode", args.mode), ("nmax", str(args.nmax)), ("nu", str(args.nu))]
     write("{\n" + "".join('  "%s": %s,\n' % (key, json.dumps(v)) for key, v in head) + '  "rows": [')
+    # the entry texts need no JSON escaping (_int_texts gives -?[0-9]+, also
+    # through Decimal, and render() gives [0-9*s^t+-]), so one join quotes them
     for n, row in enumerate(rows):
-        entries = ",\n      ".join(map(json.dumps, texts(_trimmed(row))))
+        entries = '"' + '",\n      "'.join(texts(_trimmed(row))) + '"'
         write((",\n" if n else "\n") + "    [\n      " + entries + "\n    ]")
     write('\n  ],\n  "s": %s,\n  "t": %s\n}\n' % (json.dumps(str(args.s)), json.dumps(str(args.t))))
     return 0

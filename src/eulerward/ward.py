@@ -26,7 +26,6 @@ one order up (``Recurrence.involution``, applied in ``ward_recurrence``).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .eulerian import (
@@ -84,27 +83,29 @@ def general_inverse_transform(row, n: int, r, direction: str = "forward") -> lis
     orthogonality relation of riordan_orthogonality_sides dressed with a
     geometric weight.  r = 1 is euler_to_ward, r = -1 ward_to_euler, r = 0
     the identity, and r = -beta'/beta takes the rows of a ``Recurrence`` R to
-    those of ``R.involution()``.  With r = p/q the sum runs as
-    q^k a_k = sum_j b_j C(n-j, n-k) p^(k-j) q^j in the ring of the entries
-    (so an integer r takes int and PolyST rows alike), then divides by q^k.
-    r may be a Fraction or a string such as "2/3" (a float r or entry raises
-    TypeError); entries that come out integral are ints, the others Fractions.
+    those of ``R.involution()``.  With r = p/q, q^k a_k is the y^k coefficient
+    of sum_j b_j (q y)^j (1 + p y)^(n-j), which Horner's rule in j evaluates
+    with no binomials or per-term powers, in the ring of the entries (so an
+    integer r takes int and PolyST rows alike); then it divides by q^k.  It
+    reads only the row it is given, never the recurrence that built it.  r
+    may be a Fraction or a string such as "2/3" (a float r, or a bool or
+    float entry, raises TypeError); entries that come out integral are ints,
+    the others Fractions.
     """
     _require_int("n", n)
-    if len(row) != n + 1:
-        raise ValueError("row for index n = %d must have %d entries, got %d" % (n, n + 1, len(row)))
+    if n < 0 or len(row) != n + 1:
+        raise ValueError("need n >= 0 and a row of n + 1 entries, got n = %d and %d entries" % (n, len(row)))
+    if any(isinstance(b, (bool, float)) for b in row):
+        raise TypeError("row entries must be exact (int, Fraction or PolyST), not bool or float")
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward', got %r" % (direction,))
     rr = as_fraction(r) if direction == "forward" else -as_fraction(r)
     p, q = rr.numerator, rr.denominator
-    out = []
-    for k in range(n + 1):
-        acc = sum(row[j] * (math.comb(n - j, n - k) * p ** (k - j) * q**j) for j in range(k + 1))
-        if q != 1 or not isinstance(acc, (int, PolyST)):
-            acc = Fraction(acc, q**k)
-            acc = acc.numerator if acc.denominator == 1 else acc
-        out.append(acc)
-    return out
+    coeffs: list = []
+    for j, b in enumerate(row):  # coeffs <- coeffs * (1 + p y) + b q^j y^j
+        coeffs = [x + p * y for x, y in zip(coeffs + [b * q**j], [0] + coeffs)]
+    out = [a if q == 1 and isinstance(a, (int, PolyST)) else Fraction(a, q**k) for k, a in enumerate(coeffs)]
+    return [a.numerator if isinstance(a, Fraction) and a.denominator == 1 else a for a in out]
 
 
 def riordan_orthogonality_sides(n: int) -> tuple[list, list]:

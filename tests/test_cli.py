@@ -216,6 +216,39 @@ class TestTableStreaming:
         assert err.startswith("error: ")
 
 
+class TestEntryTexts:
+    """cmd_table quotes each json entry by a plain join, which is exact only
+    because no entry text needs escaping."""
+
+    @given(st.lists(st.integers(min_value=-10**40, max_value=10**40), min_size=1, max_size=6))
+    def test_int_texts_are_signed_digits(self, row):
+        for text in cli._int_texts(row):
+            assert re.fullmatch(r"-?[0-9]+", text)
+            assert json.dumps(text) == '"' + text + '"'
+
+    def test_decimal_fallback_texts_are_signed_digits(self):
+        big = 10**4500
+        with pytest.raises(ValueError):
+            str(big)  # past the digit limit, so _int_texts takes the Decimal route
+        texts = cli._int_texts([big, -big - 7, 0, -3])
+        assert texts == ["1" + "0" * 4500, "-1" + "0" * 4499 + "7", "0", "-3"]
+        for text in texts:
+            assert re.fullmatch(r"-?[0-9]+", text)
+            assert json.dumps(text) == '"' + text + '"'
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            st.integers(min_value=-10**40, max_value=10**40),
+            max_size=6,
+        )
+    )
+    def test_poly_texts_need_no_escaping(self, terms):
+        for text in cli._poly_texts([PolyST(terms)]):
+            assert re.fullmatch(r"[0-9*s^t+-]+", text)
+            assert json.dumps(text) == '"' + text + '"'
+
+
 class TestEnumerate:
     def test_three_objects(self, capsys):
         code, out, _ = run_cli(

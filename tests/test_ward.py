@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerward.eulerian import Params, Recurrence, eulerian_recurrence, eulerian_table
@@ -34,6 +34,18 @@ mixed_rows = st.integers(min_value=0, max_value=8).flatmap(
     )
 )
 RATIOS = [0, 1, -1, 3, Fraction(2, 3), Fraction(-5, 7), "3/4"]
+big_ints = st.integers(min_value=-10**30, max_value=10**30)
+big_fractions = st.builds(Fraction, big_ints, st.integers(min_value=1, max_value=10**30))
+long_rows = st.integers(min_value=0, max_value=40).flatmap(
+    lambda n: st.one_of(
+        st.lists(entries, min_size=n + 1, max_size=n + 1)
+        for entries in (big_ints, big_fractions, st.one_of(big_ints, big_fractions))
+    )
+)
+# r = p/q with |p| <= 7 and 1 <= q <= 7, r = 0 included
+small_ratios = st.builds(
+    Fraction, st.integers(min_value=-7, max_value=7), st.integers(min_value=1, max_value=7)
+)
 
 
 # Oracles: the transform written out the slow, obvious way, as integer sums for
@@ -170,6 +182,13 @@ class TestInversePair:
         got = general_inverse_transform(row, n, r, direction)
         assert _typed(got) == _typed(oracle_general_inverse_transform(row, n, r, direction))
 
+    @settings(max_examples=150, deadline=None)
+    @given(long_rows, small_ratios, st.sampled_from(["forward", "backward"]))
+    def test_matches_the_fraction_oracle_on_long_rows(self, row, r, direction):
+        n = len(row) - 1
+        got = general_inverse_transform(row, n, r, direction)
+        assert _typed(got) == _typed(oracle_general_inverse_transform(row, n, r, direction))
+
     def test_integer_ratio_transforms_polynomial_rows(self):
         e = eulerian_table(Params(3, 1, 0), 7, "poly")
         w = ward_table(Params(2, 1, 0), 7, "poly")
@@ -182,6 +201,16 @@ class TestInversePair:
     def test_float_entries_raise(self):
         with pytest.raises(TypeError):
             general_inverse_transform([1, 0.5], 1, 1)
+
+    @pytest.mark.parametrize("row", [[True, 2], [1, False], [2.0, 1]])
+    def test_bool_and_float_entries_raise_up_front(self, row):
+        with pytest.raises(TypeError, match="bool or float"):
+            general_inverse_transform(row, 1, 1)
+
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_index_raises(self, n):
+        with pytest.raises(ValueError):
+            general_inverse_transform([0] * (n + 1), n, 1)
 
     def test_riordan_orthogonality(self):
         for n in range(11):
@@ -246,24 +275,27 @@ class TestPairParams:
 
 
 @st.composite
-def six_tuples(draw):
+def six_tuples(draw, poly=None):
+    """A six-tuple whose constant terms are PolyST when ``poly`` (drawn if None)."""
     beta = draw(st.sampled_from([1, 2, 3, -1, -2, -3]))
     beta_p = draw(st.integers(min_value=-3, max_value=3)) * beta
     small = st.integers(min_value=-3, max_value=3)
     alpha, alpha_p, gamma, gamma_p = (draw(small) for _ in range(4))
-    if draw(st.booleans()):
+    if draw(st.booleans()) if poly is None else poly:
         gamma = gamma + draw(st.sampled_from([PolyST.s(), PolyST.t(), PolyST.s() + PolyST.t()]))
         gamma_p = gamma_p + draw(st.sampled_from([PolyST.s(), PolyST.t(), PolyST.constant(0)]))
     return Recurrence(alpha, beta, gamma, alpha_p, beta_p, gamma_p)
 
 
 class TestInvolution:
-    @given(six_tuples())
-    def test_image_rows_are_the_transformed_rows(self, spec):
-        r = -spec.beta_p // spec.beta
-        source, image = spec.rows(8), spec.involution().rows(8)
-        for n in range(9):
-            assert list(image[n]) == general_inverse_transform(list(source[n]), n, r)
+    @settings(deadline=None)
+    @given(six_tuples(poly=False), six_tuples(poly=True))
+    def test_image_rows_are_the_transformed_rows(self, int_spec, poly_spec):
+        for spec in (int_spec, poly_spec):
+            r = -spec.beta_p // spec.beta
+            source, image = spec.rows(12), spec.involution().rows(12)
+            for n in range(13):
+                assert list(image[n]) == general_inverse_transform(list(source[n]), n, r)
 
     @given(six_tuples())
     def test_twice_is_the_identity(self, spec):
