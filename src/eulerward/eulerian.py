@@ -53,7 +53,6 @@ from .numerics import (
     _require_int,
     binomial,
     falling_factorial,
-    rising_factorial,
     stirling_subset,
 )
 
@@ -355,21 +354,21 @@ def closed_form_order1(n: int, k: int, s: int, t: int) -> int:
     (1/k!) sum_{j=0}^{k} (-1)^(k-j) C(k,j) (n+s+t)^falling(k-j)
                          (s+t)^rising(j) (s+j)^n
 
-    The division by k! must come out exact; anything else raises.
+    The rising and falling factorials are running products, so the sum has
+    O(k) terms and O(k) products.  The division by k! must come out exact;
+    anything else raises.
     """
     for name, value in (("n", n), ("k", k), ("s", s), ("t", t)):
         _require_int(name, value)
     if n < 0 or k < 0 or k > n:
         raise ValueError("need 0 <= k <= n")
-    total = 0
-    for j in range(k + 1):
-        total += (
-            (-1) ** (k - j)
-            * math.comb(k, j)
-            * falling_factorial(n + s + t, k - j)
-            * rising_factorial(s + t, j)
-            * (s + j) ** n
-        )
+    rising, falling = [1], [1]  # (s+t)^rising(i) and (n+s+t)^falling(i), i <= k
+    for i in range(k):
+        rising.append(rising[-1] * (s + t + i))
+        falling.append(falling[-1] * (n + s + t - i))
+    total = sum(
+        (-1) ** (k - j) * math.comb(k, j) * falling[k - j] * rising[j] * (s + j) ** n for j in range(k + 1)
+    )
     return _exact_div(total, math.factorial(k))
 
 
@@ -380,9 +379,18 @@ def closed_form_order2(n: int, k: int, s: int, t: int) -> int:
            sum_p C(r,p) sum_j (-1)^(k-p) C(p,j) (s+t)^rising(j) (s+j)
                               (p+s)^(n+r-j-1)
 
-    For n >= 1 every exponent n+r-j-1 is >= n-1 >= 0 and integer powers are
-    safe; n = 0 would hit (p+s)^(-1), so that row is returned directly from
-    the base case E(0, 0) = 1.
+    For n >= 1 and j <= p <= r the power splits as
+    (p+s)^(p-j) (p+s)^(n+r-1-p) with both exponents >= 0 (0^0 = 1 on both
+    sides), so the j-sum is h_p (p+s)^(n+r-1-p) with
+
+        h_p = sum_j C(p,j) (s+t)^rising(j) (s+j) (p+s)^(p-j),
+
+    which does not depend on r.  The rising and falling factorials are
+    running products, then come h_0..h_k, then the (r, p) double sum: O(k^2)
+    terms in all.
+
+    n = 0 would hit (p+s)^(-1), so that row is returned directly from the
+    base case E(0, 0) = 1.
     """
     for name, value in (("n", n), ("k", k), ("s", s), ("t", t)):
         _require_int(name, value)
@@ -390,20 +398,20 @@ def closed_form_order2(n: int, k: int, s: int, t: int) -> int:
         raise ValueError("need 0 <= k <= n")
     if n == 0:
         return 1
+    rising, falling = [1], [1]  # (s+t)^rising(i) and (s+t+2n)^falling(i), i <= k
+    for i in range(k):
+        rising.append(rising[-1] * (s + t + i))
+        falling.append(falling[-1] * (s + t + 2 * n - i))
+    h = [
+        sum(math.comb(p, j) * rising[j] * (s + j) * (p + s) ** (p - j) for j in range(p + 1))
+        for p in range(k + 1)
+    ]
     total = 0
     for r in range(k + 1):
-        inner = 0
-        for p in range(r + 1):
-            for j in range(p + 1):
-                inner += (
-                    math.comb(r, p)
-                    * (-1) ** (k - p)
-                    * math.comb(p, j)
-                    * rising_factorial(s + t, j)
-                    * (s + j)
-                    * (p + s) ** (n + r - j - 1)
-                )
-        total += math.comb(k, r) * falling_factorial(s + t + 2 * n, k - r) * inner
+        inner = sum(
+            math.comb(r, p) * (-1) ** (k - p) * h[p] * (p + s) ** (n + r - 1 - p) for p in range(r + 1)
+        )
+        total += math.comb(k, r) * falling[k - r] * inner
     return _exact_div(total, math.factorial(k))
 
 

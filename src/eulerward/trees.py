@@ -22,9 +22,11 @@ ranges over the forests of the order-(nu+1) word model and M over
 (n-k)-subsets of D(F).  That count is implemented literally in
 ``ward_marked_row``, giving a route to the Ward triangle that never touches
 its recurrence.  It runs on the raw objects of the insertion walk in
-``stirlingperm``, which are valid by construction, so they skip validation,
-and it reads |D(F)| off the factorization pass itself (``_pool_size``)
-without building the trees.
+``stirlingperm``, which are valid by construction, so they skip validation.
+The walk stops one order short: each parent reads its |D(F)| off the
+factorization pass itself (``_pool_size``, without building the trees) and
+tallies its children's pools gap by gap from the forest, so the last order
+is never built.
 
 The factorization is one left-to-right stack pass, and every other walk over
 a tree (reading, validation, statistics, equality, hashing, repr, JSON and
@@ -249,24 +251,60 @@ def _pool_size(letters, t: int) -> int:
     return size + (t == 0 and len(letters) > 0)
 
 
+def _child_pools(obj, tvec) -> tuple[int, int, int]:
+    """(|D(F)|, children that keep it, children that gain one label) for a
+    raw object, its children being those of one more insertion.
+
+    The gaps of a word are the external slots of its tree, and inserting
+    the block m^(nu+1) at a gap hangs a new leaf node m in that slot and
+    changes no other slot.  So a child's pool is its parent's plus m exactly
+    when the slot is the first slot of its node, and otherwise the same.  In
+    the word, that is the gap right before the first occurrence of a letter
+    y (where node y opens) with no larger letter just before it, which would
+    have closed a subtree into y's first slot.  The back gap of a nonempty
+    entry fills a last slot, and an empty entry (t_i = 0) gets m as its
+    root, which joins the pool.  Every node's first slot holds either a
+    label of E(T) or an external leaf, and the nodes are the distinct
+    letters (0 included), so a nonempty entry has (distinct letters) -
+    |E(T)| gaining gaps.  The rule reads the forest only, never an ascent
+    count.
+    """
+    pool = gain = gaps = 0
+    for entry, ti in zip(obj, tvec):
+        size = _pool_size(entry, ti)  # |E(T)|, plus a t = 0 root
+        pool += size
+        gain += len(set(entry)) - size + (ti == 0)
+        gaps += len(entry) + 1
+    return pool, gaps - gain, gain
+
+
 def ward_marked_row(p: Params, n: int) -> list[int]:
     """Row n of the order-nu (s,t)-Ward triangle, counted through marked forests.
 
     Streams the order-(nu+1) word model (the Ward order sits one below the
-    Eulerian order of the words it marks), reads each object's pool size
-    |D(F)| off the factorization pass of its words (``_pool_size``, which
-    builds no tree), and counts the (n-k)-subsets of each pool.  No
-    recurrence and no ascent count is involved (the ascent count the walk
-    yields is ignored), which is the point: this is the independent
-    combinatorial route the Ward recurrence is checked against.
+    Eulerian order of the words it marks) and counts the (n-k)-subsets of
+    each forest's pool D(F).  The walk stops at order n - 1: each parent
+    reads its pool off the factorization pass of its words (``_pool_size``,
+    which builds no tree) and tallies its children's pools from its forest,
+    so the last order, nearly all of the objects, is never built.  The rule
+    (``_child_pools``): a child's pool is its parent's plus the new label
+    exactly when the new leaf fills an empty first slot of a node, or is the
+    root of an empty t_i = 0 entry.  No recurrence and no ascent count is
+    involved (the ascent count the walk yields is ignored), which is the
+    point: this is the independent combinatorial route the Ward recurrence
+    is checked against.
     """
     if p.s < 1:
         raise ValueError("the forest model needs s >= 1")
     nu, tvec = _enumeration_params(Params(p.nu + 1, p.s, p.t, p.tvec), n)
+    if n == 0:
+        return [1]  # the one forest of order 0 has an empty pool
     pools: Counter[int] = Counter()
-    for m, obj, _ in _insertions(nu, tvec, n):
-        if m == n:
-            pools[sum(map(_pool_size, obj, tvec))] += 1
+    for m, obj, _ in _insertions(nu, tvec, n - 1):
+        if m == n - 1:
+            pool, keep, gain = _child_pools(obj, tvec)
+            pools[pool] += keep
+            pools[pool + 1] += gain
     return [sum(c * binomial(size, n - k) for size, c in pools.items()) for k in range(n + 1)]
 
 

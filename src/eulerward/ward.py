@@ -88,18 +88,26 @@ def general_inverse_transform(row, n: int, r, direction: str = "forward") -> lis
     with no binomials or per-term powers, in the ring of the entries (so an
     integer r takes int and PolyST rows alike); then it divides by q^k.  It
     reads only the row it is given, never the recurrence that built it.  r
-    may be a Fraction or a string such as "2/3" (a float r, or a bool or
-    float entry, raises TypeError); entries that come out integral are ints,
-    the others Fractions.
+    may be a Fraction or a string such as "2/3" (a float r, a bool or float
+    entry, or a PolyST row with a non-integer r raises TypeError before any
+    arithmetic); entries that come out integral are ints, the others
+    Fractions.
     """
     _require_int("n", n)
     if n < 0 or len(row) != n + 1:
         raise ValueError("need n >= 0 and a row of n + 1 entries, got n = %d and %d entries" % (n, len(row)))
-    if any(isinstance(b, (bool, float)) for b in row):
+    rr = as_fraction(r)
+    # one scan of the entries; a PolyST entry cannot be divided by q^k, so it needs q = 1
+    rejected = (bool, float) if rr.denominator == 1 else (bool, float, PolyST)
+    bad = next((b for b in row if isinstance(b, rejected)), None)
+    if isinstance(bad, PolyST):
+        raise TypeError("a PolyST row needs an integer ratio, got r = %r" % (r,))
+    if bad is not None:
         raise TypeError("row entries must be exact (int, Fraction or PolyST), not bool or float")
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward', got %r" % (direction,))
-    rr = as_fraction(r) if direction == "forward" else -as_fraction(r)
+    if direction == "backward":
+        rr = -rr
     p, q = rr.numerator, rr.denominator
     coeffs: list = []
     for j, b in enumerate(row):  # coeffs <- coeffs * (1 + p y) + b q^j y^j

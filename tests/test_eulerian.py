@@ -1,10 +1,11 @@
 """Triangle recurrences, closed forms, and classic specializations."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerward.cli import _trimmed
@@ -21,7 +22,7 @@ from eulerward.eulerian import (
     row_sum_product,
     s_minus_s_closed_forms,
 )
-from eulerward.numerics import PolyST, binomial, stirling_subset
+from eulerward.numerics import PolyST, binomial, falling_factorial, rising_factorial, stirling_subset
 from eulerward.ward import ward_recurrence, ward_table
 
 
@@ -354,7 +355,65 @@ class TestIterRows:
             rec.iter_rows(nmax)
 
 
+def oracle_closed_form_order1(n, k, s, t):
+    """The order-1 sum term by term, each factorial a fresh product."""
+    total = 0
+    for j in range(k + 1):
+        total += (
+            (-1) ** (k - j)
+            * math.comb(k, j)
+            * falling_factorial(n + s + t, k - j)
+            * rising_factorial(s + t, j)
+            * (s + j) ** n
+        )
+    q, rem = divmod(total, math.factorial(k))
+    assert rem == 0
+    return q
+
+
+def oracle_closed_form_order2(n, k, s, t):
+    """The order-2 triple sum as written: O(k^3) terms, each factorial a
+    fresh product and each power taken whole."""
+    if n == 0:
+        return 1
+    total = 0
+    for r in range(k + 1):
+        inner = 0
+        for p in range(r + 1):
+            for j in range(p + 1):
+                inner += (
+                    math.comb(r, p)
+                    * (-1) ** (k - p)
+                    * math.comb(p, j)
+                    * rising_factorial(s + t, j)
+                    * (s + j)
+                    * (p + s) ** (n + r - j - 1)
+                )
+        total += math.comb(k, r) * falling_factorial(s + t + 2 * n, k - r) * inner
+    q, rem = divmod(total, math.factorial(k))
+    assert rem == 0
+    return q
+
+
+@st.composite
+def closed_form_args(draw):
+    n = draw(st.integers(min_value=0, max_value=14))
+    k = draw(st.integers(min_value=0, max_value=n))
+    return n, k, draw(st.integers(min_value=-3, max_value=5)), draw(st.integers(min_value=-4, max_value=4))
+
+
 class TestClosedForms:
+    @settings(max_examples=200, deadline=None)
+    @given(closed_form_args())
+    def test_order1_matches_the_term_by_term_oracle(self, args):
+        assert closed_form_order1(*args) == oracle_closed_form_order1(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(closed_form_args())
+    def test_order2_matches_the_triple_sum_oracle(self, args):
+        # s <= 0 puts p + s = 0 inside the sum, where the split power leans on 0^0 = 1
+        assert closed_form_order2(*args) == oracle_closed_form_order2(*args)
+
     @pytest.mark.parametrize("s,t", [(1, 0), (0, 1), (2, 3), (3, 1)])
     def test_order1_matches_recurrence(self, s, t):
         tri = eulerian_table(Params(1, s, t), 9)

@@ -14,8 +14,10 @@ from eulerward.eulerian import Params
 from eulerward.stirlingperm import (
     GenStirlingSeq,
     GenStirlingWord,
+    _children,
     _insertions,
     ascent_positions,
+    count_sequences,
     enumerate_sequences,
     seq_ascent_count,
     word_from_text,
@@ -23,6 +25,7 @@ from eulerward.stirlingperm import (
 from eulerward.trees import (
     IncTree,
     TreeNode,
+    _child_pools,
     _pool_size,
     _tree,
     distinguished_set,
@@ -415,6 +418,71 @@ class TestMarkedCounts:
                 table = ward_table(p, 4)
                 for n in range(5):
                     assert ward_marked_row(p, n) == list(table.row(n))
+
+
+def oracle_ward_marked_row(p, n):
+    """The per-leaf route: build every object of order n and read its pool
+    with ``_pool_size``."""
+    tvec = p.composition
+    pools = Counter()
+    for m, obj, _ in _insertions(p.nu + 1, tvec, n):
+        if m == n:
+            pools[sum(map(_pool_size, obj, tvec))] += 1
+    return [sum(c * math.comb(size, n - k) for size, c in pools.items()) for k in range(n + 1)]
+
+
+OBJECT_CAP = 3000
+
+
+@st.composite
+def marked_row_args(draw):
+    """(Params, n): a composition of up to 3 parts with sum <= 3, zero parts
+    (empty entries) included, and the largest n <= the drawn one whose
+    order-n word model stays under OBJECT_CAP objects."""
+    nu = draw(st.integers(min_value=1, max_value=3))
+    parts = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3)
+    tvec = tuple(draw(parts.filter(lambda c: sum(c) <= 3)))
+    p = Params(nu, len(tvec), sum(tvec), tvec)
+    n = draw(st.integers(min_value=0, max_value=5))
+    while count_sequences(Params(nu + 1, p.s, p.t, tvec), n) > OBJECT_CAP:
+        n -= 1
+    return p, n
+
+
+class TestPoolTally:
+    @settings(max_examples=80, deadline=None)
+    @given(marked_row_args())
+    def test_rows_match_the_per_leaf_oracle(self, args):
+        p, n = args
+        assert ward_marked_row(p, n) == oracle_ward_marked_row(p, n)
+
+    def test_every_gap_of_the_verify_grid(self):
+        # each parent's tally, as a multiset of child pools, against _pool_size
+        # on the children the walk builds; ward-interpretation runs nu 1..2,
+        # s 1..2, t 0..2 on the words of order nu + 1, to n = 4
+        for nu in (2, 3):
+            for s in (1, 2):
+                for t in range(3):
+                    for tvec in _compositions_for(s, t):
+                        for m, obj, asc in _insertions(nu, tvec, 3):
+                            pool, keep, gain = _child_pools(obj, tvec)
+                            assert pool == sum(map(_pool_size, obj, tvec))
+                            built = Counter(
+                                sum(map(_pool_size, child, tvec))
+                                for _, child, _ in _children(obj, asc, (m + 1,) * nu)
+                            )
+                            assert +Counter({pool: keep, pool + 1: gain}) == built, (obj, tvec)
+
+    def test_known_parents(self):
+        # (|D|, keep, gain): an empty t = 0 entry gains its root from its one gap
+        assert _child_pools(((),), (0,)) == (0, 0, 1)
+        # 0 0: the gap before the first 0 hangs m in the root's first slot
+        assert _child_pools(((0, 0),), (2,)) == (0, 2, 1)
+        # 1 1 2 2 0: node 1 fills the root's first slot; nodes 1 and 2 have empty ones
+        assert _child_pools(((1, 1, 2, 2, 0),), (1,)) == (1, 4, 2)
+        # 2 2 1 1 (t = 0): root 1 holds 2 in its first slot, so node 2 and the
+        # empty second entry gain
+        assert _child_pools(((2, 2, 1, 1), ()), (0, 0)) == (2, 4, 2)
 
 
 def built_pool_size(obj, tvec, nu):

@@ -1,5 +1,6 @@
 """Ward triangles, binomial inverse pairs, and orthogonality."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,16 @@ class TestInversePair:
             assert ward_to_euler(list(w.row(n)), n) == list(e.row(n))
         with pytest.raises(TypeError):
             general_inverse_transform(list(e.row(3)), 3, "1/2")
+
+    @pytest.mark.parametrize("r", ["1/2", Fraction(-2, 3)])
+    def test_polynomial_rows_with_a_non_integer_ratio_raise_up_front(self, r):
+        row = list(eulerian_table(Params(3, 1, 0), 3, "poly").row(3))
+        with pytest.raises(TypeError, match="PolyST row needs an integer ratio, got r = %s" % re.escape(repr(r))):
+            general_inverse_transform(row, 3, r)
+        with pytest.raises(TypeError, match="integer ratio"):
+            general_inverse_transform(row, 3, r, "backward")
+        # an integral ratio in any spelling is fine
+        assert general_inverse_transform(row, 3, "4/2") == general_inverse_transform(row, 3, 2)
 
     def test_float_entries_raise(self):
         with pytest.raises(TypeError):
