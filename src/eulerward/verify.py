@@ -507,7 +507,13 @@ def check_series_tree_function(level: str = "default") -> CheckResult:
 
 
 def _poly_value(row, x0: Fraction) -> Fraction:
-    return sum(Fraction(c) * x0**k for k, c in enumerate(row))
+    """sum_k row[k] x0^k by Horner's rule in the integers, one Fraction per row."""
+    a, b = x0.numerator, x0.denominator
+    num, den = 0, 1  # den = b^(number of entries read)
+    for c in reversed(row):
+        num = num * a + c * den
+        den *= b
+    return Fraction(num * b, den)
 
 
 def check_egf(level: str = "default") -> CheckResult:

@@ -1,6 +1,7 @@
 """Truncated power series and the generating-function identities."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerward import series
-from eulerward.eulerian import Params, eulerian_table
+from eulerward.eulerian import Params, Recurrence, eulerian_table
 from eulerward.series import (
     TruncSeries,
     _ode_march,
@@ -224,8 +225,8 @@ class TestSeriesCore:
         assert f.reversion().compose(f) == TruncSeries.x(K)
 
 
-# The Fraction-loop bodies of TruncSeries' O(K^2) sums, kept as oracles for
-# the common-denominator integer sums that replaced them.
+# The Fraction-loop bodies of TruncSeries' arithmetic, kept as oracles for
+# the integer numerators over one denominator that replaced them.
 
 
 def fraction_mul(a, b):
@@ -278,6 +279,15 @@ def fraction_log(a):
     return out
 
 
+def fraction_compose(a, b):
+    """a(b) by Horner's rule over Fractions."""
+    acc = [Fraction(0)] * len(a)
+    for c in reversed(a):
+        acc = fraction_mul(acc, b)
+        acc[0] += c
+    return acc
+
+
 wide_fracs = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12)
 
 
@@ -290,8 +300,18 @@ def wide_coeffs(draw, head=None):
     return [draw(wide_fracs.filter(bool)) if head is None else Fraction(head)] + tail
 
 
+def canonical(series_):
+    """The stored form is in lowest terms: the denominator is positive and
+    no factor above 1 divides it and every numerator."""
+    return series_._den > 0 and math.gcd(series_._den, *series_._num) == 1
+
+
 def same_coeffs(series_, oracle):
-    return series_.coeffs == tuple(oracle) and all(type(c) is Fraction for c in series_.coeffs)
+    return (
+        series_.coeffs == tuple(oracle)
+        and all(type(c) is Fraction for c in series_.coeffs)
+        and canonical(series_)
+    )
 
 
 class TestCommonDenominatorSums:
@@ -303,13 +323,41 @@ class TestCommonDenominatorSums:
         assert same_coeffs(TruncSeries(a) * TruncSeries(b), fraction_mul(a, b))
 
     @settings(max_examples=60, deadline=None)
+    @given(wide_coeffs(), st.data())
+    def test_add_sub_and_neg(self, a, data):
+        b = data.draw(st.lists(wide_fracs, min_size=len(a), max_size=len(a)))
+        f, g, c = TruncSeries(a), TruncSeries(b), b[0]
+        assert same_coeffs(f + g, [x + y for x, y in zip(a, b)])
+        assert same_coeffs(f - g, [x - y for x, y in zip(a, b)])
+        assert same_coeffs(-f, [-x for x in a])
+        assert same_coeffs(f + c, [a[0] + c] + a[1:])
+        assert same_coeffs(c - f, [c - a[0]] + [-x for x in a[1:]])
+        assert same_coeffs(f - f, [0] * len(a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_coeffs(), wide_fracs)
+    def test_scalars_and_zdz(self, a, c):
+        f = TruncSeries(a)
+        for scalar in (c, c.numerator, 0):
+            assert same_coeffs(f * scalar, [x * scalar for x in a])
+            assert same_coeffs(scalar * f, [x * scalar for x in a])
+        if c:
+            assert same_coeffs(f / c, [x / c for x in a])
+        assert same_coeffs(f.zdz(), [i * x for i, x in enumerate(a)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_coeffs(), st.data())
+    def test_compose(self, a, data):
+        tail = data.draw(st.lists(wide_fracs, min_size=len(a) - 1, max_size=len(a) - 1))
+        b = [Fraction(0)] + tail
+        assert same_coeffs(TruncSeries(a).compose(TruncSeries(b)), fraction_compose(a, b))
+
+    @settings(max_examples=60, deadline=None)
     @given(wide_coeffs(), st.integers(min_value=-5, max_value=5))
     def test_power_coeff(self, b, e):
-        new, old = [b[0] ** e], [b[0] ** e]
+        old = [b[0] ** e]
         for m in range(1, len(b)):
-            new.append(series._power_coeff(b, new, e, m))
             old.append(fraction_power_coeff(b, old, e, m))
-        assert new == old and all(type(c) is Fraction for c in new)
         assert same_coeffs(TruncSeries(b) ** e, old)
 
     @settings(max_examples=60, deadline=None)
@@ -326,6 +374,49 @@ class TestCommonDenominatorSums:
     @given(wide_coeffs(head=1))
     def test_log(self, a):
         assert same_coeffs(TruncSeries(a).log(), fraction_log(a))
+
+
+class TestCanonicalForm:
+    def test_equal_series_from_different_routes_are_one_value(self):
+        x = TruncSeries.x(4)
+        routes = [
+            TruncSeries([Fraction(1, 2), Fraction(1, 3), 0, 0, 0]),
+            TruncSeries(["3/6", "2/6", 0, "0/5", 0]),
+            TruncSeries([3, 2, 0, 0, 0]) / 6,
+            Fraction(1, 2) + x / 3,
+            (2 * x + 3) * (6 - 6 * x) ** -1 * (1 - x),
+            (x / 3).exp().log() + Fraction(1, 2),
+            (Fraction(1, 2) + x / 3 + x**2 / 7) - x**2 / 7,
+        ]
+        assert all(f == routes[0] for f in routes)
+        assert len({hash(f) for f in routes}) == 1
+        assert all(canonical(f) for f in routes)
+        for f in routes:
+            assert f.coeffs == (Fraction(1, 2), Fraction(1, 3), 0, 0, 0)
+            assert all(type(c) is Fraction for c in f.coeffs)
+            assert type(f.coefficient(1)) is Fraction
+
+    def test_zero_has_one_form(self):
+        f = TruncSeries([Fraction(2, 3), 5, Fraction(-1, 7)])
+        zeros = [TruncSeries.zero(2), f - f, f * 0, 0 * f, TruncSeries(["0/9", 0, Fraction(0)])]
+        assert all(z == zeros[0] and hash(z) == hash(zeros[0]) and canonical(z) for z in zeros)
+
+    def test_negative_denominators_move_to_the_numerators(self):
+        x = TruncSeries.x(3)
+        cases = [
+            (TruncSeries([1, 2, 3, 4]) / -1, [-1, -2, -3, -4]),
+            (TruncSeries([1, 2, 3, 4]) * Fraction(-1, 3), [Fraction(-n, 3) for n in (1, 2, 3, 4)]),
+            ((-1 - x) ** -3, [-1, 3, -6, 10]),
+            ((-2 + x) ** 3, [-8, 12, -6, 1]),
+            (_ode_march(Fraction(3), Fraction(1), 0, 3), [3, 3, Fraction(3, 2), Fraction(1, 2)]),
+        ]
+        for f, want in cases:
+            assert same_coeffs(f, want)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_division_by_zero_is_a_value_error(self, zero):
+        with pytest.raises(ValueError, match="divided by zero"):
+            TruncSeries.one(2) / zero
 
 
 class TestExactCoefficients:
@@ -487,6 +578,72 @@ class TestEgf:
             for s, t in [(1, 0), (2, 1)]:
                 lhs, rhs = egf_transform_sides(nu, s, t, x0, 6)
                 assert lhs == rhs
+
+
+def _refuse_tables(monkeypatch):
+    """Make the recurrence engine and both table builders raise wherever the
+    package holds them."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("this route must not build a triangle")
+
+    monkeypatch.setattr(Recurrence, "iter_rows", refuse)
+    monkeypatch.setattr(Recurrence, "rows", refuse)
+    builders = (eulerian_table, ward_table)
+    for name, mod in list(sys.modules.items()):
+        if name == "eulerward" or name.startswith("eulerward."):
+            for attr, value in list(vars(mod).items()):
+                if any(value is b for b in builders):
+                    monkeypatch.setattr(mod, attr, refuse)
+
+
+class TestRouteIndependence:
+    """The egf and tree-function routes are checked against the triangles,
+    so they must never build one."""
+
+    @pytest.mark.parametrize(
+        "route,args",
+        [
+            (egf_eulerian_coeffs, (3, 2, 1, Fraction(1, 3), 8)),
+            (egf_ward_coeffs, (2, 2, 1, Fraction(3, 2), 8)),
+            (egf_order1_direct, (2, 1, Fraction(1, 3), 8)),
+            (t_nu_series, (3, 12)),
+            (tree_power_sides, (3, 12)),
+            (binomial_unit_sums_sides, (12,)),
+        ],
+    )
+    def test_routes_answer_without_the_triangles(self, monkeypatch, route, args):
+        want = route(*args)
+        _refuse_tables(monkeypatch)
+        assert route(*args) == want
+
+    def test_the_refusal_bites(self, monkeypatch):
+        _refuse_tables(monkeypatch)
+        for call in (
+            lambda: second_order_ratio_expansion_sides(2, 1, 0, 8),
+            lambda: series.eulerian_table(Params(1, 1, 0), 3),
+            lambda: Recurrence.rows(None, 3),
+        ):
+            with pytest.raises(AssertionError, match="must not build"):
+                call()
+
+    @pytest.mark.parametrize(
+        "sides", [eulerian_ratio_expansion_sides, second_order_ratio_expansion_sides]
+    )
+    def test_ratio_expansion_right_sides_read_no_row(self, monkeypatch, sides):
+        lhs, rhs = sides(3, 2, 1, 10)
+        real = series.eulerian_table
+
+        class Bumped:
+            def __init__(self, p, nmax):
+                self.rows = real(p, nmax)
+
+            def row(self, n):
+                return tuple(e + 1 for e in self.rows.row(n))
+
+        monkeypatch.setattr(series, "eulerian_table", Bumped)
+        bumped_lhs, bumped_rhs = sides(3, 2, 1, 10)
+        assert bumped_lhs != lhs and bumped_rhs == rhs
 
 
 class TestRatioExpansions:
