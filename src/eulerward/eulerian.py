@@ -45,11 +45,11 @@ are exact; divisions by k! are asserted to be exact rather than trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .numerics import (
     PolyST,
     _Kronecker,
+    _Record,
     _require_int,
     binomial,
     falling_factorial,
@@ -74,8 +74,7 @@ INT_MODE = "int"
 POLY_MODE = "poly"
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(_Record):
     """Parameter triple (nu, s, t) plus an optional composition of t.
 
     ``tvec`` splits t into s nonnegative parts (t_1, ..., t_s); when absent,
@@ -88,27 +87,24 @@ class Params:
     TypeError here, so no non-integer value reaches a table.
     """
 
-    nu: int
-    s: int
-    t: int
-    tvec: tuple[int, ...] | None = None
+    _fields = ("nu", "s", "t", "tvec")
 
-    def __post_init__(self):
-        for name in ("nu", "s", "t"):
-            _require_int(name, getattr(self, name))
-        if self.nu < 1:
-            raise ValueError("nu must be a positive integer, got %r" % (self.nu,))
-        if self.tvec is not None:
-            vec = tuple(self.tvec)
-            for x in vec:
+    def __init__(self, nu: int, s: int, t: int, tvec: tuple[int, ...] | None = None):
+        for name, value in (("nu", nu), ("s", s), ("t", t)):
+            _require_int(name, value)
+        if nu < 1:
+            raise ValueError("nu must be a positive integer, got %r" % (nu,))
+        if tvec is not None:
+            tvec = tuple(tvec)
+            for x in tvec:
                 _require_int("each tvec part", x)
-            object.__setattr__(self, "tvec", vec)
-            if len(vec) != self.s:
-                raise ValueError("tvec must have s = %d parts, got %r" % (self.s, vec))
-            if any(x < 0 for x in vec):
-                raise ValueError("tvec parts must be nonnegative, got %r" % (vec,))
-            if sum(vec) != self.t:
-                raise ValueError("tvec must sum to t = %d, got %r" % (self.t, vec))
+            if len(tvec) != s:
+                raise ValueError("tvec must have s = %d parts, got %r" % (s, tvec))
+            if any(x < 0 for x in tvec):
+                raise ValueError("tvec parts must be nonnegative, got %r" % (tvec,))
+            if sum(tvec) != t:
+                raise ValueError("tvec must sum to t = %d, got %r" % (t, tvec))
+        super().__init__(nu, s, t, tvec)
 
     @property
     def composition(self) -> tuple[int, ...]:
@@ -130,8 +126,7 @@ class Params:
         raise ValueError("mode must be 'int' or 'poly', got %r" % (mode,))
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(_Record):
     """The six coefficients of a two-term triangle recurrence
 
         |n, k| = (alpha n + beta k + gamma) |n-1, k|
@@ -143,25 +138,19 @@ class Recurrence:
     to one PolyST) raises TypeError.
     """
 
-    alpha: int
-    beta: int
-    gamma: object
-    alpha_p: int
-    beta_p: int
-    gamma_p: object
+    _fields = ("alpha", "beta", "gamma", "alpha_p", "beta_p", "gamma_p")
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "alpha_p", "beta_p"):
-            _require_int(name, getattr(self, name))
-        for name in ("gamma", "gamma_p"):
-            value = getattr(self, name)
+    def __init__(self, alpha: int, beta: int, gamma, alpha_p: int, beta_p: int, gamma_p):
+        for name, value in (("alpha", alpha), ("beta", beta), ("alpha_p", alpha_p), ("beta_p", beta_p)):
+            _require_int(name, value)
+        for name, value in (("gamma", gamma), ("gamma_p", gamma_p)):
             if not isinstance(value, (int, PolyST)) or isinstance(value, bool):
                 raise TypeError("%s must be an int or a PolyST, got %r" % (name, value))
-        if isinstance(self.gamma, PolyST) != isinstance(self.gamma_p, PolyST):
+        if isinstance(gamma, PolyST) != isinstance(gamma_p, PolyST):
             raise TypeError(
-                "gamma and gamma_p must both be ints or both PolyST, got %r and %r"
-                % (self.gamma, self.gamma_p)
+                "gamma and gamma_p must both be ints or both PolyST, got %r and %r" % (gamma, gamma_p)
             )
+        super().__init__(alpha, beta, gamma, alpha_p, beta_p, gamma_p)
 
     @property
     def one(self):
@@ -301,11 +290,13 @@ class Recurrence:
         return True
 
 
-@dataclass(frozen=True)
-class TriangleRows:
+class TriangleRows(_Record):
     """Dense lower-triangular table; entry(n, k) = 0 outside 0 <= k <= n."""
 
-    rows: tuple
+    _fields = ("rows",)
+
+    def __init__(self, rows: tuple):
+        super().__init__(rows)
 
     @property
     def nmax(self) -> int:

@@ -10,7 +10,8 @@ associated variant (every block of size at least 2), and ``PolyST``, a small
 sparse polynomial type in the two indeterminates s and t used by the triangle
 builders when s and t are left symbolic.  Beside it sits ``_Kronecker``, the
 packing that lets the triangle engine run on plain ints in poly mode and read
-each entry back into a ``PolyST`` once.
+each entry back into a ``PolyST`` once, and ``_Record``, the base of the
+package's record classes.
 
 Everything here is immutable and pure; values can be shared freely between
 threads.
@@ -34,6 +35,59 @@ __all__ = [
     "assoc_stirling_subset",
     "PolyST",
 ]
+
+
+class _Record:
+    """Base of the package's records: plain classes compared by their fields.
+
+    It stands in for ``dataclasses``, whose import (``inspect``, ``ast``,
+    ``dis``, ``tokenize``) and per-class code generation cost more than the
+    rest of the package's start-up.  A subclass names its fields in order in
+    ``_fields``; its ``__init__`` checks the arguments and hands the values,
+    in that order, to ``_Record.__init__``.  Two instances are equal, and
+    hash alike, when they are of the same class and their fields are equal
+    (never equal to a tuple of the values); the repr is
+    ``Name(field=value, ...)``; assigning or deleting an attribute raises
+    AttributeError.  ``frozen=False`` in the class statement keeps the
+    instances mutable and, as they could change, unhashable.
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls._fields
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *values):
+        # one object.__setattr__ per field, as dataclasses do: filling
+        # __dict__ directly makes every later attribute read slower
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(["%s=%r" % (name, getattr(self, name)) for name in self._fields])
+        return "%s(%s)" % (self.__class__.__qualname__, shown)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
 
 
 def as_fraction(x) -> Fraction:
@@ -342,6 +396,8 @@ class PolyST:
         return self._terms == o._terms
 
     def __hash__(self):
+        if self._terms.keys() <= {(0, 0)}:  # a constant equals its int, so it hashes as that int
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self):

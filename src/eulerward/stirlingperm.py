@@ -33,12 +33,11 @@ objects, is never built.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from operator import ge
-from typing import Iterator
 
 from .eulerian import Params, row_sum_product
-from .numerics import _require_int
+from .numerics import _Record, _require_int
 
 __all__ = [
     "GenStirlingWord",
@@ -54,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenStirlingWord:
+class GenStirlingWord(_Record):
     """One word over {0} and an ordered label set.
 
     ``labels`` is the alphabet the word is supposed to cover (each label nu
@@ -65,24 +63,21 @@ class GenStirlingWord:
     anything else raises TypeError rather than being truncated.
     """
 
-    letters: tuple[int, ...]
-    nu: int
-    t: int
-    labels: tuple[int, ...] | None = None
+    _fields = ("letters", "nu", "t", "labels")
 
-    def __post_init__(self):
-        _require_int("nu", self.nu)
-        _require_int("t", self.t)
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for x in self.letters:
+    def __init__(self, letters: tuple[int, ...], nu: int, t: int, labels: tuple[int, ...] | None = None):
+        _require_int("nu", nu)
+        _require_int("t", t)
+        letters = tuple(letters)
+        for x in letters:
             _require_int("each letter", x)
-        if self.labels is None:
-            inferred = tuple(sorted({x for x in self.letters if x != 0}))
-            object.__setattr__(self, "labels", inferred)
+        if labels is None:
+            labels = tuple(sorted({x for x in letters if x != 0}))
         else:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            for x in self.labels:
+            labels = tuple(labels)
+            for x in labels:
                 _require_int("each label", x)
+        super().__init__(letters, nu, t, labels)
 
     @classmethod
     def over_range(cls, letters, nu: int, t: int, n: int) -> "GenStirlingWord":
@@ -94,16 +89,16 @@ class GenStirlingWord:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class GenStirlingSeq:
+class GenStirlingSeq(_Record):
     """An s-tuple of words forming one generalized Stirling permutation."""
 
-    entries: tuple[GenStirlingWord, ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
+    def __init__(self, entries: tuple[GenStirlingWord, ...]):
+        entries = tuple(entries)
+        if not entries:
             raise ValueError("a sequence needs s >= 1 entries")
+        super().__init__(entries)
 
     @property
     def s(self) -> int:

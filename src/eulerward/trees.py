@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
 from .eulerian import Params
-from .numerics import binomial
+from .numerics import _Record, binomial
 from .stirlingperm import (
     GenStirlingSeq,
     GenStirlingWord,
@@ -67,19 +66,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class TreeNode:
+class TreeNode(_Record):
     """Internal node: a label and an ordered tuple of slots (None = external).
 
     Equality, hashing and repr walk the subtree with a stack, so they work
     on trees of any depth.
     """
 
-    label: int
-    slots: tuple
+    _fields = ("label", "slots")
 
-    def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(self.slots))
+    def __init__(self, label: int, slots: tuple):
+        super().__init__(label, tuple(slots))
 
     def _preorder(self) -> tuple:
         """(label, slot count) per internal node and None per external slot,
@@ -104,7 +101,7 @@ class TreeNode:
         return hash(self._preorder())
 
     def __repr__(self):
-        """The dataclass form, TreeNode(label=1, slots=(None, ...)), built
+        """The record form, TreeNode(label=1, slots=(None, ...)), built
         without recursion."""
         out = []
         stack = [(False, self)]  # (True, text to copy) or (False, slot to show)
@@ -124,8 +121,7 @@ class TreeNode:
         return "".join(out)
 
 
-@dataclass(frozen=True)
-class IncTree:
+class IncTree(_Record):
     """One increasing tree.
 
     ``d`` is the slot count of every internal non-root node; the root has
@@ -134,9 +130,10 @@ class IncTree:
     (t = 0 and no labels).
     """
 
-    t: int
-    d: int
-    root: TreeNode | None
+    _fields = ("t", "d", "root")
+
+    def __init__(self, t: int, d: int, root: TreeNode | None):
+        super().__init__(t, d, root)
 
 
 def perm_to_tree(w: GenStirlingWord) -> IncTree:

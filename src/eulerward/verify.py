@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .eulerian import (
@@ -39,7 +38,7 @@ from .eulerian import (
     row_sum_product,
     s_minus_s_closed_forms,
 )
-from .numerics import assoc_stirling_subset
+from .numerics import _Record, assoc_stirling_subset
 from .series import (
     TruncSeries,
     binomial_unit_sums_sides,
@@ -102,13 +101,12 @@ __all__ = [
 ]
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    params: dict
-    passed: bool
-    witness: dict | None = None
-    cases: int = 0  # cases compared; left out of the report
+class CheckResult(_Record, frozen=False):
+    _fields = ("check_id", "params", "passed", "witness", "cases")
+
+    def __init__(self, check_id: str, params: dict, passed: bool, witness: dict | None = None, cases: int = 0):
+        # cases counts the cases compared; the report leaves it out
+        super().__init__(check_id, params, passed, witness, cases)
 
     def to_json(self) -> dict:
         return {
@@ -119,11 +117,11 @@ class CheckResult:
         }
 
 
-@dataclass
-class Report:
-    suite: str
-    size_level: str
-    checks: list
+class Report(_Record, frozen=False):
+    _fields = ("suite", "size_level", "checks")
+
+    def __init__(self, suite: str, size_level: str, checks: list):
+        super().__init__(suite, size_level, checks)
 
     @property
     def passed(self) -> bool:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -492,6 +493,22 @@ class TestProcessLevel:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_import_loads_no_dataclasses_inspect_or_typing(self):
+        # every command pays for this import; -S keeps a site .pth that
+        # imports typing itself from hiding a regression
+        code = (
+            "import sys, eulerward, eulerward.cli; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
 
 # Argument soup: every flag of the four subcommands, values in -2..3, words,

@@ -233,6 +233,13 @@ class TestPolyST:
         else:
             raise AssertionError("PolyST should reject attribute writes")
 
+    @pytest.mark.parametrize("c", [0, 3, -7, 2**70])
+    def test_constants_hash_as_the_int_they_equal(self, c):
+        for p in (PolyST.constant(c), PolyST({(0, 0): c}), PolyST.s() + c - PolyST.s()):
+            assert p == c and hash(p) == hash(c)
+            assert len({p, c}) == 1 and c in {p} and p in {c}
+        assert hash(PolyST()) == hash(0)
+
     @given(
         st.dictionaries(
             st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=6
