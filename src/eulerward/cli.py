@@ -7,7 +7,9 @@ Four subcommands:
     eulerward bijection 333222111 --nu 3
     eulerward verify --suite all
 
-Exit codes: 0 success, 1 verification failure, 2 usage or invalid input.
+Exit codes: 0 success, 1 verification failure, 2 usage or invalid input,
+141 (128 + SIGPIPE) when the reader closes stdout early, as
+``eulerward enumerate ... | head -1`` does.
 Table entries, counts, and statistics are rendered as decimal strings so
 consumers never hit 64-bit truncation (tree-shape JSON keeps its small
 structural integers as numbers).  Structure and key order are fixed, so
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import os
 import sys
 
 from .eulerian import Params, eulerian_recurrence
@@ -50,6 +53,7 @@ from .ward import ward_recurrence
 __all__ = ["main", "cmd_table", "cmd_enumerate", "cmd_bijection", "cmd_verify"]
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
+EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 
 def _int_texts(row) -> list:
@@ -304,10 +308,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe may show only at this last write
     except ValueError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at exit cannot fail again (the recipe of Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
+    return code
 
 
 if __name__ == "__main__":

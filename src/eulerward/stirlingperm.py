@@ -21,19 +21,33 @@ is (0^t_1, ..., 0^t_s), and every object of order m arises exactly once by
 inserting the block m^nu into one of the sum(len_i + 1) = nu(m-1) + t + s
 gaps of an object of order m-1 (a gap being any position of any entry,
 including its two ends).  Gaps are visited entry-major, left to right, giving
-a reproducible ordering.  One streaming depth-first walk serves enumeration,
-the ascent histograms and the marked-forest counts in ``trees``: it holds one
-child generator per order, so its memory is O(n) in the depth, and it
-updates the ascent count from the two neighbours of each gap instead of
-rescanning.  The histograms stop the walk one order short: each parent
-there tallies its children gap by gap, so the last order, nearly all of the
-objects, is never built.
+a reproducible ordering.
+
+The walk keeps each object as one flat word: the entries joined, entry j
+followed by the separator j - s.  The separators are negative and increase,
+so every position of the flat word is exactly one gap (the gap before it),
+entry-major order is position order, and inserting m^nu before position i
+adds an ascent iff word[i-1] >= word[i]: inside an entry that is the usual
+rule, after the last letter of an entry it always holds (the back gap), and
+after a separator it never does (a front gap, or an empty entry), nor at
+position 0.  Along
+with the ascent count, the walk carries ``up``, the number of adjacent
+pairs l >= r of the flat word, which is the number of gaps that add an
+ascent.  Each insertion updates it from the letters around its gap alone.
+
+One streaming depth-first walk serves enumeration, the ascent histograms and
+the marked-forest counts in ``trees``: it holds one child generator per
+order, so its memory is O(n) in the depth.  The histograms build words only
+up to two orders short of the top: each parent there counts its children
+one gap at a time and tallies their children from each child's gaps and
+``up``, so the last two orders, nearly all of the objects, are never built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
+from itertools import chain
 from operator import ge
 
 from .eulerian import Params, row_sum_product
@@ -178,38 +192,60 @@ def seq_ascent_count(seq: GenStirlingSeq) -> int:
     return sum(len(ascent_positions(e)) for e in seq.entries)
 
 
-def _children(obj, asc: int, block: tuple[int, ...]):
-    """Yield (m, child, ascents) for every child of obj, where block = m^nu.
+def _flat_word(tvec: tuple[int, ...]) -> tuple[int, ...]:
+    """The order-0 object as a flat word: entry j is 0^t_j, followed by its
+    separator j - s."""
+    word: tuple[int, ...] = ()
+    for sep, tj in enumerate(tvec, -len(tvec)):
+        word += (0,) * tj + (sep,)
+    return word
 
-    Children come entry-major, gaps left to right.  The block is larger than
-    both neighbours of its gap and has no inner ascents, so the ascent count
-    changes by [left letter exists] - [left < right].
+
+def _entries(word: tuple[int, ...], s: int) -> tuple[tuple[int, ...], ...]:
+    """Split a flat word at its separators -s, ..., -1 into its s entries."""
+    entries = []
+    start = 0
+    for sep in range(-s, 0):
+        end = word.index(sep, start)
+        entries.append(word[start:end])
+        start = end + 1
+    return tuple(entries)
+
+
+def _children(word, asc: int, up: int, block: tuple[int, ...]):
+    """Yield (m, child, ascents, up) for every child of a flat word, where
+    block = m^nu.
+
+    Gap i is the position before word[i] (see the module docstring), so the
+    children come entry-major, gaps left to right, and the child at gap
+    i > 0 gains an ascent iff l >= r for l, r = word[i-1], word[i].  Its
+    >=-pairs lose (l, r) and gain the nu - 1 pairs (m, m) inside the block
+    and (m, r); (l, m) is never one, since m exceeds every letter.
     """
     m = block[0]
-    for i, entry in enumerate(obj):
-        head, tail = obj[:i], obj[i + 1 :]
-        yield m, head + (block + entry,) + tail, asc
-        for g in range(1, len(entry)):
-            child = head + (entry[:g] + block + entry[g:],) + tail
-            yield m, child, asc + (entry[g - 1] >= entry[g])
-        if entry:
-            yield m, head + (entry + block,) + tail, asc + 1
+    up += len(block)
+    yield m, block + word, asc, up
+    for i in range(1, len(word)):
+        g = word[i - 1] >= word[i]
+        yield m, word[:i] + block + word[i:], asc + g, up - g
 
 
 def _insertions(nu: int, tvec: tuple[int, ...], n: int):
-    """Stream (m, obj, ascents) for every object of order 0..n, depth first.
+    """Stream (m, word, ascents, up) for every object of order 0..n, depth
+    first, where up counts the adjacent pairs l >= r of the flat word.
 
-    Objects are raw tuples of letter tuples.  The walk holds one ``_children``
-    generator per open order, so its memory is O(n).  Each object is yielded
-    before its descendants; the generator of order n is drained in one loop,
-    since its children are leaves.
+    The walk holds one ``_children`` generator per open order, so its memory
+    is O(n).  Each object is yielded before its descendants; the generator of
+    order n is drained in one loop, since its children are leaves.  The
+    order-0 word has up = t: each 0 is followed by a 0 or by its entry's
+    separator.
     """
-    obj = tuple((0,) * ti for ti in tvec)
-    yield 0, obj, 0
+    word, up = _flat_word(tvec), sum(tvec)
+    yield 0, word, 0, up
     if n == 0:
         return
     blocks = [(m,) * nu for m in range(n + 1)]
-    stack = [_children(obj, 0, blocks[1])]
+    stack = [_children(word, 0, up, blocks[1])]
     while stack:
         m = len(stack)
         if m == n:
@@ -220,7 +256,7 @@ def _insertions(nu: int, tvec: tuple[int, ...], n: int):
             stack.pop()
         else:
             yield step
-            stack.append(_children(step[1], step[2], blocks[m + 1]))
+            stack.append(_children(step[1], step[2], step[3], blocks[m + 1]))
 
 
 def _enumeration_params(p: Params, n: int) -> tuple[int, tuple[int, ...]]:
@@ -238,9 +274,12 @@ def count_sequences(p: Params, n: int) -> int:
     return row_sum_product(p, n)
 
 
-def _wrap(obj, nu: int, tvec: tuple[int, ...]) -> GenStirlingSeq:
+def _wrap(word, nu: int, tvec: tuple[int, ...]) -> GenStirlingSeq:
     return GenStirlingSeq(
-        tuple(GenStirlingWord(entry, nu, ti) for entry, ti in zip(obj, tvec))
+        tuple(
+            GenStirlingWord(entry, nu, ti)
+            for entry, ti in zip(_entries(word, len(tvec)), tvec)
+        )
     )
 
 
@@ -252,34 +291,44 @@ def enumerate_sequences(p: Params, n: int) -> Iterator[GenStirlingSeq]:
     m^nu into gaps entry-major, left to right.
     """
     nu, tvec = _enumeration_params(p, n)
-    for m, obj, _ in _insertions(nu, tvec, n):
+    for m, word, _, _ in _insertions(nu, tvec, n):
         if m == n:
-            yield _wrap(obj, nu, tvec)
+            yield _wrap(word, nu, tvec)
 
 
 def ascent_histograms_up_to(p: Params, nmax: int) -> list[list[int]]:
     """Ascent histograms of orders 0..nmax from one depth-first walk:
     histogram[m][k] = number of order-m objects with exactly k ascents.
-    The last order is tallied, not built.
+    The last two orders are counted, not built.
 
-    The walk stops at order nmax - 1.  Each parent there tallies its
-    children gap by gap, comparing the letters on either side of the gap
-    the way ``_insertions`` does: the front gap of an entry adds no ascent,
-    the back gap adds one, and an inner gap adds one iff its left letter is
-    >= its right one.  No leaf tuple is ever built.
+    The walk builds flat words up to order nmax - 2.  Each parent there
+    visits its children one gap at a time: the child gains an ascent iff
+    the letters l, r around its gap have l >= r (gap 0 never adds one),
+    and its up is the parent's, less that pair, plus the nu pairs the block
+    brings.  That counts the child at order nmax - 1.  Its own children,
+    at order nmax, are tallied from its gaps and up alone: up of them gain
+    an ascent and the rest keep the child's count.
     """
     nu, tvec = _enumeration_params(p, nmax)
+    if nmax == 0:
+        return [[1]]
+    if nmax == 1:
+        # the order-0 word is the one parent, tallied like an order-(nmax - 1) child
+        ((_, word, _, up),) = _insertions(nu, tvec, 0)
+        return [[1], [len(word) - up, up]]
     hists = [[0] * (m + 1) for m in range(nmax + 1)]
-    for m, obj, asc in _insertions(nu, tvec, max(nmax - 1, 0)):
+    top, below = hists[nmax], hists[nmax - 1]
+    for m, word, asc, up in _insertions(nu, tvec, nmax - 2):
         hists[m][asc] += 1
-        if m == nmax - 1:
-            up = gaps = 0
-            for entry in obj:
-                gaps += len(entry) + 1
-                if entry:
-                    up += 1 + sum(map(ge, entry, entry[1:]))
-            hists[nmax][asc] += gaps - up
-            hists[nmax][asc + 1] += up
+        if m == nmax - 2:
+            gaps = len(word) + nu  # gaps of every child
+            up += nu
+            for g in chain((False,), map(ge, word, word[1:])):
+                a = asc + g
+                u = up - g
+                below[a] += 1
+                top[a] += gaps - u
+                top[a + 1] += u
     return hists
 
 

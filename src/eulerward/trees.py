@@ -21,10 +21,11 @@ Ward numbers: the order-nu Ward number W(n, k) counts pairs (F, M) where F
 ranges over the forests of the order-(nu+1) word model and M over
 (n-k)-subsets of D(F).  That count is implemented literally in
 ``ward_marked_row``, giving a route to the Ward triangle that never touches
-its recurrence.  It runs on the raw objects of the insertion walk in
-``stirlingperm``, which are valid by construction, so they skip validation.
+its recurrence.  It runs on the flat words of the insertion walk in
+``stirlingperm`` (the entries joined, each followed by a negative
+separator), which are valid by construction, so they skip validation.
 The walk stops one order short: each parent reads its |D(F)| off the
-factorization pass itself (``_pool_size``, without building the trees) and
+factorization pass itself (``_stack_pass``, without building the trees) and
 tallies its children's pools gap by gap from the forest, so the last order
 is never built.
 
@@ -227,30 +228,46 @@ def forest_distinguished_set(forest: tuple[IncTree, ...]) -> frozenset[int]:
     return out
 
 
-def _pool_size(letters, t: int) -> int:
-    """|D(T)| for the tree of a valid word, read off ``_tree``'s pass.
+def _stack_pass(word, floor: int) -> tuple[int, int]:
+    """(opens, first-slot closes) of ``_tree``'s least-letter pass over a
+    valid flat word (see ``stirlingperm``) whose letters and separators all
+    lie above floor.
 
-    The pass is the same least-letter stack, holding only the labels of the
-    open nodes, so no node is built.  A letter that opens a new node right
-    after the pass closed at least one node gets the closed subtree as its
-    first slot, so that subtree's root is one label of E(T).  A nonempty
-    tree with t = 0 adds its root.  Validity of the word is assumed.
+    The stack holds only the labels of the open nodes, so no node is built.
+    Each distinct letter of an entry opens its node once, and each separator
+    opens too, after closing its entry's whole tree.  A letter that opens
+    right after the pass closed at least one node gets the closed subtree as
+    its first slot, so that subtree's root is one label of E(T); a separator
+    that does so closes a nonempty tree.  The separators increase, so each
+    one stays open below the next entry, as a floor of its own.
     """
-    open_labels = [-1]  # -1 sits below every letter, like _tree's sentinel
-    size = 0
-    for x in letters:
+    open_labels = [floor]
+    opens = closes = 0
+    for x in word:
         closed = open_labels[-1] > x
         while open_labels[-1] > x:
             open_labels.pop()
         if open_labels[-1] != x:
             open_labels.append(x)
-            size += closed
-    return size + (t == 0 and len(letters) > 0)
+            opens += 1
+            closes += closed
+    return opens, closes
 
 
-def _child_pools(obj, tvec) -> tuple[int, int, int]:
+def _pool_size(letters, t: int) -> int:
+    """|D(T)| for the tree of a valid word, read off ``_tree``'s pass.
+
+    On the one-entry flat word, the pass closes |E(T)| times into a letter,
+    and once into the separator when the tree is nonempty.  That last one
+    counts the root, which D(T) holds only for t = 0.
+    """
+    return _stack_pass((*letters, -1), -2)[1] - (t > 0)
+
+
+def _child_pools(word, tvec) -> tuple[int, int, int]:
     """(|D(F)|, children that keep it, children that gain one label) for a
-    raw object, its children being those of one more insertion.
+    flat word of the insertion walk, its children being those of one more
+    insertion.  One ``_stack_pass`` reads all entries in place.
 
     The gaps of a word are the external slots of its tree, and inserting
     the block m^(nu+1) at a gap hangs a new leaf node m in that slot and
@@ -263,16 +280,15 @@ def _child_pools(obj, tvec) -> tuple[int, int, int]:
     root, which joins the pool.  Every node's first slot holds either a
     label of E(T) or an external leaf, and the nodes are the distinct
     letters (0 included), so a nonempty entry has (distinct letters) -
-    |E(T)| gaining gaps.  The rule reads the forest only, never an ascent
-    count.
+    |E(T)| gaining gaps.  Per entry, the pass opens (distinct letters) + 1
+    times and closes |E(T)| + [nonempty] times into a first slot, so opens
+    less closes is the entry's gaining gaps, an empty one included; and
+    closes overcounts its share of the pool by one exactly when t_i > 0.
+    The rule reads the forest only, never an ascent count.
     """
-    pool = gain = gaps = 0
-    for entry, ti in zip(obj, tvec):
-        size = _pool_size(entry, ti)  # |E(T)|, plus a t = 0 root
-        pool += size
-        gain += len(set(entry)) - size + (ti == 0)
-        gaps += len(entry) + 1
-    return pool, gaps - gain, gain
+    opens, closes = _stack_pass(word, -1 - len(tvec))
+    gain = opens - closes
+    return closes - (len(tvec) - tvec.count(0)), len(word) - gain, gain
 
 
 def ward_marked_row(p: Params, n: int) -> list[int]:
@@ -281,15 +297,15 @@ def ward_marked_row(p: Params, n: int) -> list[int]:
     Streams the order-(nu+1) word model (the Ward order sits one below the
     Eulerian order of the words it marks) and counts the (n-k)-subsets of
     each forest's pool D(F).  The walk stops at order n - 1: each parent
-    reads its pool off the factorization pass of its words (``_pool_size``,
+    reads its pool off the factorization pass of its words (``_stack_pass``,
     which builds no tree) and tallies its children's pools from its forest,
     so the last order, nearly all of the objects, is never built.  The rule
     (``_child_pools``): a child's pool is its parent's plus the new label
     exactly when the new leaf fills an empty first slot of a node, or is the
     root of an empty t_i = 0 entry.  No recurrence and no ascent count is
-    involved (the ascent count the walk yields is ignored), which is the
-    point: this is the independent combinatorial route the Ward recurrence
-    is checked against.
+    involved (the ascent count and ``up`` the walk yields are ignored),
+    which is the point: this is the independent combinatorial route the
+    Ward recurrence is checked against.
     """
     if p.s < 1:
         raise ValueError("the forest model needs s >= 1")
@@ -297,9 +313,9 @@ def ward_marked_row(p: Params, n: int) -> list[int]:
     if n == 0:
         return [1]  # the one forest of order 0 has an empty pool
     pools: Counter[int] = Counter()
-    for m, obj, _ in _insertions(nu, tvec, n - 1):
+    for m, word, _, _ in _insertions(nu, tvec, n - 1):
         if m == n - 1:
-            pool, keep, gain = _child_pools(obj, tvec)
+            pool, keep, gain = _child_pools(word, tvec)
             pools[pool] += keep
             pools[pool + 1] += gain
     return [sum(c * binomial(size, n - k) for size, c in pools.items()) for k in range(n + 1)]

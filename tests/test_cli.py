@@ -494,6 +494,28 @@ class TestProcessLevel:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--nu", "2", "--tvec", "0,1", "--n", "5", "--format", "jsonl"],
+            ["table", "eulerian", "--nu", "2", "--s", "1", "--t", "0", "--nmax", "300"],
+        ],
+    )
+    def test_closed_pipe_exits_quietly(self, argv):
+        # like `eulerward enumerate ... | head -1`: megabytes of output, and the
+        # reader leaves after one line; exit 1 would claim a failed verification
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eulerward.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == cli.EXIT_PIPE_CLOSED == 141
+        assert err == b""
+
     def test_import_loads_no_dataclasses_inspect_or_typing(self):
         # every command pays for this import; -S keeps a site .pth that
         # imports typing itself from hiding a regression

@@ -2,17 +2,22 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 from collections import Counter
+from operator import ge
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eulerward.stirlingperm as stirlingperm
 from eulerward.eulerian import Params, eulerian_table, row_sum_product
 from eulerward.stirlingperm import (
     GenStirlingSeq,
     GenStirlingWord,
+    _entries,
+    _flat_word,
     _insertions,
     ascent_histograms_up_to,
     ascent_positions,
@@ -23,7 +28,7 @@ from eulerward.stirlingperm import (
     word_from_text,
     word_text,
 )
-from eulerward.trees import perm_to_tree
+from eulerward.trees import perm_to_tree, ward_marked_row
 
 
 def word(text, nu, t):
@@ -258,20 +263,82 @@ def cursor_insertions(nu, tvec, n):
             path.append([child, asc, 0, 0])
 
 
+def tuple_children(obj, asc, block):
+    """The older child generator, kept as an oracle: objects are tuples of
+    entry tuples, and each child rebuilds the tuple around its entry."""
+    m = block[0]
+    for i, entry in enumerate(obj):
+        head, tail = obj[:i], obj[i + 1 :]
+        yield m, head + (block + entry,) + tail, asc
+        for g in range(1, len(entry)):
+            child = head + (entry[:g] + block + entry[g:],) + tail
+            yield m, child, asc + (entry[g - 1] >= entry[g])
+        if entry:
+            yield m, head + (entry + block,) + tail, asc + 1
+
+
+def tuple_insertions(nu, tvec, n):
+    """The older walk over tuples of entry tuples, kept as an oracle:
+    (m, obj, ascents) for every object of order 0..n, depth first."""
+    obj = tuple((0,) * ti for ti in tvec)
+    yield 0, obj, 0
+    if n == 0:
+        return
+    blocks = [(m,) * nu for m in range(n + 1)]
+    stack = [tuple_children(obj, 0, blocks[1])]
+    while stack:
+        m = len(stack)
+        if m == n:
+            yield from stack.pop()
+            continue
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        else:
+            yield step
+            stack.append(tuple_children(step[1], step[2], blocks[m + 1]))
+
+
+def one_level_histograms(p, nmax):
+    """The older histograms, kept as an oracle: the tuple walk stops at order
+    nmax - 1 and each parent rescans its entries for the gaps that add an
+    ascent."""
+    hists = [[0] * (m + 1) for m in range(nmax + 1)]
+    for m, obj, asc in tuple_insertions(p.nu, p.composition, max(nmax - 1, 0)):
+        hists[m][asc] += 1
+        if m == nmax - 1:
+            up = gaps = 0
+            for entry in obj:
+                gaps += len(entry) + 1
+                if entry:
+                    up += 1 + sum(map(ge, entry, entry[1:]))
+            hists[nmax][asc] += gaps - up
+            hists[nmax][asc + 1] += up
+    return hists
+
+
 def leaf_building_histograms(p, nmax):
     """The older histograms, kept as the oracle: the walk runs to order nmax
     and builds every leaf tuple to read its ascent count."""
     hists = [[0] * (m + 1) for m in range(nmax + 1)]
-    for m, _, asc in _insertions(p.nu, p.composition, nmax):
+    for m, _, asc in tuple_insertions(p.nu, p.composition, nmax):
         hists[m][asc] += 1
     return hists
+
+
+def flat(obj):
+    """The flat word of a tuple of entries: entry j followed by j - s."""
+    return tuple(x for j, entry in enumerate(obj, -len(obj)) for x in (*entry, j))
+
+
+TALLY_TVECS = [(0,), (2,), (0, 0), (1, 1), (2, 0), (0, 2), (1, 0, 1), (0, 2, 0), (2, 1)]
 
 
 class TestLeafTally:
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(min_value=1, max_value=3),
-        st.sampled_from([(0,), (2,), (0, 0), (1, 1), (2, 0), (0, 2), (1, 0, 1), (0, 2, 0), (2, 1)]),
+        st.sampled_from(TALLY_TVECS),
         st.integers(min_value=0, max_value=5),
     )
     def test_tally_matches_the_leaf_building_walk(self, nu, tvec, n):
@@ -280,14 +347,97 @@ class TestLeafTally:
             n -= 1
         assert ascent_histograms_up_to(p, n) == leaf_building_histograms(p, n)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(TALLY_TVECS),
+        st.integers(min_value=0, max_value=6),
+    )
+    def test_two_level_tally_matches_the_one_level_tally(self, nu, tvec, n):
+        p = Params(nu, len(tvec), sum(tvec), tvec)
+        while count_sequences(p, n) > 20_000:
+            n -= 1
+        assert ascent_histograms_up_to(p, n) == one_level_histograms(p, n)
+
 
 class TestInsertionWalk:
     @pytest.mark.parametrize("nu", [1, 2, 3])
     @pytest.mark.parametrize("tvec", [(0,), (2,), (0, 0), (1, 1), (1, 0, 1), (0, 2, 0), (3,)])
     def test_same_stream_as_the_cursor_walk(self, nu, tvec):
+        s = len(tvec)
         for n in range(6):
-            pairs = itertools.zip_longest(_insertions(nu, tvec, n), cursor_insertions(nu, tvec, n))
-            assert all(new == old for new, old in pairs)
+            triples = itertools.zip_longest(
+                _insertions(nu, tvec, n),
+                tuple_insertions(nu, tvec, n),
+                cursor_insertions(nu, tvec, n),
+            )
+            for (m, word, asc, up), tupled, old in triples:
+                assert tupled == old
+                assert (m, _entries(word, s), asc) == old
+                assert word == flat(old[1])
+                assert up == sum(map(ge, word, word[1:]))
+
+    def test_flat_words_split_back_into_their_entries(self):
+        assert _flat_word((2, 0, 1)) == (0, 0, -3, -2, 0, -1)
+        assert _entries((0, 0, -3, -2, 0, -1), 3) == ((0, 0), (), (0,))
+        assert _entries((3, 3, 1, 1, -2, 2, 2, -1), 2) == ((3, 3, 1, 1), (2, 2))
+        assert _entries((-1,), 1) == ((),)
+
+
+# Functions of the recurrence modules that the enumeration routes may call,
+# each with its reason; anything else there would let a route borrow from the
+# recurrence it is checked against.  ``_require_int`` needs no entry: it
+# lives in ``numerics``.
+ALLOWED_RECURRENCE_CALLS = {
+    "Params.__init__": "building the order-(nu + 1) parameters of the word model",
+    "Params.composition": "reading the composition of t, which is input data",
+}
+
+
+def recurrence_calls(route, *args):
+    """The qualified names of the functions in ``eulerward.eulerian`` and
+    ``eulerward.ward`` that route(*args) enters, in the order first seen."""
+    seen = {}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") in (
+            "eulerward.eulerian",
+            "eulerward.ward",
+        ):
+            seen.setdefault(frame.f_code.co_qualname, None)
+
+    sys.setprofile(profile)
+    try:
+        route(*args)
+    finally:
+        sys.setprofile(None)
+    return list(seen)
+
+
+ENUMERATION_ROUTES = [
+    (ascent_histograms_up_to, Params(2, 2, 1), 4),
+    (ward_marked_row, Params(1, 2, 1), 3),
+]
+
+
+class TestRouteIndependence:
+    @pytest.mark.parametrize("route, p, n", ENUMERATION_ROUTES)
+    def test_routes_call_nothing_of_the_recurrence(self, route, p, n):
+        calls = recurrence_calls(route, p, n)
+        assert "Params.composition" in calls  # the profile sees this module
+        assert [c for c in calls if c not in ALLOWED_RECURRENCE_CALLS] == []
+
+    def test_a_histogram_that_reads_the_table_is_flagged(self, monkeypatch):
+        real = stirlingperm._enumeration_params
+
+        def borrowing(p, n):
+            eulerian_table(p, n)
+            return real(p, n)
+
+        monkeypatch.setattr(stirlingperm, "_enumeration_params", borrowing)
+        calls = recurrence_calls(ascent_histograms_up_to, Params(2, 2, 1), 4)
+        assert "eulerian_table" in calls
+        assert [c for c in calls if c not in ALLOWED_RECURRENCE_CALLS] != []
 
 
 class TestTextRoundtrip:

@@ -15,6 +15,7 @@ from eulerward.stirlingperm import (
     GenStirlingSeq,
     GenStirlingWord,
     _children,
+    _entries,
     _insertions,
     ascent_positions,
     count_sequences,
@@ -46,6 +47,11 @@ from eulerward.ward import ward_table
 
 def word(text, nu, t):
     return GenStirlingWord(word_from_text(text), nu, t)
+
+
+def flat(obj):
+    """The flat word of a tuple of entries: entry j followed by j - s."""
+    return tuple(x for j, entry in enumerate(obj, -len(obj)) for x in (*entry, j))
 
 
 @st.composite
@@ -409,7 +415,7 @@ class TestMarkedCounts:
         real = trees._insertions
 
         def wrong_ascents(nu, tvec, n):
-            return ((m, obj, -1) for m, obj, _ in real(nu, tvec, n))
+            return ((m, word, -1, -1) for m, word, _, _ in real(nu, tvec, n))
 
         monkeypatch.setattr(trees, "_insertions", wrong_ascents)
         for nu in (1, 2):
@@ -425,9 +431,9 @@ def oracle_ward_marked_row(p, n):
     with ``_pool_size``."""
     tvec = p.composition
     pools = Counter()
-    for m, obj, _ in _insertions(p.nu + 1, tvec, n):
+    for m, word, _, _ in _insertions(p.nu + 1, tvec, n):
         if m == n:
-            pools[sum(map(_pool_size, obj, tvec))] += 1
+            pools[sum(map(_pool_size, _entries(word, p.s), tvec))] += 1
     return [sum(c * math.comb(size, n - k) for size, c in pools.items()) for k in range(n + 1)]
 
 
@@ -457,32 +463,34 @@ class TestPoolTally:
         assert ward_marked_row(p, n) == oracle_ward_marked_row(p, n)
 
     def test_every_gap_of_the_verify_grid(self):
-        # each parent's tally, as a multiset of child pools, against _pool_size
-        # on the children the walk builds; ward-interpretation runs nu 1..2,
-        # s 1..2, t 0..2 on the words of order nu + 1, to n = 4
+        # each parent's tally, as a multiset of child pools, against the
+        # pools of the forests built from the children the walk builds;
+        # ward-interpretation runs nu 1..2, s 1..2, t 0..2 on the words of
+        # order nu + 1, to n = 4
         for nu in (2, 3):
             for s in (1, 2):
                 for t in range(3):
                     for tvec in _compositions_for(s, t):
-                        for m, obj, asc in _insertions(nu, tvec, 3):
-                            pool, keep, gain = _child_pools(obj, tvec)
-                            assert pool == sum(map(_pool_size, obj, tvec))
+                        for m, word, asc, up in _insertions(nu, tvec, 3):
+                            obj = _entries(word, s)
+                            pool, keep, gain = _child_pools(word, tvec)
+                            assert pool == built_pool_size(obj, tvec, nu)
                             built = Counter(
-                                sum(map(_pool_size, child, tvec))
-                                for _, child, _ in _children(obj, asc, (m + 1,) * nu)
+                                built_pool_size(_entries(child, s), tvec, nu)
+                                for _, child, _, _ in _children(word, asc, up, (m + 1,) * nu)
                             )
                             assert +Counter({pool: keep, pool + 1: gain}) == built, (obj, tvec)
 
     def test_known_parents(self):
         # (|D|, keep, gain): an empty t = 0 entry gains its root from its one gap
-        assert _child_pools(((),), (0,)) == (0, 0, 1)
+        assert _child_pools(flat(((),)), (0,)) == (0, 0, 1)
         # 0 0: the gap before the first 0 hangs m in the root's first slot
-        assert _child_pools(((0, 0),), (2,)) == (0, 2, 1)
+        assert _child_pools(flat(((0, 0),)), (2,)) == (0, 2, 1)
         # 1 1 2 2 0: node 1 fills the root's first slot; nodes 1 and 2 have empty ones
-        assert _child_pools(((1, 1, 2, 2, 0),), (1,)) == (1, 4, 2)
+        assert _child_pools(flat(((1, 1, 2, 2, 0),)), (1,)) == (1, 4, 2)
         # 2 2 1 1 (t = 0): root 1 holds 2 in its first slot, so node 2 and the
         # empty second entry gain
-        assert _child_pools(((2, 2, 1, 1), ()), (0, 0)) == (2, 4, 2)
+        assert _child_pools(flat(((2, 2, 1, 1), ())), (0, 0)) == (2, 4, 2)
 
 
 def built_pool_size(obj, tvec, nu):
@@ -503,7 +511,8 @@ class TestPoolSize:
             for s in (1, 2):
                 for t in range(3):
                     for tvec in _compositions_for(s, t):
-                        for _, obj, _ in _insertions(nu, tvec, 4):
+                        for _, word, _, _ in _insertions(nu, tvec, 4):
+                            obj = _entries(word, s)
                             fast = sum(_pool_size(e, ti) for e, ti in zip(obj, tvec))
                             assert fast == built_pool_size(obj, tvec, nu), (obj, tvec)
 

@@ -78,9 +78,10 @@ def test_transform_fault_is_caught_against_the_recurrence(monkeypatch):
 
 
 def test_leaf_tally_fault_is_caught_at_the_top_order(monkeypatch):
-    # > for >= in the leaf tally: an inner gap between equal letters stops
-    # counting as an ascent.  Only the last order is tallied, so the first
-    # grid point with equal neighbours, (1, 1, 2) with its 0 0, fails at n_top
+    # > for >= in the tally: a gap between equal letters stops counting as
+    # an ascent.  Only the last two orders are tallied, gap by gap, so the
+    # first grid point with equal neighbours, (1, 1, 2) with its 0 0, fails
+    # at n_top - 1, the first tallied order
     monkeypatch.setattr(stirlingperm, "ge", operator.gt)
     result = verify.check_recurrence_vs_enumeration("default")
     assert result.check_id == "recurrence-vs-enumeration"
@@ -89,12 +90,37 @@ def test_leaf_tally_fault_is_caught_at_the_top_order(monkeypatch):
     p = Params(w["nu"], w["s"], w["t"])
     n_top = result.params["n_max"]
     assert stirlingperm.count_sequences(p, n_top) <= result.params["object_cap"]
-    assert (w["nu"], w["s"], w["t"], w["n"]) == (1, 1, 2, n_top)
-    want = list(eulerian_table(p, n_top).row(n_top))
-    faulty = stirlingperm.ascent_histograms_up_to(p, n_top)[n_top]
+    assert (w["nu"], w["s"], w["t"], w["n"]) == (1, 1, 2, n_top - 1)
+    want = list(eulerian_table(p, n_top).row(n_top - 1))
+    faulty = stirlingperm.ascent_histograms_up_to(p, n_top)[n_top - 1]
     assert faulty != want and sum(faulty) == sum(want)
     assert w["recurrence"] == _shown(want)
     assert w["enumeration"] == _shown(faulty)
+
+
+def test_carried_pair_count_fault_is_caught_at_the_top_order(monkeypatch):
+    # every built child forgets the nu - 1 pairs (m, m) inside its block.
+    # Ascent counts are carried apart from up and only the top order reads
+    # up, so nu = 1 hides the fault and (2, 1, 0) fails at n_top
+    real = stirlingperm._children
+
+    def faulty(word, asc, up, block):
+        for m, child, a, u in real(word, asc, up, block):
+            yield m, child, a, u - (len(block) - 1)
+
+    monkeypatch.setattr(stirlingperm, "_children", faulty)
+    result = verify.check_recurrence_vs_enumeration("default")
+    assert result.check_id == "recurrence-vs-enumeration"
+    assert not result.passed
+    w = result.witness
+    p = Params(w["nu"], w["s"], w["t"])
+    n_top = result.params["n_max"]
+    assert (w["nu"], w["s"], w["t"], w["n"]) == (2, 1, 0, n_top)
+    want = list(eulerian_table(p, n_top).row(n_top))
+    faulty_row = stirlingperm.ascent_histograms_up_to(p, n_top)[n_top]
+    assert faulty_row != want and sum(faulty_row) == sum(want)
+    assert w["recurrence"] == _shown(want)
+    assert w["enumeration"] == _shown(faulty_row)
 
 
 def test_egf_fault(monkeypatch):
