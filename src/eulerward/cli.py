@@ -209,6 +209,7 @@ def cmd_bijection(args) -> int:
         tvec = tuple(word.count(0) for word in letters)
     else:
         tvec = _resolve_composition(args, width=len(letters))
+    Params(args.nu, len(tvec), sum(tvec), tvec)  # checks nu and each part of t, as enumerate does
     entries = tuple(
         GenStirlingWord(word, args.nu, ti) for word, ti in zip(letters, tvec)
     )
@@ -278,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--nmax", type=int, required=True)
     pt.add_argument("--format", choices=("json", "csv"), default="json")
     pt.add_argument("--mode", choices=("int", "poly"), default="int")
-    pt.set_defaults(handler=cmd_table)
 
     pe = sub.add_parser("enumerate", help="stream the permutation sequences of size n")
     pe.add_argument("--nu", type=int, required=True)
@@ -288,27 +288,33 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--tvec", default=None, help="composition of t, e.g. 2,0,1,0")
     pe.add_argument("--format", choices=("jsonl", "json"), default="jsonl")
     pe.add_argument("--max-count", type=int, default=DEFAULT_ENUMERATION_CAP)
-    pe.set_defaults(handler=cmd_enumerate)
 
     pb = sub.add_parser("bijection", help="map words to increasing trees and back")
     pb.add_argument("word", nargs="+", help="one word per sequence entry; '' for empty")
     pb.add_argument("--nu", type=int, required=True)
     pb.add_argument("--t", type=int, default=None)
     pb.add_argument("--tvec", default=None)
-    pb.set_defaults(handler=cmd_bijection)
 
     pv = sub.add_parser("verify", help="run cross-verification suites")
     pv.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     pv.add_argument("--size-level", choices=("small", "default"), default="default")
-    pv.set_defaults(handler=cmd_verify)
 
     return parser
 
 
+_parser = None  # built by the first main call, then reused
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command.  The parser is built on the first call and reused by
+    later calls in the same process; importing the module builds none."""
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
-        code = args.handler(args)
+        # looked up per call, so a handler replaced after the parser was built still runs
+        code = globals()["cmd_" + args.command](args)
         sys.stdout.flush()  # a closed pipe may show only at this last write
     except ValueError as exc:
         print("error: %s" % (exc,), file=sys.stderr)

@@ -37,9 +37,10 @@ the coefficient bound that make the reading exact.  ``PolyST`` arithmetic stays
 the oracle: ``Recurrence.check`` recomputes every entry with it.
 
 Besides the recurrence, this module evaluates the explicit summation formulas
-for orders 1 and 2, the classic Eulerian and second-order Eulerian numbers in
-both of their usual indexings, and the degenerate t = -s forms.  All of them
-are exact; divisions by k! are asserted to be exact rather than trusted.
+for orders 1 and 2, a whole row per call, the classic Eulerian and
+second-order Eulerian numbers in both of their usual indexings, and the
+degenerate t = -s forms.  All of them are exact; divisions by k! are
+asserted to be exact rather than trusted.
 """
 
 from __future__ import annotations
@@ -339,36 +340,41 @@ def _exact_div(total: int, divisor: int) -> int:
     return q
 
 
-def closed_form_order1(n: int, k: int, s: int, t: int) -> int:
-    """Order-1 (s,t)-Eulerian number by its explicit alternating sum.
+def closed_form_order1(n: int, s: int, t: int) -> list[int]:
+    """Row n of the order-1 (s,t)-Eulerian triangle by its explicit alternating sum.
 
-    (1/k!) sum_{j=0}^{k} (-1)^(k-j) C(k,j) (n+s+t)^falling(k-j)
-                         (s+t)^rising(j) (s+j)^n
+    E(n, k) = (1/k!) sum_{j=0}^{k} (-1)^(k-j) C(k,j) (n+s+t)^falling(k-j)
+                                   (s+t)^rising(j) (s+j)^n
 
-    The rising and falling factorials are running products, so the sum has
-    O(k) terms and O(k) products.  The division by k! must come out exact;
+    The rising and falling factorials are running products and the powers
+    (s+j)^n are taken once, all shared by the row's n + 1 entries, so the
+    row costs O(n^2) terms.  Each division by k! must come out exact;
     anything else raises.
     """
-    for name, value in (("n", n), ("k", k), ("s", s), ("t", t)):
+    for name, value in (("n", n), ("s", s), ("t", t)):
         _require_int(name, value)
-    if n < 0 or k < 0 or k > n:
-        raise ValueError("need 0 <= k <= n")
-    rising, falling = [1], [1]  # (s+t)^rising(i) and (n+s+t)^falling(i), i <= k
-    for i in range(k):
+    if n < 0:
+        raise ValueError("need n >= 0, got %r" % (n,))
+    rising, falling = [1], [1]  # (s+t)^rising(i) and (n+s+t)^falling(i), i <= n
+    for i in range(n):
         rising.append(rising[-1] * (s + t + i))
         falling.append(falling[-1] * (n + s + t - i))
-    total = sum(
-        (-1) ** (k - j) * math.comb(k, j) * falling[k - j] * rising[j] * (s + j) ** n for j in range(k + 1)
-    )
-    return _exact_div(total, math.factorial(k))
+    terms = [rising[j] * (s + j) ** n for j in range(n + 1)]
+    return [
+        _exact_div(
+            sum((-1) ** (k - j) * math.comb(k, j) * falling[k - j] * terms[j] for j in range(k + 1)),
+            math.factorial(k),
+        )
+        for k in range(n + 1)
+    ]
 
 
-def closed_form_order2(n: int, k: int, s: int, t: int) -> int:
-    """Order-2 (s,t)-Eulerian number by its explicit triple sum.
+def closed_form_order2(n: int, s: int, t: int) -> list[int]:
+    """Row n of the order-2 (s,t)-Eulerian triangle by its explicit triple sum.
 
-    (1/k!) sum_r C(k,r) (s+t+2n)^falling(k-r)
-           sum_p C(r,p) sum_j (-1)^(k-p) C(p,j) (s+t)^rising(j) (s+j)
-                              (p+s)^(n+r-j-1)
+    E(n, k) = (1/k!) sum_r C(k,r) (s+t+2n)^falling(k-r)
+                     sum_p C(r,p) sum_j (-1)^(k-p) C(p,j) (s+t)^rising(j) (s+j)
+                                        (p+s)^(n+r-j-1)
 
     For n >= 1 and j <= p <= r the power splits as
     (p+s)^(p-j) (p+s)^(n+r-1-p) with both exponents >= 0 (0^0 = 1 on both
@@ -376,34 +382,43 @@ def closed_form_order2(n: int, k: int, s: int, t: int) -> int:
 
         h_p = sum_j C(p,j) (s+t)^rising(j) (s+j) (p+s)^(p-j),
 
-    which does not depend on r.  The rising and falling factorials are
-    running products, then come h_0..h_k, then the (r, p) double sum: O(k^2)
-    terms in all.
+    and (-1)^(k-p) = (-1)^k (-1)^p, so
+
+        E(n, k) = ((-1)^k / k!) sum_r C(k,r) (s+t+2n)^falling(k-r) I_r,
+        I_r = sum_p C(r,p) (-1)^p h_p (p+s)^(n+r-1-p).
+
+    Neither h_p nor I_r depends on k, so the row computes h_0..h_n, then
+    I_0..I_n, then its n + 1 entries: O(n^2) terms in all.  Each division
+    by k! must come out exact; anything else raises.
 
     n = 0 would hit (p+s)^(-1), so that row is returned directly from the
     base case E(0, 0) = 1.
     """
-    for name, value in (("n", n), ("k", k), ("s", s), ("t", t)):
+    for name, value in (("n", n), ("s", s), ("t", t)):
         _require_int(name, value)
-    if n < 0 or k < 0 or k > n:
-        raise ValueError("need 0 <= k <= n")
+    if n < 0:
+        raise ValueError("need n >= 0, got %r" % (n,))
     if n == 0:
-        return 1
-    rising, falling = [1], [1]  # (s+t)^rising(i) and (s+t+2n)^falling(i), i <= k
-    for i in range(k):
+        return [1]
+    rising, falling = [1], [1]  # (s+t)^rising(i) and (s+t+2n)^falling(i), i <= n
+    for i in range(n):
         rising.append(rising[-1] * (s + t + i))
         falling.append(falling[-1] * (s + t + 2 * n - i))
-    h = [
-        sum(math.comb(p, j) * rising[j] * (s + j) * (p + s) ** (p - j) for j in range(p + 1))
-        for p in range(k + 1)
-    ]
-    total = 0
-    for r in range(k + 1):
-        inner = sum(
-            math.comb(r, p) * (-1) ** (k - p) * h[p] * (p + s) ** (n + r - 1 - p) for p in range(r + 1)
+    inner = [0] * (n + 1)  # I_0..I_n
+    for p in range(n + 1):
+        base = p + s
+        h = sum(math.comb(p, j) * rising[j] * (s + j) * base ** (p - j) for j in range(p + 1))
+        term = (-1) ** p * h * base ** (n - 1)  # (-1)^p h_p (p+s)^(n+r-1-p) at r = p
+        for r in range(p, n + 1):
+            inner[r] += math.comb(r, p) * term
+            term *= base
+    return [
+        _exact_div(
+            (-1) ** k * sum(math.comb(k, r) * falling[k - r] * inner[r] for r in range(k + 1)),
+            math.factorial(k),
         )
-        total += math.comb(k, r) * falling[k - r] * inner
-    return _exact_div(total, math.factorial(k))
+        for k in range(n + 1)
+    ]
 
 
 def classic_eulerian(n: int, k: int, indexing: str = "standard") -> int:

@@ -563,13 +563,19 @@ def second_order_ratio_expansion_sides(n: int, s: int, t: int, K: int) -> tuple[
     """Coefficients 0..K of x e^(x(s-1)) P_n(x) / (1-x)^(2n+s+t) for the
     order-2 triangle and of
 
-        sum_{k>=1} (x e^(-x))^k / (k-1)!
-                   sum_{j=0}^{k-1} C(k-1, j) (s+t)^rising(j) (s+j)
-                                   (k+s-1)^(n+k-j-2)
+        sum_{k>=1} c_k (x e^(-x))^k,
+        c_k = 1/(k-1)! sum_{j=0}^{k-1} C(k-1, j) (s+t)^rising(j) (s+j)
+                                      (k+s-1)^(n+k-j-2).
 
     The inner exponent can be -1 (n = 0, j = k-1), which is why s >= 1 is
     required: the base k+s-1 stays positive.  The inner sum runs in the
-    integers multiplied through by k+s-1, so each k builds one Fraction.
+    integers multiplied through by k+s-1, so c_k = a_k / d over one common
+    denominator d of all the (k+s-1) (k-1)!.  The right side needs no
+    series product: [x^m] (x e^(-x))^k = (-k)^(m-k) / (m-k)!, so
+
+        m! d [x^m] rhs = sum_{k=1}^{m} a_k (-k)^(m-k) m! / (m-k)!
+
+    is an integer sum, and each m builds one Fraction: O(K^2) terms.
     """
     for name, value in (("n", n), ("s", s), ("t", t), ("K", K)):
         _require_int(name, value)
@@ -584,17 +590,24 @@ def second_order_ratio_expansion_sides(n: int, s: int, t: int, K: int) -> tuple[
             poly[k] = e
     x = TruncSeries.x(K)
     lhs = x * ((s - 1) * x).exp() * TruncSeries(poly) * (1 - x) ** (-(2 * n + s + t))
-    xemx = x * (-x).exp()
-    rhs = TruncSeries.zero(K)
-    pw = TruncSeries.one(K)
+    inners, dens = [0], [1]  # c_k = inners[k] / dens[k], k >= 1
     for k in range(1, K + 1):
-        pw = pw * xemx
         inner, rf = 0, 1  # rf = (s+t)^rising(j)
         for j in range(k):
             inner += math.comb(k - 1, j) * rf * (s + j) * (k + s - 1) ** (n + k - j - 1)
             rf *= s + t + j
-        rhs = rhs + pw * Fraction(inner, (k + s - 1) * math.factorial(k - 1))
-    return list(lhs.coeffs), list(rhs.coeffs)
+        inners.append(inner)
+        dens.append((k + s - 1) * math.factorial(k - 1))
+    d = math.lcm(*dens)
+    a = [inner * (d // den) for inner, den in zip(inners, dens)]
+    rhs = []
+    for m in range(K + 1):
+        total, falling = 0, 1  # falling = m! / (m-k)!
+        for k in range(1, m + 1):
+            falling *= m - k + 1
+            total += a[k] * (-k) ** (m - k) * falling
+        rhs.append(Fraction(total, math.factorial(m) * d))
+    return list(lhs.coeffs), rhs
 
 
 def binomial_unit_sums_sides(n: int) -> tuple[list, list]:

@@ -20,14 +20,14 @@ the empty tree.  A forest is a plain tuple of trees.  Over a forest,
 Ward numbers: the order-nu Ward number W(n, k) counts pairs (F, M) where F
 ranges over the forests of the order-(nu+1) word model and M over
 (n-k)-subsets of D(F).  That count is implemented literally in
-``ward_marked_row``, giving a route to the Ward triangle that never touches
-its recurrence.  It runs on the flat words of the insertion walk in
+``ward_marked_rows_up_to``, giving a route to the Ward triangle that never
+touches its recurrence.  It runs on the flat words of the insertion walk in
 ``stirlingperm`` (the entries joined, each followed by a negative
 separator), which are valid by construction, so they skip validation.
-The walk stops one order short: each parent reads its |D(F)| off the
-factorization pass itself (``_stack_pass``, without building the trees) and
-tallies its children's pools gap by gap from the forest, so the last order
-is never built.
+One walk serves rows 0..n and stops one order short of n: each parent
+reads its |D(F)| off the factorization pass itself (``_stack_pass``,
+without building the trees) and tallies its children's pools gap by gap
+from the forest into the next order, so the last order is never built.
 
 The factorization is one left-to-right stack pass, and every other walk over
 a tree (reading, validation, statistics, equality, hashing, repr, JSON and
@@ -59,7 +59,7 @@ __all__ = [
     "leftmost_internal_set",
     "distinguished_set",
     "forest_distinguished_set",
-    "ward_marked_row",
+    "ward_marked_rows_up_to",
     "validate_tree",
     "tree_to_json",
     "forest_to_json",
@@ -291,34 +291,36 @@ def _child_pools(word, tvec) -> tuple[int, int, int]:
     return closes - (len(tvec) - tvec.count(0)), len(word) - gain, gain
 
 
-def ward_marked_row(p: Params, n: int) -> list[int]:
-    """Row n of the order-nu (s,t)-Ward triangle, counted through marked forests.
+def ward_marked_rows_up_to(p: Params, n: int) -> list[list[int]]:
+    """Rows 0..n of the order-nu (s,t)-Ward triangle, counted through marked forests.
 
     Streams the order-(nu+1) word model (the Ward order sits one below the
-    Eulerian order of the words it marks) and counts the (n-k)-subsets of
-    each forest's pool D(F).  The walk stops at order n - 1: each parent
-    reads its pool off the factorization pass of its words (``_stack_pass``,
-    which builds no tree) and tallies its children's pools from its forest,
-    so the last order, nearly all of the objects, is never built.  The rule
-    (``_child_pools``): a child's pool is its parent's plus the new label
-    exactly when the new leaf fills an empty first slot of a node, or is the
-    root of an empty t_i = 0 entry.  No recurrence and no ascent count is
-    involved (the ascent count and ``up`` the walk yields are ignored),
-    which is the point: this is the independent combinatorial route the
-    Ward recurrence is checked against.
+    Eulerian order of the words it marks) and counts the (m-k)-subsets of
+    each order-m forest's pool D(F).  One walk to order n - 1 serves every
+    row: each parent reads its pool off the factorization pass of its words
+    (``_stack_pass``, which builds no tree) and tallies its children's pools
+    into the next order, so order n, nearly all of the objects, is never
+    built.  The rule (``_child_pools``): a child's pool is its parent's plus
+    the new label exactly when the new leaf fills an empty first slot of a
+    node, or is the root of an empty t_i = 0 entry.  No recurrence and no
+    ascent count is involved (the ascent count and ``up`` the walk yields
+    are ignored), which is the point: this is the independent combinatorial
+    route the Ward recurrence is checked against.
     """
     if p.s < 1:
         raise ValueError("the forest model needs s >= 1")
     nu, tvec = _enumeration_params(Params(p.nu + 1, p.s, p.t, p.tvec), n)
-    if n == 0:
-        return [1]  # the one forest of order 0 has an empty pool
-    pools: Counter[int] = Counter()
-    for m, word, _, _ in _insertions(nu, tvec, n - 1):
-        if m == n - 1:
+    # pools[m][size]: forests of order m with that pool size; order 0 has one, with an empty pool
+    pools = [Counter({0: 1})] + [Counter() for _ in range(n)]
+    if n:
+        for m, word, _, _ in _insertions(nu, tvec, n - 1):
             pool, keep, gain = _child_pools(word, tvec)
-            pools[pool] += keep
-            pools[pool + 1] += gain
-    return [sum(c * binomial(size, n - k) for size, c in pools.items()) for k in range(n + 1)]
+            pools[m + 1][pool] += keep
+            pools[m + 1][pool + 1] += gain
+    return [
+        [sum(c * binomial(size, m - k) for size, c in tally.items()) for k in range(m + 1)]
+        for m, tally in enumerate(pools)
+    ]
 
 
 def validate_tree(tree: IncTree) -> bool:

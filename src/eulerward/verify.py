@@ -45,7 +45,6 @@ from .series import (
     egf_eulerian_coeffs,
     egf_order1_direct,
     egf_transform_sides,
-    egf_ward_coeffs,
     eulerian_ratio_expansion_sides,
     second_order_ratio_expansion_sides,
     t_nu_derivative_sides,
@@ -70,7 +69,7 @@ from .trees import (
     seq_to_forest,
     tree_to_perm,
     validate_tree,
-    ward_marked_row,
+    ward_marked_rows_up_to,
 )
 from .ward import (
     euler_to_ward,
@@ -314,12 +313,13 @@ def check_closed_forms(level: str = "default") -> CheckResult:
                 (2, closed_form_order2, eulerian_table(Params(2, s, t), nmax)),
             )
             for n in range(nmax + 1):
+                rows = [(order, closed_form(n, s, t), table.row(n)) for order, closed_form, table in forms]
                 for k in range(n + 1):
-                    for order, closed_form, table in forms:
+                    for order, closed, recurrence in rows:
                         yield (
                             {"order": order, "s": s, "t": t, "n": n, "k": k},
-                            ("closed", closed_form(n, k, s, t)),
-                            ("recurrence", table.entry(n, k)),
+                            ("closed", closed[k]),
+                            ("recurrence", recurrence[k]),
                         )
 
     return _first_mismatch("closed-forms", params, cases())
@@ -452,6 +452,9 @@ def _compositions_for(s: int, t: int) -> list[tuple[int, ...]]:
 
 
 def check_ward_interpretation(level: str = "default") -> CheckResult:
+    """Ward rows from the recurrence (``ward_table``) against the marked
+    forests of the order-(nu+1) word model (``ward_marked_rows_up_to``, one
+    insertion walk per composition, which reads no recurrence)."""
     nmax = 4 if level == "default" else 3
     params = {"nu_values": [1, 2], "s_values": [1, 2], "t_max": 2, "n_max": nmax}
 
@@ -461,11 +464,11 @@ def check_ward_interpretation(level: str = "default") -> CheckResult:
                 for t in range(params["t_max"] + 1):
                     table = ward_table(Params(nu, s, t), nmax)
                     for comp in _compositions_for(s, t):
-                        p = Params(nu, s, t, comp)
+                        marked = ward_marked_rows_up_to(Params(nu, s, t, comp), nmax)
                         for n in range(nmax + 1):
                             yield (
                                 {"nu": nu, "s": s, "t": t, "tvec": list(comp), "n": n},
-                                ("marked", ward_marked_row(p, n)),
+                                ("marked", marked[n]),
                                 ("recurrence", list(table.row(n))),
                             )
 
@@ -543,12 +546,9 @@ def check_egf(level: str = "default") -> CheckResult:
                 for x0 in map(Fraction, params["x0_ward"]):
                     at = {"nu": nu, "s": s, "t": t, "x0": str(x0)}
                     want = [_poly_value(table.row(n), x0) for n in range(nmax + 1)]
-                    yield (
-                        {"failed": "ward", **at},
-                        ("egf", egf_ward_coeffs(nu, s, t, x0, nmax)),
-                        ("table", want),
-                    )
+                    # the transform's left side is egf_ward_coeffs itself
                     sides = egf_transform_sides(nu, s, t, x0, nmax)
+                    yield {"failed": "ward", **at}, ("egf", sides[0]), ("table", want)
                     yield _sides({"failed": "transform", **at}, sides)
 
     return _first_mismatch("egf", params, cases())

@@ -19,9 +19,10 @@ numbers, from which two Smiley-style summation identities follow
 (``smiley_identities_sides``).
 
 As in ``eulerian``, the recurrence engine accepts any integer s and t; only
-the combinatorial interpretation (see ``trees.ward_marked_row``) insists on
-s >= 1.  The Ward family is the involution's image of the Eulerian family
-one order up (``Recurrence.involution``, applied in ``ward_recurrence``).
+the combinatorial interpretation (see ``trees.ward_marked_rows_up_to``)
+insists on s >= 1.  The Ward family is the involution's image of the
+Eulerian family one order up (``Recurrence.involution``, applied in
+``ward_recurrence``).
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes, golden rows, exit codes."""
 
+import argparse
 import decimal
 import io
 import json
@@ -368,6 +369,24 @@ class TestBijection:
         assert code == 2
         assert "not a valid" in err
 
+    @pytest.mark.parametrize(
+        "words,flags,message",
+        [
+            (["1"], ["--nu", "-2", "--t", "0"], "nu must be a positive integer, got -2"),
+            (["1"], ["--nu", "0"], "nu must be a positive integer, got 0"),
+            (["1", ""], ["--nu", "1", "--tvec", "0,-1"], "tvec parts must be nonnegative, got (0, -1)"),
+            (["1"], ["--nu", "1", "--t", "-1"], "tvec parts must be nonnegative, got (-1,)"),
+        ],
+        ids=["negative-nu", "zero-nu", "negative-tvec-part", "negative-t"],
+    )
+    def test_order_and_parts_are_checked_before_the_words(self, capsys, words, flags, message):
+        # the words are fine for some order; the fault is nu or a part of t,
+        # and the error names it as enumerate does
+        code, out, err = run_cli(capsys, "bijection", *words, *flags)
+        assert (code, out, err) == (2, "", "error: %s\n" % (message,))
+        code, _, enumerate_err = run_cli(capsys, "enumerate", "--n", "1", *flags)
+        assert (code, enumerate_err) == (2, err)
+
     def test_labels_must_partition_the_range(self, capsys):
         code, _, err = run_cli(capsys, "bijection", "11", "33", "--nu", "2")
         assert code == 2
@@ -531,6 +550,61 @@ class TestProcessLevel:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+
+class TestParserReuse:
+    TABLE = ["table", "eulerian", "--nu", "2", "--nmax", "5", "--format", "csv"]
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        # argparse's own __init__ names the class, so its __init__ is patched, not the name
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        monkeypatch.setattr(cli, "_parser", None)
+        for argv in (self.TABLE, self.TABLE + ["--s", "3"], ["bijection", "1", "--nu", "1"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        # the subcommands' parsers are built with the top one, once
+        assert built.count("eulerward") == 1
+        assert len(built) == 5
+
+    def test_defaults_come_back_after_a_flag(self, capsys):
+        # --s 3 on one call must not stick to the next one's default s = 1
+        assert main(self.TABLE + ["--s", "3"]) == 0
+        with_s = capsys.readouterr().out
+        assert main(self.TABLE) == 0
+        reused = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "eulerward.cli", *self.TABLE],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert reused == fresh.stdout != with_s
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "import eulerward.cli\n"
+            "print(len(built), eulerward.cli._parser)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "None"]
 
 
 # Argument soup: every flag of the four subcommands, values in -2..3, words,

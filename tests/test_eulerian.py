@@ -376,6 +376,7 @@ def oracle_closed_form_order2(n, k, s, t):
     fresh product and each power taken whole."""
     if n == 0:
         return 1
+    rising = [rising_factorial(s + t, j) for j in range(k + 1)]
     total = 0
     for r in range(k + 1):
         inner = 0
@@ -385,7 +386,7 @@ def oracle_closed_form_order2(n, k, s, t):
                     math.comb(r, p)
                     * (-1) ** (k - p)
                     * math.comb(p, j)
-                    * rising_factorial(s + t, j)
+                    * rising[j]
                     * (s + j)
                     * (p + s) ** (n + r - j - 1)
                 )
@@ -395,51 +396,72 @@ def oracle_closed_form_order2(n, k, s, t):
     return q
 
 
-@st.composite
-def closed_form_args(draw):
-    n = draw(st.integers(min_value=0, max_value=14))
-    k = draw(st.integers(min_value=0, max_value=n))
-    return n, k, draw(st.integers(min_value=-3, max_value=5)), draw(st.integers(min_value=-4, max_value=4))
+# the differential box: every row n <= 20 at every s, t in -4..4, which puts
+# s + t, p + s and the falling factorial's base through zero and below
+BOX_ST = [(s, t) for s in range(-4, 5) for t in range(-4, 5)]
+BOX_N = 20
+
+
+class _MathWithBadFactorial:
+    """The math module, except that 3! is 7."""
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    @staticmethod
+    def factorial(k):
+        return 7 if k == 3 else math.factorial(k)
 
 
 class TestClosedForms:
-    @settings(max_examples=200, deadline=None)
-    @given(closed_form_args())
-    def test_order1_matches_the_term_by_term_oracle(self, args):
-        assert closed_form_order1(*args) == oracle_closed_form_order1(*args)
+    def test_order1_matches_the_term_by_term_oracle(self):
+        for s, t in BOX_ST:
+            for n in range(BOX_N + 1):
+                want = [oracle_closed_form_order1(n, k, s, t) for k in range(n + 1)]
+                assert closed_form_order1(n, s, t) == want
 
-    @settings(max_examples=200, deadline=None)
-    @given(closed_form_args())
-    def test_order2_matches_the_triple_sum_oracle(self, args):
+    def test_order2_matches_the_triple_sum_oracle(self):
         # s <= 0 puts p + s = 0 inside the sum, where the split power leans on 0^0 = 1
-        assert closed_form_order2(*args) == oracle_closed_form_order2(*args)
+        for s, t in BOX_ST:
+            for n in range(BOX_N + 1):
+                want = [oracle_closed_form_order2(n, k, s, t) for k in range(n + 1)]
+                assert closed_form_order2(n, s, t) == want
 
     @pytest.mark.parametrize("s,t", [(1, 0), (0, 1), (2, 3), (3, 1)])
     def test_order1_matches_recurrence(self, s, t):
         tri = eulerian_table(Params(1, s, t), 9)
         for n in range(10):
-            for k in range(n + 1):
-                assert closed_form_order1(n, k, s, t) == tri.entry(n, k)
+            assert closed_form_order1(n, s, t) == list(tri.row(n))
 
     @pytest.mark.parametrize("s,t", [(1, 0), (0, 1), (2, 3), (3, 1)])
     def test_order2_matches_recurrence(self, s, t):
         tri = eulerian_table(Params(2, s, t), 9)
         for n in range(10):
-            for k in range(n + 1):
-                assert closed_form_order2(n, k, s, t) == tri.entry(n, k)
+            assert closed_form_order2(n, s, t) == list(tri.row(n))
 
     def test_order2_empty_case(self):
-        assert closed_form_order2(0, 0, 3, 1) == 1
+        assert closed_form_order2(0, 3, 1) == [1]
 
     @pytest.mark.parametrize("form", [closed_form_order1, closed_form_order2])
-    @pytest.mark.parametrize(
-        "args", [(3, 1, 1.5, 0), (3, 1, 1, True), (3.0, 1, 1, 0), (3, Fraction(1), 1, 0)]
-    )
+    @pytest.mark.parametrize("args", [(3, 1.5, 0), (3, 1, True), (3.0, 1, 0), (3, Fraction(1), 0)])
     def test_non_integers_raise(self, form, args):
         # a float s once reached the exact division and was reported as a
         # mistranscribed formula (ArithmeticError)
         with pytest.raises(TypeError):
             form(*args)
+
+    @pytest.mark.parametrize("form", [closed_form_order1, closed_form_order2])
+    def test_rejects_a_negative_row(self, form):
+        with pytest.raises(ValueError):
+            form(-1, 1, 0)
+
+    @pytest.mark.parametrize("form", [closed_form_order1, closed_form_order2])
+    def test_a_wrong_transcription_still_raises(self, form, monkeypatch):
+        # every entry keeps its exact division by k!: one k! off by one
+        # cannot pass silently
+        monkeypatch.setattr("eulerward.eulerian.math", _MathWithBadFactorial())
+        with pytest.raises(ArithmeticError):
+            form(6, 2, 1)
 
 
 class TestClassicTriangles:

@@ -646,6 +646,29 @@ class TestRouteIndependence:
         assert bumped_lhs != lhs and bumped_rhs == rhs
 
 
+def oracle_second_order_ratio_expansion_sides(n, s, t, K):
+    """Both sides of the order-2 ratio expansion with the right side built
+    as a sum of series, (x e^(-x))^k by K series products."""
+    row = eulerian_table(Params(2, s, t), n).row(n)
+    poly = [0] * (K + 1)
+    for k, e in enumerate(row):
+        if k <= K:
+            poly[k] = e
+    x = TruncSeries.x(K)
+    lhs = x * ((s - 1) * x).exp() * TruncSeries(poly) * (1 - x) ** (-(2 * n + s + t))
+    xemx = x * (-x).exp()
+    rhs = TruncSeries.zero(K)
+    pw = TruncSeries.one(K)
+    for k in range(1, K + 1):
+        pw = pw * xemx
+        inner, rf = 0, 1  # rf = (s+t)^rising(j)
+        for j in range(k):
+            inner += math.comb(k - 1, j) * rf * (s + j) * (k + s - 1) ** (n + k - j - 1)
+            rf *= s + t + j
+        rhs = rhs + pw * Fraction(inner, (k + s - 1) * math.factorial(k - 1))
+    return list(lhs.coeffs), list(rhs.coeffs)
+
+
 class TestRatioExpansions:
     @pytest.mark.parametrize("s,t", [(1, 0), (0, 1), (2, 3), (3, 1)])
     def test_order1(self, s, t):
@@ -658,6 +681,14 @@ class TestRatioExpansions:
         for n in range(5):
             lhs, rhs = second_order_ratio_expansion_sides(n, s, t, 11)
             assert lhs == rhs
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 12, 16])
+    def test_order2_matches_the_series_product_oracle(self, K):
+        for s, t in [(1, 0), (2, 1), (2, 3), (3, 1), (1, 4)]:
+            for n in range(6):
+                lhs, rhs = second_order_ratio_expansion_sides(n, s, t, K)
+                assert (lhs, rhs) == oracle_second_order_ratio_expansion_sides(n, s, t, K)
+                assert len(rhs) == K + 1 and all(type(c) is Fraction for c in rhs)
 
     def test_order1_rejects_empty_weight(self):
         with pytest.raises(ValueError):

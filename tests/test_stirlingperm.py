@@ -28,7 +28,7 @@ from eulerward.stirlingperm import (
     word_from_text,
     word_text,
 )
-from eulerward.trees import perm_to_tree, ward_marked_row
+from eulerward.trees import perm_to_tree, ward_marked_rows_up_to
 
 
 def word(text, nu, t):
@@ -416,7 +416,7 @@ def recurrence_calls(route, *args):
 
 ENUMERATION_ROUTES = [
     (ascent_histograms_up_to, Params(2, 2, 1), 4),
-    (ward_marked_row, Params(1, 2, 1), 3),
+    (ward_marked_rows_up_to, Params(1, 2, 1), 3),
 ]
 
 

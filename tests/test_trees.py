@@ -39,7 +39,7 @@ from eulerward.trees import (
     tree_to_json,
     tree_to_perm,
     validate_tree,
-    ward_marked_row,
+    ward_marked_rows_up_to,
 )
 from eulerward.verify import _compositions_for
 from eulerward.ward import ward_table
@@ -379,36 +379,49 @@ class TestMarkedCounts:
     def test_marked_forests_realize_the_ward_triangle(self, nu, s, t):
         table = ward_table(Params(nu, s, t), 4)
         for comp in set(itertools.permutations(Params(nu, s, t).composition)):
-            p = Params(nu, s, t, comp)
-            for n in range(5):
-                assert ward_marked_row(p, n) == list(table.row(n))
+            assert ward_marked_rows_up_to(Params(nu, s, t, comp), 4) == list(map(list, table.rows))
 
     @pytest.mark.parametrize("nu", [1, 2])
     @pytest.mark.parametrize("tvec", [(0,), (2,), (1, 0), (0, 2), (1, 1, 0)])
     def test_rows_match_validated_forests(self, nu, tvec):
         # the slow route: wrapped objects through the validated public bijection
         p = Params(nu, len(tvec), sum(tvec), tvec)
+        rows = ward_marked_rows_up_to(p, 4)
         for n in range(5):
             slow = [0] * (n + 1)
             for seq in enumerate_sequences(Params(nu + 1, p.s, p.t, tvec), n):
                 pool = len(forest_distinguished_set(seq_to_forest(seq)))
                 for k in range(n + 1):
                     slow[k] += math.comb(pool, n - k)
-            assert ward_marked_row(p, n) == slow
+            assert rows[n] == slow
 
     def test_single_count_agrees_with_the_table(self):
         p = Params(1, 1, 0)
         table = ward_table(p, 3)
-        assert ward_marked_row(p, 3)[2] == table.entry(3, 2)
+        assert ward_marked_rows_up_to(p, 3)[3][2] == table.entry(3, 2)
 
     def test_needs_a_combinatorial_s(self):
         with pytest.raises(ValueError):
-            ward_marked_row(Params(1, 0, 1), 2)
+            ward_marked_rows_up_to(Params(1, 0, 1), 2)
 
     @pytest.mark.parametrize("n", [True, 2.0])
     def test_rejects_a_non_integer_size(self, n):
         with pytest.raises(TypeError):
-            ward_marked_row(Params(1, 1, 0), n)
+            ward_marked_rows_up_to(Params(1, 1, 0), n)
+
+    def test_rejects_a_negative_size(self):
+        with pytest.raises(ValueError):
+            ward_marked_rows_up_to(Params(1, 1, 0), -1)
+
+    def test_rows_match_the_one_row_walk(self):
+        # every row against its own walk to order n - 1, nu <= 3, n <= 5
+        for nu in (1, 2, 3):
+            for s in (1, 2, 3):
+                for t in range(3):
+                    for comp in _compositions_for(s, t):
+                        p = Params(nu, s, t, comp)
+                        want = [one_row_ward_marked_row(p, n) for n in range(6)]
+                        assert ward_marked_rows_up_to(p, 5) == want, p
 
     def test_rows_do_not_read_the_ascent_count(self, monkeypatch):
         # the pool sizes come from the forests: a wrong ascent count changes nothing
@@ -422,8 +435,7 @@ class TestMarkedCounts:
             for tvec in [(0,), (2,), (1, 0), (0, 2), (1, 1, 0)]:
                 p = Params(nu, len(tvec), sum(tvec), tvec)
                 table = ward_table(p, 4)
-                for n in range(5):
-                    assert ward_marked_row(p, n) == list(table.row(n))
+                assert ward_marked_rows_up_to(p, 4) == list(map(list, table.rows))
 
 
 def oracle_ward_marked_row(p, n):
@@ -434,6 +446,21 @@ def oracle_ward_marked_row(p, n):
     for m, word, _, _ in _insertions(p.nu + 1, tvec, n):
         if m == n:
             pools[sum(map(_pool_size, _entries(word, p.s), tvec))] += 1
+    return [sum(c * math.comb(size, n - k) for size, c in pools.items()) for k in range(n + 1)]
+
+
+def one_row_ward_marked_row(p, n):
+    """One row per walk: the parents of order n - 1 tally their children's
+    pools, and only row n is read off the tally."""
+    nu, tvec = p.nu + 1, p.composition
+    if n == 0:
+        return [1]
+    pools = Counter()
+    for m, word, _, _ in _insertions(nu, tvec, n - 1):
+        if m == n - 1:
+            pool, keep, gain = _child_pools(word, tvec)
+            pools[pool] += keep
+            pools[pool + 1] += gain
     return [sum(c * math.comb(size, n - k) for size, c in pools.items()) for k in range(n + 1)]
 
 
@@ -460,7 +487,7 @@ class TestPoolTally:
     @given(marked_row_args())
     def test_rows_match_the_per_leaf_oracle(self, args):
         p, n = args
-        assert ward_marked_row(p, n) == oracle_ward_marked_row(p, n)
+        assert ward_marked_rows_up_to(p, n) == [oracle_ward_marked_row(p, m) for m in range(n + 1)]
 
     def test_every_gap_of_the_verify_grid(self):
         # each parent's tally, as a multiset of child pools, against the

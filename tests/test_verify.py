@@ -168,9 +168,11 @@ def test_special_cases_fault(monkeypatch):
 
 @pytest.mark.parametrize("order,route", [(1, closed_form_order1), (2, closed_form_order2)])
 def test_closed_forms_fault_keeps_the_check_id(monkeypatch, order, route):
-    def faulty(n, k, s, t):
-        value = route(n, k, s, t)
-        return value - 5 if (n, k, s, t) == (3, 2, 0, 1) else value
+    def faulty(n, s, t):
+        row = route(n, s, t)
+        if (n, s, t) == (3, 0, 1):
+            row[2] -= 5
+        return row
 
     monkeypatch.setattr(verify, route.__name__, faulty)
     result = verify.check_closed_forms("small")
@@ -268,10 +270,12 @@ def _plant_tree_powers(mp):
 
 
 def _plant_transform(mp):
+    # on the Eulerian side: the Ward side is also the ward case's value,
+    # so a fault there fails that case first (test_ward_egf_fault_fails_the_ward_case)
     mp.setattr(
         series,
-        "egf_ward_coeffs",
-        _bump_where(series.egf_ward_coeffs, lambda nu, s, t, x0, N: nu == 2, 3),
+        "egf_eulerian_coeffs",
+        _bump_where(series.egf_eulerian_coeffs, lambda nu, s, t, x0, N: nu == 3, 3),
     )
 
 
@@ -369,6 +373,34 @@ def test_smiley_fault_shows_both_rows(monkeypatch):
     _plant_smiley(monkeypatch)
     w = verify.check_classic_ward("small").witness
     assert (w["lhs"][1][2], w["rhs"][1][2]) == ("57", "56")
+
+
+def test_ward_egf_fault_fails_the_ward_case(monkeypatch):
+    # the ward case reads the transform's left side: the Ward egf runs once
+    # per instance, and a fault in it fails the ward case, ahead of the transform
+    real = series.egf_ward_coeffs
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series, "egf_ward_coeffs", counted)
+    assert verify.check_egf("small").passed
+    assert len(calls) == len(set(calls)) == 12
+    monkeypatch.setattr(series, "egf_ward_coeffs", _bump_where(real, lambda nu, s, t, x0, N: nu == 2, 3))
+    result = verify.check_egf("small")
+    x0 = Fraction(1, 2)
+    want = [verify._poly_value(row, x0) for row in ward_table(Params(2, 1, 0), 5).rows]
+    assert result.witness == {
+        "failed": "ward",
+        "nu": 2,
+        "s": 1,
+        "t": 0,
+        "x0": "1/2",
+        "egf": _shown(want[:3] + [want[3] + 1] + want[4:]),
+        "table": _shown(want),
+    }
 
 
 # Cases each check compares, per size level.  Growing a grid re-pins these on
