@@ -35,7 +35,6 @@ from .series import (
     t_nu_series,
 )
 from .stirlingperm import (
-    GenStirlingSeq,
     GenStirlingWord,
     ascent_positions,
     enumerate_sequences,
@@ -70,7 +69,6 @@ __all__ = [
     "PolyST",
     "TruncSeries",
     "GenStirlingWord",
-    "GenStirlingSeq",
     "IncTree",
     "TreeNode",
     "binomial",

@@ -7,6 +7,11 @@ Four subcommands:
     eulerward bijection 333222111 --nu 3
     eulerward verify --suite all
 
+``enumerate`` builds one ``Params`` from --s, --t and --tvec, which checks
+that they agree and supplies the composition (t, 0, ..., 0) when --tvec is
+absent.  ``bijection`` takes no composition: the zeros of each word are its
+part of t.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or invalid input,
 141 (128 + SIGPIPE) when the reader closes stdout early, as
 ``eulerward enumerate ... | head -1`` does.
@@ -28,7 +33,6 @@ import sys
 
 from .eulerian import Params, eulerian_recurrence
 from .stirlingperm import (
-    GenStirlingSeq,
     GenStirlingWord,
     _labels_partition_range,
     ascent_positions,
@@ -149,34 +153,14 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _resolve_composition(args, width: int | None = None) -> tuple[int, ...]:
-    """Turn --tvec / --s / --t flags into a composition of t into s parts."""
-    s_flag = getattr(args, "s", None)
-    if args.tvec is not None:
-        tvec = _parse_tvec(args.tvec)
-        if s_flag is not None and s_flag != len(tvec):
-            raise ValueError("--s disagrees with --tvec length")
-        if args.t is not None and args.t != sum(tvec):
-            raise ValueError("--t disagrees with --tvec sum")
-        if width is not None and len(tvec) != width:
-            raise ValueError("--tvec has %d parts for %d words" % (len(tvec), width))
-        return tvec
-    s = s_flag if s_flag is not None else (width if width is not None else 1)
-    t = args.t if args.t is not None else 0
-    if width is not None and s != width:
-        raise ValueError("--s disagrees with the number of words given")
-    if s < 1:
-        raise ValueError("enumeration needs s >= 1 entries")
-    return (t,) + (0,) * (s - 1)
-
-
 def cmd_enumerate(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be >= 0")
     if args.max_count < 0:
         raise ValueError("--max-count must be >= 0")
-    tvec = _resolve_composition(args)
-    p = Params(args.nu, len(tvec), sum(tvec), tvec)
+    tvec = None if args.tvec is None else _parse_tvec(args.tvec)
+    s, t = (1, 0) if tvec is None else (len(tvec), sum(tvec))
+    p = Params(args.nu, s if args.s is None else args.s, t if args.t is None else args.t, tvec)
     total = count_sequences(p, args.n)
     if total > args.max_count:
         print(
@@ -186,11 +170,9 @@ def cmd_enumerate(args) -> int:
         return 2
     for idx, seq in enumerate(enumerate_sequences(p, args.n)):
         record = {
-            "entries": [word_text(w) for w in seq.entries],
+            "entries": [word_text(w) for w in seq],
             "ascent_count": str(seq_ascent_count(seq)),
-            "ascent_positions": [
-                [str(i) for i in sorted(ascent_positions(w))] for w in seq.entries
-            ],
+            "ascent_positions": [[str(i) for i in sorted(ascent_positions(w))] for w in seq],
         }
         if args.format == "jsonl":
             print(json.dumps(record, sort_keys=True))
@@ -205,33 +187,25 @@ def cmd_enumerate(args) -> int:
 
 def cmd_bijection(args) -> int:
     letters = [word_from_text(text) for text in args.word]
-    if args.tvec is None and args.t is None:
-        tvec = tuple(word.count(0) for word in letters)
-    else:
-        tvec = _resolve_composition(args, width=len(letters))
-    Params(args.nu, len(tvec), sum(tvec), tvec)  # checks nu and each part of t, as enumerate does
-    entries = tuple(
-        GenStirlingWord(word, args.nu, ti) for word, ti in zip(letters, tvec)
-    )
-    for idx, w in enumerate(entries):
+    tvec = tuple(word.count(0) for word in letters)  # the words fix the parts of t
+    Params(args.nu, len(tvec), sum(tvec), tvec)  # checks nu, as enumerate does
+    seq = tuple(GenStirlingWord(word, args.nu, ti) for word, ti in zip(letters, tvec))
+    for idx, w in enumerate(seq):
         if not validate_word(w):
             raise ValueError("word %d is not a valid order-%d word" % (idx + 1, args.nu))
-    seq = GenStirlingSeq(entries)
     if not _labels_partition_range(seq):
         raise ValueError("the labels across the words must partition 1..n")
     # the words are valid (checked above), so _tree can skip perm_to_tree's check
-    forest = tuple(_tree(w.letters, w.t, args.nu + 1) for w in entries)
-    n, j = seq.n, seq_ascent_count(seq)
+    forest = tuple(_tree(w.letters, w.t, args.nu + 1) for w in seq)
+    n, j = sum(w.n for w in seq), seq_ascent_count(seq)
     dset = forest_distinguished_set(forest)
     payload = {
         "nu": str(args.nu),
         "tvec": [str(x) for x in tvec],
         "n": str(n),
-        "entries": [word_text(w) for w in entries],
+        "entries": [word_text(w) for w in seq],
         "ascent_count": str(j),
-        "ascent_positions": [
-            [str(i) for i in sorted(ascent_positions(w))] for w in entries
-        ],
+        "ascent_positions": [[str(i) for i in sorted(ascent_positions(w))] for w in seq],
         "forest": forest_to_json(forest),
         "leftmost_sets": [
             [str(x) for x in sorted(leftmost_internal_set(tr))] for tr in forest
@@ -292,8 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bijection", help="map words to increasing trees and back")
     pb.add_argument("word", nargs="+", help="one word per sequence entry; '' for empty")
     pb.add_argument("--nu", type=int, required=True)
-    pb.add_argument("--t", type=int, default=None)
-    pb.add_argument("--tvec", default=None)
 
     pv = sub.add_parser("verify", help="run cross-verification suites")
     pv.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")

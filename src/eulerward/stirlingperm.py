@@ -8,7 +8,9 @@ between two occurrences of x is >= x.  (For 0 the condition is vacuous.)
 A (nu, tvec, n)-Stirling permutation is an s-tuple of such words: the labels
 1..n are split into an ordered partition (X_1, ..., X_s), possibly with empty
 parts, and entry i is a (nu, t_i, X_i)-Stirling permutation, where tvec is a
-composition of t into s nonnegative parts.
+composition of t into s nonnegative parts.  It is kept as a plain tuple of
+``GenStirlingWord``, as a forest is a plain tuple of trees, and its tvec is
+read off the words.
 
 An ascent is a 1-based position i inside a single word with
 letter(i) < letter(i+1); positions are never compared across entries.  The
@@ -55,7 +57,6 @@ from .numerics import _Record, _require_int
 
 __all__ = [
     "GenStirlingWord",
-    "GenStirlingSeq",
     "validate_word",
     "ascent_positions",
     "seq_ascent_count",
@@ -103,38 +104,6 @@ class GenStirlingWord(_Record):
         return len(self.labels)
 
 
-class GenStirlingSeq(_Record):
-    """An s-tuple of words forming one generalized Stirling permutation."""
-
-    _fields = ("entries",)
-
-    def __init__(self, entries: tuple[GenStirlingWord, ...]):
-        entries = tuple(entries)
-        if not entries:
-            raise ValueError("a sequence needs s >= 1 entries")
-        super().__init__(entries)
-
-    @property
-    def s(self) -> int:
-        return len(self.entries)
-
-    @property
-    def nu(self) -> int:
-        return self.entries[0].nu
-
-    @property
-    def tvec(self) -> tuple[int, ...]:
-        return tuple(e.t for e in self.entries)
-
-    @property
-    def n(self) -> int:
-        return sum(len(e.labels) for e in self.entries)
-
-    @property
-    def label_partition(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(e.labels for e in self.entries)
-
-
 def validate_word(w: GenStirlingWord) -> bool:
     """True iff the multiset and betweenness invariants hold.
 
@@ -163,33 +132,23 @@ def validate_word(w: GenStirlingWord) -> bool:
     return True
 
 
-def _labels_partition_range(seq: GenStirlingSeq) -> bool:
-    """True iff the entries share one nu and their label sets partition 1..n."""
-    if any(e.nu != seq.nu for e in seq.entries):
-        return False
-    return sorted(x for part in seq.label_partition for x in part) == list(range(1, seq.n + 1))
+def _labels_partition_range(seq: tuple[GenStirlingWord, ...]) -> bool:
+    """True iff the label sets of the words partition 1..n."""
+    labels = sorted(x for w in seq for x in w.labels)
+    return labels == list(range(1, len(labels) + 1))
 
 
-def _letters_of(w) -> tuple[int, ...]:
-    if isinstance(w, GenStirlingWord):
-        return w.letters
-    return tuple(w)
-
-
-def ascent_positions(w) -> frozenset[int]:
-    """1-based positions i with letter(i) < letter(i+1), inside one word.
-
-    Accepts a GenStirlingWord or any plain sequence of letters.
-    """
-    letters = _letters_of(w)
+def ascent_positions(w: GenStirlingWord) -> frozenset[int]:
+    """1-based positions i with letter(i) < letter(i+1), inside one word."""
+    letters = w.letters
     return frozenset(
         i for i in range(1, len(letters)) if letters[i - 1] < letters[i]
     )
 
 
-def seq_ascent_count(seq: GenStirlingSeq) -> int:
-    """Total ascents over all entries; positions never straddle entries."""
-    return sum(len(ascent_positions(e)) for e in seq.entries)
+def seq_ascent_count(seq: tuple[GenStirlingWord, ...]) -> int:
+    """Total ascents over all words of a tuple; positions never straddle words."""
+    return sum(len(ascent_positions(w)) for w in seq)
 
 
 def _flat_word(tvec: tuple[int, ...]) -> tuple[int, ...]:
@@ -274,17 +233,15 @@ def count_sequences(p: Params, n: int) -> int:
     return row_sum_product(p, n)
 
 
-def _wrap(word, nu: int, tvec: tuple[int, ...]) -> GenStirlingSeq:
-    return GenStirlingSeq(
-        tuple(
-            GenStirlingWord(entry, nu, ti)
-            for entry, ti in zip(_entries(word, len(tvec)), tvec)
-        )
+def _wrap(word, nu: int, tvec: tuple[int, ...]) -> tuple[GenStirlingWord, ...]:
+    return tuple(
+        GenStirlingWord(entry, nu, ti) for entry, ti in zip(_entries(word, len(tvec)), tvec)
     )
 
 
-def enumerate_sequences(p: Params, n: int) -> Iterator[GenStirlingSeq]:
-    """Yield every (nu, tvec, n)-Stirling permutation exactly once.
+def enumerate_sequences(p: Params, n: int) -> Iterator[tuple[GenStirlingWord, ...]]:
+    """Yield every (nu, tvec, n)-Stirling permutation exactly once, as a
+    tuple of s words.
 
     The composition comes from p.tvec, defaulting to (t, 0, ..., 0).  The
     stream is deterministic: each order-m prefix is extended by inserting
@@ -332,9 +289,9 @@ def ascent_histograms_up_to(p: Params, nmax: int) -> list[list[int]]:
     return hists
 
 
-def word_text(w) -> str:
+def word_text(w: GenStirlingWord) -> str:
     """Serialize a word as space-separated decimal letters ('' when empty)."""
-    return " ".join(str(x) for x in _letters_of(w))
+    return " ".join(str(x) for x in w.letters)
 
 
 def word_from_text(text: str) -> tuple[int, ...]:

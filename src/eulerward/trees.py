@@ -42,13 +42,7 @@ from collections import Counter
 
 from .eulerian import Params
 from .numerics import _Record, binomial
-from .stirlingperm import (
-    GenStirlingSeq,
-    GenStirlingWord,
-    _enumeration_params,
-    _insertions,
-    validate_word,
-)
+from .stirlingperm import GenStirlingWord, _enumeration_params, _insertions, validate_word
 
 __all__ = [
     "TreeNode",
@@ -186,8 +180,8 @@ def tree_to_perm(tree: IncTree) -> GenStirlingWord:
     return GenStirlingWord(tuple(letters), tree.d - 1, tree.t)
 
 
-def seq_to_forest(seq: GenStirlingSeq) -> tuple[IncTree, ...]:
-    return tuple(perm_to_tree(e) for e in seq.entries)
+def seq_to_forest(seq: tuple[GenStirlingWord, ...]) -> tuple[IncTree, ...]:
+    return tuple(perm_to_tree(w) for w in seq)
 
 
 def _walk(node: TreeNode):
@@ -307,8 +301,6 @@ def ward_marked_rows_up_to(p: Params, n: int) -> list[list[int]]:
     are ignored), which is the point: this is the independent combinatorial
     route the Ward recurrence is checked against.
     """
-    if p.s < 1:
-        raise ValueError("the forest model needs s >= 1")
     nu, tvec = _enumeration_params(Params(p.nu + 1, p.s, p.t, p.tvec), n)
     # pools[m][size]: forests of order m with that pool size; order 0 has one, with an empty pool
     pools = [Counter({0: 1})] + [Counter() for _ in range(n)]
@@ -391,10 +383,10 @@ def _emit_dot(root: TreeNode, prefix: str, lines: list[str]) -> None:
             stack.extend((c, my_id, i) for i, c in reversed(list(enumerate(node.slots, 1))))
 
 
-def forest_to_dot(forest: tuple[IncTree, ...], name: str = "forest") -> str:
-    """GraphViz text, one cluster per tree; slot order is preserved as
-    1-based edge labels."""
-    lines = ["digraph %s {" % (name,), "  ordering=out;"]
+def forest_to_dot(forest: tuple[IncTree, ...]) -> str:
+    """GraphViz text for the digraph ``forest``, one cluster per tree; slot
+    order is preserved as 1-based edge labels."""
+    lines = ["digraph forest {", "  ordering=out;"]
     for i, tr in enumerate(forest):
         lines.append("  subgraph cluster_%d {" % (i,))
         lines.append('    label="tree %d (t=%d)";' % (i + 1, tr.t))

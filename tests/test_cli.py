@@ -22,7 +22,7 @@ import eulerward.trees as trees
 from eulerward.cli import _write_json, main
 from eulerward.eulerian import Params, eulerian_table
 from eulerward.numerics import PolyST, assoc_stirling_subset
-from eulerward.stirlingperm import GenStirlingSeq, GenStirlingWord
+from eulerward.stirlingperm import GenStirlingWord
 from eulerward.ward import ward_table
 
 
@@ -325,11 +325,22 @@ class TestEnumerate:
         assert "tvec" in err
 
     def test_rejects_contradictory_flags(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "enumerate", "--nu", "2", "--n", "1", "--tvec", "1,0", "--t", "2"
         )
-        assert code == 2
-        assert "disagrees" in err
+        assert (code, out, err) == (2, "", "error: tvec must sum to t = 2, got (1, 0)\n")
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--tvec", "0,-1"], "tvec parts must be nonnegative, got (0, -1)"),
+            (["--t", "-1"], "a composition of t needs t >= 0"),
+        ],
+        ids=["negative-tvec-part", "negative-t"],
+    )
+    def test_rejects_a_negative_part_of_t(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "enumerate", "--nu", "1", "--n", "1", *flags)
+        assert (code, out, err) == (2, "", "error: %s\n" % (message,))
 
 
 class TestBijection:
@@ -364,25 +375,22 @@ class TestBijection:
         assert code == 2
         assert "not a valid" in err
 
-    def test_tvec_contradicting_the_word(self, capsys):
-        code, _, err = run_cli(capsys, "bijection", "1221", "--nu", "2", "--tvec", "1")
-        assert code == 2
-        assert "not a valid" in err
+    @pytest.mark.parametrize("flag", [["--t", "0"], ["--tvec", "1"]], ids=["t", "tvec"])
+    def test_takes_no_composition_flag(self, capsys, flag):
+        # the zeros of each word are its part of t, so a flag could only repeat them
+        with pytest.raises(SystemExit) as exc:
+            main(["bijection", "1221", "--nu", "2", *flag])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "unrecognized arguments: %s" % (" ".join(flag),) in err
 
-    @pytest.mark.parametrize(
-        "words,flags,message",
-        [
-            (["1"], ["--nu", "-2", "--t", "0"], "nu must be a positive integer, got -2"),
-            (["1"], ["--nu", "0"], "nu must be a positive integer, got 0"),
-            (["1", ""], ["--nu", "1", "--tvec", "0,-1"], "tvec parts must be nonnegative, got (0, -1)"),
-            (["1"], ["--nu", "1", "--t", "-1"], "tvec parts must be nonnegative, got (-1,)"),
-        ],
-        ids=["negative-nu", "zero-nu", "negative-tvec-part", "negative-t"],
-    )
-    def test_order_and_parts_are_checked_before_the_words(self, capsys, words, flags, message):
-        # the words are fine for some order; the fault is nu or a part of t,
-        # and the error names it as enumerate does
-        code, out, err = run_cli(capsys, "bijection", *words, *flags)
+    @pytest.mark.parametrize("nu", ["-2", "0"], ids=["negative-nu", "zero-nu"])
+    def test_order_and_parts_are_checked_before_the_words(self, capsys, nu):
+        # the word is fine for some order; the fault is nu, and the error
+        # names it as enumerate does
+        flags = ["--nu", nu]
+        message = "nu must be a positive integer, got %s" % (nu,)
+        code, out, err = run_cli(capsys, "bijection", "1", *flags)
         assert (code, out, err) == (2, "", "error: %s\n" % (message,))
         code, _, enumerate_err = run_cli(capsys, "enumerate", "--n", "1", *flags)
         assert (code, enumerate_err) == (2, err)
@@ -431,7 +439,7 @@ class TestBijection:
         letters = tuple(range(1, 601))
         code, out, err = run_cli(capsys, "bijection", " ".join(map(str, letters)), "--nu", "1")
         assert code == 0 and err == ""
-        forest = trees.seq_to_forest(GenStirlingSeq((GenStirlingWord(letters, 1, 0),)))
+        forest = trees.seq_to_forest((GenStirlingWord(letters, 1, 0),))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(10_000)
         try:

@@ -2,20 +2,38 @@
 
 The digests pin the exact bytes of integer and symbolic tables in both
 formats, of the enumeration stream in both formats, of two bijection reports
-and of the quick verify report; any change to the engine, the enumeration
+and of both verify reports; any change to the engine, the enumeration
 order, the tree bijection, the rendering or the verify report shows up here
 first.  A second set pins the series layer: T_nu and both egf coefficient
-routes, one exact rational per line.
+routes, one exact rational per line.  A third set pins library outputs that
+faster routes replaced slower ones for (the row transform, the closed forms,
+the order-2 ratio expansion, the marked-forest rows, the ascent histograms,
+the series grid and the enumerate stream), each digest taken from the
+route it replaced, one space-separated row per line.  CI runs this file on
+every supported Python version.
 """
 
 import hashlib
+import io
 import shlex
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from eulerward import Params, eulerian_table, euler_to_ward, general_inverse_transform, ward_table, ward_to_euler
 from eulerward.cli import main
-from eulerward.series import egf_eulerian_coeffs, egf_ward_coeffs, t_nu_series
+from eulerward.eulerian import closed_form_order1, closed_form_order2
+from eulerward.series import (
+    egf_eulerian_coeffs,
+    egf_ward_coeffs,
+    eulerian_ratio_expansion_sides,
+    second_order_ratio_expansion_sides,
+    t_nu_series,
+)
+from eulerward.stirlingperm import ascent_histograms_up_to, count_sequences
+from eulerward.trees import ward_marked_rows_up_to
+from eulerward.verify import _compositions_for
 
 GOLDEN = [
     (
@@ -62,6 +80,19 @@ GOLDEN = [
         "verify --suite all --size-level small",
         "3c066b0a2db5e2e9a17f2fda1fe68c4281e20c5b89dccc2872eff054e323204d",
     ),
+    (
+        "verify --suite all",
+        "56927cf20fb79e6be5c46eed8b7a2dc077232482073a2a71685bdb356ea8b0a0",
+    ),
+    # the benchmark's largest CLI table, through the row-by-row json layout
+    (
+        "table eulerian --nu 3 --s 2 --t 1 --nmax 220 --format json",
+        "56480494e9ec3106d4f4166760c9e53d5dc4da397d0d60bb978552f84b43b444",
+    ),
+    (
+        "table eulerian --nu 3 --s 2 --t 1 --nmax 220 --format csv",
+        "032af6a7c7e8c89ac87c24e76234391d16ea7957f51bb5f40cc5597bb9341619",
+    ),
 ]
 
 
@@ -100,3 +131,119 @@ def test_series_digest(route, args, digest):
     values = SERIES_ROUTES[route](*args)
     text = "\n".join(str(Fraction(v)) for v in values)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _lines(rows) -> str:
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def _row_transform():
+    # the ratio-r row transform on big-int rows, both named directions and a
+    # 2/3 round trip each way; taken before the transform moved to Horner's rule
+    e = list(eulerian_table(Params(3, 2, 1), 150).row(150))
+    w = list(ward_table(Params(2, 2, 1), 150).row(150))
+    out = [euler_to_ward(e, 150), ward_to_euler(w, 150)]
+    for row in (e, w):
+        fwd = general_inverse_transform(row, 150, "2/3")
+        out += [fwd, general_inverse_transform(fwd, 150, "2/3", "backward")]
+        assert out[-1] == row
+    return _lines(out)
+
+
+def _closed_form_order2():
+    # one row per call in O(n^2) terms; taken from the per-entry route
+    return _lines(closed_form_order2(n, s, t) for s in range(5) for t in range(-3, 4) for n in range(16))
+
+
+def _closed_forms_both_orders():
+    return _lines(
+        form(n, s, t)
+        for s, t in ((1, 0), (0, 1), (2, 3), (3, -2))
+        for form in (closed_form_order1, closed_form_order2)
+        for n in range(21)
+    )
+
+
+def _ratio_expansion_order2():
+    # the right side without series products; taken from the route with them
+    return _lines(
+        side
+        for s, t in ((1, 0), (2, 1), (2, 3), (3, 1))
+        for n in range(6)
+        for side in second_order_ratio_expansion_sides(n, s, t, 16)
+    )
+
+
+def _marked_forest_rows():
+    # all orders from one walk; taken from the one-row-per-walk route
+    return _lines(
+        row
+        for nu in range(1, 4)
+        for s in range(1, 4)
+        for t in range(4)
+        for comp in _compositions_for(s, t)
+        for row in ward_marked_rows_up_to(Params(nu, s, t, comp), 4)
+    )
+
+
+def _ascent_histograms():
+    # each order in turn as the top one; taken while the walk still built
+    # tuples of entry tuples
+    rows = []
+    for nu in range(1, 5):
+        for s in range(1, 4):
+            for t in range(4):
+                for comp in _compositions_for(s, t):
+                    p = Params(nu, s, t, comp)
+                    for n in range(6):
+                        if count_sequences(p, n) > 200_000:
+                            break
+                        rows.append(ascent_histograms_up_to(p, n)[n])
+    return _lines(rows)
+
+
+def _enumerate_stream():
+    # taken while the walk still built tuples of entry tuples: the same
+    # objects in the same gap order
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for nu, tvec, n in (("2", "0", "4"), ("3", "1,0,1", "3"), ("1", "2,0", "4")):
+            assert main(["enumerate", "--nu", nu, "--tvec", tvec, "--n", n, "--format", "jsonl"]) == 0
+    return out.getvalue()
+
+
+def _series_grid():
+    # both egf routes, T_nu and both sides of both ratio expansions at the
+    # verify grid; taken while TruncSeries still stored Fractions
+    rows = []
+    for nu in range(1, 4):
+        for s in range(1, 4):
+            for t in range(3):
+                rows += [egf_eulerian_coeffs(nu, s, t, x0, 16) for x0 in ("1/3", "3/4")]
+                rows += [egf_ward_coeffs(nu, s, t, x0, 16) for x0 in ("1/2", "3")]
+    rows += [t_nu_series(nu, 22).coeffs for nu in range(1, 5)]
+    for sides, pairs in (
+        (eulerian_ratio_expansion_sides, [(1, 0), (0, 1), (2, 3), (3, 1)]),
+        (second_order_ratio_expansion_sides, [(1, 0), (2, 1), (2, 3), (3, 1)]),
+    ):
+        for s, t in pairs:
+            for n in range(6):
+                rows += sides(n, s, t, 12)
+    return _lines(rows)
+
+
+ROUTE_GOLDEN = [
+    ("row-transform", _row_transform, "0208dc2090e7a76cd780244a41256bd15de77ab8ed7f588aa77dfc8fee55d1a1"),
+    ("closed-form-order2", _closed_form_order2, "d4291f36301ea17645925f5888042116070e249bf62cd4211ef335516d836a3c"),
+    ("closed-forms", _closed_forms_both_orders, "9ec031424d4bff71806fae7b2ec2c99292dd21f397007649bf3030a9b3bb983b"),
+    ("ratio-expansion-order2", _ratio_expansion_order2, "b02b44880e91d55eb7b295a6c644bb89db1b25da3c9baf10cec06bbbea74d171"),
+    ("marked-forest-rows", _marked_forest_rows, "37a00cae4409656696feacfca0feae3e66a2e687a2e7fcce1709525567c2ab1a"),
+    ("ascent-histograms", _ascent_histograms, "3c96b87bda7441a85c9d8b5c5627379cc27579e054cfd658ff87a7543700f315"),
+    ("enumerate-stream", _enumerate_stream, "22fb182c30508e08eae1938c396c330e60ceb90b7020516b5e3ca02c2f999f3a"),
+    ("series", _series_grid, "26e875c015808a8c2b5cc82991ad015538ea0506b5a0862917cfcda7e4083dae"),
+]
+
+
+@pytest.mark.parametrize("name,build,digest", ROUTE_GOLDEN, ids=[name for name, _, _ in ROUTE_GOLDEN])
+def test_route_digest(name, build, digest):
+    assert hashlib.sha256(build().encode()).hexdigest() == digest

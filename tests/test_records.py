@@ -7,11 +7,10 @@ import pytest
 
 from eulerward.eulerian import Params, Recurrence, TriangleRows
 from eulerward.numerics import PolyST
-from eulerward.stirlingperm import GenStirlingSeq, GenStirlingWord
+from eulerward.stirlingperm import GenStirlingWord
 from eulerward.trees import IncTree, TreeNode
 from eulerward.verify import CheckResult, Report
 
-WORD = GenStirlingWord((1, 1, 0), 2, 1)
 WORD_TEXT = "GenStirlingWord(letters=(1, 1, 0), nu=2, t=1, labels=(1,))"
 
 RECORDS = {
@@ -32,7 +31,6 @@ RECORDS = {
         lambda: GenStirlingWord(letters=[1, 1], nu=2, t=0, labels=[1]),
         "GenStirlingWord(letters=(1, 1), nu=2, t=0, labels=(1,))",
     ),
-    "seq": (lambda: GenStirlingSeq(iter([WORD])), "GenStirlingSeq(entries=(%s,))" % WORD_TEXT),
     "tree-node": (
         lambda: TreeNode(1, [None, TreeNode(label=2, slots=(None,))]),
         "TreeNode(label=1, slots=(None, TreeNode(label=2, slots=(None,))))",
@@ -108,7 +106,6 @@ BAD = {
     "word-letter": (lambda: GenStirlingWord((1.0,), 1, 0), TypeError, "each letter must be an int, got 1.0"),
     "word-nu": (lambda: GenStirlingWord((1,), "1", 0), TypeError, "nu must be an int, got '1'"),
     "word-label": (lambda: GenStirlingWord((1,), 1, 0, (1.5,)), TypeError, "each label must be an int, got 1.5"),
-    "seq-empty": (lambda: GenStirlingSeq(()), ValueError, "a sequence needs s >= 1 entries"),
     "tree-node-missing": (lambda: TreeNode(1), TypeError, "missing 1 required positional argument: 'slots'"),
     "inc-tree-missing": (lambda: IncTree(1, 2), TypeError, "missing 1 required positional argument: 'root'"),
     "check-result-missing": (

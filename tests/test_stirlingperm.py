@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import eulerward.stirlingperm as stirlingperm
 from eulerward.eulerian import Params, eulerian_table, row_sum_product
 from eulerward.stirlingperm import (
-    GenStirlingSeq,
     GenStirlingWord,
     _entries,
     _flat_word,
@@ -125,7 +124,7 @@ class TestAscents:
         assert ascent_positions(word("1221", 2, 0)) == {1}
 
     def test_sequence_ascents_are_summed_per_entry(self):
-        seq = GenStirlingSeq((word("1221", 2, 0), word("3443", 2, 0)))
+        seq = (word("1221", 2, 0), word("3443", 2, 0))
         assert seq_ascent_count(seq) == 2
 
 
@@ -144,17 +143,18 @@ class TestEnumeration:
     def test_every_enumerated_object_is_valid(self):
         p = Params(2, 2, 1, (0, 1))
         for seq in enumerate_sequences(p, 4):
-            assert len(seq.entries) == 2
-            for w, tpart in zip(seq.entries, (0, 1)):
+            assert type(seq) is tuple and len(seq) == 2
+            for w, tpart in zip(seq, (0, 1)):
+                assert type(w) is GenStirlingWord and w.nu == 2
                 assert validate_word(w)
                 assert w.t == tpart
-            labels = sorted(x for w in seq.entries for x in w.labels)
+            labels = sorted(x for w in seq for x in w.labels)
             assert labels == [1, 2, 3, 4]
 
     def test_size_zero_is_the_bare_scaffold(self):
         objs = list(enumerate_sequences(Params(3, 2, 2, (1, 1)), 0))
         assert len(objs) == 1
-        assert [w.letters for w in objs[0].entries] == [(0,), (0,)]
+        assert [w.letters for w in objs[0]] == [(0,), (0,)]
 
     def test_histogram_frozen_row(self):
         assert ascent_histograms_up_to(Params(2, 1, 0), 3)[3] == [1, 8, 6, 0]
@@ -229,7 +229,7 @@ class TestEnumeration:
     def test_single_word_objects_satisfy_the_definition(self, nu, t, n):
         seen = set()
         for seq in enumerate_sequences(Params(nu, 1, t), n):
-            (w,) = seq.entries
+            (w,) = seq
             assert validate_word(w)
             counts = Counter(w.letters)
             assert counts[0] == t

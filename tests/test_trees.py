@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import eulerward.trees as trees
 from eulerward.eulerian import Params
 from eulerward.stirlingperm import (
-    GenStirlingSeq,
     GenStirlingWord,
     _children,
     _entries,
@@ -68,7 +67,7 @@ def insertion_words(draw):
 
 def sample_forest():
     specs = [("23332200", 2), ("555111", 0), ("0444", 1), ("", 0)]
-    return GenStirlingSeq(tuple(word(w, 3, t) for w, t in specs))
+    return tuple(word(w, 3, t) for w, t in specs)
 
 
 class TestSingleTreeBijection:
@@ -120,7 +119,7 @@ class TestSingleTreeBijection:
         p = Params(nu, 1, t)
         for n in range(5):
             for seq in enumerate_sequences(p, n):
-                (w,) = seq.entries
+                (w,) = seq
                 tree = perm_to_tree(w)
                 assert validate_tree(tree)
                 back = tree_to_perm(tree)
@@ -171,7 +170,7 @@ class TestSingleTreeBijection:
 
     def test_trees_are_distinct_across_words(self):
         p = Params(2, 1, 1)
-        trees = {perm_to_tree(w.entries[0]) for w in enumerate_sequences(p, 3)}
+        trees = {perm_to_tree(w) for (w,) in enumerate_sequences(p, 3)}
         assert len(trees) == 2 * 4 * 6
 
 
@@ -179,12 +178,12 @@ class TestForestBijection:
     def test_sample_forest_statistics(self):
         seq = sample_forest()
         forest = seq_to_forest(seq)
-        assert seq.n == 5
+        assert sum(w.n for w in seq) == 5
         assert seq_ascent_count(seq) == 2
         assert [sorted(distinguished_set(tr)) for tr in forest] == [[2], [1, 5], [], []]
         assert sorted(forest_distinguished_set(forest)) == [1, 2, 5]
-        assert len(forest_distinguished_set(forest)) == seq.n - seq_ascent_count(seq)
-        assert GenStirlingSeq(tuple(tree_to_perm(tr) for tr in forest)).entries == seq.entries
+        assert len(forest_distinguished_set(forest)) == 5 - seq_ascent_count(seq)
+        assert tuple(tree_to_perm(tr) for tr in forest) == seq
 
     def test_forest_roundtrip_is_exhaustive(self):
         p = Params(2, 2, 1, (1, 0))
@@ -192,7 +191,7 @@ class TestForestBijection:
             for seq in enumerate_sequences(p, n):
                 forest = seq_to_forest(seq)
                 assert all(validate_tree(tr) for tr in forest)
-                assert GenStirlingSeq(tuple(tree_to_perm(tr) for tr in forest)).entries == seq.entries
+                assert tuple(tree_to_perm(tr) for tr in forest) == seq
 
     def test_statistic_identity_is_exhaustive(self):
         for nu in (1, 2):
@@ -202,7 +201,7 @@ class TestForestBijection:
                     for n in range(4):
                         for seq in enumerate_sequences(p, n):
                             pool = forest_distinguished_set(seq_to_forest(seq))
-                            assert len(pool) == seq.n - seq_ascent_count(seq)
+                            assert len(pool) == n - seq_ascent_count(seq)
 
 
 class TestTreeShape:
@@ -334,7 +333,7 @@ class TestValidatorOracle:
             for t in (0, 1, 2):
                 for n in range(4):
                     for seq in enumerate_sequences(Params(nu, 1, t), n):
-                        tree = perm_to_tree(seq.entries[0])
+                        tree = perm_to_tree(seq[0])
                         assert validate_tree(tree) and oracle_validate_tree(tree)
                         for mutant in _mutants(tree):
                             verdict = validate_tree(mutant)
