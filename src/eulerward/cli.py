@@ -228,10 +228,10 @@ def cmd_bijection(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite == "all":
-        payload = run_all(args.size_level)
+        payload = run_all()
         passed = payload["passed"]
     else:
-        report = run_suite(args.suite, args.size_level)
+        report = run_suite(args.suite)
         payload = report.to_json()
         passed = report.passed
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -269,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run cross-verification suites")
     pv.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
-    pv.add_argument("--size-level", choices=("small", "default"), default="default")
 
     return parser
 

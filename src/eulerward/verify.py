@@ -16,10 +16,11 @@ more case: its ``*_sides`` function returns both sides, compared like any two
 routes.  Reports carry no timestamps and all set-like data is sorted, so a
 report is byte-for-byte reproducible.
 
-Grids come in two sizes: "default" matches the documented acceptance ranges,
-"small" trims the expensive ones for quick interactive runs.  A check's
+Each check has one grid, the documented acceptance ranges.  A check's
 ``params`` are the grid its loops read, and Tier-1 pins how many cases each
-check compares (``CheckResult.cases``), so no grid shrinks unseen.
+check compares (``CheckResult.cases``), so no grid shrinks unseen.  Both
+report shapes carry the constant key ``"size_level": "default"``, which the
+pinned report digests and the benchmark's report check read.
 """
 
 from __future__ import annotations
@@ -116,10 +117,10 @@ class CheckResult(_Record, frozen=False):
 
 
 class Report(_Record, frozen=False):
-    _fields = ("suite", "size_level", "checks")
+    _fields = ("suite", "checks")
 
-    def __init__(self, suite: str, size_level: str, checks: list):
-        super().__init__(suite, size_level, checks)
+    def __init__(self, suite: str, checks: list):
+        super().__init__(suite, checks)
 
     @property
     def passed(self) -> bool:
@@ -128,7 +129,7 @@ class Report(_Record, frozen=False):
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
-            "size_level": self.size_level,
+            "size_level": "default",
             "passed": self.passed,
             "checks": [c.to_json() for c in self.checks],
         }
@@ -190,7 +191,7 @@ def _golden_cases():
     ]
 
 
-def check_golden_examples(level: str = "default") -> CheckResult:
+def check_golden_examples() -> CheckResult:
     params = {"cases": len(_golden_cases()) + 1}
 
     def cases():
@@ -245,12 +246,12 @@ def check_golden_examples(level: str = "default") -> CheckResult:
 # ------------------------------------------------- recurrence vs counting
 
 
-def check_recurrence_vs_enumeration(level: str = "default") -> CheckResult:
+def check_recurrence_vs_enumeration() -> CheckResult:
     params = {
         "nu_max": 3,
         "s_max": 3,
         "t_max": 2,
-        "n_max": 5 if level == "default" else 3,
+        "n_max": 5,
         "object_cap": 100_000,
     }
 
@@ -268,7 +269,7 @@ def check_recurrence_vs_enumeration(level: str = "default") -> CheckResult:
                     ("enumeration", hists[n]),
                 )
         # histogram independence from the composition of t
-        size = 4 if level == "default" else 3
+        size = 4
         for nu in (1, 2):
             for base, comp in [((2, 0), (1, 1)), ((0, 2), (1, 1))]:
                 yield (
@@ -280,8 +281,8 @@ def check_recurrence_vs_enumeration(level: str = "default") -> CheckResult:
     return _first_mismatch("recurrence-vs-enumeration", params, cases())
 
 
-def check_row_sums(level: str = "default") -> CheckResult:
-    nmax = 10 if level == "default" else 6
+def check_row_sums() -> CheckResult:
+    nmax = 10
     params = {"nu_max": 3, "s_max": 3, "t_max": 2, "n_max": nmax}
 
     def cases():
@@ -300,8 +301,8 @@ def check_row_sums(level: str = "default") -> CheckResult:
 # ------------------------------------------------------------ closed forms
 
 
-def check_closed_forms(level: str = "default") -> CheckResult:
-    nmax = 15 if level == "default" else 8
+def check_closed_forms() -> CheckResult:
+    nmax = 15
     pairs = [(1, 0), (0, 1), (2, 3), (3, 1)]
     params = {"n_max": nmax, "st_pairs": [list(x) for x in pairs]}
 
@@ -324,9 +325,9 @@ def check_closed_forms(level: str = "default") -> CheckResult:
     return _first_mismatch("closed-forms", params, cases())
 
 
-def check_special_cases(level: str = "default") -> CheckResult:
-    nmax = 10 if level == "default" else 6
-    smax = 8 if level == "default" else 5
+def check_special_cases() -> CheckResult:
+    nmax = 10
+    smax = 8
     params = {"shift_n_max": nmax, "s_minus_s_n_max": smax}
 
     def cases():
@@ -376,8 +377,8 @@ def check_special_cases(level: str = "default") -> CheckResult:
 # ----------------------------------------------------------- inverse pairs
 
 
-def check_inverse_pairs(level: str = "default") -> CheckResult:
-    nmax = 10 if level == "default" else 6
+def check_inverse_pairs() -> CheckResult:
+    nmax = 10
     params = {"nu_max": 3, "n_max": nmax, "ratios": ["1", "-1", "2/3"]}
     st_pairs = [(s, t) for s in range(0, 4) for t in range(-2, 3)]
 
@@ -415,9 +416,9 @@ def check_inverse_pairs(level: str = "default") -> CheckResult:
     return _first_mismatch("inverse-pairs", params, cases())
 
 
-def check_classic_ward(level: str = "default") -> CheckResult:
-    top = 14 if level == "default" else 8
-    smiley_n = 8 if level == "default" else 5
+def check_classic_ward() -> CheckResult:
+    top = 14
+    smiley_n = 8
     params = {"n_plus_k_max": top, "smiley_n_max": smiley_n}
 
     def cases():
@@ -450,11 +451,11 @@ def _compositions_for(s: int, t: int) -> list[tuple[int, ...]]:
     return out
 
 
-def check_ward_interpretation(level: str = "default") -> CheckResult:
+def check_ward_interpretation() -> CheckResult:
     """Ward rows from the recurrence (``ward_table``) against the marked
     forests of the order-(nu+1) word model (``ward_marked_rows_up_to``, one
     insertion walk per composition, which reads no recurrence)."""
-    nmax = 4 if level == "default" else 3
+    nmax = 4
     params = {"nu_values": [1, 2], "s_values": [1, 2], "t_max": 2, "n_max": nmax}
 
     def cases():
@@ -477,8 +478,8 @@ def check_ward_interpretation(level: str = "default") -> CheckResult:
 # ----------------------------------------------------------------- series
 
 
-def check_series_tree_function(level: str = "default") -> CheckResult:
-    K = 14 if level == "default" else 10
+def check_series_tree_function() -> CheckResult:
+    K = 14
     params = {"nu_max": 4, "order": K}
 
     def cases():
@@ -516,8 +517,8 @@ def _poly_value(row, x0: Fraction) -> Fraction:
     return Fraction(num * b, den)
 
 
-def check_egf(level: str = "default") -> CheckResult:
-    nmax = 8 if level == "default" else 5
+def check_egf() -> CheckResult:
+    nmax = 8
     params = {"n_max": nmax, "x0_eulerian": ["1/3", "1/2", "2/3"], "x0_ward": ["1/2", "1"]}
     st_pairs = [(1, 0), (2, 1), (1, 2)]
 
@@ -553,10 +554,10 @@ def check_egf(level: str = "default") -> CheckResult:
     return _first_mismatch("egf", params, cases())
 
 
-def check_series_identities(level: str = "default") -> CheckResult:
-    nmax = 5 if level == "default" else 3
-    K = 12 if level == "default" else 10
-    unit_n = 30 if level == "default" else 12
+def check_series_identities() -> CheckResult:
+    nmax = 5
+    K = 12
+    unit_n = 30
     params = {"n_max": nmax, "order": K, "unit_sums_n_max": unit_n}
 
     def cases():
@@ -597,18 +598,16 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, level: str = "default") -> Report:
+def run_suite(name: str) -> Report:
     if name not in _SUITES:
         raise ValueError("unknown suite %r; pick one of %s" % (name, ", ".join(SUITE_NAMES)))
-    if level not in ("small", "default"):
-        raise ValueError("size level must be 'small' or 'default', got %r" % (level,))
-    return Report(name, level, [fn(level) for fn in _SUITES[name]])
+    return Report(name, [fn() for fn in _SUITES[name]])
 
 
-def run_all(level: str = "default") -> dict:
-    reports = [run_suite(name, level) for name in SUITE_NAMES]
+def run_all() -> dict:
+    reports = [run_suite(name) for name in SUITE_NAMES]
     return {
         "suites": [r.to_json() for r in reports],
-        "size_level": level,
+        "size_level": "default",
         "passed": all(r.passed for r in reports),
     }

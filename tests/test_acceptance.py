@@ -30,13 +30,13 @@ def announce(capsys):
 
 def _run_check(fn):
     start = time.perf_counter()
-    result = fn("default")
+    result = fn()
     return result, time.perf_counter() - start
 
 
 def _run_checks(fns):
     start = time.perf_counter()
-    results = [fn("default") for fn in fns]
+    results = [fn() for fn in fns]
     return results, time.perf_counter() - start
 
 

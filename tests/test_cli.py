@@ -470,28 +470,30 @@ class TestJsonWriter:
 
 
 class TestVerify:
-    def test_small_all_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--size-level", "small")
+    def test_all_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all")
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
         assert len(payload["suites"]) == 6
+        # a constant key that the pinned digests and the benchmark's report check read
+        assert payload["size_level"] == "default"
         for suite in payload["suites"]:
             assert suite["passed"] is True
+            assert suite["size_level"] == "default"
             for check in suite["checks"]:
                 assert check["witness"] is None
 
     def test_single_suite_report(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--suite", "closed-forms", "--size-level", "small"
-        )
+        code, out, _ = run_cli(capsys, "verify", "--suite", "closed-forms")
         assert code == 0
         payload = json.loads(out)
         assert payload["suite"] == "closed-forms"
+        assert payload["size_level"] == "default"
         assert {c["id"] for c in payload["checks"]} == {"closed-forms", "special-cases"}
 
     def test_output_is_deterministic(self, capsys):
-        args = ("verify", "--suite", "recurrence-vs-enumeration", "--size-level", "small")
+        args = ("verify", "--suite", "recurrence-vs-enumeration")
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
@@ -500,6 +502,16 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "everything"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["small", "default"])
+    def test_takes_no_size_level(self, capsys, value):
+        # each check has one grid; the retired flag is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--size-level", value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--size-level" in err and "Traceback" not in err
 
 
 class TestProcessLevel:
@@ -615,8 +627,9 @@ class TestParserReuse:
         assert proc.stdout.split() == ["0", "None"]
 
 
-# Argument soup: every flag of the four subcommands, values in -2..3, words,
-# choice values, and digit-free text, so no draw asks for a large table.
+# Argument soup: every flag of the four subcommands and the retired
+# --size-level, values in -2..3, words, choice values, and digit-free text,
+# so no draw asks for a large table.
 ARG_TOKENS = st.sampled_from(
     [
         "--nu", "--s", "--t", "--nmax", "--n", "--tvec", "--format", "--mode",
@@ -644,8 +657,8 @@ class TestArgvProperty:
     def test_malformed_argv_exits_cleanly(self, command, tokens):
         # the suites themselves are tested above; here only argument handling runs
         out, err = io.StringIO(), io.StringIO()
-        with mock.patch.object(cli, "run_all", lambda level: {"passed": True}), \
-                mock.patch.object(cli, "run_suite", lambda name, level: _StubReport()), \
+        with mock.patch.object(cli, "run_all", lambda: {"passed": True}), \
+                mock.patch.object(cli, "run_suite", lambda name: _StubReport()), \
                 redirect_stdout(out), redirect_stderr(err):
             try:
                 code = main([command, *tokens])

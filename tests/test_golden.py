@@ -2,7 +2,7 @@
 
 The digests pin the exact bytes of integer and symbolic tables in both
 formats, of the enumeration stream in both formats, of two bijection reports
-and of both verify reports; any change to the engine, the enumeration
+and of every verify report; any change to the engine, the enumeration
 order, the tree bijection, the rendering or the verify report shows up here
 first.  A second set pins the series layer: T_nu and both egf coefficient
 routes, one exact rational per line.  A third set pins library outputs that
@@ -77,12 +77,33 @@ GOLDEN = [
         "63aa45454fb9ff3009f47d109b1d9f8040b76c1bc0fea65e06bb0c0317a91d3b",
     ),
     (
-        "verify --suite all --size-level small",
-        "3c066b0a2db5e2e9a17f2fda1fe68c4281e20c5b89dccc2872eff054e323204d",
-    ),
-    (
         "verify --suite all",
         "56927cf20fb79e6be5c46eed8b7a2dc077232482073a2a71685bdb356ea8b0a0",
+    ),
+    # the six per-suite reports, as the benchmark's verify workload prints them
+    (
+        "verify --suite recurrence-vs-enumeration",
+        "8d6ebcee5abd3a5bb4a4d2f722400f6a3f98457adc575b6965c97af8d6d86296",
+    ),
+    (
+        "verify --suite closed-forms",
+        "d3737c0fe612b195add2651545d404f521bf1444633cff18d786946d382dfa59",
+    ),
+    (
+        "verify --suite inverse-pairs",
+        "8a5af2b5a0402e7871a7e05b21c1907a9c04edd520a54efaaf946cd5ce0cb5d8",
+    ),
+    (
+        "verify --suite egf",
+        "53e8c7da135965046f9b4932740565ad188cfa8493db42bbce4133e93b1cb527",
+    ),
+    (
+        "verify --suite series-identities",
+        "a0c76162cf054dd75154b3cc93cf0405060871adbc5bcf40c766a800a10419e1",
+    ),
+    (
+        "verify --suite ward-interpretation",
+        "bbeb417c9142680960765e2eae0aeb4c23a2571fc747d4ea9f508f49a62ba845",
     ),
     # the benchmark's largest CLI table, through the row-by-row json layout
     (

@@ -49,8 +49,8 @@ RECORDS = {
         "CheckResult(check_id='y', params={'a': 1}, passed=False, witness={'w': 2}, cases=3)",
     ),
     "report": (
-        lambda: Report("s", "small", [CheckResult("x", {}, True)]),
-        "Report(suite='s', size_level='small', checks=[CheckResult(check_id='x', params={}, "
+        lambda: Report("s", [CheckResult("x", {}, True)]),
+        "Report(suite='s', checks=[CheckResult(check_id='x', params={}, "
         "passed=True, witness=None, cases=0)])",
     ),
 }
@@ -113,7 +113,7 @@ BAD = {
         TypeError,
         "missing 1 required positional argument: 'passed'",
     ),
-    "report-missing": (lambda: Report("x", "y"), TypeError, "missing 1 required positional argument: 'checks'"),
+    "report-missing": (lambda: Report("x"), TypeError, "missing 1 required positional argument: 'checks'"),
 }
 
 

@@ -35,7 +35,7 @@ def test_inverse_pairs_fault(monkeypatch):
         return out[:-1] + [out[-1] + 1] if n == 2 else out
 
     monkeypatch.setattr(verify, "ward_to_euler", faulty)
-    result = verify.check_inverse_pairs("small")
+    result = verify.check_inverse_pairs()
     want = list(eulerian_table(Params(2, 0, -2), 2).row(2))
     assert result.check_id == "inverse-pairs"
     assert not result.passed
@@ -62,7 +62,7 @@ def test_transform_fault_is_caught_against_the_recurrence(monkeypatch):
         return out
 
     monkeypatch.setattr(ward, "general_inverse_transform", faulty)
-    result = verify.check_inverse_pairs("default")
+    result = verify.check_inverse_pairs()
     want = list(ward_table(Params(1, 0, -2), 9).row(9))
     assert result.check_id == "inverse-pairs"
     assert not result.passed
@@ -83,7 +83,7 @@ def test_leaf_tally_fault_is_caught_at_the_top_order(monkeypatch):
     # first grid point with equal neighbours, (1, 1, 2) with its 0 0, fails
     # at n_top - 1, the first tallied order
     monkeypatch.setattr(stirlingperm, "ge", operator.gt)
-    result = verify.check_recurrence_vs_enumeration("default")
+    result = verify.check_recurrence_vs_enumeration()
     assert result.check_id == "recurrence-vs-enumeration"
     assert not result.passed
     w = result.witness
@@ -109,7 +109,7 @@ def test_carried_pair_count_fault_is_caught_at_the_top_order(monkeypatch):
             yield m, child, a, u - (len(block) - 1)
 
     monkeypatch.setattr(stirlingperm, "_children", faulty)
-    result = verify.check_recurrence_vs_enumeration("default")
+    result = verify.check_recurrence_vs_enumeration()
     assert result.check_id == "recurrence-vs-enumeration"
     assert not result.passed
     w = result.witness
@@ -129,11 +129,11 @@ def test_egf_fault(monkeypatch):
         return out[:3] + [out[3] + 1] + out[4:] if nu == 2 else out
 
     monkeypatch.setattr(verify, "egf_eulerian_coeffs", faulty)
-    result = verify.check_egf("small")
+    result = verify.check_egf()
     x0 = Fraction(1, 3)
     want = [
         sum(c * x0**k for k, c in enumerate(row))
-        for row in eulerian_table(Params(2, 1, 0), 5).rows
+        for row in eulerian_table(Params(2, 1, 0), 8).rows
     ]
     assert result.check_id == "egf"
     assert not result.passed
@@ -154,7 +154,7 @@ def test_special_cases_fault(monkeypatch):
         return value + 1 if (n, k, indexing) == (4, 1, "traditional") else value
 
     monkeypatch.setattr(verify, "classic_eulerian", faulty)
-    result = verify.check_special_cases("small")
+    result = verify.check_special_cases()
     assert result.check_id == "special-cases"
     assert not result.passed
     assert result.witness == {
@@ -175,7 +175,7 @@ def test_closed_forms_fault_keeps_the_check_id(monkeypatch, order, route):
         return row
 
     monkeypatch.setattr(verify, route.__name__, faulty)
-    result = verify.check_closed_forms("small")
+    result = verify.check_closed_forms()
     want = eulerian_table(Params(order, 0, 1), 3).entry(3, 2)
     assert result.check_id == "closed-forms"
     assert not result.passed
@@ -188,7 +188,7 @@ def test_closed_forms_fault_keeps_the_check_id(monkeypatch, order, route):
         "closed": str(want - 5),
         "recurrence": str(want),
     }
-    report = verify.run_suite("closed-forms", "small").to_json()
+    report = verify.run_suite("closed-forms").to_json()
     assert [c["id"] for c in report["checks"]] == ["closed-forms", "special-cases"]
     assert not report["passed"]
 
@@ -236,14 +236,16 @@ def _bump_table_entry(nu, s, t, n, k):
 
 
 class _MathWithBadComb:
-    """The math module, except that C(11, 3) is one too large."""
+    """The math module, except that C(13, 3) is one too large: past every
+    C(k - 1, j) of the order-2 ratio expansion at order 12, so only the unit
+    sums see it."""
 
     def __getattr__(self, name):
         return getattr(math, name)
 
     @staticmethod
     def comb(n, k):
-        return math.comb(n, k) + ((n, k) == (11, 3))
+        return math.comb(n, k) + ((n, k) == (13, 3))
 
 
 def _plant_orthogonality(mp):
@@ -301,7 +303,7 @@ IDENTITY_FAULTS = {
     "derivative": (
         verify.check_series_tree_function,
         series.t_nu_derivative_sides,
-        (3, 10),
+        (3, 14),
         {"failed": "derivative-identity", "nu": 3},
         (4,),
         _plant_derivative,
@@ -309,7 +311,7 @@ IDENTITY_FAULTS = {
     "tree-powers": (
         verify.check_series_tree_function,
         series.tree_power_sides,
-        (5, 10),
+        (5, 14),
         {"failed": "tree-powers", "s": 5},
         (7,),
         _plant_tree_powers,
@@ -317,7 +319,7 @@ IDENTITY_FAULTS = {
     "egf-transform": (
         verify.check_egf,
         series.egf_transform_sides,
-        (2, 1, 0, Fraction(1, 2), 5),
+        (2, 1, 0, Fraction(1, 2), 8),
         {"failed": "transform", "nu": 2, "s": 1, "t": 0, "x0": "1/2"},
         (3,),
         _plant_transform,
@@ -325,7 +327,7 @@ IDENTITY_FAULTS = {
     "order1-ratio": (
         verify.check_series_identities,
         series.eulerian_ratio_expansion_sides,
-        (2, 2, 3, 10),
+        (2, 2, 3, 12),
         {"failed": "order1-ratio", "n": 2, "s": 2, "t": 3},
         (2,),
         lambda mp: mp.setattr(series, "eulerian_table", _bump_table_entry(1, 2, 3, 2, 1)),
@@ -333,7 +335,7 @@ IDENTITY_FAULTS = {
     "order2-ratio": (
         verify.check_series_identities,
         series.second_order_ratio_expansion_sides,
-        (1, 2, 1, 10),
+        (1, 2, 1, 12),
         {"failed": "order2-ratio", "n": 1, "s": 2, "t": 1},
         (2,),
         lambda mp: mp.setattr(series, "eulerian_table", _bump_table_entry(2, 2, 1, 1, 1)),
@@ -341,8 +343,8 @@ IDENTITY_FAULTS = {
     "unit-sums": (
         verify.check_series_identities,
         series.binomial_unit_sums_sides,
-        (11,),
-        {"failed": "unit-sums", "n": 11},
+        (13,),
+        {"failed": "unit-sums", "n": 13},
         (0,),
         lambda mp: mp.setattr(series, "math", _MathWithBadComb()),
     ),
@@ -354,12 +356,12 @@ def test_identity_fault_shows_both_sides(monkeypatch, name):
     # a fault inside one route of the identity fails its check at the first
     # failing instance, and the witness carries both sides in full
     check, sides, args, instance, path, plant = IDENTITY_FAULTS[name]
-    healthy = check("small")
+    healthy = check()
     lhs, rhs = sides(*args)
     assert type(lhs) is list and type(rhs) is list and lhs == rhs
     assert not any(isinstance(x, (bool, float)) for x in _leaves([lhs, rhs]))
     plant(monkeypatch)
-    result = check("small")
+    result = check()
     assert result.check_id == healthy.check_id
     assert healthy.passed and not result.passed
     lhs, rhs = sides(*args)
@@ -371,7 +373,7 @@ def test_smiley_fault_shows_both_rows(monkeypatch):
     # {{7, 2}} = 2^6 - 8 = 56, planted as 57: the second identity's rows
     # disagree at k = 2, beside the first identity's sums that use it
     _plant_smiley(monkeypatch)
-    w = verify.check_classic_ward("small").witness
+    w = verify.check_classic_ward().witness
     assert (w["lhs"][1][2], w["rhs"][1][2]) == ("57", "56")
 
 
@@ -386,12 +388,12 @@ def test_ward_egf_fault_fails_the_ward_case(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(series, "egf_ward_coeffs", counted)
-    assert verify.check_egf("small").passed
+    assert verify.check_egf().passed
     assert len(calls) == len(set(calls)) == 12
     monkeypatch.setattr(series, "egf_ward_coeffs", _bump_where(real, lambda nu, s, t, x0, N: nu == 2, 3))
-    result = verify.check_egf("small")
+    result = verify.check_egf()
     x0 = Fraction(1, 2)
-    want = [verify._poly_value(row, x0) for row in ward_table(Params(2, 1, 0), 5).rows]
+    want = [verify._poly_value(row, x0) for row in ward_table(Params(2, 1, 0), 8).rows]
     assert result.witness == {
         "failed": "ward",
         "nu": 2,
@@ -403,44 +405,28 @@ def test_ward_egf_fault_fails_the_ward_case(monkeypatch):
     }
 
 
-# Cases each check compares, per size level.  Growing a grid re-pins these on
-# purpose, like the report digests; a shrink fails here even in a grid
-# dimension that the report's params do not show.
+# Cases each check compares.  Growing a grid re-pins these on purpose, like
+# the report digests; a shrink fails here even in a grid dimension that the
+# report's params do not show.
 CASE_COUNTS = {
-    "default": {
-        "golden-examples": 25,
-        "recurrence-vs-enumeration": 165,
-        "row-sums": 297,
-        "closed-forms": 1088,
-        "special-cases": 644,
-        "inverse-pairs": 1358,
-        "classic-ward": 72,
-        "egf": 60,
-        "tree-function": 29,
-        "series-identities": 78,
-        "ward-interpretation": 90,
-    },
-    "small": {
-        "golden-examples": 25,
-        "recurrence-vs-enumeration": 112,
-        "row-sums": 189,
-        "closed-forms": 360,
-        "special-cases": 280,
-        "inverse-pairs": 874,
-        "classic-ward": 30,
-        "egf": 60,
-        "tree-function": 25,
-        "series-identities": 44,
-        "ward-interpretation": 72,
-    },
+    "golden-examples": 25,
+    "recurrence-vs-enumeration": 165,
+    "row-sums": 297,
+    "closed-forms": 1088,
+    "special-cases": 644,
+    "inverse-pairs": 1358,
+    "classic-ward": 72,
+    "egf": 60,
+    "tree-function": 29,
+    "series-identities": 78,
+    "ward-interpretation": 90,
 }
 
 
-@pytest.mark.parametrize("level", list(CASE_COUNTS))
-def test_case_counts_are_pinned(level):
-    checks = [c for name in verify.SUITE_NAMES for c in verify.run_suite(name, level).checks]
+def test_case_counts_are_pinned():
+    checks = [c for name in verify.SUITE_NAMES for c in verify.run_suite(name).checks]
     assert all(c.passed for c in checks)
-    assert {c.check_id: c.cases for c in checks} == CASE_COUNTS[level]
+    assert {c.check_id: c.cases for c in checks} == CASE_COUNTS
     assert "cases" not in checks[0].to_json()
 
 
