@@ -35,7 +35,6 @@ from .series import (
     t_nu_series,
 )
 from .stirlingperm import (
-    GenStirlingWord,
     ascent_positions,
     enumerate_sequences,
     seq_ascent_count,
@@ -68,7 +67,6 @@ __all__ = [
     "Recurrence",
     "PolyST",
     "TruncSeries",
-    "GenStirlingWord",
     "IncTree",
     "TreeNode",
     "binomial",

@@ -33,7 +33,6 @@ import sys
 
 from .eulerian import Params, eulerian_recurrence
 from .stirlingperm import (
-    GenStirlingWord,
     _labels_partition_range,
     ascent_positions,
     count_sequences,
@@ -186,18 +185,17 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    letters = [word_from_text(text) for text in args.word]
-    tvec = tuple(word.count(0) for word in letters)  # the words fix the parts of t
+    seq = tuple(word_from_text(text) for text in args.word)
+    tvec = tuple(w.count(0) for w in seq)  # the words fix the parts of t
     Params(args.nu, len(tvec), sum(tvec), tvec)  # checks nu, as enumerate does
-    seq = tuple(GenStirlingWord(word, args.nu, ti) for word, ti in zip(letters, tvec))
     for idx, w in enumerate(seq):
-        if not validate_word(w):
+        if not validate_word(w, args.nu):
             raise ValueError("word %d is not a valid order-%d word" % (idx + 1, args.nu))
     if not _labels_partition_range(seq):
         raise ValueError("the labels across the words must partition 1..n")
     # the words are valid (checked above), so _tree can skip perm_to_tree's check
-    forest = tuple(_tree(w.letters, w.t, args.nu + 1) for w in seq)
-    n, j = sum(w.n for w in seq), seq_ascent_count(seq)
+    forest = tuple(_tree(w, args.nu + 1) for w in seq)
+    n, j = len(set().union(*seq) - {0}), seq_ascent_count(seq)
     dset = forest_distinguished_set(forest)
     payload = {
         "nu": str(args.nu),

@@ -96,6 +96,7 @@ def as_fraction(x) -> Fraction:
     Floats raise TypeError: a float holds a binary approximation, and
     Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.  So do
     bools, which are ints to Python but a bug wherever a number is wanted.
+    A string with a zero denominator, such as "1/0", raises ValueError.
 
     >>> as_fraction("2/3")
     Fraction(2, 3)
@@ -109,7 +110,10 @@ def as_fraction(x) -> Fraction:
             "exact rational wanted, got the %s %r; pass a Fraction or a string such as '1/2'"
             % (type(x).__name__, x)
         )
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError("exact rational wanted, got %r with a zero denominator" % (x,)) from None
 
 
 def _require_int(name: str, value):

@@ -528,6 +528,8 @@ def egf_transform_sides(nu: int, s: int, t: int, x0, N: int) -> tuple[list, list
     [euler_n(x0/(1+x0)) (1+x0)^n]_n for n = 0..N."""
     _check_args(nu, s, t, N)
     x0 = as_fraction(x0)
+    if x0 <= 0:
+        raise ValueError("x0 must be positive, got %s" % (x0,))
     e = egf_eulerian_coeffs(nu + 1, s, t, x0 / (1 + x0), N)
     return egf_ward_coeffs(nu, s, t, x0, N), [e[n] * (1 + x0) ** n for n in range(N + 1)]
 

@@ -8,9 +8,12 @@ between two occurrences of x is >= x.  (For 0 the condition is vacuous.)
 A (nu, tvec, n)-Stirling permutation is an s-tuple of such words: the labels
 1..n are split into an ordered partition (X_1, ..., X_s), possibly with empty
 parts, and entry i is a (nu, t_i, X_i)-Stirling permutation, where tvec is a
-composition of t into s nonnegative parts.  It is kept as a plain tuple of
-``GenStirlingWord``, as a forest is a plain tuple of trees, and its tvec is
-read off the words.
+composition of t into s nonnegative parts.
+
+A word is kept as a plain tuple of int letters, and a permutation as a
+plain tuple of words, as a forest is a plain tuple of trees.  The letters
+fix t (the number of zeros) and the labels X (the distinct nonzero
+letters), so only nu is passed alongside them, and only where it matters.
 
 An ascent is a 1-based position i inside a single word with
 letter(i) < letter(i+1); positions are never compared across entries.  The
@@ -53,10 +56,9 @@ from itertools import chain
 from operator import ge
 
 from .eulerian import Params, row_sum_product
-from .numerics import _Record, _require_int
+from .numerics import _require_int
 
 __all__ = [
-    "GenStirlingWord",
     "validate_word",
     "ascent_positions",
     "seq_ascent_count",
@@ -68,85 +70,50 @@ __all__ = [
 ]
 
 
-class GenStirlingWord(_Record):
-    """One word over {0} and an ordered label set.
+def validate_word(letters: tuple[int, ...], nu: int) -> bool:
+    """True iff the letters form an order-nu generalized Stirling word.
 
-    ``labels`` is the alphabet the word is supposed to cover (each label nu
-    times); it defaults to the nonzero letters actually present, but can be
-    given explicitly to express "this word should have used 1..n" when
-    checking standalone words.  Letters, labels, nu and t must be ints:
-    anything else raises TypeError rather than being truncated.
+    Multiset: every nonzero letter occurs exactly nu times, and no letter is
+    negative (0 may occur any number of times: that number is the word's
+    t).  Betweenness: letters strictly between two consecutive occurrences
+    of x are all >= x (checking consecutive occurrences suffices, since the
+    intermediate copies of x pass for themselves).  A letter or nu that is
+    not an int raises TypeError rather than being truncated.
     """
-
-    _fields = ("letters", "nu", "t", "labels")
-
-    def __init__(self, letters: tuple[int, ...], nu: int, t: int, labels: tuple[int, ...] | None = None):
-        _require_int("nu", nu)
-        _require_int("t", t)
-        letters = tuple(letters)
-        for x in letters:
-            _require_int("each letter", x)
-        if labels is None:
-            labels = tuple(sorted({x for x in letters if x != 0}))
-        else:
-            labels = tuple(labels)
-            for x in labels:
-                _require_int("each label", x)
-        super().__init__(letters, nu, t, labels)
-
-    @classmethod
-    def over_range(cls, letters, nu: int, t: int, n: int) -> "GenStirlingWord":
-        """A word that must use exactly the labels 1..n."""
-        return cls(tuple(letters), nu, t, tuple(range(1, n + 1)))
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-
-def validate_word(w: GenStirlingWord) -> bool:
-    """True iff the multiset and betweenness invariants hold.
-
-    Multiset: 0 occurs exactly w.t times, every label of w.labels exactly
-    w.nu times, nothing else occurs; labels are distinct and >= 1, so no
-    letter is negative.  Betweenness: letters strictly between two consecutive
-    occurrences of x are all >= x (checking consecutive occurrences
-    suffices, since the intermediate copies of x pass for themselves).
-    """
-    if w.nu < 1 or w.t < 0 or min(w.labels, default=1) < 1:
+    _require_int("nu", nu)
+    for x in letters:
+        _require_int("each letter", x)
+    if nu < 1 or min(letters, default=0) < 0:
         return False
-    counts = Counter(w.letters)
-    if counts.pop(0, 0) != w.t:
-        return False
-    if sorted(counts) != sorted(w.labels):  # also rejects a repeated label
-        return False
-    if any(c != w.nu for c in counts.values()):
+    counts = Counter(letters)
+    counts.pop(0, None)
+    if any(c != nu for c in counts.values()):
         return False
     positions: dict[int, list[int]] = {}
-    for i, x in enumerate(w.letters):
+    for i, x in enumerate(letters):
         positions.setdefault(x, []).append(i)
     for x, pos in positions.items():
         for a, b in zip(pos, pos[1:]):
-            if any(y < x for y in w.letters[a + 1 : b]):
+            if any(y < x for y in letters[a + 1 : b]):
                 return False
     return True
 
 
-def _labels_partition_range(seq: tuple[GenStirlingWord, ...]) -> bool:
-    """True iff the label sets of the words partition 1..n."""
-    labels = sorted(x for w in seq for x in w.labels)
+def _labels_partition_range(seq: tuple[tuple[int, ...], ...]) -> bool:
+    """True iff the label sets (distinct nonzero letters) of the words
+    partition 1..n."""
+    labels = sorted(x for w in seq for x in set(w) if x != 0)
     return labels == list(range(1, len(labels) + 1))
 
 
-def ascent_positions(w: GenStirlingWord) -> frozenset[int]:
+def ascent_positions(letters: tuple[int, ...]) -> frozenset[int]:
     """1-based positions i with letter(i) < letter(i+1), inside one word."""
-    letters = w.letters
     return frozenset(
         i for i in range(1, len(letters)) if letters[i - 1] < letters[i]
     )
 
 
-def seq_ascent_count(seq: tuple[GenStirlingWord, ...]) -> int:
+def seq_ascent_count(seq: tuple[tuple[int, ...], ...]) -> int:
     """Total ascents over all words of a tuple; positions never straddle words."""
     return sum(len(ascent_positions(w)) for w in seq)
 
@@ -233,24 +200,19 @@ def count_sequences(p: Params, n: int) -> int:
     return row_sum_product(p, n)
 
 
-def _wrap(word, nu: int, tvec: tuple[int, ...]) -> tuple[GenStirlingWord, ...]:
-    return tuple(
-        GenStirlingWord(entry, nu, ti) for entry, ti in zip(_entries(word, len(tvec)), tvec)
-    )
-
-
-def enumerate_sequences(p: Params, n: int) -> Iterator[tuple[GenStirlingWord, ...]]:
+def enumerate_sequences(p: Params, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield every (nu, tvec, n)-Stirling permutation exactly once, as a
-    tuple of s words.
+    tuple of s letter tuples.
 
     The composition comes from p.tvec, defaulting to (t, 0, ..., 0).  The
     stream is deterministic: each order-m prefix is extended by inserting
     m^nu into gaps entry-major, left to right.
     """
     nu, tvec = _enumeration_params(p, n)
+    s = len(tvec)
     for m, word, _, _ in _insertions(nu, tvec, n):
         if m == n:
-            yield _wrap(word, nu, tvec)
+            yield _entries(word, s)
 
 
 def ascent_histograms_up_to(p: Params, nmax: int) -> list[list[int]]:
@@ -289,9 +251,9 @@ def ascent_histograms_up_to(p: Params, nmax: int) -> list[list[int]]:
     return hists
 
 
-def word_text(w: GenStirlingWord) -> str:
+def word_text(letters: tuple[int, ...]) -> str:
     """Serialize a word as space-separated decimal letters ('' when empty)."""
-    return " ".join(str(x) for x in w.letters)
+    return " ".join(str(x) for x in letters)
 
 
 def word_from_text(text: str) -> tuple[int, ...]:

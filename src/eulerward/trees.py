@@ -10,7 +10,9 @@ the full nu+1 slots (or the tree is empty when there are no labels at all).
 Labels increase along every root path, because the least letter of a factor
 is larger than the letter that cut it.  Reading the tree back in depth-first
 order, emitting each node's label between consecutive slots, inverts the
-construction exactly.
+construction exactly.  A word is a plain tuple of letters, as in
+``stirlingperm``: ``perm_to_tree(letters, nu)`` reads t off its zeros, and
+``tree_to_perm`` returns the letters.
 
 Statistics: E(T) collects the internal non-root nodes sitting in the first
 (leftmost) slot of their parent, and the distinguished pool D(T) is E(T) for
@@ -42,7 +44,7 @@ from collections import Counter
 
 from .eulerian import Params
 from .numerics import _Record, binomial
-from .stirlingperm import GenStirlingWord, _enumeration_params, _insertions, validate_word
+from .stirlingperm import _enumeration_params, _insertions, validate_word
 
 __all__ = [
     "TreeNode",
@@ -131,14 +133,14 @@ class IncTree(_Record):
         super().__init__(t, d, root)
 
 
-def perm_to_tree(w: GenStirlingWord) -> IncTree:
-    """Factorize a valid word on least letters into its increasing tree."""
-    if not validate_word(w):
-        raise ValueError("not a valid generalized Stirling permutation: %r" % (w,))
-    return _tree(w.letters, w.t, w.nu + 1)
+def perm_to_tree(letters: tuple[int, ...], nu: int) -> IncTree:
+    """Factorize a valid order-nu word on least letters into its increasing tree."""
+    if not validate_word(letters, nu):
+        raise ValueError("not a valid order-%d generalized Stirling permutation: %r" % (nu, letters))
+    return _tree(letters, nu + 1)
 
 
-def _tree(letters, t: int, d: int) -> IncTree:
+def _tree(letters, d: int) -> IncTree:
     """Least-letter factorization of a valid word, in one left-to-right pass.
 
     The stack holds the nodes whose last slot is still open, labels
@@ -147,7 +149,7 @@ def _tree(letters, t: int, d: int) -> IncTree:
     node above x, then either fills the next slot of the open node x or opens
     x with ``done`` as its first slot.  A final -1, below every letter,
     closes all nodes and keeps the root (or None) as its only slot.
-    Validity of the word is assumed.
+    Validity of the word is assumed; its zeros are its t.
     """
     stack: list[tuple[int, list]] = []
     done = None
@@ -161,11 +163,12 @@ def _tree(letters, t: int, d: int) -> IncTree:
         else:
             stack.append((x, [done]))
         done = None
-    return IncTree(t, d, stack[0][1][0])
+    return IncTree(letters.count(0), d, stack[0][1][0])
 
 
-def tree_to_perm(tree: IncTree) -> GenStirlingWord:
-    """Depth-first reading of a tree; exact inverse of perm_to_tree."""
+def tree_to_perm(tree: IncTree) -> tuple[int, ...]:
+    """Depth-first reading of a tree into its letters; exact inverse of
+    perm_to_tree."""
     letters: list[int] = []
     # pending items, next on top: subtrees (None = external) and labels
     stack: list = [tree.root]
@@ -177,11 +180,11 @@ def tree_to_perm(tree: IncTree) -> GenStirlingWord:
             stack.append(item.slots[0])
         elif item is not None:
             letters.append(item)
-    return GenStirlingWord(tuple(letters), tree.d - 1, tree.t)
+    return tuple(letters)
 
 
-def seq_to_forest(seq: tuple[GenStirlingWord, ...]) -> tuple[IncTree, ...]:
-    return tuple(perm_to_tree(w) for w in seq)
+def seq_to_forest(seq: tuple[tuple[int, ...], ...], nu: int) -> tuple[IncTree, ...]:
+    return tuple(perm_to_tree(w, nu) for w in seq)
 
 
 def _walk(node: TreeNode):
@@ -248,14 +251,14 @@ def _stack_pass(word, floor: int) -> tuple[int, int]:
     return opens, closes
 
 
-def _pool_size(letters, t: int) -> int:
+def _pool_size(letters) -> int:
     """|D(T)| for the tree of a valid word, read off ``_tree``'s pass.
 
     On the one-entry flat word, the pass closes |E(T)| times into a letter,
     and once into the separator when the tree is nonempty.  That last one
-    counts the root, which D(T) holds only for t = 0.
+    counts the root, which D(T) holds only for a word without zeros.
     """
-    return _stack_pass((*letters, -1), -2)[1] - (t > 0)
+    return _stack_pass((*letters, -1), -2)[1] - (0 in letters)
 
 
 def _child_pools(word, tvec) -> tuple[int, int, int]:

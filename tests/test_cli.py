@@ -22,7 +22,6 @@ import eulerward.trees as trees
 from eulerward.cli import _write_json, main
 from eulerward.eulerian import Params, eulerian_table
 from eulerward.numerics import PolyST, assoc_stirling_subset
-from eulerward.stirlingperm import GenStirlingWord
 from eulerward.ward import ward_table
 
 
@@ -403,9 +402,9 @@ class TestBijection:
         calls = []
         real = stirlingperm.validate_word
 
-        def counting(w):
-            calls.append(w.letters)
-            return real(w)
+        def counting(letters, nu):
+            calls.append(letters)
+            return real(letters, nu)
 
         for module in (cli, stirlingperm, trees):
             monkeypatch.setattr(module, "validate_word", counting)
@@ -439,7 +438,7 @@ class TestBijection:
         letters = tuple(range(1, 601))
         code, out, err = run_cli(capsys, "bijection", " ".join(map(str, letters)), "--nu", "1")
         assert code == 0 and err == ""
-        forest = trees.seq_to_forest((GenStirlingWord(letters, 1, 0),))
+        forest = trees.seq_to_forest((letters,), 1)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(10_000)
         try:

@@ -327,6 +327,11 @@ class TestAsFraction:
         with pytest.raises(TypeError):
             as_fraction(bad)
 
+    @pytest.mark.parametrize("bad", ["1/0", "-3/0", "0/0"])
+    def test_zero_denominator_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_fraction(bad)
+
     def test_exact_values_pass(self):
         assert as_fraction(3) == Fraction(3)
         assert as_fraction("-2/6") == Fraction(-1, 3)

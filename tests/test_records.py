@@ -1,5 +1,7 @@
 """Value semantics of the record classes: repr, equality, hashing, mutability
-and the argument checks, pinned to what they were as dataclasses."""
+and the argument checks, pinned to what they were as dataclasses.  The two
+word rows pin the same checks on ``validate_word``, since a word is a plain
+tuple of letters."""
 
 import re
 
@@ -7,11 +9,9 @@ import pytest
 
 from eulerward.eulerian import Params, Recurrence, TriangleRows
 from eulerward.numerics import PolyST
-from eulerward.stirlingperm import GenStirlingWord
+from eulerward.stirlingperm import validate_word
 from eulerward.trees import IncTree, TreeNode
 from eulerward.verify import CheckResult, Report
-
-WORD_TEXT = "GenStirlingWord(letters=(1, 1, 0), nu=2, t=1, labels=(1,))"
 
 RECORDS = {
     "params": (lambda: Params(2, 1, 0), "Params(nu=2, s=1, t=0, tvec=None)"),
@@ -26,11 +26,6 @@ RECORDS = {
         "gamma_p=PolyST(-1*s^0*t^0+1*s^0*t^1))",
     ),
     "triangle-rows": (lambda: TriangleRows(rows=((1,), (1, 1))), "TriangleRows(rows=((1,), (1, 1)))"),
-    "word": (lambda: GenStirlingWord((1, 1, 0), 2, 1), WORD_TEXT),
-    "word-keywords": (
-        lambda: GenStirlingWord(letters=[1, 1], nu=2, t=0, labels=[1]),
-        "GenStirlingWord(letters=(1, 1), nu=2, t=0, labels=(1,))",
-    ),
     "tree-node": (
         lambda: TreeNode(1, [None, TreeNode(label=2, slots=(None,))]),
         "TreeNode(label=1, slots=(None, TreeNode(label=2, slots=(None,))))",
@@ -103,9 +98,8 @@ BAD = {
         "gamma and gamma_p must both be ints or both PolyST, got 1 and PolyST(1*s^1*t^0)",
     ),
     "triangle-rows-missing": (lambda: TriangleRows(), TypeError, "missing 1 required positional argument: 'rows'"),
-    "word-letter": (lambda: GenStirlingWord((1.0,), 1, 0), TypeError, "each letter must be an int, got 1.0"),
-    "word-nu": (lambda: GenStirlingWord((1,), "1", 0), TypeError, "nu must be an int, got '1'"),
-    "word-label": (lambda: GenStirlingWord((1,), 1, 0, (1.5,)), TypeError, "each label must be an int, got 1.5"),
+    "word-letter": (lambda: validate_word((1.0,), 1), TypeError, "each letter must be an int, got 1.0"),
+    "word-nu": (lambda: validate_word((1,), "1"), TypeError, "nu must be an int, got '1'"),
     "tree-node-missing": (lambda: TreeNode(1), TypeError, "missing 1 required positional argument: 'slots'"),
     "inc-tree-missing": (lambda: IncTree(1, 2), TypeError, "missing 1 required positional argument: 'root'"),
     "check-result-missing": (

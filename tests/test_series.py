@@ -1,6 +1,7 @@
 """Truncated power series and the generating-function identities."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -557,6 +558,17 @@ class TestEgf:
         with pytest.raises(TypeError):
             route(0.5)
         assert route("1/2") == route(Fraction(1, 2))
+        with pytest.raises(ValueError, match="zero denominator"):
+            route("1/0")
+
+    @pytest.mark.parametrize("x0", [-1, Fraction(-1, 2), 0], ids=["-1", "-1/2", "0"])
+    def test_transform_checks_x0_before_substituting(self, x0):
+        # x0 = -1 would divide by 1 + x0 = 0; the message names the caller's x0
+        message = "x0 must be positive, got %s" % (x0,)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            egf_transform_sides(1, 1, 0, x0, 3)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            egf_ward_coeffs(1, 1, 0, x0, 3)
 
     @pytest.mark.parametrize("nu", [1, 2])
     @pytest.mark.parametrize("x0", [Fraction(1, 2), Fraction(1)])

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 import eulerward.stirlingperm as stirlingperm
 from eulerward.eulerian import Params, eulerian_table, row_sum_product
 from eulerward.stirlingperm import (
-    GenStirlingWord,
     _entries,
     _flat_word,
     _insertions,
+    _labels_partition_range,
     ascent_histograms_up_to,
     ascent_positions,
     count_sequences,
@@ -30,59 +30,54 @@ from eulerward.stirlingperm import (
 from eulerward.trees import perm_to_tree, ward_marked_rows_up_to
 
 
-def word(text, nu, t):
-    return GenStirlingWord(word_from_text(text), nu, t)
-
-
 class TestWordValidity:
     def test_known_words_are_valid(self):
-        assert validate_word(word("333222111", 3, 0))
-        assert validate_word(word("00112221", 3, 2))
-        assert validate_word(word("11222100", 3, 2))
-        assert validate_word(word("133322211", 3, 0))
+        assert validate_word(word_from_text("333222111"), 3)
+        assert validate_word(word_from_text("00112221"), 3)
+        assert validate_word(word_from_text("11222100"), 3)
+        assert validate_word(word_from_text("133322211"), 3)
 
     def test_multiplicity_must_match_order(self):
-        assert not validate_word(word("121", 2, 0))
-        assert not validate_word(word("1122", 3, 0))
-
-    def test_zero_count_must_match_t(self):
-        assert not validate_word(word("0011", 2, 1))
-        assert validate_word(word("0011", 2, 2))
+        assert not validate_word(word_from_text("121"), 2)
+        assert not validate_word(word_from_text("1122"), 3)
 
     def test_betweenness(self):
         # letters between the two 2s must all be >= 2
-        assert validate_word(word("1221", 2, 0))
-        assert validate_word(word("221331", 2, 0))
-        assert not validate_word(word("2112", 2, 0))
-        assert not validate_word(word("311322", 2, 0))
+        assert validate_word(word_from_text("1221"), 2)
+        assert validate_word(word_from_text("221331"), 2)
+        assert not validate_word(word_from_text("2112"), 2)
+        assert not validate_word(word_from_text("311322"), 2)
 
     def test_zero_letter_is_unconstrained(self):
         # smaller letters may sit between two 0s: no betweenness for 0
-        assert validate_word(word("0110", 2, 2))
+        assert validate_word(word_from_text("0110"), 2)
 
     def test_empty_word(self):
-        assert validate_word(GenStirlingWord((), 2, 0))
+        assert validate_word((), 2)
 
     def test_labels_need_not_be_an_initial_range(self):
-        w = GenStirlingWord(word_from_text("3355"), 2, 0)
-        assert validate_word(w)
-        assert w.labels == (3, 5)
+        # a lone word may use any labels; only a whole tuple must cover 1..n
+        assert validate_word(word_from_text("3355"), 2)
+        assert not _labels_partition_range((word_from_text("3355"),))
+        assert _labels_partition_range((word_from_text("3311"), word_from_text("22")))
 
     def test_repeated_label_is_rejected(self):
-        # n counts labels, so a label given twice would count one letter twice
-        assert validate_word(GenStirlingWord((2, 2, 1, 1), 2, 0, (2, 1)))
-        assert not validate_word(GenStirlingWord((1, 1), 2, 0, (1, 1)))
+        # a label used by two words would count one letter twice in n
+        assert validate_word(word_from_text("11"), 2)
+        assert _labels_partition_range((word_from_text("11"), word_from_text("0")))
+        assert not _labels_partition_range((word_from_text("11"), word_from_text("11")))
+        assert not _labels_partition_range((word_from_text("1122"), word_from_text("2200")))
 
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: GenStirlingWord((1.7, 1.2), 2, 0),
-            lambda: GenStirlingWord((1, 1), 2.0, 0),
-            lambda: GenStirlingWord((1, 1, 0), 2, 1.0),
-            lambda: GenStirlingWord((1, 1), 2, False),
-            lambda: GenStirlingWord((True, True), 2, 0),
-            lambda: GenStirlingWord((1, 1), 2, 0, (1.0,)),
-            lambda: GenStirlingWord.over_range((1, 1), 2, 0, 1.5),
+            lambda: validate_word((1.7, 1.2), 2),
+            lambda: validate_word((1, 1), 2.0),
+            lambda: validate_word((1, 1, 0.0), 2),
+            lambda: validate_word((1, 1), False),
+            lambda: validate_word((True, True), 2),
+            lambda: validate_word(("1", "1"), 2),
+            lambda: validate_word((1, 1), "2"),
         ],
     )
     def test_non_integers_raise_instead_of_truncating(self, build):
@@ -92,39 +87,40 @@ class TestWordValidity:
     def test_negative_letter_is_rejected(self):
         # the tree factorization's -1 sentinel assumes letters >= 0; a
         # negative letter used to pass and then vanish from the tree
-        assert not validate_word(GenStirlingWord((-3,), 1, 0))
+        assert not validate_word((-3,), 1)
         with pytest.raises(ValueError):
-            perm_to_tree(GenStirlingWord((-3,), 1, 0))
+            perm_to_tree((-3,), 1)
 
     @pytest.mark.parametrize("nu", [1, 2])
     def test_words_with_a_negative_letter_are_invalid(self, nu):
         letters = range(-3, 4)
-        words = [(x,) for x in letters] + list(itertools.product(letters, repeat=2))
-        for w in words:
-            if min(w) >= 0:
-                continue
-            for t in range(3):
-                assert not validate_word(GenStirlingWord(w, nu, t)), (w, t)
-                labels = tuple(sorted({x for x in w if x}))
-                assert not validate_word(GenStirlingWord(w, nu, t, labels)), (w, t)
+        words = [(x,) for x in letters] + list(itertools.product(letters, repeat=nu * 2))
+        for word in words:
+            if min(word) < 0:
+                assert not validate_word(word, nu), word
 
     def test_labels_below_one_are_invalid(self):
-        assert not validate_word(GenStirlingWord((0, 0), 2, 2, (0,)))
-        assert not validate_word(GenStirlingWord((-1, -1), 2, 0, (-1,)))
-        assert not validate_word(GenStirlingWord((), 2, 0, (-1,)))
+        # 0 is the zero letter, not a label; any letter below it is invalid
+        assert validate_word((0, 0), 2)
+        assert not validate_word((-1, -1), 2)
+        assert not validate_word((0, -1, -1, 0), 2)
+
+    def test_order_below_one_is_invalid(self):
+        assert not validate_word((), 0)
+        assert not validate_word((0,), -1)
 
 
 class TestAscents:
     def test_known_ascent_sets(self):
-        assert ascent_positions(word("00112221", 3, 2)) == {2, 4}
-        assert ascent_positions(word("11222100", 3, 2)) == {2}
-        assert ascent_positions(word("333222111", 3, 0)) == set()
+        assert ascent_positions(word_from_text("00112221")) == {2, 4}
+        assert ascent_positions(word_from_text("11222100")) == {2}
+        assert ascent_positions(word_from_text("333222111")) == set()
 
     def test_positions_are_one_based(self):
-        assert ascent_positions(word("1221", 2, 0)) == {1}
+        assert ascent_positions(word_from_text("1221")) == {1}
 
     def test_sequence_ascents_are_summed_per_entry(self):
-        seq = (word("1221", 2, 0), word("3443", 2, 0))
+        seq = (word_from_text("1221"), word_from_text("3443"))
         assert seq_ascent_count(seq) == 2
 
 
@@ -144,17 +140,18 @@ class TestEnumeration:
         p = Params(2, 2, 1, (0, 1))
         for seq in enumerate_sequences(p, 4):
             assert type(seq) is tuple and len(seq) == 2
-            for w, tpart in zip(seq, (0, 1)):
-                assert type(w) is GenStirlingWord and w.nu == 2
-                assert validate_word(w)
-                assert w.t == tpart
-            labels = sorted(x for w in seq for x in w.labels)
+            for word, tpart in zip(seq, (0, 1)):
+                assert type(word) is tuple
+                assert all(type(x) is int for x in word)
+                assert validate_word(word, 2)
+                assert word.count(0) == tpart
+            labels = sorted(x for word in seq for x in set(word) - {0})
             assert labels == [1, 2, 3, 4]
 
     def test_size_zero_is_the_bare_scaffold(self):
         objs = list(enumerate_sequences(Params(3, 2, 2, (1, 1)), 0))
         assert len(objs) == 1
-        assert [w.letters for w in objs[0]] == [(0,), (0,)]
+        assert objs[0] == ((0,), (0,))
 
     def test_histogram_frozen_row(self):
         assert ascent_histograms_up_to(Params(2, 1, 0), 3)[3] == [1, 8, 6, 0]
@@ -172,7 +169,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("nu", [1, 2, 3])
     @pytest.mark.parametrize("tvec", [(0,), (2,), (0, 0), (1, 1), (0, 2), (2, 1)])
     def test_histograms_match_ascents_read_letter_by_letter(self, nu, tvec):
-        # the slow route wraps every object and rescans all of its letters
+        # the slow route splits every object and rescans all of its letters
         p = Params(nu, len(tvec), sum(tvec), tvec)
         n_top = max(n for n in range(6) if count_sequences(p, n) <= 5000)
         hists = ascent_histograms_up_to(p, n_top)
@@ -229,13 +226,13 @@ class TestEnumeration:
     def test_single_word_objects_satisfy_the_definition(self, nu, t, n):
         seen = set()
         for seq in enumerate_sequences(Params(nu, 1, t), n):
-            (w,) = seq
-            assert validate_word(w)
-            counts = Counter(w.letters)
+            (word,) = seq
+            assert validate_word(word, nu)
+            counts = Counter(word)
             assert counts[0] == t
             for x in range(1, n + 1):
                 assert counts[x] == nu
-            seen.add(w.letters)
+            seen.add(word)
         assert len(seen) == math.prod(k * nu + t + 1 for k in range(n))
 
 
@@ -448,8 +445,8 @@ class TestTextRoundtrip:
         assert word_from_text("") == ()
 
     def test_text_of_word(self):
-        assert word_text(word("1221", 2, 0)) == "1 2 2 1"
-        assert word_text(GenStirlingWord((), 1, 0)) == ""
+        assert word_text(word_from_text("1221")) == "1 2 2 1"
+        assert word_text(()) == ""
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

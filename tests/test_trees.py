@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import eulerward.trees as trees
 from eulerward.eulerian import Params
 from eulerward.stirlingperm import (
-    GenStirlingWord,
     _children,
     _entries,
     _insertions,
@@ -44,10 +43,6 @@ from eulerward.verify import _compositions_for
 from eulerward.ward import ward_table
 
 
-def word(text, nu, t):
-    return GenStirlingWord(word_from_text(text), nu, t)
-
-
 def flat(obj):
     """The flat word of a tuple of entries: entry j followed by j - s."""
     return tuple(x for j, entry in enumerate(obj, -len(obj)) for x in (*entry, j))
@@ -55,24 +50,24 @@ def flat(obj):
 
 @st.composite
 def insertion_words(draw):
-    """A valid word, built by inserting m^nu into a random gap for m = 1..n."""
+    """(letters, nu): a valid word, built by inserting m^nu into a random gap
+    for m = 1..n."""
     nu = draw(st.integers(min_value=1, max_value=3))
     t = draw(st.integers(min_value=0, max_value=2))
     letters = (0,) * t
     for m in range(1, draw(st.integers(min_value=0, max_value=40)) + 1):
         g = draw(st.integers(min_value=0, max_value=len(letters)))
         letters = letters[:g] + (m,) * nu + letters[g:]
-    return GenStirlingWord(letters, nu, t)
+    return letters, nu
 
 
 def sample_forest():
-    specs = [("23332200", 2), ("555111", 0), ("0444", 1), ("", 0)]
-    return tuple(word(w, 3, t) for w, t in specs)
+    return tuple(map(word_from_text, ("23332200", "555111", "0444", "")))
 
 
 class TestSingleTreeBijection:
     def test_chain_tree(self):
-        tree = perm_to_tree(word("333222111", 3, 0))
+        tree = perm_to_tree(word_from_text("333222111"), 3)
         assert tree.d == 4 and tree.t == 0
         assert tree.root.label == 1
         assert tree.root.slots[0].label == 2
@@ -82,7 +77,7 @@ class TestSingleTreeBijection:
         assert distinguished_set(tree) == {1, 2, 3}
 
     def test_zero_rooted_tree(self):
-        tree = perm_to_tree(word("00112221", 3, 2))
+        tree = perm_to_tree(word_from_text("00112221"), 3)
         assert tree.root.label == 0
         assert len(tree.root.slots) == 3  # a 0 root has t+1 slots
         assert tree.root.slots[0] is None and tree.root.slots[1] is None
@@ -92,26 +87,26 @@ class TestSingleTreeBijection:
         assert distinguished_set(tree) == set()
 
     def test_zero_rooted_tree_with_leftmost_child(self):
-        tree = perm_to_tree(word("11222100", 3, 2))
+        tree = perm_to_tree(word_from_text("11222100"), 3)
         assert tree.root.label == 0
         assert tree.root.slots[0].label == 1
         assert leftmost_internal_set(tree) == {1}
         assert distinguished_set(tree) == {1}
 
     def test_root_counts_as_distinguished_only_without_zeros(self):
-        tree = perm_to_tree(word("133322211", 3, 0))
+        tree = perm_to_tree(word_from_text("133322211"), 3)
         assert leftmost_internal_set(tree) == {3}
         assert distinguished_set(tree) == {1, 3}
 
     def test_rejects_invalid_word(self):
         with pytest.raises(ValueError):
-            perm_to_tree(word("2112", 2, 0))
+            perm_to_tree(word_from_text("2112"), 2)
 
     def test_empty_word_gives_empty_tree(self):
-        tree = perm_to_tree(GenStirlingWord((), 2, 0))
+        tree = perm_to_tree((), 2)
         assert tree.root is None
         assert validate_tree(tree)
-        assert tree_to_perm(tree).letters == ()
+        assert tree_to_perm(tree) == ()
         assert distinguished_set(tree) == set()
 
     @pytest.mark.parametrize("nu,t", [(1, 0), (1, 2), (2, 0), (2, 1), (3, 2)])
@@ -120,39 +115,40 @@ class TestSingleTreeBijection:
         for n in range(5):
             for seq in enumerate_sequences(p, n):
                 (w,) = seq
-                tree = perm_to_tree(w)
+                tree = perm_to_tree(w, nu)
                 assert validate_tree(tree)
-                back = tree_to_perm(tree)
-                assert back.letters == w.letters
-                assert back.nu == w.nu and back.t == w.t
+                assert (tree.d, tree.t) == (nu + 1, t)
+                assert tree_to_perm(tree) == w
 
     @settings(max_examples=40, deadline=None)
     @given(insertion_words())
-    def test_random_insertion_paths(self, w):
-        tree = perm_to_tree(w)
+    def test_random_insertion_paths(self, drawn):
+        w, nu = drawn
+        tree = perm_to_tree(w, nu)
         assert validate_tree(tree)
         assert tree_to_perm(tree) == w
-        assert len(distinguished_set(tree)) == w.n - len(ascent_positions(w))
+        n = len(set(w) - {0})
+        assert len(distinguished_set(tree)) == n - len(ascent_positions(w))
 
     def test_deep_chain_needs_no_recursion(self):
-        w = GenStirlingWord(tuple(range(1, 3001)), 1, 0)
-        tree = perm_to_tree(w)
+        w = tuple(range(1, 3001))
+        tree = perm_to_tree(w, 1)
         assert validate_tree(tree)
         assert tree_to_perm(tree) == w
         assert distinguished_set(tree) == {1}
         assert tree_to_json(tree)["root"]["slots"][1]["label"] == 2
         dot = forest_to_dot((tree,))
         assert dot.count(" -> ") == 6000 and dot.count("shape=point") == 3001
-        twin = perm_to_tree(w)
+        twin = perm_to_tree(w, 1)
         assert tree == twin and hash(tree) == hash(twin)
-        assert tree != perm_to_tree(GenStirlingWord(tuple(range(1, 3000)), 1, 0))
+        assert tree != perm_to_tree(tuple(range(1, 3000)), 1)
         shown = repr(tree.root)
         assert shown.startswith("TreeNode(label=1, slots=(None, TreeNode(label=2, ")
         assert shown.count("TreeNode(") == 3000 and shown.endswith("))" * 3000)
 
     def test_node_repr_is_the_dataclass_form(self):
-        assert repr(perm_to_tree(word("1", 1, 0)).root) == "TreeNode(label=1, slots=(None, None))"
-        assert repr(perm_to_tree(word("1221", 2, 0)).root) == (
+        assert repr(perm_to_tree(word_from_text("1"), 1).root) == "TreeNode(label=1, slots=(None, None))"
+        assert repr(perm_to_tree(word_from_text("1221"), 2).root) == (
             "TreeNode(label=1, slots=(None, TreeNode(label=2, slots=(None, None, None)), None))"
         )
         assert repr(TreeNode(1, (None,))) == "TreeNode(label=1, slots=(None,))"
@@ -170,15 +166,15 @@ class TestSingleTreeBijection:
 
     def test_trees_are_distinct_across_words(self):
         p = Params(2, 1, 1)
-        trees = {perm_to_tree(w) for (w,) in enumerate_sequences(p, 3)}
+        trees = {perm_to_tree(w, 2) for (w,) in enumerate_sequences(p, 3)}
         assert len(trees) == 2 * 4 * 6
 
 
 class TestForestBijection:
     def test_sample_forest_statistics(self):
         seq = sample_forest()
-        forest = seq_to_forest(seq)
-        assert sum(w.n for w in seq) == 5
+        forest = seq_to_forest(seq, 3)
+        assert len(set().union(*seq) - {0}) == 5
         assert seq_ascent_count(seq) == 2
         assert [sorted(distinguished_set(tr)) for tr in forest] == [[2], [1, 5], [], []]
         assert sorted(forest_distinguished_set(forest)) == [1, 2, 5]
@@ -189,7 +185,7 @@ class TestForestBijection:
         p = Params(2, 2, 1, (1, 0))
         for n in range(4):
             for seq in enumerate_sequences(p, n):
-                forest = seq_to_forest(seq)
+                forest = seq_to_forest(seq, 2)
                 assert all(validate_tree(tr) for tr in forest)
                 assert tuple(tree_to_perm(tr) for tr in forest) == seq
 
@@ -200,21 +196,21 @@ class TestForestBijection:
                     p = Params(nu, s, t)
                     for n in range(4):
                         for seq in enumerate_sequences(p, n):
-                            pool = forest_distinguished_set(seq_to_forest(seq))
+                            pool = forest_distinguished_set(seq_to_forest(seq, nu))
                             assert len(pool) == n - seq_ascent_count(seq)
 
 
 class TestTreeShape:
     def test_labels_and_stats(self):
         # a root of arity 4 over 2 internal non-root nodes of arity 4
-        dot = forest_to_dot((perm_to_tree(word("133322211", 3, 0)),))
+        dot = forest_to_dot((perm_to_tree(word_from_text("133322211"), 3),))
         assert sorted(re.findall(r'^ +\S+ \[label="(\d+)"\];$', dot, re.M)) == ["1", "2", "3"]
         assert dot.count(" -> ") == 4 * 2 + 4
         assert dot.count("shape=point") == 3 * 2 + 4
 
     def test_zero_root_arity(self):
         # a 0-root with t + 1 = 3 slots over 1 internal node of arity 2
-        dot = forest_to_dot((perm_to_tree(word("010", 1, 2)),))
+        dot = forest_to_dot((perm_to_tree(word_from_text("010"), 1),))
         assert dot.count(" -> ") == 2 * 1 + 3
         assert dot.count("shape=point") == 1 * 1 + 3
 
@@ -317,7 +313,7 @@ def _mutants(tree):
 @st.composite
 def mutated_trees(draw):
     """A tree from a random insertion path, then up to three random one-step changes."""
-    tree = perm_to_tree(draw(insertion_words()))
+    tree = perm_to_tree(*draw(insertion_words()))
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         tree = draw(st.sampled_from(_mutants(tree)))
     return tree
@@ -333,7 +329,7 @@ class TestValidatorOracle:
             for t in (0, 1, 2):
                 for n in range(4):
                     for seq in enumerate_sequences(Params(nu, 1, t), n):
-                        tree = perm_to_tree(seq[0])
+                        tree = perm_to_tree(seq[0], nu)
                         assert validate_tree(tree) and oracle_validate_tree(tree)
                         for mutant in _mutants(tree):
                             verdict = validate_tree(mutant)
@@ -350,7 +346,7 @@ class TestValidatorOracle:
 
 class TestSerialization:
     def test_json_shape(self):
-        tree = perm_to_tree(word("1221", 2, 0))
+        tree = perm_to_tree(word_from_text("1221"), 2)
         payload = tree_to_json(tree)
         assert payload["t"] == 0 and payload["d"] == 3
         assert payload["root"]["label"] == 1
@@ -358,7 +354,7 @@ class TestSerialization:
         assert payload["root"]["slots"][0] is None
 
     def test_dot_contains_every_labelled_node(self):
-        tree = perm_to_tree(word("133322211", 3, 0))
+        tree = perm_to_tree(word_from_text("133322211"), 3)
         dot = forest_to_dot((tree,))
         assert dot.startswith("digraph forest {")
         for label in (1, 2, 3):
@@ -366,9 +362,9 @@ class TestSerialization:
 
     def test_forest_serializations_are_deterministic(self):
         seq = sample_forest()
-        forest = seq_to_forest(seq)
-        assert forest_to_json(forest) == forest_to_json(seq_to_forest(seq))
-        assert forest_to_dot(forest) == forest_to_dot(seq_to_forest(seq))
+        forest = seq_to_forest(seq, 3)
+        assert forest_to_json(forest) == forest_to_json(seq_to_forest(seq, 3))
+        assert forest_to_dot(forest) == forest_to_dot(seq_to_forest(seq, 3))
         assert len(forest_to_json(forest)) == 4
 
 
@@ -383,13 +379,13 @@ class TestMarkedCounts:
     @pytest.mark.parametrize("nu", [1, 2])
     @pytest.mark.parametrize("tvec", [(0,), (2,), (1, 0), (0, 2), (1, 1, 0)])
     def test_rows_match_validated_forests(self, nu, tvec):
-        # the slow route: wrapped objects through the validated public bijection
+        # the slow route: whole objects through the validated public bijection
         p = Params(nu, len(tvec), sum(tvec), tvec)
         rows = ward_marked_rows_up_to(p, 4)
         for n in range(5):
             slow = [0] * (n + 1)
             for seq in enumerate_sequences(Params(nu + 1, p.s, p.t, tvec), n):
-                pool = len(forest_distinguished_set(seq_to_forest(seq)))
+                pool = len(forest_distinguished_set(seq_to_forest(seq, nu + 1)))
                 for k in range(n + 1):
                     slow[k] += math.comb(pool, n - k)
             assert rows[n] == slow
@@ -444,7 +440,7 @@ def oracle_ward_marked_row(p, n):
     pools = Counter()
     for m, word, _, _ in _insertions(p.nu + 1, tvec, n):
         if m == n:
-            pools[sum(map(_pool_size, _entries(word, p.s), tvec))] += 1
+            pools[sum(map(_pool_size, _entries(word, p.s)))] += 1
     return [sum(c * math.comb(size, n - k) for size, c in pools.items()) for k in range(n + 1)]
 
 
@@ -500,9 +496,9 @@ class TestPoolTally:
                         for m, word, asc, up in _insertions(nu, tvec, 3):
                             obj = _entries(word, s)
                             pool, keep, gain = _child_pools(word, tvec)
-                            assert pool == built_pool_size(obj, tvec, nu)
+                            assert pool == built_pool_size(obj, nu)
                             built = Counter(
-                                built_pool_size(_entries(child, s), tvec, nu)
+                                built_pool_size(_entries(child, s), nu)
                                 for _, child, _, _ in _children(word, asc, up, (m + 1,) * nu)
                             )
                             assert +Counter({pool: keep, pool + 1: gain}) == built, (obj, tvec)
@@ -519,17 +515,18 @@ class TestPoolTally:
         assert _child_pools(flat(((2, 2, 1, 1), ())), (0, 0)) == (2, 4, 2)
 
 
-def built_pool_size(obj, tvec, nu):
+def built_pool_size(obj, nu):
     """The slow route: build the forest and collect its distinguished labels."""
-    forest = tuple(_tree(e, ti, nu + 1) for e, ti in zip(obj, tvec))
+    forest = tuple(_tree(e, nu + 1) for e in obj)
     return len(forest_distinguished_set(forest))
 
 
 class TestPoolSize:
     @settings(max_examples=60, deadline=None)
     @given(insertion_words())
-    def test_random_insertion_paths(self, w):
-        assert _pool_size(w.letters, w.t) == built_pool_size((w.letters,), (w.t,), w.nu)
+    def test_random_insertion_paths(self, drawn):
+        w, nu = drawn
+        assert _pool_size(w) == built_pool_size((w,), nu)
 
     def test_every_object_of_the_verify_grid(self):
         # ward-interpretation runs nu 1..2, s 1..2, t 0..2, n <= 4 on the words of order nu + 1
@@ -539,12 +536,12 @@ class TestPoolSize:
                     for tvec in _compositions_for(s, t):
                         for _, word, _, _ in _insertions(nu, tvec, 4):
                             obj = _entries(word, s)
-                            fast = sum(_pool_size(e, ti) for e, ti in zip(obj, tvec))
-                            assert fast == built_pool_size(obj, tvec, nu), (obj, tvec)
+                            fast = sum(map(_pool_size, obj))
+                            assert fast == built_pool_size(obj, nu), (obj, tvec)
 
     def test_known_trees(self):
-        assert _pool_size((), 0) == 0
-        assert _pool_size((3, 3, 3, 2, 2, 2, 1, 1, 1), 0) == 3
-        assert _pool_size((1, 3, 3, 3, 2, 2, 2, 1, 1), 0) == 2
-        assert _pool_size((1, 1, 2, 2, 2, 1, 0, 0), 2) == 1
-        assert _pool_size((0, 0, 1, 1, 2, 2, 2, 1), 2) == 0
+        assert _pool_size(()) == 0
+        assert _pool_size((3, 3, 3, 2, 2, 2, 1, 1, 1)) == 3
+        assert _pool_size((1, 3, 3, 3, 2, 2, 2, 1, 1)) == 2
+        assert _pool_size((1, 1, 2, 2, 2, 1, 0, 0)) == 1
+        assert _pool_size((0, 0, 1, 1, 2, 2, 2, 1)) == 0

@@ -209,6 +209,11 @@ class TestInversePair:
         # an integral ratio in any spelling is fine
         assert general_inverse_transform(row, 3, "4/2") == general_inverse_transform(row, 3, 2)
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_zero_denominator_ratio_is_a_value_error(self, direction):
+        with pytest.raises(ValueError, match="zero denominator"):
+            general_inverse_transform([1, 2, 1], 2, "2/0", direction)
+
     def test_float_entries_raise(self):
         with pytest.raises(TypeError):
             general_inverse_transform([1, 0.5], 1, 1)
