@@ -41,7 +41,6 @@ from .stirlingperm import (
     validate_word,
 )
 from .trees import (
-    IncTree,
     TreeNode,
     distinguished_set,
     forest_distinguished_set,
@@ -50,7 +49,7 @@ from .trees import (
     seq_to_forest,
     tree_to_perm,
 )
-from .verify import CheckResult, Report, run_all, run_suite
+from .verify import CheckResult, run_all, run_suite
 from .ward import (
     euler_to_ward,
     general_inverse_transform,
@@ -67,7 +66,6 @@ __all__ = [
     "Recurrence",
     "PolyST",
     "TruncSeries",
-    "IncTree",
     "TreeNode",
     "binomial",
     "rising_factorial",
@@ -101,7 +99,6 @@ __all__ = [
     "egf_eulerian_coeffs",
     "egf_ward_coeffs",
     "CheckResult",
-    "Report",
     "run_suite",
     "run_all",
     "__version__",

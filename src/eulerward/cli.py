@@ -37,7 +37,6 @@ from .stirlingperm import (
     ascent_positions,
     count_sequences,
     enumerate_sequences,
-    seq_ascent_count,
     validate_word,
     word_from_text,
     word_text,
@@ -168,10 +167,11 @@ def cmd_enumerate(args) -> int:
         )
         return 2
     for idx, seq in enumerate(enumerate_sequences(p, args.n)):
+        positions = [sorted(ascent_positions(w)) for w in seq]
         record = {
             "entries": [word_text(w) for w in seq],
-            "ascent_count": str(seq_ascent_count(seq)),
-            "ascent_positions": [[str(i) for i in sorted(ascent_positions(w))] for w in seq],
+            "ascent_count": str(sum(map(len, positions))),
+            "ascent_positions": [[str(i) for i in pos] for pos in positions],
         }
         if args.format == "jsonl":
             print(json.dumps(record, sort_keys=True))
@@ -194,8 +194,9 @@ def cmd_bijection(args) -> int:
     if not _labels_partition_range(seq):
         raise ValueError("the labels across the words must partition 1..n")
     # the words are valid (checked above), so _tree can skip perm_to_tree's check
-    forest = tuple(_tree(w, args.nu + 1) for w in seq)
-    n, j = len(set().union(*seq) - {0}), seq_ascent_count(seq)
+    forest = tuple(_tree(w) for w in seq)
+    positions = [sorted(ascent_positions(w)) for w in seq]
+    n, j = len(set().union(*seq) - {0}), sum(map(len, positions))
     dset = forest_distinguished_set(forest)
     payload = {
         "nu": str(args.nu),
@@ -203,8 +204,8 @@ def cmd_bijection(args) -> int:
         "n": str(n),
         "entries": [word_text(w) for w in seq],
         "ascent_count": str(j),
-        "ascent_positions": [[str(i) for i in sorted(ascent_positions(w))] for w in seq],
-        "forest": forest_to_json(forest),
+        "ascent_positions": [[str(i) for i in pos] for pos in positions],
+        "forest": forest_to_json(forest, args.nu),
         "leftmost_sets": [
             [str(x) for x in sorted(leftmost_internal_set(tr))] for tr in forest
         ],
@@ -225,15 +226,9 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "all":
-        payload = run_all()
-        passed = payload["passed"]
-    else:
-        report = run_suite(args.suite)
-        payload = report.to_json()
-        passed = report.passed
+    payload = run_all() if args.suite == "all" else run_suite(args.suite)
     print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0 if passed else 1
+    return 0 if payload["passed"] else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

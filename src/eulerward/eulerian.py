@@ -118,14 +118,6 @@ class Params(_Record):
             raise ValueError("a composition of t needs t >= 0")
         return (self.t,) + (0,) * (self.s - 1)
 
-    def st(self, mode: str = INT_MODE) -> tuple:
-        """(s, t) as these integers ("int" mode) or as the PolyST symbols ("poly")."""
-        if mode == INT_MODE:
-            return self.s, self.t
-        if mode == POLY_MODE:
-            return PolyST.s(), PolyST.t()
-        raise ValueError("mode must be 'int' or 'poly', got %r" % (mode,))
-
 
 class Recurrence(_Record):
     """The six coefficients of a two-term triangle recurrence
@@ -292,7 +284,8 @@ class Recurrence(_Record):
 
 
 class TriangleRows(_Record):
-    """Dense lower-triangular table; entry(n, k) = 0 outside 0 <= k <= n."""
+    """Dense lower-triangular table of rows 0..nmax; entry(n, k) = 0 outside
+    0 <= k <= n, and a row past nmax raises ValueError."""
 
     _fields = ("rows",)
 
@@ -304,17 +297,27 @@ class TriangleRows(_Record):
         return len(self.rows) - 1
 
     def row(self, n: int) -> tuple:
+        if not 0 <= n < len(self.rows):
+            raise ValueError("row %r is outside 0..nmax = %d" % (n, self.nmax))
         return self.rows[n]
 
     def entry(self, n: int, k: int):
-        if n < 0 or k < 0 or k > n or n > self.nmax:
+        if n > self.nmax:
+            raise ValueError("row %r is past nmax = %d" % (n, self.nmax))
+        if n < 0 or k < 0 or k > n:
             return 0
         return self.rows[n][k]
 
 
 def eulerian_recurrence(p: Params, mode: str = INT_MODE) -> Recurrence:
-    """The six coefficients of the nu-order (s,t)-Eulerian triangle."""
-    s, t = p.st(mode)
+    """The six coefficients of the nu-order (s,t)-Eulerian triangle; s and t
+    are p's integers in "int" mode and the PolyST symbols in "poly" mode."""
+    if mode == INT_MODE:
+        s, t = p.s, p.t
+    elif mode == POLY_MODE:
+        s, t = PolyST.s(), PolyST.t()
+    else:
+        raise ValueError("mode must be 'int' or 'poly', got %r" % (mode,))
     return Recurrence(0, 1, s, p.nu, -1, t + 1 - p.nu)
 
 

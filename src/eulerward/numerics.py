@@ -46,21 +46,16 @@ class _Record:
     ``_fields``; its ``__init__`` checks the arguments and hands the values,
     in that order, to ``_Record.__init__``.  Two instances are equal, and
     hash alike, when they are of the same class and their fields are equal
-    (never equal to a tuple of the values); the repr is
-    ``Name(field=value, ...)``; assigning or deleting an attribute raises
-    AttributeError.  ``frozen=False`` in the class statement keeps the
-    instances mutable and, as they could change, unhashable.
+    (never equal to a tuple of the values), and hashing one that holds an
+    unhashable value raises TypeError; the repr is ``Name(field=value, ...)``;
+    assigning or deleting an attribute raises AttributeError.
     """
 
     _fields: tuple = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.__match_args__ = cls._fields
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *values):
         # one object.__setattr__ per field, as dataclasses do: filling

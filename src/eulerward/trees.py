@@ -11,13 +11,17 @@ Labels increase along every root path, because the least letter of a factor
 is larger than the letter that cut it.  Reading the tree back in depth-first
 order, emitting each node's label between consecutive slots, inverts the
 construction exactly.  A word is a plain tuple of letters, as in
-``stirlingperm``: ``perm_to_tree(letters, nu)`` reads t off its zeros, and
-``tree_to_perm`` returns the letters.
+``stirlingperm``, and a tree is its root ``TreeNode``, or None for the empty
+tree.  The root fixes t: a 0-root with j slots has t = j - 1, and any other
+root, or none, has t = 0.  Every node but a 0-root has nu + 1 slots, so nu
+is shared by the whole forest and passed alongside, as it is for words:
+``perm_to_tree(letters, nu)`` returns the root and ``tree_to_perm(tree)``
+the letters.
 
 Statistics: E(T) collects the internal non-root nodes sitting in the first
-(leftmost) slot of their parent, and the distinguished pool D(T) is E(T) for
-t >= 1, E(T) plus the root label for t = 0 on a nonempty tree, and empty for
-the empty tree.  A forest is a plain tuple of trees.  Over a forest,
+(leftmost) slot of their parent, and the distinguished pool D(T) is E(T),
+plus the root label when the root is not the 0-node.  A forest is a plain
+tuple of roots.  Over a forest,
 |D(F)| = n - (total ascents of the word tuple), which is the bridge to the
 Ward numbers: the order-nu Ward number W(n, k) counts pairs (F, M) where F
 ranges over the forests of the order-(nu+1) word model and M over
@@ -43,12 +47,11 @@ import itertools
 from collections import Counter
 
 from .eulerian import Params
-from .numerics import _Record, binomial
+from .numerics import _Record, _require_int, binomial
 from .stirlingperm import _enumeration_params, _insertions, validate_word
 
 __all__ = [
     "TreeNode",
-    "IncTree",
     "perm_to_tree",
     "tree_to_perm",
     "seq_to_forest",
@@ -118,29 +121,19 @@ class TreeNode(_Record):
         return "".join(out)
 
 
-class IncTree(_Record):
-    """One increasing tree.
-
-    ``d`` is the slot count of every internal non-root node; the root has
-    t+1 slots and label 0 when t >= 1, and is an ordinary least-label node
-    with d slots when t = 0.  ``root`` is None only for the empty tree
-    (t = 0 and no labels).
-    """
-
-    _fields = ("t", "d", "root")
-
-    def __init__(self, t: int, d: int, root: TreeNode | None):
-        super().__init__(t, d, root)
+def _zeros(tree: TreeNode | None) -> int:
+    """The t of a tree, read off its root."""
+    return len(tree.slots) - 1 if tree is not None and tree.label == 0 else 0
 
 
-def perm_to_tree(letters: tuple[int, ...], nu: int) -> IncTree:
+def perm_to_tree(letters: tuple[int, ...], nu: int) -> TreeNode | None:
     """Factorize a valid order-nu word on least letters into its increasing tree."""
     if not validate_word(letters, nu):
         raise ValueError("not a valid order-%d generalized Stirling permutation: %r" % (nu, letters))
-    return _tree(letters, nu + 1)
+    return _tree(letters)
 
 
-def _tree(letters, d: int) -> IncTree:
+def _tree(letters) -> TreeNode | None:
     """Least-letter factorization of a valid word, in one left-to-right pass.
 
     The stack holds the nodes whose last slot is still open, labels
@@ -149,7 +142,7 @@ def _tree(letters, d: int) -> IncTree:
     node above x, then either fills the next slot of the open node x or opens
     x with ``done`` as its first slot.  A final -1, below every letter,
     closes all nodes and keeps the root (or None) as its only slot.
-    Validity of the word is assumed; its zeros are its t.
+    Validity of the word is assumed.
     """
     stack: list[tuple[int, list]] = []
     done = None
@@ -163,15 +156,15 @@ def _tree(letters, d: int) -> IncTree:
         else:
             stack.append((x, [done]))
         done = None
-    return IncTree(letters.count(0), d, stack[0][1][0])
+    return stack[0][1][0]
 
 
-def tree_to_perm(tree: IncTree) -> tuple[int, ...]:
+def tree_to_perm(tree: TreeNode | None) -> tuple[int, ...]:
     """Depth-first reading of a tree into its letters; exact inverse of
     perm_to_tree."""
     letters: list[int] = []
     # pending items, next on top: subtrees (None = external) and labels
-    stack: list = [tree.root]
+    stack: list = [tree]
     while stack:
         item = stack.pop()
         if isinstance(item, TreeNode):
@@ -183,7 +176,7 @@ def tree_to_perm(tree: IncTree) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def seq_to_forest(seq: tuple[tuple[int, ...], ...], nu: int) -> tuple[IncTree, ...]:
+def seq_to_forest(seq: tuple[tuple[int, ...], ...], nu: int) -> tuple[TreeNode | None, ...]:
     return tuple(perm_to_tree(w, nu) for w in seq)
 
 
@@ -196,29 +189,27 @@ def _walk(node: TreeNode):
         stack.extend(c for c in reversed(node.slots) if c is not None)
 
 
-def leftmost_internal_set(tree: IncTree) -> frozenset[int]:
+def leftmost_internal_set(tree: TreeNode | None) -> frozenset[int]:
     """Labels of internal non-root nodes occupying slot 1 of their parent."""
     found: set[int] = set()
-    if tree.root is None:
+    if tree is None:
         return frozenset()
-    for node in _walk(tree.root):
+    for node in _walk(tree):
         first = node.slots[0]
         if first is not None:
             found.add(first.label)
     return frozenset(found)
 
 
-def distinguished_set(tree: IncTree) -> frozenset[int]:
-    """The distinguished pool: E(T), plus the root label when t = 0."""
-    if tree.root is None:
-        return frozenset()
+def distinguished_set(tree: TreeNode | None) -> frozenset[int]:
+    """The distinguished pool: E(T), plus the root label unless the root is the 0-node."""
     base = leftmost_internal_set(tree)
-    if tree.t == 0:
-        return base | {tree.root.label}
-    return base
+    if tree is None or tree.label == 0:
+        return base
+    return base | {tree.label}
 
 
-def forest_distinguished_set(forest: tuple[IncTree, ...]) -> frozenset[int]:
+def forest_distinguished_set(forest: tuple[TreeNode | None, ...]) -> frozenset[int]:
     out: frozenset[int] = frozenset()
     for tr in forest:
         out = out | distinguished_set(tr)
@@ -318,37 +309,38 @@ def ward_marked_rows_up_to(p: Params, n: int) -> list[list[int]]:
     ]
 
 
-def validate_tree(tree: IncTree) -> bool:
-    """Audit the root, the arities and label growth along every edge.
+def validate_tree(tree: TreeNode | None, nu: int) -> bool:
+    """Audit the root, the arities and label growth along every edge of an
+    order-nu tree; the empty tree is valid.  A nu that is not an int raises
+    TypeError, as in ``validate_word``.
 
-    Nothing else can fail once these pass: every non-root node has d slots
-    and fills one slot of its parent, so the tree has d m + (root arity)
-    edges and (d-1) m + (root arity) external leaves for m non-root nodes,
-    and labels grow along every edge, so a t = 0 root holds the least label.
+    A 0-root needs at least 2 slots (t >= 1), and a labelled root and every
+    non-root node need d = nu + 1.  Nothing else can fail once these pass:
+    every non-root node fills one slot of its parent, so the tree has
+    d m + (root arity) edges and (d-1) m + (root arity) external leaves for
+    m non-root nodes, and labels grow along every edge, so a labelled root
+    holds the least label.
     """
-    if tree.d < 2:
+    _require_int("nu", nu)
+    if nu < 1:
         return False
-    if tree.root is None:
-        return tree.t == 0
-    root_arity = tree.t + 1 if tree.t >= 1 else tree.d
-    if len(tree.root.slots) != root_arity:
+    if tree is None:
+        return True
+    if tree.label < 0 or len(tree.slots) < 2 or tree.label > 0 and len(tree.slots) != nu + 1:
         return False
-    if tree.t >= 1 and tree.root.label != 0:
-        return False
-    if tree.t == 0 and tree.root.label <= 0:
-        return False
-    for node in _walk(tree.root):
+    for node in _walk(tree):
         for child in node.slots:
-            if child is not None and (len(child.slots) != tree.d or child.label <= node.label):
+            if child is not None and (len(child.slots) != nu + 1 or child.label <= node.label):
                 return False
     return True
 
 
-def tree_to_json(tree: IncTree) -> dict:
-    """Nested dict form: {'t', 'd', 'root'}, external slots as null."""
-    out = {"t": tree.t, "d": tree.d, "root": None}
+def tree_to_json(tree: TreeNode | None, nu: int) -> dict:
+    """Nested dict form: {'t', 'd', 'root'}, external slots as null; t is
+    read off the root and d is nu + 1."""
+    out = {"t": _zeros(tree), "d": nu + 1, "root": None}
     # (container, key, node): the node's dict goes to container[key]
-    stack = [(out, "root", tree.root)]
+    stack = [(out, "root", tree)]
     while stack:
         holder, key, node = stack.pop()
         if node is not None:
@@ -358,8 +350,8 @@ def tree_to_json(tree: IncTree) -> dict:
     return out
 
 
-def forest_to_json(forest: tuple[IncTree, ...]) -> list[dict]:
-    return [tree_to_json(tr) for tr in forest]
+def forest_to_json(forest: tuple[TreeNode | None, ...], nu: int) -> list[dict]:
+    return [tree_to_json(tr, nu) for tr in forest]
 
 
 def _emit_dot(root: TreeNode, prefix: str, lines: list[str]) -> None:
@@ -386,16 +378,16 @@ def _emit_dot(root: TreeNode, prefix: str, lines: list[str]) -> None:
             stack.extend((c, my_id, i) for i, c in reversed(list(enumerate(node.slots, 1))))
 
 
-def forest_to_dot(forest: tuple[IncTree, ...]) -> str:
+def forest_to_dot(forest: tuple[TreeNode | None, ...]) -> str:
     """GraphViz text for the digraph ``forest``, one cluster per tree; slot
     order is preserved as 1-based edge labels."""
     lines = ["digraph forest {", "  ordering=out;"]
     for i, tr in enumerate(forest):
         lines.append("  subgraph cluster_%d {" % (i,))
-        lines.append('    label="tree %d (t=%d)";' % (i + 1, tr.t))
-        if tr.root is not None:
+        lines.append('    label="tree %d (t=%d)";' % (i + 1, _zeros(tr)))
+        if tr is not None:
             sub: list[str] = []
-            _emit_dot(tr.root, "t%d_" % (i,), sub)
+            _emit_dot(tr, "t%d_" % (i,), sub)
             lines.extend("  " + l for l in sub)
         lines.append("  }")
     lines.append("}")

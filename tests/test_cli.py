@@ -442,7 +442,7 @@ class TestBijection:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(10_000)
         try:
-            assert json.loads(out)["forest"] == trees.forest_to_json(forest)
+            assert json.loads(out)["forest"] == trees.forest_to_json(forest, 1)
         finally:
             sys.setrecursionlimit(limit)
 
@@ -640,13 +640,6 @@ ARG_TOKENS = st.sampled_from(
 ) | st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
 
 
-class _StubReport:
-    passed = True
-
-    def to_json(self):
-        return {"suite": "stub"}
-
-
 class TestArgvProperty:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -657,7 +650,7 @@ class TestArgvProperty:
         # the suites themselves are tested above; here only argument handling runs
         out, err = io.StringIO(), io.StringIO()
         with mock.patch.object(cli, "run_all", lambda: {"passed": True}), \
-                mock.patch.object(cli, "run_suite", lambda name: _StubReport()), \
+                mock.patch.object(cli, "run_suite", lambda name: {"suite": "stub", "passed": True}), \
                 redirect_stdout(out), redirect_stderr(err):
             try:
                 code = main([command, *tokens])

@@ -91,6 +91,22 @@ class TestTriangles:
         tri = eulerian_table(Params(2, 2, 1), 3)
         assert tri.entry(2, -1) == 0
         assert tri.entry(2, 3) == 0
+        assert tri.entry(-1, 0) == 0
+
+    @pytest.mark.parametrize("n", [-1, -4, 4, 5])
+    def test_row_outside_the_table_raises(self, n):
+        # row(-1) once returned the last row and entry(5, 0) a 0 where E(5, 0) = 32
+        tri = eulerian_table(Params(1, 2, 0), 3)
+        with pytest.raises(ValueError, match=r"row %d .*nmax = 3" % n):
+            tri.row(n)
+        if n > 3:
+            for k in (0, 1, n + 1):
+                with pytest.raises(ValueError, match=r"row %d .*nmax = 3" % n):
+                    tri.entry(n, k)
+
+    def test_bad_mode_raises(self):
+        with pytest.raises(ValueError, match="mode must be 'int' or 'poly', got 'sym'"):
+            eulerian_recurrence(Params(1, 1, 0), "sym")
 
     def test_structural_zero_is_stored_in_the_row(self):
         tri = eulerian_table(Params(2, 1, 0), 3)

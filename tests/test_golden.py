@@ -1,7 +1,7 @@
 """Golden-output guard: sha256 digests of outputs that must not change.
 
 The digests pin the exact bytes of integer and symbolic tables in both
-formats, of the enumeration stream in both formats, of two bijection reports
+formats, of the enumeration stream in both formats, of five bijection reports
 and of every verify report; any change to the engine, the enumeration
 order, the tree bijection, the rendering or the verify report shows up here
 first.  A second set pins the series layer: T_nu and both egf coefficient
@@ -75,6 +75,19 @@ GOLDEN = [
     (
         "bijection 133322211 --nu 3",
         "63aa45454fb9ff3009f47d109b1d9f8040b76c1bc0fea65e06bb0c0317a91d3b",
+    ),
+    # t read off a 0-root, over one label and over none, and off the empty tree
+    (
+        "bijection 010 --nu 1",
+        "e66e7b8765862491ad72cf50eb998cc6f682379663d0693dfa2ec6146cb03ae4",
+    ),
+    (
+        "bijection 00 --nu 2",
+        "e3d914338d4668571e633c89e1e72419bc58bf8d89c00bf1fb9f254ce6ed057b",
+    ),
+    (
+        "bijection '' --nu 2",
+        "0960fab6fa4404a8728cfa29fb1d44140ba5f52068a17fd683eb89f836624fde",
     ),
     (
         "verify --suite all",

@@ -22,7 +22,6 @@ from eulerward.stirlingperm import (
     word_from_text,
 )
 from eulerward.trees import (
-    IncTree,
     TreeNode,
     _child_pools,
     _pool_size,
@@ -68,28 +67,27 @@ def sample_forest():
 class TestSingleTreeBijection:
     def test_chain_tree(self):
         tree = perm_to_tree(word_from_text("333222111"), 3)
-        assert tree.d == 4 and tree.t == 0
-        assert tree.root.label == 1
-        assert tree.root.slots[0].label == 2
-        assert tree.root.slots[1:] == (None, None, None)
-        assert tree.root.slots[0].slots[0].label == 3
+        assert tree.label == 1 and len(tree.slots) == 4
+        assert tree.slots[0].label == 2
+        assert tree.slots[1:] == (None, None, None)
+        assert tree.slots[0].slots[0].label == 3
         assert leftmost_internal_set(tree) == {2, 3}
         assert distinguished_set(tree) == {1, 2, 3}
 
     def test_zero_rooted_tree(self):
         tree = perm_to_tree(word_from_text("00112221"), 3)
-        assert tree.root.label == 0
-        assert len(tree.root.slots) == 3  # a 0 root has t+1 slots
-        assert tree.root.slots[0] is None and tree.root.slots[1] is None
-        assert tree.root.slots[2].label == 1
-        assert tree.root.slots[2].slots[2].label == 2
+        assert tree.label == 0
+        assert len(tree.slots) == 3  # a 0 root has t+1 slots
+        assert tree.slots[0] is None and tree.slots[1] is None
+        assert tree.slots[2].label == 1
+        assert tree.slots[2].slots[2].label == 2
         assert leftmost_internal_set(tree) == set()
         assert distinguished_set(tree) == set()
 
     def test_zero_rooted_tree_with_leftmost_child(self):
         tree = perm_to_tree(word_from_text("11222100"), 3)
-        assert tree.root.label == 0
-        assert tree.root.slots[0].label == 1
+        assert tree.label == 0
+        assert tree.slots[0].label == 1
         assert leftmost_internal_set(tree) == {1}
         assert distinguished_set(tree) == {1}
 
@@ -104,8 +102,8 @@ class TestSingleTreeBijection:
 
     def test_empty_word_gives_empty_tree(self):
         tree = perm_to_tree((), 2)
-        assert tree.root is None
-        assert validate_tree(tree)
+        assert tree is None
+        assert validate_tree(tree, 2)
         assert tree_to_perm(tree) == ()
         assert distinguished_set(tree) == set()
 
@@ -116,8 +114,8 @@ class TestSingleTreeBijection:
             for seq in enumerate_sequences(p, n):
                 (w,) = seq
                 tree = perm_to_tree(w, nu)
-                assert validate_tree(tree)
-                assert (tree.d, tree.t) == (nu + 1, t)
+                assert validate_tree(tree, nu)
+                assert trees._zeros(tree) == t
                 assert tree_to_perm(tree) == w
 
     @settings(max_examples=40, deadline=None)
@@ -125,7 +123,7 @@ class TestSingleTreeBijection:
     def test_random_insertion_paths(self, drawn):
         w, nu = drawn
         tree = perm_to_tree(w, nu)
-        assert validate_tree(tree)
+        assert validate_tree(tree, nu)
         assert tree_to_perm(tree) == w
         n = len(set(w) - {0})
         assert len(distinguished_set(tree)) == n - len(ascent_positions(w))
@@ -133,22 +131,22 @@ class TestSingleTreeBijection:
     def test_deep_chain_needs_no_recursion(self):
         w = tuple(range(1, 3001))
         tree = perm_to_tree(w, 1)
-        assert validate_tree(tree)
+        assert validate_tree(tree, 1)
         assert tree_to_perm(tree) == w
         assert distinguished_set(tree) == {1}
-        assert tree_to_json(tree)["root"]["slots"][1]["label"] == 2
+        assert tree_to_json(tree, 1)["root"]["slots"][1]["label"] == 2
         dot = forest_to_dot((tree,))
         assert dot.count(" -> ") == 6000 and dot.count("shape=point") == 3001
         twin = perm_to_tree(w, 1)
         assert tree == twin and hash(tree) == hash(twin)
         assert tree != perm_to_tree(tuple(range(1, 3000)), 1)
-        shown = repr(tree.root)
+        shown = repr(tree)
         assert shown.startswith("TreeNode(label=1, slots=(None, TreeNode(label=2, ")
         assert shown.count("TreeNode(") == 3000 and shown.endswith("))" * 3000)
 
     def test_node_repr_is_the_dataclass_form(self):
-        assert repr(perm_to_tree(word_from_text("1"), 1).root) == "TreeNode(label=1, slots=(None, None))"
-        assert repr(perm_to_tree(word_from_text("1221"), 2).root) == (
+        assert repr(perm_to_tree(word_from_text("1"), 1)) == "TreeNode(label=1, slots=(None, None))"
+        assert repr(perm_to_tree(word_from_text("1221"), 2)) == (
             "TreeNode(label=1, slots=(None, TreeNode(label=2, slots=(None, None, None)), None))"
         )
         assert repr(TreeNode(1, (None,))) == "TreeNode(label=1, slots=(None,))"
@@ -186,7 +184,7 @@ class TestForestBijection:
         for n in range(4):
             for seq in enumerate_sequences(p, n):
                 forest = seq_to_forest(seq, 2)
-                assert all(validate_tree(tr) for tr in forest)
+                assert all(validate_tree(tr, 2) for tr in forest)
                 assert tuple(tree_to_perm(tr) for tr in forest) == seq
 
     def test_statistic_identity_is_exhaustive(self):
@@ -217,54 +215,74 @@ class TestTreeShape:
     def test_validator_rejects_label_inversions(self):
         inner = TreeNode(1, (None, None, None))
         inverted = TreeNode(2, (inner, None, None))
-        assert not validate_tree(IncTree(0, 3, inverted))
+        assert not validate_tree(inverted, 2)
 
     def test_validator_rejects_wrong_root_arity(self):
         stub = TreeNode(1, (None, None))
-        assert not validate_tree(IncTree(0, 3, stub))
+        assert not validate_tree(stub, 2)
+
+    def test_validator_rejects_a_zero_root_with_one_slot(self):
+        assert validate_tree(TreeNode(0, (None, None)), 2)
+        assert not validate_tree(TreeNode(0, (None,)), 2)
+        assert not validate_tree(TreeNode(0, (TreeNode(1, (None, None, None)),)), 2)
+
+    def test_validator_rejects_a_negative_root(self):
+        assert not validate_tree(TreeNode(-1, (None, None, None)), 2)
+        assert not validate_tree(TreeNode(-1, (None, TreeNode(1, (None, None, None)), None)), 2)
+
+    @pytest.mark.parametrize("nu", ["2", 2.0, True])
+    def test_validator_rejects_a_non_integer_order(self, nu):
+        with pytest.raises(TypeError, match="nu must be an int"):
+            validate_tree(TreeNode(1, (None, None, None)), nu)
+
+    @pytest.mark.parametrize("nu", [0, -1])
+    def test_validator_rejects_an_order_below_one(self, nu):
+        assert not validate_tree(None, nu)
+        assert not validate_tree(TreeNode(0, (None, None)), nu)
 
 
 def oracle_tree_labels(tree):
     """Sorted labels of the tree, the 0-root excluded."""
-    if tree.root is None:
+    if tree is None:
         return ()
-    return tuple(sorted(node.label for node in trees._walk(tree.root) if node.label != 0))
+    return tuple(sorted(node.label for node in trees._walk(tree) if node.label != 0))
 
 
 def oracle_tree_stats(tree):
     """(internal non-root nodes, edges, external slots) of a tree."""
-    if tree.root is None:
+    if tree is None:
         return (0, 0, 0)
     nodes = slots = externals = 0
-    for node in trees._walk(tree.root):
+    for node in trees._walk(tree):
         nodes += 1
         slots += len(node.slots)
         externals += sum(1 for c in node.slots if c is None)
     return (nodes - 1, slots, externals)
 
 
-def oracle_validate_tree(tree):
-    """validate_tree plus the edge/leaf-count and least-label-root audits."""
-    if tree.d < 2:
+def oracle_validate_tree(tree, nu):
+    """validate_tree plus the edge/leaf-count and least-label-root audits,
+    with t read off the root: a 0-root with j slots is t = j - 1."""
+    d = nu + 1
+    if d < 2:
         return False
-    if tree.root is None:
-        return tree.t == 0
-    root_arity = tree.t + 1 if tree.t >= 1 else tree.d
-    if len(tree.root.slots) != root_arity:
+    if tree is None:
+        return True
+    t = len(tree.slots) - 1 if tree.label == 0 else 0
+    root_arity = t + 1 if t >= 1 else d
+    if len(tree.slots) != root_arity:
         return False
-    if tree.t >= 1 and tree.root.label != 0:
+    if t == 0 and tree.label <= 0:
         return False
-    if tree.t == 0 and tree.root.label <= 0:
-        return False
-    for node in trees._walk(tree.root):
+    for node in trees._walk(tree):
         for child in node.slots:
-            if child is not None and (len(child.slots) != tree.d or child.label <= node.label):
+            if child is not None and (len(child.slots) != d or child.label <= node.label):
                 return False
     labels = oracle_tree_labels(tree)
-    if tree.t == 0 and labels and tree.root.label != labels[0]:
+    if t == 0 and labels and tree.label != labels[0]:
         return False
     m, edges, externals = oracle_tree_stats(tree)
-    return edges == tree.d * m + root_arity and externals == (tree.d - 1) * m + root_arity
+    return edges == d * m + root_arity and externals == (d - 1) * m + root_arity
 
 
 def _paths(node, path=()):
@@ -295,28 +313,28 @@ def _node_mutations(node):
     return out
 
 
-def _mutants(tree):
-    """Trees one step away from tree: one node changed, or d or t shifted."""
-    out = [IncTree(tree.t, tree.d + delta, tree.root) for delta in (-1, 1)]
-    out += [IncTree(tree.t + delta, tree.d, tree.root) for delta in (-1, 1)]
-    if tree.root is not None:
-        for path in _paths(tree.root):
-            node = tree.root
+def _mutants(tree, nu):
+    """(tree, nu) pairs one step away from (tree, nu): one node changed, or nu shifted."""
+    out = [(tree, nu + delta) for delta in (-1, 1)]
+    if tree is not None:
+        for path in _paths(tree):
+            node = tree
             for i in path:
                 node = node.slots[i]
             for mutant in _node_mutations(node):
-                root = _replaced(tree.root, path, mutant)
-                out.append(IncTree(tree.t, tree.d, root))
+                out.append((_replaced(tree, path, mutant), nu))
     return out
 
 
 @st.composite
 def mutated_trees(draw):
-    """A tree from a random insertion path, then up to three random one-step changes."""
-    tree = perm_to_tree(*draw(insertion_words()))
+    """(tree, nu): a tree from a random insertion path, then up to three
+    random one-step changes."""
+    letters, nu = draw(insertion_words())
+    pair = (perm_to_tree(letters, nu), nu)
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        tree = draw(st.sampled_from(_mutants(tree)))
-    return tree
+        pair = draw(st.sampled_from(_mutants(*pair)))
+    return pair
 
 
 class TestValidatorOracle:
@@ -330,24 +348,24 @@ class TestValidatorOracle:
                 for n in range(4):
                     for seq in enumerate_sequences(Params(nu, 1, t), n):
                         tree = perm_to_tree(seq[0], nu)
-                        assert validate_tree(tree) and oracle_validate_tree(tree)
-                        for mutant in _mutants(tree):
-                            verdict = validate_tree(mutant)
-                            assert verdict == oracle_validate_tree(mutant), mutant
+                        assert validate_tree(tree, nu) and oracle_validate_tree(tree, nu)
+                        for mutant in _mutants(tree, nu):
+                            verdict = validate_tree(*mutant)
+                            assert verdict == oracle_validate_tree(*mutant), mutant
                             verdicts[verdict] += 1
         # both verdicts occur often, so the agreement is not vacuous
         assert min(verdicts.values()) > 1000
 
     @settings(max_examples=150, deadline=None)
     @given(mutated_trees())
-    def test_random_mutated_trees(self, tree):
-        assert validate_tree(tree) == oracle_validate_tree(tree)
+    def test_random_mutated_trees(self, pair):
+        assert validate_tree(*pair) == oracle_validate_tree(*pair)
 
 
 class TestSerialization:
     def test_json_shape(self):
         tree = perm_to_tree(word_from_text("1221"), 2)
-        payload = tree_to_json(tree)
+        payload = tree_to_json(tree, 2)
         assert payload["t"] == 0 and payload["d"] == 3
         assert payload["root"]["label"] == 1
         assert payload["root"]["slots"][1]["label"] == 2
@@ -363,9 +381,9 @@ class TestSerialization:
     def test_forest_serializations_are_deterministic(self):
         seq = sample_forest()
         forest = seq_to_forest(seq, 3)
-        assert forest_to_json(forest) == forest_to_json(seq_to_forest(seq, 3))
+        assert forest_to_json(forest, 3) == forest_to_json(seq_to_forest(seq, 3), 3)
         assert forest_to_dot(forest) == forest_to_dot(seq_to_forest(seq, 3))
-        assert len(forest_to_json(forest)) == 4
+        assert [tree["t"] for tree in forest_to_json(forest, 3)] == [2, 0, 1, 0]
 
 
 class TestMarkedCounts:
@@ -517,7 +535,7 @@ class TestPoolTally:
 
 def built_pool_size(obj, nu):
     """The slow route: build the forest and collect its distinguished labels."""
-    forest = tuple(_tree(e, nu + 1) for e in obj)
+    forest = tuple(_tree(e) for e in obj)
     return len(forest_distinguished_set(forest))
 
 

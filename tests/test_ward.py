@@ -331,5 +331,5 @@ class TestInvolution:
             for s in range(4):
                 for t in range(-2, 3):
                     p = Params(nu, s, t)
-                    ss, tt = p.st(mode)
+                    ss, tt = (s, t) if mode == "int" else (PolyST.s(), PolyST.t())
                     assert ward_recurrence(p, mode) == Recurrence(0, 1, ss, nu, 1, ss + tt - 1 - nu)
