@@ -44,7 +44,6 @@ from .stirlingperm import (
 from .trees import (
     _tree,
     distinguished_set,
-    forest_distinguished_set,
     forest_to_dot,
     forest_to_json,
     leftmost_internal_set,
@@ -197,7 +196,8 @@ def cmd_bijection(args) -> int:
     forest = tuple(_tree(w) for w in seq)
     positions = [sorted(ascent_positions(w)) for w in seq]
     n, j = len(set().union(*seq) - {0}), sum(map(len, positions))
-    dset = forest_distinguished_set(forest)
+    dsets = [distinguished_set(tr) for tr in forest]
+    dset = frozenset().union(*dsets)
     payload = {
         "nu": str(args.nu),
         "tvec": [str(x) for x in tvec],
@@ -209,9 +209,7 @@ def cmd_bijection(args) -> int:
         "leftmost_sets": [
             [str(x) for x in sorted(leftmost_internal_set(tr))] for tr in forest
         ],
-        "distinguished_sets": [
-            [str(x) for x in sorted(distinguished_set(tr))] for tr in forest
-        ],
+        "distinguished_sets": [[str(x) for x in sorted(d)] for d in dsets],
         "distinguished_union": [str(x) for x in sorted(dset)],
         "statistic": {
             "n_minus_ascents": str(n - j),

@@ -35,10 +35,10 @@ reads its |D(F)| off the factorization pass itself (``_stack_pass``,
 without building the trees) and tallies its children's pools gap by gap
 from the forest into the next order, so the last order is never built.
 
-The factorization is one left-to-right stack pass, and every other walk over
-a tree (reading, validation, statistics, equality, hashing, repr, JSON and
-DOT output) keeps its own stack, so a tree's depth is not bounded by the
-interpreter's recursion limit.
+The factorization is one left-to-right stack pass over the word, and every
+walk over a tree (reading, validation, statistics, equality, hashing, repr,
+JSON and DOT output) reads one stack-based Euler tour, ``_tour``, so a
+tree's depth is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -66,11 +66,32 @@ __all__ = [
 ]
 
 
+def _tour(tree: TreeNode | None):
+    """Euler tour of a tree, without recursion.  An internal node with d
+    slots yields (node, 0) on entry, (node, i) between slots i - 1 and i,
+    and (node, d) on exit, so a node without slots yields once; an
+    external slot yields (None, 0).  The stack holds the nodes left to
+    resume, each with its next slot; the walk steps straight into a child."""
+    stack = [(tree, 0)]
+    while stack:
+        node, i = stack.pop()
+        yield node, i
+        while node is not None and i < len(node.slots):
+            child = node.slots[i]
+            i += 1
+            if child is None:
+                yield None, 0
+            else:
+                stack.append((node, i))
+                node, i = child, 0
+            yield node, i
+
+
 class TreeNode(_Record):
     """Internal node: a label and an ordered tuple of slots (None = external).
 
-    Equality, hashing and repr walk the subtree with a stack, so they work
-    on trees of any depth.
+    Equality, hashing and repr read the subtree's ``_tour``, so they work on
+    trees of any depth.
     """
 
     _fields = ("label", "slots")
@@ -81,16 +102,9 @@ class TreeNode(_Record):
     def _preorder(self) -> tuple:
         """(label, slot count) per internal node and None per external slot,
         in pre-order; it determines the subtree."""
-        key = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, TreeNode):
-                key.append((node.label, len(node.slots)))
-                stack.extend(reversed(node.slots))
-            else:
-                key.append(node)
-        return tuple(key)
+        return tuple(
+            node if node is None else (node.label, len(node.slots)) for node, i in _tour(self) if i == 0
+        )
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -98,26 +112,23 @@ class TreeNode(_Record):
         return self._preorder() == other._preorder()
 
     def __hash__(self):
-        return hash(self._preorder())
+        # equal trees read alike, and the reading is the cheaper walk
+        return hash(tree_to_perm(self))
 
     def __repr__(self):
-        """The record form, TreeNode(label=1, slots=(None, ...)), built
-        without recursion."""
+        """The record form, TreeNode(label=1, slots=(None, ...))."""
         out = []
-        stack = [(False, self)]  # (True, text to copy) or (False, slot to show)
-        while stack:
-            is_text, item = stack.pop()
-            if is_text:
-                out.append(item)
-            elif isinstance(item, TreeNode):
-                out.append("TreeNode(label=%r, slots=(" % (item.label,))
-                stack.append((True, ",))" if len(item.slots) == 1 else "))"))
-                for i, child in enumerate(reversed(item.slots)):
-                    if i:
-                        stack.append((True, ", "))
-                    stack.append((False, child))
-            else:
-                out.append(repr(item))
+        for node, i in _tour(self):
+            if node is None:
+                out.append("None")
+                continue
+            d = len(node.slots)
+            if i == 0:
+                out.append("TreeNode(label=%r, slots=(" % (node.label,))
+            elif i < d:
+                out.append(", ")
+            if i == d:
+                out.append(",))" if d == 1 else "))")
         return "".join(out)
 
 
@@ -160,45 +171,23 @@ def _tree(letters) -> TreeNode | None:
 
 
 def tree_to_perm(tree: TreeNode | None) -> tuple[int, ...]:
-    """Depth-first reading of a tree into its letters; exact inverse of
-    perm_to_tree."""
-    letters: list[int] = []
-    # pending items, next on top: subtrees (None = external) and labels
-    stack: list = [tree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, TreeNode):
-            for child in reversed(item.slots[1:]):
-                stack += (child, item.label)
-            stack.append(item.slots[0])
-        elif item is not None:
-            letters.append(item)
-    return tuple(letters)
+    """Depth-first reading of a tree into its letters, each node's label
+    between consecutive slots; exact inverse of perm_to_tree."""
+    return tuple(node.label for node, i in _tour(tree) if 0 < i < len(node.slots))
 
 
 def seq_to_forest(seq: tuple[tuple[int, ...], ...], nu: int) -> tuple[TreeNode | None, ...]:
     return tuple(perm_to_tree(w, nu) for w in seq)
 
 
-def _walk(node: TreeNode):
-    """Every internal node of the subtree at node, in depth-first pre-order."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(c for c in reversed(node.slots) if c is not None)
+def _walk(tree: TreeNode | None):
+    """Every internal node of a tree, in depth-first pre-order."""
+    return (node for node, i in _tour(tree) if i == 0 and node is not None)
 
 
 def leftmost_internal_set(tree: TreeNode | None) -> frozenset[int]:
     """Labels of internal non-root nodes occupying slot 1 of their parent."""
-    found: set[int] = set()
-    if tree is None:
-        return frozenset()
-    for node in _walk(tree):
-        first = node.slots[0]
-        if first is not None:
-            found.add(first.label)
-    return frozenset(found)
+    return frozenset(node.slots[0].label for node in _walk(tree) if node.slots[0] is not None)
 
 
 def distinguished_set(tree: TreeNode | None) -> frozenset[int]:
@@ -210,10 +199,7 @@ def distinguished_set(tree: TreeNode | None) -> frozenset[int]:
 
 
 def forest_distinguished_set(forest: tuple[TreeNode | None, ...]) -> frozenset[int]:
-    out: frozenset[int] = frozenset()
-    for tr in forest:
-        out = out | distinguished_set(tr)
-    return out
+    return frozenset().union(*map(distinguished_set, forest))
 
 
 def _stack_pass(word, floor: int) -> tuple[int, int]:
@@ -310,12 +296,13 @@ def ward_marked_rows_up_to(p: Params, n: int) -> list[list[int]]:
 
 
 def validate_tree(tree: TreeNode | None, nu: int) -> bool:
-    """Audit the root, the arities and label growth along every edge of an
-    order-nu tree; the empty tree is valid.  A nu that is not an int raises
-    TypeError, as in ``validate_word``.
+    """Audit the root, the arities, distinct labels and label growth along
+    every edge of an order-nu tree; the empty tree is valid.  A nu that is
+    not an int raises TypeError, as in ``validate_word``.
 
     A 0-root needs at least 2 slots (t >= 1), and a labelled root and every
-    non-root node need d = nu + 1.  Nothing else can fail once these pass:
+    non-root node need d = nu + 1.  Each label is one letter value of the
+    word, so no two nodes share one.  Nothing else can fail once these pass:
     every non-root node fills one slot of its parent, so the tree has
     d m + (root arity) edges and (d-1) m + (root arity) external leaves for
     m non-root nodes, and labels grow along every edge, so a labelled root
@@ -328,26 +315,31 @@ def validate_tree(tree: TreeNode | None, nu: int) -> bool:
         return True
     if tree.label < 0 or len(tree.slots) < 2 or tree.label > 0 and len(tree.slots) != nu + 1:
         return False
+    labels = []
     for node in _walk(tree):
+        labels.append(node.label)
         for child in node.slots:
             if child is not None and (len(child.slots) != nu + 1 or child.label <= node.label):
                 return False
-    return True
+    return len(set(labels)) == len(labels)
 
 
 def tree_to_json(tree: TreeNode | None, nu: int) -> dict:
     """Nested dict form: {'t', 'd', 'root'}, external slots as null; t is
     read off the root and d is nu + 1."""
-    out = {"t": _zeros(tree), "d": nu + 1, "root": None}
-    # (container, key, node): the node's dict goes to container[key]
-    stack = [(out, "root", tree)]
-    while stack:
-        holder, key, node = stack.pop()
-        if node is not None:
-            slots = [None] * len(node.slots)
-            holder[key] = {"label": node.label, "slots": slots}
-            stack.extend((slots, i, c) for i, c in enumerate(node.slots))
-    return out
+    top: list = []
+    open_slots = [top]  # the slot list of each open node, under the top level
+    for node, i in _tour(tree):
+        if node is None:
+            open_slots[-1].append(None)
+            continue
+        if i == 0:
+            slots: list = []
+            open_slots[-1].append({"label": node.label, "slots": slots})
+            open_slots.append(slots)
+        if i == len(node.slots):
+            open_slots.pop()
+    return {"t": _zeros(tree), "d": nu + 1, "root": top[0]}
 
 
 def forest_to_json(forest: tuple[TreeNode | None, ...], nu: int) -> list[dict]:
@@ -356,26 +348,22 @@ def forest_to_json(forest: tuple[TreeNode | None, ...], nu: int) -> list[dict]:
 
 def _emit_dot(root: TreeNode, prefix: str, lines: list[str]) -> None:
     """Append one tree's nodes and edges in depth-first order; the edge into
-    an internal node follows its whole subtree."""
+    a slot's content follows its whole subtree."""
     internal, external = itertools.count(), itertools.count()
-    # pending work, next on top: (slot content, parent id, slot number) or a line
-    stack: list = [(root, None, 0)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            lines.append(item)
-            continue
-        node, parent, slot = item
+    ids: list[str] = []  # the ids of the open nodes, the root first
+    last = ""  # the id of the slot content just left
+    for node, i in _tour(root):
         if node is None:
-            my_id = "%se%d" % (prefix, next(external))
-            lines.append("  %s [shape=point];" % (my_id,))
+            last = "%se%d" % (prefix, next(external))
+            lines.append("  %s [shape=point];" % (last,))
+            continue
+        if i == 0:
+            ids.append("%sn%d" % (prefix, next(internal)))
+            lines.append('  %s [label="%d"];' % (ids[-1], node.label))
         else:
-            my_id = "%sn%d" % (prefix, next(internal))
-            lines.append('  %s [label="%d"];' % (my_id, node.label))
-        if parent is not None:
-            stack.append('  %s -> %s [label="%d"];' % (parent, my_id, slot))
-        if node is not None:
-            stack.extend((c, my_id, i) for i, c in reversed(list(enumerate(node.slots, 1))))
+            lines.append('  %s -> %s [label="%d"];' % (ids[-1], last, i))
+        if i == len(node.slots):
+            last = ids.pop()
 
 
 def forest_to_dot(forest: tuple[TreeNode | None, ...]) -> str:

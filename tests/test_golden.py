@@ -1,16 +1,16 @@
 """Golden-output guard: sha256 digests of outputs that must not change.
 
 The digests pin the exact bytes of integer and symbolic tables in both
-formats, of the enumeration stream in both formats, of five bijection reports
-and of every verify report; any change to the engine, the enumeration
-order, the tree bijection, the rendering or the verify report shows up here
-first.  A second set pins the series layer: T_nu and both egf coefficient
-routes, one exact rational per line.  A third set pins library outputs that
-faster routes replaced slower ones for (the row transform, the closed forms,
-the order-2 ratio expansion, the marked-forest rows, the ascent histograms,
-the series grid and the enumerate stream), each digest taken from the
-route it replaced, one space-separated row per line.  CI runs this file on
-every supported Python version.
+formats, of the enumeration stream in both formats, of six bijection reports
+(one over a 600-level chain) and of every verify report; any change to the
+engine, the enumeration order, the tree bijection, the rendering or the
+verify report shows up here first.  A second set pins the series layer: T_nu
+and both egf coefficient routes, one exact rational per line.  A third set
+pins library outputs that faster routes replaced slower ones for (the row
+transform, the closed forms, the order-2 ratio expansion, the marked-forest
+rows, the ascent histograms, the series grid and the enumerate stream), each
+digest taken from the route it replaced, one space-separated row per line.
+CI runs this file on every supported Python version.
 """
 
 import hashlib
@@ -34,6 +34,8 @@ from eulerward.series import (
 from eulerward.stirlingperm import ascent_histograms_up_to, count_sequences
 from eulerward.trees import ward_marked_rows_up_to
 from eulerward.verify import _compositions_for
+
+CHAIN_600 = " ".join(map(str, range(1, 601)))
 
 GOLDEN = [
     (
@@ -89,6 +91,12 @@ GOLDEN = [
         "bijection '' --nu 2",
         "0960fab6fa4404a8728cfa29fb1d44140ba5f52068a17fd683eb89f836624fde",
     ),
+    # a 600-level chain: its JSON nests 1200 deep, past the default
+    # recursion limit, so every walk behind the report must be iterative
+    (
+        "bijection '%s' --nu 1" % CHAIN_600,
+        "edbee1ed46115d8f2fa63b6ea12d5ac3702569b7f25c348fbb8c4181e6fea216",
+    ),
     (
         "verify --suite all",
         "56927cf20fb79e6be5c46eed8b7a2dc077232482073a2a71685bdb356ea8b0a0",
@@ -130,7 +138,9 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[argv for argv, _ in GOLDEN])
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN, ids=[argv.replace(CHAIN_600, "1 2 ... 600") for argv, _ in GOLDEN]
+)
 def test_output_digest(capsys, argv, digest):
     assert main(shlex.split(argv)) == 0
     out = capsys.readouterr().out

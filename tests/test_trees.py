@@ -19,6 +19,7 @@ from eulerward.stirlingperm import (
     count_sequences,
     enumerate_sequences,
     seq_ascent_count,
+    validate_word,
     word_from_text,
 )
 from eulerward.trees import (
@@ -230,6 +231,21 @@ class TestTreeShape:
         assert not validate_tree(TreeNode(-1, (None, None, None)), 2)
         assert not validate_tree(TreeNode(-1, (None, TreeNode(1, (None, None, None)), None)), 2)
 
+    @pytest.mark.parametrize(
+        "tree,nu",
+        [
+            # label 2 in two branches of root 1
+            (TreeNode(1, (TreeNode(2, (None,) * 3), None, TreeNode(2, (None,) * 3))), 2),
+            # label 3 in both slots of root 1
+            (TreeNode(1, (TreeNode(3, (None, None)), TreeNode(3, (None, None)))), 1),
+        ],
+        ids=["two-branches", "two-slots"],
+    )
+    def test_validator_rejects_a_repeated_label(self, tree, nu):
+        # each label is one letter value, so no word maps to such a tree
+        assert not validate_word(tree_to_perm(tree), nu)
+        assert not validate_tree(tree, nu)
+
     @pytest.mark.parametrize("nu", ["2", 2.0, True])
     def test_validator_rejects_a_non_integer_order(self, nu):
         with pytest.raises(TypeError, match="nu must be an int"):
@@ -241,11 +257,116 @@ class TestTreeShape:
         assert not validate_tree(TreeNode(0, (None, None)), nu)
 
 
+# The walks as they were before each became a reader of ``trees._tour``,
+# each keeping its own stack: oracles for the tour-based ones.
+
+
+def oracle_preorder(node):
+    key = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TreeNode):
+            key.append((node.label, len(node.slots)))
+            stack.extend(reversed(node.slots))
+        else:
+            key.append(node)
+    return tuple(key)
+
+
+def oracle_repr(node):
+    out = []
+    stack = [(False, node)]  # (True, text to copy) or (False, slot to show)
+    while stack:
+        is_text, item = stack.pop()
+        if is_text:
+            out.append(item)
+        elif isinstance(item, TreeNode):
+            out.append("TreeNode(label=%r, slots=(" % (item.label,))
+            stack.append((True, ",))" if len(item.slots) == 1 else "))"))
+            for i, child in enumerate(reversed(item.slots)):
+                if i:
+                    stack.append((True, ", "))
+                stack.append((False, child))
+        else:
+            out.append(repr(item))
+    return "".join(out)
+
+
+def oracle_tree_to_perm(tree):
+    letters = []
+    # pending items, next on top: subtrees (None = external) and labels
+    stack = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, TreeNode):
+            for child in reversed(item.slots[1:]):
+                stack += (child, item.label)
+            stack.append(item.slots[0])
+        elif item is not None:
+            letters.append(item)
+    return tuple(letters)
+
+
+def oracle_walk(node):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in reversed(node.slots) if c is not None)
+
+
+def oracle_leftmost_internal_set(tree):
+    found = set()
+    if tree is None:
+        return frozenset()
+    for node in oracle_walk(tree):
+        first = node.slots[0]
+        if first is not None:
+            found.add(first.label)
+    return frozenset(found)
+
+
+def oracle_tree_to_json(tree, nu):
+    out = {"t": trees._zeros(tree), "d": nu + 1, "root": None}
+    # (container, key, node): the node's dict goes to container[key]
+    stack = [(out, "root", tree)]
+    while stack:
+        holder, key, node = stack.pop()
+        if node is not None:
+            slots = [None] * len(node.slots)
+            holder[key] = {"label": node.label, "slots": slots}
+            stack.extend((slots, i, c) for i, c in enumerate(node.slots))
+    return out
+
+
+def oracle_emit_dot(root, prefix, lines):
+    internal, external = itertools.count(), itertools.count()
+    # pending work, next on top: (slot content, parent id, slot number) or a line
+    stack = [(root, None, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, parent, slot = item
+        if node is None:
+            my_id = "%se%d" % (prefix, next(external))
+            lines.append("  %s [shape=point];" % (my_id,))
+        else:
+            my_id = "%sn%d" % (prefix, next(internal))
+            lines.append('  %s [label="%d"];' % (my_id, node.label))
+        if parent is not None:
+            stack.append('  %s -> %s [label="%d"];' % (parent, my_id, slot))
+        if node is not None:
+            stack.extend((c, my_id, i) for i, c in reversed(list(enumerate(node.slots, 1))))
+
+
 def oracle_tree_labels(tree):
     """Sorted labels of the tree, the 0-root excluded."""
     if tree is None:
         return ()
-    return tuple(sorted(node.label for node in trees._walk(tree) if node.label != 0))
+    return tuple(sorted(node.label for node in oracle_walk(tree) if node.label != 0))
 
 
 def oracle_tree_stats(tree):
@@ -253,7 +374,7 @@ def oracle_tree_stats(tree):
     if tree is None:
         return (0, 0, 0)
     nodes = slots = externals = 0
-    for node in trees._walk(tree):
+    for node in oracle_walk(tree):
         nodes += 1
         slots += len(node.slots)
         externals += sum(1 for c in node.slots if c is None)
@@ -262,7 +383,8 @@ def oracle_tree_stats(tree):
 
 def oracle_validate_tree(tree, nu):
     """validate_tree plus the edge/leaf-count and least-label-root audits,
-    with t read off the root: a 0-root with j slots is t = j - 1."""
+    with t read off the root: a 0-root with j slots is t = j - 1.  Labels
+    must be distinct, since each letter of a word is one node."""
     d = nu + 1
     if d < 2:
         return False
@@ -274,11 +396,13 @@ def oracle_validate_tree(tree, nu):
         return False
     if t == 0 and tree.label <= 0:
         return False
-    for node in trees._walk(tree):
+    for node in oracle_walk(tree):
         for child in node.slots:
             if child is not None and (len(child.slots) != d or child.label <= node.label):
                 return False
     labels = oracle_tree_labels(tree)
+    if len(set(labels)) != len(labels):
+        return False
     if t == 0 and labels and tree.label != labels[0]:
         return False
     m, edges, externals = oracle_tree_stats(tree)
@@ -360,6 +484,77 @@ class TestValidatorOracle:
     @given(mutated_trees())
     def test_random_mutated_trees(self, pair):
         assert validate_tree(*pair) == oracle_validate_tree(*pair)
+
+
+def small_trees_and_mutants():
+    """(tree, nu, base) for every tree of the words with nu <= 3, t <= 2 and
+    n <= 3, as its own base, and for each of its one-step mutants."""
+    for nu in (1, 2, 3):
+        for t in (0, 1, 2):
+            for n in range(4):
+                for (w,) in enumerate_sequences(Params(nu, 1, t), n):
+                    base = perm_to_tree(w, nu)
+                    for tree, mu in [(base, nu), *_mutants(base, nu)]:
+                        yield tree, mu, base
+
+
+def same_dot(tree, monkeypatch):
+    """Whether forest_to_dot of the tree reads the same with the oracle emitter."""
+    got = forest_to_dot((tree,))
+    with monkeypatch.context() as patch:
+        patch.setattr(trees, "_emit_dot", oracle_emit_dot)
+        return got == forest_to_dot((tree,))
+
+
+class TestWalkOracles:
+    """Every tree walk reads ``trees._tour``; each must print, compare and
+    read exactly as its own-stack oracle did."""
+
+    def test_every_small_tree_and_every_one_step_mutant(self, monkeypatch):
+        seen = Counter()
+        for tree, nu, base in small_trees_and_mutants():
+            assert tree_to_perm(tree) == oracle_tree_to_perm(tree), tree
+            assert leftmost_internal_set(tree) == oracle_leftmost_internal_set(tree), tree
+            assert tree_to_json(tree, nu) == oracle_tree_to_json(tree, nu)
+            assert same_dot(tree, monkeypatch), tree
+            if tree is None:
+                continue
+            assert repr(tree) == oracle_repr(tree)
+            key = oracle_preorder(tree)
+            assert tree._preorder() == key
+            # equal to its base exactly when the pre-order keys are, and
+            # then hashed alike
+            equal = tree == base
+            assert equal == (key == oracle_preorder(base))
+            assert not equal or hash(tree) == hash(base)
+            seen["equal" if equal else "differs"] += 1
+            seen["one-slot"] += any(len(node.slots) == 1 for node in oracle_walk(tree))
+        # the mutants reach one-slot nodes and differ from their base
+        assert min(seen.values()) > 1000, seen
+
+    def test_nodes_without_slots(self, monkeypatch):
+        # no word makes a slotless node, and no one-step mutant of a word's
+        # tree has one; the walks still agree on them, except that
+        # tree_to_perm reads such a node as no letter where the own-stack
+        # reading raised IndexError
+        for tree in (
+            TreeNode(1, ()),
+            TreeNode(1, (TreeNode(2, ()), None)),
+            TreeNode(0, (None, TreeNode(2, ()), TreeNode(3, (None,)))),
+        ):
+            assert repr(tree) == oracle_repr(tree)
+            assert tree._preorder() == oracle_preorder(tree)
+            assert tree_to_json(tree, 1) == oracle_tree_to_json(tree, 1)
+            assert same_dot(tree, monkeypatch)
+            for walk in (leftmost_internal_set, oracle_leftmost_internal_set, oracle_tree_to_perm):
+                with pytest.raises(IndexError):
+                    walk(tree)
+            assert not validate_tree(tree, 1)
+        assert repr(TreeNode(1, (TreeNode(2, ()), None))) == (
+            "TreeNode(label=1, slots=(TreeNode(label=2, slots=()), None))"
+        )
+        assert tree_to_perm(TreeNode(1, (TreeNode(2, ()), None))) == (1,)
+        assert tree_to_perm(TreeNode(1, ())) == ()
 
 
 class TestSerialization:
