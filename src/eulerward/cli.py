@@ -43,7 +43,7 @@ from .stirlingperm import (
 )
 from .trees import (
     _tree,
-    distinguished_set,
+    _with_root,
     forest_to_dot,
     forest_to_json,
     leftmost_internal_set,
@@ -196,7 +196,8 @@ def cmd_bijection(args) -> int:
     forest = tuple(_tree(w) for w in seq)
     positions = [sorted(ascent_positions(w)) for w in seq]
     n, j = len(set().union(*seq) - {0}), sum(map(len, positions))
-    dsets = [distinguished_set(tr) for tr in forest]
+    esets = [leftmost_internal_set(tr) for tr in forest]
+    dsets = [_with_root(tr, e) for tr, e in zip(forest, esets)]
     dset = frozenset().union(*dsets)
     payload = {
         "nu": str(args.nu),
@@ -206,9 +207,7 @@ def cmd_bijection(args) -> int:
         "ascent_count": str(j),
         "ascent_positions": [[str(i) for i in pos] for pos in positions],
         "forest": forest_to_json(forest, args.nu),
-        "leftmost_sets": [
-            [str(x) for x in sorted(leftmost_internal_set(tr))] for tr in forest
-        ],
+        "leftmost_sets": [[str(x) for x in sorted(e)] for e in esets],
         "distinguished_sets": [[str(x) for x in sorted(d)] for d in dsets],
         "distinguished_union": [str(x) for x in sorted(dset)],
         "statistic": {

@@ -8,10 +8,13 @@ provides the generalized binomial coefficient, rising and falling factorials
 that also accept polynomial arguments, Stirling subset numbers, their
 associated variant (every block of size at least 2), and ``PolyST``, a small
 sparse polynomial type in the two indeterminates s and t used by the triangle
-builders when s and t are left symbolic.  Beside it sits ``_Kronecker``, the
-packing that lets the triangle engine run on plain ints in poly mode and read
-each entry back into a ``PolyST`` once, and ``_Record``, the base of the
-package's record classes.
+builders when s and t are left symbolic.  A ``PolyST`` stores its terms as two
+aligned tuples, exponent pairs and nonzero coefficients, in ascending
+(degree in t, degree in s) order; tuples take well under half the memory of a
+dict per term, which counts in poly tables of tens of thousands of terms.
+Beside it sits ``_Kronecker``, the packing that lets the triangle engine run
+on plain ints in poly mode and read each entry back into a ``PolyST`` once,
+and ``_Record``, the base of the package's record classes.
 
 Everything here is immutable and pure; values can be shared freely between
 threads.
@@ -24,7 +27,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from operator import sub
+from operator import itemgetter, sub
 
 __all__ = [
     "as_fraction",
@@ -236,14 +239,22 @@ def assoc_stirling_subset(n: int, k: int) -> int:
     return sum((-1) ** j * math.comb(n, j) * stirling_subset(n - j, k - j) for j in range(k + 1))
 
 
+def _sorted_terms(clean: dict) -> tuple:
+    """(keys, coeffs) of a term map in the order PolyST stores: ascending (degree in t, degree in s)."""
+    keys = sorted(clean, key=itemgetter(1, 0))
+    return tuple(keys), tuple([clean[key] for key in keys])
+
+
 class PolyST:
     """Polynomial in the two indeterminates s and t with integer coefficients.
 
-    Immutable and sparse: a map (degree in s, degree in t) -> coefficient with
-    no zero coefficients stored; exponents and coefficients must be ints
-    (floats and bools raise TypeError).  Mixed arithmetic with plain ints
-    works on either side, and :meth:`evaluate` at an integer point (s0, t0)
-    is a ring homomorphism onto the integers, which is what lets a
+    Immutable and sparse: two aligned tuples, ``_keys`` of exponent pairs
+    (degree in s, degree in t) and ``_coeffs`` of their nonzero int
+    coefficients, both in ascending (degree in t, degree in s) order, so
+    equal polynomials hold equal tuples.  Exponents and coefficients must be
+    ints (floats and bools raise TypeError).  Mixed arithmetic with plain
+    ints works on either side, and :meth:`evaluate` at an integer point
+    (s0, t0) is a ring homomorphism onto the integers, which is what lets a
     symbolically built triangle be checked against its integer-mode twin.
 
     >>> p = (PolyST.s() + PolyST.t()) * (PolyST.s() + PolyST.t() + 1)
@@ -253,7 +264,7 @@ class PolyST:
     '1*s^0*t^0+2*s^1*t^0'
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_keys", "_coeffs")
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -269,26 +280,30 @@ class PolyST:
                 clean[key] = acc
             elif key in clean:
                 del clean[key]
-        object.__setattr__(self, "_terms", clean)
+        keys, coeffs = _sorted_terms(clean)
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyST is immutable")
 
     @classmethod
-    def _of(cls, clean: dict) -> "PolyST":
-        """Wrap a term map that already has int keys and no zero coefficient.
+    def _of(cls, keys: tuple, coeffs: tuple) -> "PolyST":
+        """Wrap aligned tuples that already have int keys in the stored order
+        and no zero coefficient.
 
-        The arithmetic below builds its results that way, so it skips the
-        validating merge of ``__init__``.
+        The arithmetic below and ``_Kronecker.unpack`` build their results
+        that way, so they skip the validating merge of ``__init__``.
         """
         out = object.__new__(cls)
-        object.__setattr__(out, "_terms", clean)
+        object.__setattr__(out, "_keys", keys)
+        object.__setattr__(out, "_coeffs", coeffs)
         return out
 
     @classmethod
     def constant(cls, c: int) -> "PolyST":
         _require_int("a PolyST coefficient", c)
-        return cls._of({(0, 0): c} if c else {})
+        return cls._of(((0, 0),), (c,)) if c else cls._of((), ())
 
     @classmethod
     def s(cls) -> "PolyST":
@@ -300,8 +315,8 @@ class PolyST:
 
     @property
     def terms(self) -> dict:
-        """Copy of the sparse term map."""
-        return dict(self._terms)
+        """The sparse term map (degree in s, degree in t) -> coefficient, as a new dict."""
+        return dict(zip(self._keys, self._coeffs))
 
     @staticmethod
     def _coerce(other) -> "PolyST | None":
@@ -315,19 +330,19 @@ class PolyST:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        merged = dict(self._terms)
-        for key, c in o._terms.items():
+        merged = self.terms
+        for key, c in zip(o._keys, o._coeffs):
             acc = merged.get(key, 0) + c
             if acc:
                 merged[key] = acc
             elif key in merged:
                 del merged[key]
-        return PolyST._of(merged)
+        return PolyST._of(*_sorted_terms(merged))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyST._of({key: -c for key, c in self._terms.items()})
+        return PolyST._of(self._keys, tuple([-c for c in self._coeffs]))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -346,15 +361,16 @@ class PolyST:
         if o is None:
             return NotImplemented
         out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in o._terms.items():
+        right = list(zip(o._keys, o._coeffs))
+        for (a1, b1), c1 in zip(self._keys, self._coeffs):
+            for (a2, b2), c2 in right:
                 key = (a1 + a2, b1 + b2)
                 acc = out.get(key, 0) + c1 * c2
                 if acc:
                     out[key] = acc
                 elif key in out:
                     del out[key]
-        return PolyST._of(out)
+        return PolyST._of(*_sorted_terms(out))
 
     __rmul__ = __mul__
 
@@ -371,7 +387,7 @@ class PolyST:
         """Substitute integers for s and t."""
         _require_int("s0", s0)
         _require_int("t0", t0)
-        return sum(c * s0**a * t0**b for (a, b), c in self._terms.items())
+        return sum(c * s0**a * t0**b for (a, b), c in zip(self._keys, self._coeffs))
 
     def render(self) -> str:
         """Canonical text form: 'c*s^a*t^b' terms joined by '+'.
@@ -380,11 +396,11 @@ class PolyST:
         always written, so the output parses unambiguously and is identical
         across runs.  The zero polynomial renders as '0'.
         """
-        if not self._terms:
+        if not self._keys:
             return "0"
         parts = [
             "%d*s^%d*t^%d" % (c, a, b)
-            for (a, b), c in sorted(self._terms.items())
+            for (a, b), c in sorted(zip(self._keys, self._coeffs))
         ]
         return "+".join(parts)
 
@@ -392,12 +408,12 @@ class PolyST:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._terms == o._terms
+        return self._keys == o._keys and self._coeffs == o._coeffs
 
     def __hash__(self):
-        if self._terms.keys() <= {(0, 0)}:  # a constant equals its int, so it hashes as that int
-            return hash(self._terms.get((0, 0), 0))
-        return hash(frozenset(self._terms.items()))
+        if self._keys in ((), ((0, 0),)):  # a constant equals its int, so it hashes as that int
+            return hash(sum(self._coeffs))
+        return hash((self._keys, self._coeffs))
 
     def __repr__(self):
         return "PolyST(%s)" % self.render()
@@ -438,14 +454,17 @@ class _Kronecker:
         Times a packed x, those terms are the sum of c * (x << shift):
         shifts and small multiplies, never a product with p's packed value.
         """
-        terms = sorted(p._terms.items())
+        terms = sorted(zip(p._keys, p._coeffs))
         return tuple((c, self.bits * (a + self.width * b)) for (a, b), c in terms if a or b)
 
     def unpack(self, xs, degrees) -> list:
         """The PolyST of each packed int in xs, given its (s-degree, t-degree) bounds.
 
         Per int: one addition of the offset, one ``to_bytes``, then one
-        C-level read per power of t of the slots within the bounds.
+        C-level read per power of t of the slots within the bounds.  The
+        slots come out in ascending (t-degree, s-degree) order, which is the
+        order a PolyST stores, so ``compress`` and ``filter`` give its two
+        tuples directly: no dict and no sort.
         """
         width, size, bits, keys, runs = self.width, self._size, self.bits, self._keys, self._runs
         out = []
@@ -457,5 +476,5 @@ class _Kronecker:
             digits = chain.from_iterable([runs[a](buf, i * size) for i in starts])
             coeffs = list(map(sub, map(int.from_bytes, digits, repeat("little")), repeat(self._half)))
             found = compress(chain.from_iterable([keys[i : i + a + 1] for i in starts]), coeffs)
-            out.append(PolyST._of(dict(zip(found, filter(None, coeffs)))))
+            out.append(PolyST._of(tuple(found), tuple(filter(None, coeffs))))
         return out

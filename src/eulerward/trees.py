@@ -192,7 +192,11 @@ def leftmost_internal_set(tree: TreeNode | None) -> frozenset[int]:
 
 def distinguished_set(tree: TreeNode | None) -> frozenset[int]:
     """The distinguished pool: E(T), plus the root label unless the root is the 0-node."""
-    base = leftmost_internal_set(tree)
+    return _with_root(tree, leftmost_internal_set(tree))
+
+
+def _with_root(tree: TreeNode | None, base: frozenset[int]) -> frozenset[int]:
+    """D(T) from base = E(T): the root's rule of ``distinguished_set``."""
     if tree is None or tree.label == 0:
         return base
     return base | {tree.label}

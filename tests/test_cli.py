@@ -414,6 +414,21 @@ class TestBijection:
             [(2, 3, 3, 3, 2, 2, 0, 0), (5, 5, 5, 1, 1, 1), (0, 4, 4, 4), ()]
         )
 
+    def test_each_leftmost_set_is_built_once(self, capsys, monkeypatch):
+        # the D sets derive from the E sets already built, not from a second walk
+        calls = []
+        real = trees.leftmost_internal_set
+
+        def counting(tree):
+            calls.append(tree)
+            return real(tree)
+
+        for module in (cli, trees):
+            monkeypatch.setattr(module, "leftmost_internal_set", counting)
+        code, out, _ = run_cli(capsys, "bijection", "23332200", "555111", "0444", "", "--nu", "3")
+        assert code == 0 and len(calls) == 4
+        assert json.loads(out)["distinguished_sets"] == [["2"], ["1", "5"], [], []]
+
     def test_deep_tree_prints(self):
         # a 3000-level chain prints about 100 MB, so only its size and tail are kept
         class Tail(io.TextIOBase):

@@ -1,6 +1,7 @@
 """Binomials, factorial products, Stirling arrays, and s,t polynomials."""
 
 import doctest
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import eulerward.numerics as numerics
+from eulerward.eulerian import Params, eulerian_recurrence
 from eulerward.numerics import (
     PolyST,
     as_fraction,
@@ -17,6 +19,7 @@ from eulerward.numerics import (
     rising_factorial,
     stirling_subset,
 )
+from eulerward.ward import ward_recurrence, ward_table
 
 small_int = st.integers(min_value=-30, max_value=30)
 small_nat = st.integers(min_value=0, max_value=12)
@@ -180,6 +183,25 @@ class TestStirlingArrays:
         assert assoc_stirling_subset(7, 3) == 105
 
 
+def _assert_stored(p):
+    """p holds two aligned tuples: exponent pairs strictly ascending in
+    (degree in t, degree in s) and nonzero int coefficients; its term map
+    rebuilds an equal PolyST that hashes alike."""
+    assert type(p._keys) is tuple and type(p._coeffs) is tuple
+    assert len(p._keys) == len(p._coeffs)
+    assert all(type(x) is int and x >= 0 for key in p._keys for x in key)
+    order = [(b, a) for a, b in p._keys]
+    assert all(x < y for x, y in zip(order, order[1:])), p._keys
+    assert all(type(c) is int and c != 0 for c in p._coeffs)
+    rebuilt = PolyST(p.terms)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+_small_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=6
+)
+
+
 class TestPolyST:
     def test_render_golden(self):
         p = (PolyST.s() + PolyST.t()) * PolyST.s() + 3
@@ -240,24 +262,21 @@ class TestPolyST:
             assert len({p, c}) == 1 and c in {p} and p in {c}
         assert hash(PolyST()) == hash(0)
 
-    @given(
-        st.dictionaries(
-            st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=6
-        ),
-        st.dictionaries(
-            st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=6
-        ),
-        st.integers(min_value=-3, max_value=3),
-    )
+    @given(_small_terms, _small_terms, st.integers(min_value=-3, max_value=3))
     def test_arithmetic_results_are_clean(self, a, b, c):
         p, q = PolyST(a), PolyST(b)
-        results = [p + q, p - q, p * q, -p, p + c, c + p, p - c, c - p, p * c, c * p, p**2]
+        results = [p + q, p - q, p * q, -p, p + c, c + p, p - c, c - p, p * c, c * p, p**2, p**0]
         for r in results:
             terms = r.terms
             assert r == PolyST(terms)
             assert 0 not in terms.values()
             assert all(type(x) is int for key in terms for x in key)
+            _assert_stored(r)
         assert not PolyST.constant(0).terms and PolyST.constant(c) == PolyST({(0, 0): c})
+        # one polynomial reached by different routes: equal and hashed alike
+        for x, y in ((p + q, q + p), (p - q, p + (-q)), (p * q, q * p), (p**2, p * p), (c - p, -(p - c))):
+            assert x == y and hash(x) == hash(y)
+        assert PolyST(list(a.items())) == p
 
     @pytest.mark.parametrize(
         "build",
@@ -276,6 +295,51 @@ class TestPolyST:
     def test_rejects_non_integer_exponents_and_coefficients(self, build):
         with pytest.raises(TypeError):
             build()
+
+
+class TestStorage:
+    def test_init_from_a_dict_and_from_pairs(self):
+        p = PolyST({(2, 0): 3, (0, 1): -1, (1, 1): 5, (0, 0): 4})
+        assert p._keys == ((0, 0), (2, 0), (0, 1), (1, 1))
+        assert p._coeffs == (4, 3, -1, 5)
+        # out of order, with one term given twice and one that cancels
+        pairs = [((1, 1), 2), ((0, 0), 4), ((3, 2), 7), ((2, 0), 3), ((1, 1), 3), ((0, 1), -1), ((3, 2), -7)]
+        q = PolyST(pairs)
+        for r in (p, q):
+            _assert_stored(r)
+        assert q == p and hash(q) == hash(p)
+        assert PolyST([((1, 0), 2), ((1, 0), -2)])._keys == ()
+
+    def test_constant_and_the_symbols(self):
+        for p in (PolyST(), PolyST.constant(0), PolyST.constant(-5), PolyST.s(), PolyST.t()):
+            _assert_stored(p)
+        assert PolyST.constant(0)._keys == PolyST()._keys == ()
+        assert (PolyST.constant(-5)._keys, PolyST.constant(-5)._coeffs) == (((0, 0),), (-5,))
+        assert (PolyST.s()._keys, PolyST.t()._keys) == (((1, 0),), ((0, 1),))
+        assert PolyST.constant(-5) == PolyST({(0, 0): -5}) == -5
+        assert hash(PolyST.constant(-5)) == hash(PolyST([((0, 0), -2), ((0, 0), -3)])) == hash(-5)
+
+    @pytest.mark.parametrize("build", [eulerian_recurrence, ward_recurrence])
+    def test_decoded_entries_hold_tuples_and_match_the_arithmetic(self, build):
+        rec = build(Params(2, 1, 0), "poly")
+        rows = rec.rows(9)
+        for n in range(1, len(rows)):
+            for k, v in enumerate(rows[n]):
+                _assert_stored(v)
+                assert not hasattr(v, "__dict__")
+                # the same entry by PolyST arithmetic on the decoded row above
+                above = [rows[n - 1][j] if 0 <= j < n else 0 for j in (k, k - 1)]
+                want = (rec.alpha * n + rec.beta * k + rec.gamma) * above[0]
+                want += (rec.alpha_p * n + rec.beta_p * k + rec.gamma_p) * above[1]
+                assert v == want and hash(v) == hash(want)
+
+    def test_poly_ward_table_stays_compact(self):
+        # two tuples take about 17 B per term, where a dict of the same terms takes about 40 B
+        rows = ward_table(Params(2, 1, 0), 20, "poly").rows
+        entries = [v for row in rows for v in row]
+        terms = sum(len(v._keys) for v in entries)
+        size = sum(sys.getsizeof(v._keys) + sys.getsizeof(v._coeffs) for v in entries)
+        assert terms == 19061 and size < 24 * terms
 
 
 def _packed(packing, p):
