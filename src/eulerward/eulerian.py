@@ -8,11 +8,10 @@ recurrence with six coefficients,
 
 with |0, 0| = 1 and |n, k| = 0 outside 0 <= k <= n (the family of Hsu and
 Shiue, "A unified approach to generalized Stirling numbers", 1998).
-``Recurrence`` holds the six coefficients, builds the rows and audits a
-stored triangle against them.  The Eulerian coefficients are written out in
-``eulerian_recurrence``; the Ward family is the image of the order-(nu+1)
-Eulerian one under the paper's involution (``Recurrence.involution``,
-``ward.ward_recurrence``).
+``Recurrence`` holds the six coefficients and builds the rows.  The
+Eulerian coefficients are written out in ``eulerian_recurrence``; the Ward
+family is the image of the order-(nu+1) Eulerian one under the paper's
+involution (``Recurrence.involution``, ``ward.ward_recurrence``).
 The Eulerian triangle is
 
     E(n, k) = (k + s) E(n-1, k) + (nu n - k + t + 1 - nu) E(n-1, k-1).
@@ -33,8 +32,7 @@ t -> 2^(B W) (Kronecker substitution) is a ring homomorphism from Z[s, t]
 to the integers, so every entry is built as one packed int and read back
 into a ``PolyST`` once, row by row; int mode is the same loop with no shift
 terms and no decoding.  ``Recurrence.iter_rows`` states the slot layout and
-the coefficient bound that make the reading exact.  ``PolyST`` arithmetic stays
-the oracle: ``Recurrence.check`` recomputes every entry with it.
+the coefficient bound that make the reading exact.
 
 Besides the recurrence, this module evaluates the explicit summation formulas
 for orders 1 and 2, a whole row per call, the classic Eulerian and
@@ -262,25 +260,6 @@ class Recurrence(_Record):
             return tuple(packing.unpack(row, [((n - k) * su + k * sd, (n - k) * tu + k * td) for k in range(n + 1)]))
 
         return c0, c0_p, lift, decode
-
-    def check(self, tri: "TriangleRows") -> bool:
-        """Audit a stored triangle against this recurrence, entry by entry.
-
-        Every entry is recomputed from the stored previous row alone, so the
-        audit does not depend on how the triangle was built and never
-        rebuilds it.
-        """
-        if tri.row(0) != (self.one,):
-            return False
-        for n in range(1, tri.nmax + 1):
-            if len(tri.row(n)) != n + 1:
-                return False
-            for k in range(n + 1):
-                upper = self.alpha * n + self.beta * k + self.gamma
-                diag = self.alpha_p * n + self.beta_p * k + self.gamma_p
-                if tri.entry(n, k) != upper * tri.entry(n - 1, k) + diag * tri.entry(n - 1, k - 1):
-                    return False
-        return True
 
 
 class TriangleRows(_Record):

@@ -232,16 +232,6 @@ def _stack_pass(word, floor: int) -> tuple[int, int]:
     return opens, closes
 
 
-def _pool_size(letters) -> int:
-    """|D(T)| for the tree of a valid word, read off ``_tree``'s pass.
-
-    On the one-entry flat word, the pass closes |E(T)| times into a letter,
-    and once into the separator when the tree is nonempty.  That last one
-    counts the root, which D(T) holds only for a word without zeros.
-    """
-    return _stack_pass((*letters, -1), -2)[1] - (0 in letters)
-
-
 def _child_pools(word, tvec) -> tuple[int, int, int]:
     """(|D(F)|, children that keep it, children that gain one label) for a
     flat word of the insertion walk, its children being those of one more

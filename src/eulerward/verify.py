@@ -253,6 +253,11 @@ def check_recurrence_vs_enumeration() -> CheckResult:
                 n_top -= 1
             hists = ascent_histograms_up_to(p, n_top)
             table = eulerian_table(p, n_top)
+            # orders 0 and 1 take their own returns, which n_top >= 2 never reaches
+            for nmax in (0, 1):
+                rows = [list(table.row(n)) for n in range(nmax + 1)]
+                instance = {"nu": p.nu, "s": p.s, "t": p.t, "nmax": nmax}
+                yield instance, ("recurrence", rows), ("enumeration", ascent_histograms_up_to(p, nmax))
             for n in range(n_top + 1):
                 yield (
                     {"nu": p.nu, "s": p.s, "t": p.t, "n": n},

@@ -118,7 +118,7 @@ class TestTriangles:
             for s in (0, 1, 3):
                 for t in (-2, 0, 2):
                     p = Params(nu, s, t)
-                    assert eulerian_recurrence(p).check(eulerian_table(p, 8))
+                    assert eulerian_table(p, 8).rows == _int_rows(eulerian_recurrence(p), 8)
 
     def test_polynomial_mode_specializes(self):
         nmax = 8
@@ -163,6 +163,12 @@ class TestTriangles:
             assert sum(tri.row(n)) == row_sum_product(p, n)
 
 
+def _check(rec, tri):
+    """The audit of a stored triangle: every entry equals the recurrence as
+    written (``_polyst_rows``), in the same ring."""
+    return _term_maps(tri.rows) == _term_maps(_polyst_rows(rec, tri.nmax))
+
+
 def _with_entry(tri, n, k, value):
     rows = list(tri.rows)
     rows[n] = rows[n][:k] + (value,) + rows[n][k + 1 :]
@@ -175,27 +181,30 @@ def _poly_rows(build, nu, nmax):
 
 
 class TestRecurrence:
+    # the audit ``_check`` must stay entry-exact in both rings, or the table
+    # tests that lean on it would pass a wrong entry
+
     @pytest.mark.parametrize("mode", ["int", "poly"])
     @pytest.mark.parametrize("n,k", [(0, 0), (3, 0), (5, 2), (6, 6)])
     def test_check_rejects_one_changed_entry(self, mode, n, k):
         p = Params(2, 2, 1)
         spec = eulerian_recurrence(p, mode)
         tri = eulerian_table(p, 6, mode)
-        assert spec.check(tri)
-        assert not spec.check(_with_entry(tri, n, k, tri.entry(n, k) + 1))
+        assert _check(spec, tri)
+        assert not _check(spec, _with_entry(tri, n, k, tri.entry(n, k) + 1))
 
     def test_check_rejects_a_short_row(self):
         p = Params(1, 1, 0)
         tri = eulerian_table(p, 4)
         rows = tri.rows[:3] + (tri.rows[3][:-1],) + tri.rows[4:]
-        assert not eulerian_recurrence(p).check(TriangleRows(rows))
+        assert not _check(eulerian_recurrence(p), TriangleRows(rows))
 
     @pytest.mark.parametrize("mode", ["int", "poly"])
     def test_check_tells_the_families_apart(self, mode):
         p = Params(2, 1, 1)
-        assert ward_recurrence(p, mode).check(ward_table(p, 6, mode))
-        assert not eulerian_recurrence(p, mode).check(ward_table(p, 6, mode))
-        assert not ward_recurrence(p, mode).check(eulerian_table(p, 6, mode))
+        assert _check(ward_recurrence(p, mode), ward_table(p, 6, mode))
+        assert not _check(eulerian_recurrence(p, mode), ward_table(p, 6, mode))
+        assert not _check(ward_recurrence(p, mode), eulerian_table(p, 6, mode))
 
     def test_any_sextuple_builds_its_triangle(self):
         # {n, k} = k {n-1, k} + {n-1, k-1}: the Stirling subset numbers
@@ -280,7 +289,7 @@ _int_rows = _polyst_rows
 
 
 def _term_maps(rows):
-    return [[v.terms for v in row] for row in rows]
+    return [[getattr(v, "terms", v) for v in row] for row in rows]
 
 
 _slopes = st.integers(min_value=-4, max_value=4)
@@ -339,7 +348,15 @@ class TestPackedPolyRows:
     )
     def test_check_passes_on_poly_tables(self, recurrence, build, nu):
         p = Params(nu, 0, 0)
-        assert recurrence(p, "poly").check(build(p, 15, "poly"))
+        assert _check(recurrence(p, "poly"), build(p, 15, "poly"))
+
+    @pytest.mark.parametrize("build", [eulerian_table, ward_table])
+    def test_entries_have_total_degree_at_most_n(self, build):
+        # every factor of both recurrences has degree 1 in s and t; iter_rows'
+        # box bounds each degree alone, which for Ward is far looser
+        for nu in range(1, 5):
+            for n, row in enumerate(build(Params(nu, 0, 0), 12, "poly").rows):
+                assert all(a + b <= n for v in row for a, b in v.terms)
 
     def test_constant_and_zero_gammas(self):
         zero, two = PolyST(), PolyST.constant(2)
@@ -358,9 +375,7 @@ class TestIterRows:
         rec = Recurrence(alpha, beta, gammas[0], alpha_p, beta_p, gammas[1])
         streamed = tuple(rec.iter_rows(nmax))
         assert streamed == rec.rows(nmax)
-        assert [[getattr(v, "terms", v) for v in row] for row in streamed] == [
-            [getattr(v, "terms", v) for v in row] for row in _polyst_rows(rec, nmax)
-        ]
+        assert _term_maps(streamed) == _term_maps(_polyst_rows(rec, nmax))
 
     @pytest.mark.parametrize("mode", ["int", "poly"])
     @pytest.mark.parametrize("nmax,error", [(True, TypeError), (2.0, TypeError), (-1, ValueError)])

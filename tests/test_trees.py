@@ -25,7 +25,7 @@ from eulerward.stirlingperm import (
 from eulerward.trees import (
     TreeNode,
     _child_pools,
-    _pool_size,
+    _stack_pass,
     _tree,
     distinguished_set,
     forest_distinguished_set,
@@ -644,6 +644,16 @@ class TestMarkedCounts:
                 p = Params(nu, len(tvec), sum(tvec), tvec)
                 table = ward_table(p, 4)
                 assert ward_marked_rows_up_to(p, 4) == list(map(list, table.rows))
+
+
+def _pool_size(letters) -> int:
+    """|D(T)| for the tree of a valid word, read off ``_tree``'s pass.
+
+    On the one-entry flat word, the pass closes |E(T)| times into a letter,
+    and once into the separator when the tree is nonempty.  That last one
+    counts the root, which D(T) holds only for a word without zeros.
+    """
+    return _stack_pass((*letters, -1), -2)[1] - (0 in letters)
 
 
 def oracle_ward_marked_row(p, n):

@@ -410,7 +410,7 @@ def test_ward_egf_fault_fails_the_ward_case(monkeypatch):
 # report's params do not show.
 CASE_COUNTS = {
     "golden-examples": 25,
-    "recurrence-vs-enumeration": 165,
+    "recurrence-vs-enumeration": 219,
     "row-sums": 297,
     "closed-forms": 1088,
     "special-cases": 644,

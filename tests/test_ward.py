@@ -96,6 +96,16 @@ def _typed(values):
     return [(type(v), v) for v in values]
 
 
+def _rows_as_written(p, nmax):
+    """W(n, k) = (k + s) W(n-1, k) + (nu n + k + s + t - 1 - nu) W(n-1, k-1), entry by entry."""
+    rows = [[1]]
+    for n in range(1, nmax + 1):
+        prev = [0] + rows[-1] + [0]  # prev[k + 1] is W(n-1, k)
+        diag = p.nu * n + p.s + p.t - 1 - p.nu
+        rows.append([(k + p.s) * prev[k + 1] + (k + diag) * prev[k] for k in range(n + 1)])
+    return rows
+
+
 class TestWardTriangle:
     def test_classic_rows_frozen(self):
         tri = ward_table(Params(1, 0, 1), 4)
@@ -118,7 +128,7 @@ class TestWardTriangle:
             for s in (0, 1, 2):
                 for t in (-1, 0, 2):
                     p = Params(nu, s, t)
-                    assert ward_recurrence(p).check(ward_table(p, 8))
+                    assert [list(row) for row in ward_table(p, 8).rows] == _rows_as_written(p, 8)
 
     def test_polynomial_mode_specializes(self):
         tri = ward_table(Params(2, 1, 0), 6, "poly")
