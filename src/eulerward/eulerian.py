@@ -264,7 +264,8 @@ class Recurrence(_Record):
 
 class TriangleRows(_Record):
     """Dense lower-triangular table of rows 0..nmax; entry(n, k) = 0 outside
-    0 <= k <= n, and a row past nmax raises ValueError."""
+    0 <= k <= n, a row past nmax raises ValueError, and an index that is not
+    an int (a bool included) raises TypeError."""
 
     _fields = ("rows",)
 
@@ -276,11 +277,14 @@ class TriangleRows(_Record):
         return len(self.rows) - 1
 
     def row(self, n: int) -> tuple:
+        _require_int("n", n)
         if not 0 <= n < len(self.rows):
             raise ValueError("row %r is outside 0..nmax = %d" % (n, self.nmax))
         return self.rows[n]
 
     def entry(self, n: int, k: int):
+        _require_int("n", n)
+        _require_int("k", k)
         if n > self.nmax:
             raise ValueError("row %r is past nmax = %d" % (n, self.nmax))
         if n < 0 or k < 0 or k > n:

@@ -260,13 +260,12 @@ def word_from_text(text: str) -> tuple[int, ...]:
     """Parse a word: space-separated decimals, or a bare digit string.
 
     '3 3 3 2 2 2 1 1 1' and '333222111' both parse; labels above 9 need the
-    spaced form.  The empty string is the empty word.
+    spaced form.  The empty string is the empty word.  A letter is ASCII
+    digits only, in both forms, so signs, underscores and other scripts'
+    digits raise the same ValueError as any other text.
     """
     text = text.strip()
-    if not text:
-        return ()
-    if any(ch.isspace() for ch in text):
-        return tuple(int(tok) for tok in text.split())
-    if not text.isdigit():
+    tokens = text.split() if any(ch.isspace() for ch in text) else list(text)
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise ValueError("cannot parse word %r" % (text,))
-    return tuple(int(ch) for ch in text)
+    return tuple(map(int, tokens))

@@ -18,19 +18,15 @@ routes.  ``run_suite(name)`` returns the suite's report, the JSON object
 carry no timestamps and all set-like data is sorted, so a report is
 byte-for-byte reproducible.
 
-Each check has one grid, the documented acceptance ranges.  A check's
-``params`` name the main dimensions of its grid, not all of them: several
-loops read dimensions fixed in code that ``params`` leaves out, such as the
-(s, t) box and the round-trip sizes of ``check_inverse_pairs``, the nu
-values and (s, t) pairs of ``check_egf``, the composition-independence size
-of ``check_recurrence_vs_enumeration``, the t = -s box of
-``check_special_cases``, the tree-power s values of
-``check_series_tree_function`` and the (s, t) pairs of
-``check_series_identities``.  A report does not show these, so only
-Tier-1's pin on how many cases each check compares (``CheckResult.cases``,
-``CASE_COUNTS`` in the tests) keeps them from shrinking unseen.  Both report
-shapes carry the constant key ``"size_level": "default"``, which the pinned
-report digests and the benchmark's report check read.
+``_CHECKS`` at the foot of this module is the one place a check is
+declared: its suite, its grid (every value its loops read, which the report
+prints as its ``params``) and its case families, each with its routes and
+the paper claim it covers.  To add a check, write a ``check_*`` function
+whose loops read the grid from its entry, and add the entry; the tests
+audit the declared routes, shrink each grid dimension and pin the case
+count.  Both report shapes carry the constant key ``"size_level":
+"default"``, which the pinned report digests and the benchmark's report
+check read.
 """
 
 from __future__ import annotations
@@ -56,6 +52,7 @@ from .series import (
     egf_eulerian_coeffs,
     egf_order1_direct,
     egf_transform_sides,
+    egf_ward_coeffs,
     eulerian_ratio_expansion_sides,
     second_order_ratio_expansion_sides,
     t_nu_derivative_sides,
@@ -117,12 +114,7 @@ class CheckResult(_Record):
         super().__init__(check_id, params, passed, witness, cases)
 
     def to_json(self) -> dict:
-        return {
-            "id": self.check_id,
-            "params": self.params,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
+        return {"id": self.check_id, "params": self.params, "passed": self.passed, "witness": self.witness}
 
 
 def _shown(value):
@@ -141,6 +133,7 @@ def _first_mismatch(check_id: str, params: dict, cases) -> CheckResult:
     that raises fails the check as well: the witness then holds the
     case's number, counted from 1, and ``"raised": "<type>: <message>"``.
     """
+    params = dict(params)  # the result's own copy, so a caller's edit cannot reach a grid
     count = 0  # cases that passed; the current one is count + 1
     try:
         for instance, (name_a, a), (name_b, b) in cases:
@@ -171,85 +164,60 @@ def _sides(instance: dict, sides):
 # ------------------------------------------------------- golden examples
 
 
-def _golden_cases():
-    """Hand-checked worked examples: word, nu, ascents, E set, D set."""
-    return [
-        ("333222111", 3, frozenset(), frozenset({2, 3}), frozenset({1, 2, 3})),
-        ("00112221", 3, frozenset({2, 4}), frozenset(), frozenset()),
-        ("11222100", 3, frozenset({2}), frozenset({1}), frozenset({1})),
-        ("133322211", 3, frozenset({1}), frozenset({3}), frozenset({1, 3})),
-    ]
+# hand-checked worked examples: word, nu, ascents, E set, D set
+_GOLDEN_WORDS = (
+    ("333222111", 3, (), (2, 3), (1, 2, 3)),
+    ("00112221", 3, (2, 4), (), ()),
+    ("11222100", 3, (2,), (1,), (1,)),
+    ("133322211", 3, (1,), (3,), (1, 3)),
+)
 
 
 def check_golden_examples() -> CheckResult:
-    params = {"cases": len(_golden_cases()) + 1}
+    grid = _CHECKS["golden-examples"].grid
 
     def cases():
         ok = ("expected", True)
-        for text, nu, asc, eset, dset in _golden_cases():
+        # the worked words, then the forest example as the last case
+        for text, nu, asc, eset, dset in _GOLDEN_WORDS[: grid["cases"] - 1]:
             w = word_from_text(text)
             # each word alone must use exactly the labels 1..n
             valid = validate_word(w, nu) and _labels_partition_range((w,))
             yield {"word": text, "failed": "validate"}, ("valid", valid), ok
-            yield (
-                {"word": text, "failed": "ascents"},
-                ("got", sorted(ascent_positions(w))),
-                ("expected", sorted(asc)),
-            )
+            yield {"word": text, "failed": "ascents"}, ("got", sorted(ascent_positions(w))), ("expected", list(asc))
             tree = perm_to_tree(w, nu)
             yield {"word": text, "failed": "tree-structure"}, ("valid", validate_tree(tree, nu)), ok
-            yield (
-                {"word": text, "failed": "roundtrip"},
-                ("got", list(tree_to_perm(tree))),
-                ("expected", list(w)),
-            )
-            yield (
-                {"word": text, "failed": "leftmost-set"},
-                ("got", sorted(leftmost_internal_set(tree))),
-                ("expected", sorted(eset)),
-            )
-            yield (
-                {"word": text, "failed": "distinguished-set"},
-                ("got", sorted(distinguished_set(tree))),
-                ("expected", sorted(dset)),
-            )
+            yield {"word": text, "failed": "roundtrip"}, ("got", list(tree_to_perm(tree))), ("expected", list(w))
+            got = sorted(leftmost_internal_set(tree))
+            yield {"word": text, "failed": "leftmost-set"}, ("got", got), ("expected", list(eset))
+            got = sorted(distinguished_set(tree))
+            yield {"word": text, "failed": "distinguished-set"}, ("got", got), ("expected", list(dset))
         # the four-entry sequence example: n, ascents, D sets, tree validity
         seq = tuple(map(word_from_text, ("23332200", "555111", "0444", "")))
         forest = seq_to_forest(seq, 3)
-        yield (
-            {"word": "forest", "failed": "forest-statistics"},
-            (
-                "got",
-                [
-                    len(set().union(*seq) - {0}),
-                    seq_ascent_count(seq),
-                    sorted(forest_distinguished_set(forest)),
-                    [sorted(distinguished_set(tr)) for tr in forest],
-                    all(validate_tree(tr, 3) for tr in forest),
-                ],
-            ),
-            ("expected", [5, 2, [1, 2, 5], [[2], [1, 5], [], []], True]),
-        )
+        got = [
+            len(set().union(*seq) - {0}),
+            seq_ascent_count(seq),
+            sorted(forest_distinguished_set(forest)),
+            [sorted(distinguished_set(tr)) for tr in forest],
+            all(validate_tree(tr, 3) for tr in forest),
+        ]
+        expected = [5, 2, [1, 2, 5], [[2], [1, 5], [], []], True]
+        yield {"word": "forest", "failed": "forest-statistics"}, ("got", got), ("expected", expected)
 
-    return _first_mismatch("golden-examples", params, cases())
+    return _first_mismatch("golden-examples", grid, cases())
 
 
 # ------------------------------------------------- recurrence vs counting
 
 
 def check_recurrence_vs_enumeration() -> CheckResult:
-    params = {
-        "nu_max": 3,
-        "s_max": 3,
-        "t_max": 2,
-        "n_max": 5,
-        "object_cap": 100_000,
-    }
+    grid = _CHECKS["recurrence-vs-enumeration"].grid
 
     def cases():
-        for p in _box(params):
-            n_top = params["n_max"]
-            while n_top > 0 and count_sequences(p, n_top) > params["object_cap"]:
+        for p in _box(grid):
+            n_top = grid["n_max"]
+            while n_top > 0 and count_sequences(p, n_top) > grid["object_cap"]:
                 n_top -= 1
             hists = ascent_histograms_up_to(p, n_top)
             table = eulerian_table(p, n_top)
@@ -265,8 +233,8 @@ def check_recurrence_vs_enumeration() -> CheckResult:
                     ("enumeration", hists[n]),
                 )
         # histogram independence from the composition of t
-        size = 4
-        for nu in (1, 2):
+        size = grid["composition_n_max"]
+        for nu in grid["composition_nu_values"]:
             for base, comp in [((2, 0), (1, 1)), ((0, 2), (1, 1))]:
                 yield (
                     {"nu": nu, "s": 2, "t": 2, "failed": "composition-independence", "tvec": list(comp)},
@@ -274,41 +242,39 @@ def check_recurrence_vs_enumeration() -> CheckResult:
                     ("base_histograms", ascent_histograms_up_to(Params(nu, 2, 2, base), size)),
                 )
 
-    return _first_mismatch("recurrence-vs-enumeration", params, cases())
+    return _first_mismatch("recurrence-vs-enumeration", grid, cases())
 
 
 def check_row_sums() -> CheckResult:
-    nmax = 10
-    params = {"nu_max": 3, "s_max": 3, "t_max": 2, "n_max": nmax}
+    grid = _CHECKS["row-sums"].grid
 
     def cases():
-        for p in _box(params):
-            table = eulerian_table(p, nmax)
-            for n in range(nmax + 1):
+        for p in _box(grid):
+            table = eulerian_table(p, grid["n_max"])
+            for n in range(grid["n_max"] + 1):
                 yield (
                     {"nu": p.nu, "s": p.s, "t": p.t, "n": n},
                     ("sum", sum(table.row(n))),
                     ("product", row_sum_product(p, n)),
                 )
 
-    return _first_mismatch("row-sums", params, cases())
+    return _first_mismatch("row-sums", grid, cases())
 
 
 # ------------------------------------------------------------ closed forms
 
 
 def check_closed_forms() -> CheckResult:
-    nmax = 15
-    pairs = [(1, 0), (0, 1), (2, 3), (3, 1)]
-    params = {"n_max": nmax, "st_pairs": [list(x) for x in pairs]}
+    grid = _CHECKS["closed-forms"].grid
 
     def cases():
-        for s, t in pairs:
-            forms = (
-                (1, closed_form_order1, eulerian_table(Params(1, s, t), nmax)),
-                (2, closed_form_order2, eulerian_table(Params(2, s, t), nmax)),
-            )
-            for n in range(nmax + 1):
+        closed_forms = {1: closed_form_order1, 2: closed_form_order2}
+        for s, t in grid["st_pairs"]:
+            forms = [
+                (order, closed_forms[order], eulerian_table(Params(order, s, t), grid["n_max"]))
+                for order in grid["orders"]
+            ]
+            for n in range(grid["n_max"] + 1):
                 rows = [(order, closed_form(n, s, t), table.row(n)) for order, closed_form, table in forms]
                 for k in range(n + 1):
                     for order, closed, recurrence in rows:
@@ -318,13 +284,12 @@ def check_closed_forms() -> CheckResult:
                             ("recurrence", recurrence[k]),
                         )
 
-    return _first_mismatch("closed-forms", params, cases())
+    return _first_mismatch("closed-forms", grid, cases())
 
 
 def check_special_cases() -> CheckResult:
-    nmax = 10
-    smax = 8
-    params = {"shift_n_max": nmax, "s_minus_s_n_max": smax}
+    grid = _CHECKS["special-cases"].grid
+    nmax, smax = grid["shift_n_max"], grid["s_minus_s_n_max"]
 
     def cases():
         # the classic triangles are the (1,0) and (0,1) instances
@@ -356,8 +321,8 @@ def check_special_cases() -> CheckResult:
                         ("standard", classic(n, k - 1, "standard")),
                     )
         # degenerate t = -s closed forms against the recurrence
-        for nu in (1, 2):
-            for s in (1, 2, 3):
+        for nu in grid["s_minus_s_nu_values"]:
+            for s in grid["s_minus_s_s_values"]:
                 table = eulerian_table(Params(nu, s, -s), smax)
                 for n in range(smax + 1):
                     for k in range(n + 1):
@@ -367,20 +332,19 @@ def check_special_cases() -> CheckResult:
                             ("recurrence", table.entry(n, k)),
                         )
 
-    return _first_mismatch("special-cases", params, cases())
+    return _first_mismatch("special-cases", grid, cases())
 
 
 # ----------------------------------------------------------- inverse pairs
 
 
 def check_inverse_pairs() -> CheckResult:
-    nmax = 10
-    params = {"nu_max": 3, "n_max": nmax, "ratios": ["1", "-1", "2/3"]}
-    st_pairs = [(s, t) for s in range(0, 4) for t in range(-2, 3)]
+    grid = _CHECKS["inverse-pairs"].grid
+    nmax = grid["n_max"]
 
     def cases():
-        for nu in range(1, params["nu_max"] + 1):
-            for s, t in st_pairs:
+        for nu in range(1, grid["nu_max"] + 1):
+            for s, t in ((s, t) for s in grid["s_values"] for t in grid["t_values"]):
                 e = eulerian_table(Params(nu + 1, s, t), nmax)
                 w = ward_table(Params(nu, s, t), nmax)
                 for n in range(nmax + 1):
@@ -398,9 +362,9 @@ def check_inverse_pairs() -> CheckResult:
         for n in range(nmax + 1):
             yield _sides({"failed": "orthogonality", "n": n}, riordan_orthogonality_sides(n))
         # ratio roundtrips over deterministic pseudorandom integer rows
-        rng = random.Random(421731)
-        for r in map(Fraction, params["ratios"]):
-            for n in range(0, 9):
+        rng = random.Random(grid["roundtrip_seed"])
+        for r in map(Fraction, grid["ratios"]):
+            for n in range(grid["roundtrip_n_max"] + 1):
                 row = [rng.randrange(-50, 50) for _ in range(n + 1)]
                 fwd = general_inverse_transform(row, n, r, "forward")
                 yield (
@@ -409,13 +373,12 @@ def check_inverse_pairs() -> CheckResult:
                     ("row", row),
                 )
 
-    return _first_mismatch("inverse-pairs", params, cases())
+    return _first_mismatch("inverse-pairs", grid, cases())
 
 
 def check_classic_ward() -> CheckResult:
-    top = 14
-    smiley_n = 8
-    params = {"n_plus_k_max": top, "smiley_n_max": smiley_n}
+    grid = _CHECKS["classic-ward"].grid
+    top, smiley_n = grid["n_plus_k_max"], grid["smiley_n_max"]
 
     def cases():
         w = ward_table(Params(1, 0, 1), top)
@@ -429,7 +392,7 @@ def check_classic_ward() -> CheckResult:
         for n in range(1, smiley_n + 1):
             yield _sides({"failed": "smiley-identities", "n": n}, smiley_identities_sides(n))
 
-    return _first_mismatch("classic-ward", params, cases())
+    return _first_mismatch("classic-ward", grid, cases())
 
 
 # ----------------------------------------------------- ward interpretation
@@ -440,24 +403,17 @@ def _compositions_for(s: int, t: int) -> list[tuple[int, ...]]:
     cands = [(t,) + (0,) * (s - 1), (0,) * (s - 1) + (t,)]
     if s >= 2 and t >= 2:
         cands.append((1, t - 1) + (0,) * (s - 2))
-    out: list[tuple[int, ...]] = []
-    for c in cands:
-        if c not in out:
-            out.append(c)
-    return out
+    return list(dict.fromkeys(cands))
 
 
 def check_ward_interpretation() -> CheckResult:
-    """Ward rows from the recurrence (``ward_table``) against the marked
-    forests of the order-(nu+1) word model (``ward_marked_rows_up_to``, one
-    insertion walk per composition, which reads no recurrence)."""
-    nmax = 4
-    params = {"nu_values": [1, 2], "s_values": [1, 2], "t_max": 2, "n_max": nmax}
+    grid = _CHECKS["ward-interpretation"].grid
+    nmax = grid["n_max"]
 
     def cases():
-        for nu in params["nu_values"]:
-            for s in params["s_values"]:
-                for t in range(params["t_max"] + 1):
+        for nu in grid["nu_values"]:
+            for s in grid["s_values"]:
+                for t in range(grid["t_max"] + 1):
                     table = ward_table(Params(nu, s, t), nmax)
                     for comp in _compositions_for(s, t):
                         marked = ward_marked_rows_up_to(Params(nu, s, t, comp), nmax)
@@ -468,19 +424,24 @@ def check_ward_interpretation() -> CheckResult:
                                 ("recurrence", list(table.row(n))),
                             )
 
-    return _first_mismatch("ward-interpretation", params, cases())
+    return _first_mismatch("ward-interpretation", grid, cases())
 
 
 # ----------------------------------------------------------------- series
 
 
+def _cayley(n: int) -> Fraction:
+    """n^(n-1) / n!: Cayley's count of rooted labelled trees on n nodes, over n!."""
+    return Fraction(n ** (n - 1), math.factorial(n))
+
+
 def check_series_tree_function() -> CheckResult:
-    K = 14
-    params = {"nu_max": 4, "order": K}
+    grid = _CHECKS["tree-function"].grid
+    K = grid["order"]
 
     def cases():
         x = TruncSeries.x(K)
-        for nu in range(1, params["nu_max"] + 1):
+        for nu in range(1, grid["nu_max"] + 1):
             T = t_nu_series(nu, K)
             q = [Fraction(0)] * (K + 1)
             for k in range(1, nu):
@@ -495,12 +456,12 @@ def check_series_tree_function() -> CheckResult:
             yield (
                 {"failed": "tree-coefficients", "n": n},
                 ("series", T2.coefficient(n)),
-                ("closed", Fraction(n ** (n - 1), math.factorial(n))),
+                ("closed", _cayley(n)),
             )
-        for s in (1, 2, 5):
+        for s in grid["tree_power_s_values"]:
             yield _sides({"failed": "tree-powers", "s": s}, tree_power_sides(s, K))
 
-    return _first_mismatch("tree-function", params, cases())
+    return _first_mismatch("tree-function", grid, cases())
 
 
 def _poly_value(row, x0: Fraction) -> Fraction:
@@ -514,15 +475,14 @@ def _poly_value(row, x0: Fraction) -> Fraction:
 
 
 def check_egf() -> CheckResult:
-    nmax = 8
-    params = {"n_max": nmax, "x0_eulerian": ["1/3", "1/2", "2/3"], "x0_ward": ["1/2", "1"]}
-    st_pairs = [(1, 0), (2, 1), (1, 2)]
+    grid = _CHECKS["egf"].grid
+    nmax = grid["n_max"]
 
     def cases():
-        for nu in (1, 2, 3):
-            for s, t in st_pairs:
+        for nu in grid["nu_eulerian"]:
+            for s, t in grid["st_pairs"]:
                 table = eulerian_table(Params(nu, s, t), nmax)
-                for x0 in map(Fraction, params["x0_eulerian"]):
+                for x0 in map(Fraction, grid["x0_eulerian"]):
                     at = {"nu": nu, "s": s, "t": t, "x0": str(x0)}
                     want = [_poly_value(table.row(n), x0) for n in range(nmax + 1)]
                     yield (
@@ -536,10 +496,10 @@ def check_egf() -> CheckResult:
                             ("direct", egf_order1_direct(s, t, x0, nmax)),
                             ("table", want),
                         )
-        for nu in (1, 2):
-            for s, t in st_pairs:
+        for nu in grid["nu_ward"]:
+            for s, t in grid["st_pairs"]:
                 table = ward_table(Params(nu, s, t), nmax)
-                for x0 in map(Fraction, params["x0_ward"]):
+                for x0 in map(Fraction, grid["x0_ward"]):
                     at = {"nu": nu, "s": s, "t": t, "x0": str(x0)}
                     want = [_poly_value(table.row(n), x0) for n in range(nmax + 1)]
                     # the transform's left side is egf_ward_coeffs itself
@@ -547,58 +507,134 @@ def check_egf() -> CheckResult:
                     yield {"failed": "ward", **at}, ("egf", sides[0]), ("table", want)
                     yield _sides({"failed": "transform", **at}, sides)
 
-    return _first_mismatch("egf", params, cases())
+    return _first_mismatch("egf", grid, cases())
 
 
 def check_series_identities() -> CheckResult:
-    nmax = 5
-    K = 12
-    unit_n = 30
-    params = {"n_max": nmax, "order": K, "unit_sums_n_max": unit_n}
+    grid = _CHECKS["series-identities"].grid
+    nmax, K = grid["n_max"], grid["order"]
 
     def cases():
-        for s, t in [(1, 0), (0, 1), (2, 3), (3, 1)]:
+        for s, t in grid["order1_st_pairs"]:
             for n in range(nmax + 1):
                 yield _sides(
                     {"failed": "order1-ratio", "n": n, "s": s, "t": t},
                     eulerian_ratio_expansion_sides(n, s, t, K),
                 )
-        for s, t in [(1, 0), (2, 1), (2, 3), (3, 1)]:
+        for s, t in grid["order2_st_pairs"]:
             for n in range(nmax + 1):
                 yield _sides(
                     {"failed": "order2-ratio", "n": n, "s": s, "t": t},
                     second_order_ratio_expansion_sides(n, s, t, K),
                 )
-        for n in range(1, unit_n + 1):
+        for n in range(1, grid["unit_sums_n_max"] + 1):
             yield _sides({"failed": "unit-sums", "n": n}, binomial_unit_sums_sides(n))
 
-    return _first_mismatch("series-identities", params, cases())
+    return _first_mismatch("series-identities", grid, cases())
 
 
-# ----------------------------------------------------------------- suites
+# ------------------------------------------------------------- the table
 
 
-_SUITES = {
-    "recurrence-vs-enumeration": (
-        check_golden_examples,
-        check_recurrence_vs_enumeration,
-        check_row_sums,
-    ),
-    "closed-forms": (check_closed_forms, check_special_cases),
-    "inverse-pairs": (check_inverse_pairs, check_classic_ward),
-    "egf": (check_egf,),
-    "series-identities": (check_series_tree_function, check_series_identities),
-    "ward-interpretation": (check_ward_interpretation,),
+class _Check(_Record):
+    _fields = ("suite", "run", "grid", "families")
+
+
+_SIDES = "one function returns both sides"
+_EULERIAN = ("recurrence", eulerian_table)
+
+# Every check, declared once, in report order: its suite, its function, its
+# grid (every value its loops read, printed as the report's params) and its
+# case families.  A family is (failed tag or None, paper claim, a, b): a
+# cross-check names its two routes a and b, each (name, callable); an
+# identity gives in a the reason it is one, and in b its ``*_sides``
+# function, or None where there is no such function to run.
+_CHECKS = {
+    "golden-examples": _Check("recurrence-vs-enumeration", check_golden_examples, {"cases": 5}, [
+        (tag, "worked-examples", "set against values worked out by hand", None)
+        for tag in ("validate", "ascents", "tree-structure", "roundtrip", "leftmost-set",
+                    "distinguished-set", "forest-statistics")
+    ]),
+    "recurrence-vs-enumeration": _Check("recurrence-vs-enumeration", check_recurrence_vs_enumeration, {
+        "nu_max": 3, "s_max": 3, "t_max": 2, "n_max": 5, "object_cap": 100_000,
+        "composition_n_max": 4, "composition_nu_values": (1, 2),
+    }, [
+        (None, "stirling-ascents", _EULERIAN, ("enumeration", ascent_histograms_up_to)),
+        ("composition-independence", "composition-independence", "one route at two compositions of t", None),
+    ]),
+    "row-sums": _Check("recurrence-vs-enumeration", check_row_sums, {
+        "nu_max": 3, "s_max": 3, "t_max": 2, "n_max": 10,
+    }, [(None, "row-sums", ("sum", eulerian_table), ("product", row_sum_product))]),
+    "closed-forms": _Check("closed-forms", check_closed_forms, {
+        "n_max": 15, "st_pairs": ((1, 0), (0, 1), (2, 3), (3, 1)), "orders": (1, 2),
+    }, [
+        (None, "closed-forms", ("closed", closed_form_order1), _EULERIAN),
+        (None, "closed-forms", ("closed", closed_form_order2), _EULERIAN),
+    ]),
+    "special-cases": _Check("closed-forms", check_special_cases, {
+        "shift_n_max": 10, "s_minus_s_n_max": 8, "s_minus_s_nu_values": (1, 2), "s_minus_s_s_values": (1, 2, 3),
+    }, [
+        ("classic-standard", "classic-triangles", ("classic", classic_eulerian), _EULERIAN),
+        ("classic-traditional", "classic-triangles", ("classic", classic_eulerian), _EULERIAN),
+        ("second-order-standard", "classic-triangles", ("classic", classic_second_order), _EULERIAN),
+        ("second-order-traditional", "classic-triangles", ("classic", classic_second_order), _EULERIAN),
+        ("order1-shift", "indexing-shift", "one function at its two indexings", None),
+        ("order2-shift", "indexing-shift", "one function at its two indexings", None),
+        ("s-minus-s", "t-equals-minus-s", ("closed", s_minus_s_closed_forms), _EULERIAN),
+    ]),
+    "inverse-pairs": _Check("inverse-pairs", check_inverse_pairs, {
+        "nu_max": 3, "n_max": 10, "ratios": ("1", "-1", "2/3"), "s_values": (0, 1, 2, 3),
+        "t_values": (-2, -1, 0, 1, 2), "roundtrip_n_max": 8, "roundtrip_seed": 421731,
+    }, [
+        # a transform takes rows the recurrence built: data handed in, not a borrowed route
+        ("euler-to-ward", "involution", ("transform", euler_to_ward), ("ward", ward_table)),
+        ("ward-to-euler", "involution", ("transform", ward_to_euler), ("eulerian", eulerian_table)),
+        ("orthogonality", "riordan-orthogonality", _SIDES, riordan_orthogonality_sides),
+        ("ratio-roundtrip", "inverse-transform", "the backward transform undoes the forward one", None),
+    ]),
+    "classic-ward": _Check("inverse-pairs", check_classic_ward, {"n_plus_k_max": 14, "smiley_n_max": 8}, [
+        (None, "ward-associated-stirling", ("ward", ward_table), ("assoc_stirling", assoc_stirling_subset)),
+        ("smiley-identities", "smiley-identities", _SIDES, smiley_identities_sides),
+    ]),
+    "egf": _Check("egf", check_egf, {
+        "n_max": 8, "x0_eulerian": ("1/3", "1/2", "2/3"), "x0_ward": ("1/2", "1"),
+        "nu_eulerian": (1, 2, 3), "nu_ward": (1, 2), "st_pairs": ((1, 0), (2, 1), (1, 2)),
+    }, [
+        ("eulerian", "eulerian-egf", ("egf", egf_eulerian_coeffs), ("table", eulerian_table)),
+        ("order1-direct", "eulerian-egf", ("direct", egf_order1_direct), ("table", eulerian_table)),
+        ("ward", "ward-egf", ("egf", egf_ward_coeffs), ("table", ward_table)),
+        ("transform", "egf-substitution", _SIDES, egf_transform_sides),
+    ]),
+    "tree-function": _Check("series-identities", check_series_tree_function, {
+        "nu_max": 4, "order": 14, "tree_power_s_values": (1, 2, 5),
+    }, [
+        ("reversion-contract", "tree-function", "x against T_nu composed with its inverse", None),
+        ("derivative-identity", "tree-function", _SIDES, t_nu_derivative_sides),
+        ("tree-coefficients", "tree-function", ("series", t_nu_series), ("closed", _cayley)),
+        ("tree-powers", "tree-powers", _SIDES, tree_power_sides),
+    ]),
+    "series-identities": _Check("series-identities", check_series_identities, {
+        "n_max": 5, "order": 12, "unit_sums_n_max": 30,
+        "order1_st_pairs": ((1, 0), (0, 1), (2, 3), (3, 1)), "order2_st_pairs": ((1, 0), (2, 1), (2, 3), (3, 1)),
+    }, [
+        ("order1-ratio", "ratio-expansions", _SIDES, eulerian_ratio_expansion_sides),
+        ("order2-ratio", "ratio-expansions", _SIDES, second_order_ratio_expansion_sides),
+        ("unit-sums", "unit-sums", _SIDES, binomial_unit_sums_sides),
+    ]),
+    "ward-interpretation": _Check("ward-interpretation", check_ward_interpretation, {
+        "nu_values": (1, 2), "s_values": (1, 2), "t_max": 2, "n_max": 4,
+    }, [(None, "ward-marked-forests", ("marked", ward_marked_rows_up_to), ("recurrence", ward_table))]),
 }
 
-SUITE_NAMES = tuple(_SUITES)
+
+SUITE_NAMES = tuple(dict.fromkeys(check.suite for check in _CHECKS.values()))
 
 
 def run_suite(name: str) -> dict:
     """The suite's report: the JSON object ``verify --suite <name>`` prints."""
-    if name not in _SUITES:
+    if name not in SUITE_NAMES:
         raise ValueError("unknown suite %r; pick one of %s" % (name, ", ".join(SUITE_NAMES)))
-    checks = [fn() for fn in _SUITES[name]]
+    checks = [check.run() for check in _CHECKS.values() if check.suite == name]
     return {
         "suite": name,
         "size_level": "default",

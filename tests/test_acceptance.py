@@ -28,95 +28,52 @@ def announce(capsys):
     return _announce
 
 
-def _run_check(fn):
+def _criterion(announce, number, label, budget, *check_ids):
+    """Run the criterion's checks from the verify table, announce the outcome
+    and enforce the budget."""
     start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
-
-
-def _run_checks(fns):
-    start = time.perf_counter()
-    results = [fn() for fn in fns]
-    return results, time.perf_counter() - start
+    results = [verify._CHECKS[check_id].run() for check_id in check_ids]
+    dt = time.perf_counter() - start
+    announce(number, label, all(r.passed for r in results) and dt < budget, dt, budget)
+    for r in results:
+        assert r.passed, (r.check_id, r.witness)
+    assert dt < budget
 
 
 def test_criterion_01_golden_examples(announce):
-    result, dt = _run_check(verify.check_golden_examples)
-    ok = result.passed and dt < 1.0
-    announce(1, "golden examples", ok, dt, 1.0)
-    assert result.passed, result.witness
-    assert dt < 1.0
+    _criterion(announce, 1, "golden examples", 1.0, "golden-examples")
 
 
 def test_criterion_02_recurrence_vs_enumeration(announce):
-    result, dt = _run_check(verify.check_recurrence_vs_enumeration)
-    ok = result.passed and dt < 60.0
-    announce(2, "recurrence vs enumeration", ok, dt, 60.0)
-    assert result.passed, result.witness
-    assert dt < 60.0
+    _criterion(announce, 2, "recurrence vs enumeration", 60.0, "recurrence-vs-enumeration")
 
 
 def test_criterion_03_row_sums(announce):
-    result, dt = _run_check(verify.check_row_sums)
-    ok = result.passed and dt < 5.0
-    announce(3, "row sums", ok, dt, 5.0)
-    assert result.passed, result.witness
-    assert dt < 5.0
+    _criterion(announce, 3, "row sums", 5.0, "row-sums")
 
 
 def test_criterion_04_closed_forms(announce):
-    result, dt = _run_check(verify.check_closed_forms)
-    ok = result.passed and dt < 10.0
-    announce(4, "closed forms", ok, dt, 10.0)
-    assert result.passed, result.witness
-    assert dt < 10.0
+    _criterion(announce, 4, "closed forms", 10.0, "closed-forms")
 
 
 def test_criterion_05_special_cases(announce):
-    result, dt = _run_check(verify.check_special_cases)
-    ok = result.passed and dt < 5.0
-    announce(5, "indexing shifts and degenerate forms", ok, dt, 5.0)
-    assert result.passed, result.witness
-    assert dt < 5.0
+    _criterion(announce, 5, "indexing shifts and degenerate forms", 5.0, "special-cases")
 
 
 def test_criterion_06_inverse_pairs(announce):
-    result, dt = _run_check(verify.check_inverse_pairs)
-    ok = result.passed and dt < 5.0
-    announce(6, "inverse pairs", ok, dt, 5.0)
-    assert result.passed, result.witness
-    assert dt < 5.0
+    _criterion(announce, 6, "inverse pairs", 5.0, "inverse-pairs")
 
 
 def test_criterion_07_classic_ward(announce):
-    result, dt = _run_check(verify.check_classic_ward)
-    ok = result.passed and dt < 5.0
-    announce(7, "classic Ward numbers", ok, dt, 5.0)
-    assert result.passed, result.witness
-    assert dt < 5.0
+    _criterion(announce, 7, "classic Ward numbers", 5.0, "classic-ward")
 
 
 def test_criterion_08_ward_interpretation(announce):
-    result, dt = _run_check(verify.check_ward_interpretation)
-    ok = result.passed and dt < 60.0
-    announce(8, "marked-forest interpretation", ok, dt, 60.0)
-    assert result.passed, result.witness
-    assert dt < 60.0
+    _criterion(announce, 8, "marked-forest interpretation", 60.0, "ward-interpretation")
 
 
 def test_criterion_09_series_suite(announce):
-    results, dt = _run_checks(
-        [
-            verify.check_series_tree_function,
-            verify.check_egf,
-            verify.check_series_identities,
-        ]
-    )
-    ok = all(r.passed for r in results) and dt < 30.0
-    announce(9, "series suite", ok, dt, 30.0)
-    for r in results:
-        assert r.passed, (r.check_id, r.witness)
-    assert dt < 30.0
+    _criterion(announce, 9, "series suite", 30.0, "tree-function", "egf", "series-identities")
 
 
 def test_criterion_10_determinism(announce):

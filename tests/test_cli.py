@@ -394,6 +394,10 @@ class TestBijection:
         code, _, enumerate_err = run_cli(capsys, "enumerate", "--n", "1", *flags)
         assert (code, enumerate_err) == (2, err)
 
+    def test_unparsable_word_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "bijection", "1 a 1", "--nu", "1")
+        assert (code, out, err) == (2, "", "error: cannot parse word '1 a 1'\n")
+
     def test_labels_must_partition_the_range(self, capsys):
         code, _, err = run_cli(capsys, "bijection", "11", "33", "--nu", "2")
         assert code == 2

@@ -92,11 +92,20 @@ class TestTriangles:
         assert tri.entry(2, -1) == 0
         assert tri.entry(2, 3) == 0
         assert tri.entry(-1, 0) == 0
+        # entry(2, True) once read E(2, 1), and entry(0, 0.5) and entry(-0.5, 0) read 0
+        for n, k, name, bad in ((2, True, "k", True), (0, 0.5, "k", 0.5), (-0.5, 0, "n", -0.5)):
+            with pytest.raises(TypeError, match=r"^%s must be an int, got %r$" % (name, bad)):
+                tri.entry(n, k)
 
-    @pytest.mark.parametrize("n", [-1, -4, 4, 5])
+    @pytest.mark.parametrize("n", [-1, -4, 4, 5, True, 1.0])
     def test_row_outside_the_table_raises(self, n):
-        # row(-1) once returned the last row and entry(5, 0) a 0 where E(5, 0) = 32
+        # row(-1) once returned the last row and entry(5, 0) a 0 where E(5, 0) = 32;
+        # row(True) returned row 1, and row(1.0) failed in the tuple's own message
         tri = eulerian_table(Params(1, 2, 0), 3)
+        if type(n) is not int:
+            with pytest.raises(TypeError, match=r"^n must be an int, got %r$" % (n,)):
+                tri.row(n)
+            return
         with pytest.raises(ValueError, match=r"row %d .*nmax = 3" % n):
             tri.row(n)
         if n > 3:

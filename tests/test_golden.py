@@ -99,28 +99,28 @@ GOLDEN = [
     ),
     (
         "verify --suite all",
-        "56927cf20fb79e6be5c46eed8b7a2dc077232482073a2a71685bdb356ea8b0a0",
+        "88bb464aab4965fb79bcaed9af172ff2d6c19fd4465f99cf33066f44fcc717da",
     ),
     # the six per-suite reports, as the benchmark's verify workload prints them
     (
         "verify --suite recurrence-vs-enumeration",
-        "8d6ebcee5abd3a5bb4a4d2f722400f6a3f98457adc575b6965c97af8d6d86296",
+        "4014f61156e8a1e6cb45eea44233510cf1b782a3a1e0fdcbe8e6d06b22ecbf81",
     ),
     (
         "verify --suite closed-forms",
-        "d3737c0fe612b195add2651545d404f521bf1444633cff18d786946d382dfa59",
+        "c762001e544ebf6c00acda7f0bcc19272ae974fa74e3a2b77452ebc823133653",
     ),
     (
         "verify --suite inverse-pairs",
-        "8a5af2b5a0402e7871a7e05b21c1907a9c04edd520a54efaaf946cd5ce0cb5d8",
+        "a53e43b3643d131769b12bc04cd7808a4428f57c7bee2e23174436698b9de2ea",
     ),
     (
         "verify --suite egf",
-        "53e8c7da135965046f9b4932740565ad188cfa8493db42bbce4133e93b1cb527",
+        "76eb4effb1aafdd383ec2245dbbc02744cf19daffc85da51f0096a3cbe59e7cf",
     ),
     (
         "verify --suite series-identities",
-        "a0c76162cf054dd75154b3cc93cf0405060871adbc5bcf40c766a800a10419e1",
+        "0685bd21daf5fc9e2002a9a0829ee387fdae147626087803f835a6e906fe9400",
     ),
     (
         "verify --suite ward-interpretation",

@@ -76,9 +76,9 @@ def _function(obj):
     return obj if isinstance(obj, types.FunctionType) else None
 
 
-def defined():
+def defined(dunders=False):
     """{"module.qualname": function} for every function and method the
-    package's modules define, dunders left out."""
+    package's modules define, dunders left out unless asked for."""
     found = {}
     for name in MODULES:
         mod = importlib.import_module("eulerward." + name)
@@ -87,14 +87,13 @@ def defined():
             if isinstance(cls, type) and cls.__module__ == mod.__name__:
                 members += vars(cls).values()
         for fn in filter(None, map(_function, members)):
-            if fn.__module__ == mod.__name__ and not fn.__name__[:2] == fn.__name__[-2:] == "__":
+            if fn.__module__ == mod.__name__ and (dunders or not fn.__name__[:2] == fn.__name__[-2:] == "__"):
                 found["%s.%s" % (name, fn.__qualname__)] = fn
     return found
 
 
-@pytest.fixture(scope="module")
-def reached():
-    """The code objects that ran under the traffic, from cold caches."""
+def codes_run_by(run):
+    """The code objects that run() enters, from cold caches."""
     for name in MODULES:
         for obj in vars(importlib.import_module("eulerward." + name)).values():
             if hasattr(obj, "cache_clear"):
@@ -105,15 +104,23 @@ def reached():
         if event == "call":
             codes.add(frame.f_code)
 
-    parser, cli._parser = cli._parser, None  # so the run builds it
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        traffic()
+        run()
     finally:
         sys.setprofile(previous)
-        cli._parser = parser
     return codes
+
+
+@pytest.fixture(scope="module")
+def reached():
+    """The code objects that ran under the traffic, from cold caches."""
+    parser, cli._parser = cli._parser, None  # so the run builds it
+    try:
+        return codes_run_by(traffic)
+    finally:
+        cli._parser = parser
 
 
 def unreached(codes):

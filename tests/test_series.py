@@ -2,7 +2,6 @@
 
 import math
 import re
-import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerward import series
-from eulerward.eulerian import Params, Recurrence, eulerian_table
+from eulerward.eulerian import Params, eulerian_table
 from eulerward.series import (
     TruncSeries,
     _ode_march,
@@ -592,72 +591,6 @@ class TestEgf:
                 assert lhs == rhs
 
 
-def _refuse_tables(monkeypatch):
-    """Make the recurrence engine and both table builders raise wherever the
-    package holds them."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("this route must not build a triangle")
-
-    monkeypatch.setattr(Recurrence, "iter_rows", refuse)
-    monkeypatch.setattr(Recurrence, "rows", refuse)
-    builders = (eulerian_table, ward_table)
-    for name, mod in list(sys.modules.items()):
-        if name == "eulerward" or name.startswith("eulerward."):
-            for attr, value in list(vars(mod).items()):
-                if any(value is b for b in builders):
-                    monkeypatch.setattr(mod, attr, refuse)
-
-
-class TestRouteIndependence:
-    """The egf and tree-function routes are checked against the triangles,
-    so they must never build one."""
-
-    @pytest.mark.parametrize(
-        "route,args",
-        [
-            (egf_eulerian_coeffs, (3, 2, 1, Fraction(1, 3), 8)),
-            (egf_ward_coeffs, (2, 2, 1, Fraction(3, 2), 8)),
-            (egf_order1_direct, (2, 1, Fraction(1, 3), 8)),
-            (t_nu_series, (3, 12)),
-            (tree_power_sides, (3, 12)),
-            (binomial_unit_sums_sides, (12,)),
-        ],
-    )
-    def test_routes_answer_without_the_triangles(self, monkeypatch, route, args):
-        want = route(*args)
-        _refuse_tables(monkeypatch)
-        assert route(*args) == want
-
-    def test_the_refusal_bites(self, monkeypatch):
-        _refuse_tables(monkeypatch)
-        for call in (
-            lambda: second_order_ratio_expansion_sides(2, 1, 0, 8),
-            lambda: series.eulerian_table(Params(1, 1, 0), 3),
-            lambda: Recurrence.rows(None, 3),
-        ):
-            with pytest.raises(AssertionError, match="must not build"):
-                call()
-
-    @pytest.mark.parametrize(
-        "sides", [eulerian_ratio_expansion_sides, second_order_ratio_expansion_sides]
-    )
-    def test_ratio_expansion_right_sides_read_no_row(self, monkeypatch, sides):
-        lhs, rhs = sides(3, 2, 1, 10)
-        real = series.eulerian_table
-
-        class Bumped:
-            def __init__(self, p, nmax):
-                self.rows = real(p, nmax)
-
-            def row(self, n):
-                return tuple(e + 1 for e in self.rows.row(n))
-
-        monkeypatch.setattr(series, "eulerian_table", Bumped)
-        bumped_lhs, bumped_rhs = sides(3, 2, 1, 10)
-        assert bumped_lhs != lhs and bumped_rhs == rhs
-
-
 def oracle_second_order_ratio_expansion_sides(n, s, t, K):
     """Both sides of the order-2 ratio expansion with the right side built
     as a sum of series, (x e^(-x))^k by K series products."""
@@ -710,6 +643,24 @@ class TestRatioExpansions:
         for n in range(1, 31):
             lhs, rhs = binomial_unit_sums_sides(n)
             assert lhs == rhs
+
+    @pytest.mark.parametrize(
+        "sides", [eulerian_ratio_expansion_sides, second_order_ratio_expansion_sides]
+    )
+    def test_ratio_expansion_right_sides_read_no_row(self, monkeypatch, sides):
+        lhs, rhs = sides(3, 2, 1, 10)
+        real = series.eulerian_table
+
+        class Bumped:
+            def __init__(self, p, nmax):
+                self.rows = real(p, nmax)
+
+            def row(self, n):
+                return tuple(e + 1 for e in self.rows.row(n))
+
+        monkeypatch.setattr(series, "eulerian_table", Bumped)
+        bumped_lhs, bumped_rhs = sides(3, 2, 1, 10)
+        assert bumped_lhs != lhs and bumped_rhs == rhs
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-import sys
+import re
 import tracemalloc
 from collections import Counter
 from operator import ge
@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import eulerward.stirlingperm as stirlingperm
 from eulerward.eulerian import Params, eulerian_table, row_sum_product
 from eulerward.stirlingperm import (
     _entries,
@@ -27,7 +26,7 @@ from eulerward.stirlingperm import (
     word_from_text,
     word_text,
 )
-from eulerward.trees import perm_to_tree, ward_marked_rows_up_to
+from eulerward.trees import perm_to_tree
 
 
 class TestWordValidity:
@@ -381,62 +380,6 @@ class TestInsertionWalk:
         assert _entries((-1,), 1) == ((),)
 
 
-# Functions of the recurrence modules that the enumeration routes may call,
-# each with its reason; anything else there would let a route borrow from the
-# recurrence it is checked against.  ``_require_int`` needs no entry: it
-# lives in ``numerics``.
-ALLOWED_RECURRENCE_CALLS = {
-    "Params.__init__": "building the order-(nu + 1) parameters of the word model",
-    "Params.composition": "reading the composition of t, which is input data",
-}
-
-
-def recurrence_calls(route, *args):
-    """The qualified names of the functions in ``eulerward.eulerian`` and
-    ``eulerward.ward`` that route(*args) enters, in the order first seen."""
-    seen = {}
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_globals.get("__name__") in (
-            "eulerward.eulerian",
-            "eulerward.ward",
-        ):
-            seen.setdefault(frame.f_code.co_qualname, None)
-
-    sys.setprofile(profile)
-    try:
-        route(*args)
-    finally:
-        sys.setprofile(None)
-    return list(seen)
-
-
-ENUMERATION_ROUTES = [
-    (ascent_histograms_up_to, Params(2, 2, 1), 4),
-    (ward_marked_rows_up_to, Params(1, 2, 1), 3),
-]
-
-
-class TestRouteIndependence:
-    @pytest.mark.parametrize("route, p, n", ENUMERATION_ROUTES)
-    def test_routes_call_nothing_of_the_recurrence(self, route, p, n):
-        calls = recurrence_calls(route, p, n)
-        assert "Params.composition" in calls  # the profile sees this module
-        assert [c for c in calls if c not in ALLOWED_RECURRENCE_CALLS] == []
-
-    def test_a_histogram_that_reads_the_table_is_flagged(self, monkeypatch):
-        real = stirlingperm._enumeration_params
-
-        def borrowing(p, n):
-            eulerian_table(p, n)
-            return real(p, n)
-
-        monkeypatch.setattr(stirlingperm, "_enumeration_params", borrowing)
-        calls = recurrence_calls(ascent_histograms_up_to, Params(2, 2, 1), 4)
-        assert "eulerian_table" in calls
-        assert [c for c in calls if c not in ALLOWED_RECURRENCE_CALLS] != []
-
-
 class TestTextRoundtrip:
     def test_compact_and_spaced_forms(self):
         assert word_from_text("1221") == (1, 2, 2, 1)
@@ -449,8 +392,11 @@ class TestTextRoundtrip:
         assert word_text(()) == ""
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            word_from_text("12a1")
+        # int() once took the spaced form's '1_0', '+1' and Arabic-Indic
+        # digits, and isdigit() the bare form's superscript two
+        for text in ["12a1", "1 a 1", "1_0 1_0", "+1 1", "1 -1", "\u0661\u0661", "1\u00b21"]:
+            with pytest.raises(ValueError, match="^cannot parse word %s$" % re.escape(repr(text))):
+                word_from_text(text)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=40), max_size=12).filter(

@@ -406,8 +406,7 @@ def test_ward_egf_fault_fails_the_ward_case(monkeypatch):
 
 
 # Cases each check compares.  Growing a grid re-pins these on purpose, like
-# the report digests; a shrink fails here even in a grid dimension that the
-# report's params do not show.
+# the report digests.
 CASE_COUNTS = {
     "golden-examples": 25,
     "recurrence-vs-enumeration": 219,
@@ -424,10 +423,39 @@ CASE_COUNTS = {
 
 
 def test_case_counts_are_pinned():
-    checks = [check() for name in verify.SUITE_NAMES for check in verify._SUITES[name]]
+    checks = [check.run() for check in verify._CHECKS.values()]
     assert all(c.passed for c in checks)
     assert {c.check_id: c.cases for c in checks} == CASE_COUNTS
     assert "cases" not in checks[0].to_json()
+
+
+# Grid dimensions that size each compared value rather than count cases:
+# shrinking one changes what every case compares, not how many there are.
+SIZES_EACH_CASE = {
+    ("recurrence-vs-enumeration", "composition_n_max"): "the order up to which each histogram list runs",
+    ("inverse-pairs", "roundtrip_seed"): "the pseudorandom rows of the round trips",
+    ("egf", "n_max"): "the number of coefficients in each case",
+    ("series-identities", "order"): "the series order of both sides",
+}
+
+
+@pytest.mark.parametrize(
+    "check_id,dim", [(check_id, dim) for check_id, check in verify._CHECKS.items() for dim in check.grid]
+)
+def test_every_grid_dimension_is_live(monkeypatch, check_id, dim):
+    # the check runs with each case kept; then one dimension shrinks in a
+    # copy of its entry (a tuple loses its last value, a number halves)
+    monkeypatch.setattr(verify, "_first_mismatch", lambda check_id, params, cases: list(cases))
+    check = verify._CHECKS[check_id]
+    full = check.run()
+    value = check.grid[dim]
+    grid = {**check.grid, dim: value[:-1] if isinstance(value, tuple) else value // 2}
+    monkeypatch.setitem(verify._CHECKS, check_id, verify._Check(check.suite, check.run, grid, check.families))
+    shrunk = check.run()
+    if (check_id, dim) in SIZES_EACH_CASE:
+        assert len(shrunk) == len(full) and shrunk != full
+    else:
+        assert len(shrunk) < len(full)
 
 
 def test_first_mismatch_counts_up_to_the_witness():
