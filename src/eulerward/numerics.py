@@ -10,8 +10,8 @@ associated variant (every block of size at least 2), and ``PolyST``, a small
 sparse polynomial type in the two indeterminates s and t used by the triangle
 builders when s and t are left symbolic.  A ``PolyST`` stores its terms as two
 aligned tuples, exponent pairs and nonzero coefficients, in ascending
-(degree in t, degree in s) order; tuples take well under half the memory of a
-dict per term, which counts in poly tables of tens of thousands of terms.
+(degree in s, degree in t) order, the printed one; tuples take well under
+half the memory of a dict per term, which counts in large poly tables.
 Beside it sits ``_Kronecker``, the packing that lets the triangle engine run
 on plain ints in poly mode and read each entry back into a ``PolyST`` once,
 and ``_Record``, the base of the package's record classes.
@@ -27,7 +27,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from operator import itemgetter, sub
+from operator import sub
 
 __all__ = [
     "as_fraction",
@@ -240,8 +240,8 @@ def assoc_stirling_subset(n: int, k: int) -> int:
 
 
 def _sorted_terms(clean: dict) -> tuple:
-    """(keys, coeffs) of a term map in the order PolyST stores: ascending (degree in t, degree in s)."""
-    keys = sorted(clean, key=itemgetter(1, 0))
+    """(keys, coeffs) of a term map in the order PolyST stores and prints: ascending (degree in s, degree in t)."""
+    keys = sorted(clean)
     return tuple(keys), tuple([clean[key] for key in keys])
 
 
@@ -250,12 +250,13 @@ class PolyST:
 
     Immutable and sparse: two aligned tuples, ``_keys`` of exponent pairs
     (degree in s, degree in t) and ``_coeffs`` of their nonzero int
-    coefficients, both in ascending (degree in t, degree in s) order, so
-    equal polynomials hold equal tuples.  Exponents and coefficients must be
-    ints (floats and bools raise TypeError).  Mixed arithmetic with plain
-    ints works on either side, and :meth:`evaluate` at an integer point
-    (s0, t0) is a ring homomorphism onto the integers, which is what lets a
-    symbolically built triangle be checked against its integer-mode twin.
+    coefficients, both in ascending (degree in s, degree in t) order, the
+    order :meth:`render` prints, so equal polynomials hold equal tuples.
+    Exponents and coefficients must be ints (floats and bools raise
+    TypeError).  Mixed arithmetic with plain ints works on either side, and
+    :meth:`evaluate` at an integer point (s0, t0) is a ring homomorphism onto
+    the integers, which is what lets a symbolically built triangle be checked
+    against its integer-mode twin.
 
     >>> p = (PolyST.s() + PolyST.t()) * (PolyST.s() + PolyST.t() + 1)
     >>> p.evaluate(1, 0)
@@ -322,7 +323,7 @@ class PolyST:
     def _coerce(other) -> "PolyST | None":
         if isinstance(other, PolyST):
             return other
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):  # bools compare unequal, like floats
             return PolyST.constant(other)
         return None
 
@@ -392,17 +393,13 @@ class PolyST:
     def render(self) -> str:
         """Canonical text form: 'c*s^a*t^b' terms joined by '+'.
 
-        Terms are sorted by (degree in s, degree in t) and exponents are
-        always written, so the output parses unambiguously and is identical
-        across runs.  The zero polynomial renders as '0'.
+        Terms come in the stored order, ascending (degree in s, degree in t),
+        and exponents are always written, so the output parses unambiguously
+        and is identical across runs.  The zero polynomial renders as '0'.
         """
         if not self._keys:
             return "0"
-        parts = [
-            "%d*s^%d*t^%d" % (c, a, b)
-            for (a, b), c in sorted(zip(self._keys, self._coeffs))
-        ]
-        return "+".join(parts)
+        return "+".join(["%d*s^%d*t^%d" % (c, a, b) for (a, b), c in zip(self._keys, self._coeffs)])
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -441,12 +438,14 @@ class _Kronecker:
         self.bits = 8 * size
         self.width = s_deg + 1
         self._size = size
-        self._keys = [(a, b) for b in range(t_deg + 1) for a in range(self.width)]
+        self._depth = t_deg + 1
+        self._keys = [(a, b) for a in range(self.width) for b in range(self._depth)]
         # 2^(B-1) in every slot turns balanced digits into plain base-2^B ones
         self._offset = int.from_bytes((bytes(size - 1) + b"\x80") * len(self._keys), "little")
         self._half = 1 << (self.bits - 1)
-        # _runs[a] reads the a + 1 slots of s-degree 0..a at one power of t, in one C call
-        self._runs = [struct.Struct(("%ds" % size) * (a + 1)).unpack_from for a in range(self.width)]
+        # _runs[b] reads the b + 1 slots of t-degree 0..b at one power of s, W slots apart, in one C call
+        step = "%dx%ds" % (size * (self.width - 1), size)
+        self._runs = [struct.Struct("%ds" % size + step * b).unpack_from for b in range(self._depth)]
 
     def shifts(self, p: "PolyST") -> tuple:
         """(c, shift) for each nonconstant term c s^a t^b of p.
@@ -454,27 +453,27 @@ class _Kronecker:
         Times a packed x, those terms are the sum of c * (x << shift):
         shifts and small multiplies, never a product with p's packed value.
         """
-        terms = sorted(zip(p._keys, p._coeffs))
-        return tuple((c, self.bits * (a + self.width * b)) for (a, b), c in terms if a or b)
+        return tuple((c, self.bits * (a + self.width * b)) for (a, b), c in zip(p._keys, p._coeffs) if a or b)
 
     def unpack(self, xs, degrees) -> list:
         """The PolyST of each packed int in xs, given its (s-degree, t-degree) bounds.
 
         Per int: one addition of the offset, one ``to_bytes``, then one
-        C-level read per power of t of the slots within the bounds.  The
-        slots come out in ascending (t-degree, s-degree) order, which is the
+        C-level read per power of s of the slots within the bounds.  The
+        slots come out in ascending (s-degree, t-degree) order, which is the
         order a PolyST stores, so ``compress`` and ``filter`` give its two
         tuples directly: no dict and no sort.
         """
-        width, size, bits, keys, runs = self.width, self._size, self.bits, self._keys, self._runs
+        width, size, bits, keys, depth = self.width, self._size, self.bits, self._keys, self._depth
         out = []
         for x, (a, b) in zip(xs, degrees):
             top = width * b + a + 1  # the slots up to the int's highest term
             offset = self._offset >> bits * (len(keys) - top)
             buf = (x + offset).to_bytes(top * size, "little")
-            starts = range(0, top, width)
-            digits = chain.from_iterable([runs[a](buf, i * size) for i in starts])
+            run = self._runs[b]
+            digits = chain.from_iterable([run(buf, i * size) for i in range(a + 1)])
             coeffs = list(map(sub, map(int.from_bytes, digits, repeat("little")), repeat(self._half)))
-            found = compress(chain.from_iterable([keys[i : i + a + 1] for i in starts]), coeffs)
+            starts = range(0, depth * (a + 1), depth)
+            found = compress(chain.from_iterable([keys[i : i + b + 1] for i in starts]), coeffs)
             out.append(PolyST._of(tuple(found), tuple(filter(None, coeffs))))
         return out

@@ -1,14 +1,17 @@
 """Every exported name resolves, both for the package's users and for the
 benchmark's tracer, which wraps each module's ``__all__`` plus the ``PolyST``
-and ``TruncSeries`` methods it names: a stale entry would crash a traced run."""
+and ``TruncSeries`` methods it names: a stale entry would crash a traced run.
+And every imported name is used."""
 
+import ast
 import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 MODULES = ["", ".numerics", ".eulerian", ".ward", ".stirlingperm", ".trees", ".series", ".verify", ".cli"]
 
 
@@ -28,3 +31,27 @@ def test_the_tracer_finds_every_callable_it_wraps(monkeypatch):
     tracer = importlib.import_module("tracer")
     found = {qual for _, qual, _ in tracer._public_callables()}
     assert "trees.perm_to_tree" in found and "verify.run_suite" in found
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads; names in its __all__ count as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted("%s:%d %s" % (path.relative_to(ROOT), line, name) for name, line in imported.items() if name not in read)
+
+
+def test_every_import_is_used():
+    paths = sorted((ROOT / "src" / "eulerward").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(paths) > 20
+    assert [found for path in paths for found in _unused_imports(path)] == []

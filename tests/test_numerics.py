@@ -183,15 +183,22 @@ class TestStirlingArrays:
         assert assoc_stirling_subset(7, 3) == 105
 
 
+def _render_by_sorting(p):
+    """The slow render oracle: sort the term map, then join."""
+    terms = sorted(p.terms.items())
+    return "+".join(["%d*s^%d*t^%d" % (c, a, b) for (a, b), c in terms]) if terms else "0"
+
+
 def _assert_stored(p):
     """p holds two aligned tuples: exponent pairs strictly ascending in
-    (degree in t, degree in s) and nonzero int coefficients; its term map
-    rebuilds an equal PolyST that hashes alike."""
+    (degree in s, degree in t) and nonzero int coefficients, and renders in
+    that order as the sorting oracle does; its term map rebuilds an equal
+    PolyST that hashes alike."""
     assert type(p._keys) is tuple and type(p._coeffs) is tuple
     assert len(p._keys) == len(p._coeffs)
     assert all(type(x) is int and x >= 0 for key in p._keys for x in key)
-    order = [(b, a) for a, b in p._keys]
-    assert all(x < y for x, y in zip(order, order[1:])), p._keys
+    assert all(x < y for x, y in zip(p._keys, p._keys[1:])), p._keys
+    assert p.render() == _render_by_sorting(p)
     assert all(type(c) is int and c != 0 for c in p._coeffs)
     rebuilt = PolyST(p.terms)
     assert rebuilt == p and hash(rebuilt) == hash(p)
@@ -212,6 +219,12 @@ class TestPolyST:
         assert PolyST.constant(5) == 5
         assert PolyST.s() - PolyST.s() == 0
         assert PolyST.s() != PolyST.t()
+        # a bool or a float is never a PolyST constant, so it compares unequal instead of raising
+        one, zero = PolyST.constant(1), PolyST()
+        for other in (True, 1.5, 1.0):
+            assert not one == other and one != other and not other == one
+        assert not zero == False and zero != False
+        assert True not in {one} and one not in {True} and len({one, True}) == 2
 
     def test_power(self):
         p = (PolyST.s() + 1) ** 3
@@ -300,8 +313,8 @@ class TestPolyST:
 class TestStorage:
     def test_init_from_a_dict_and_from_pairs(self):
         p = PolyST({(2, 0): 3, (0, 1): -1, (1, 1): 5, (0, 0): 4})
-        assert p._keys == ((0, 0), (2, 0), (0, 1), (1, 1))
-        assert p._coeffs == (4, 3, -1, 5)
+        assert p._keys == ((0, 0), (0, 1), (1, 1), (2, 0))
+        assert p._coeffs == (4, -1, 5, 3)
         # out of order, with one term given twice and one that cancels
         pairs = [((1, 1), 2), ((0, 0), 4), ((3, 2), 7), ((2, 0), 3), ((1, 1), 3), ((0, 1), -1), ((3, 2), -7)]
         q = PolyST(pairs)
@@ -371,13 +384,16 @@ class TestKronecker:
         lifted = sum(c * (x << shift) for c, shift in packing.shifts(p))
         assert lifted == _packed(packing, (p - 7) * (PolyST.s() + 2))
 
-    @given(
-        st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 3)), st.integers(-500, 500), max_size=12)
-    )
-    def test_unpack_inverts_the_substitution(self, terms):
-        p = PolyST(terms)
-        packing = numerics._Kronecker(500, 4, 3)
-        assert packing.unpack([_packed(packing, p)], [(4, 3)]) == [p]
+    @given(st.data())
+    def test_unpack_inverts_the_substitution(self, data):
+        # slots of 1 to 9 bytes; W = 1 leaves no pad between the slots one read takes
+        bound = data.draw(st.integers(1, 2**70), label="bound")
+        s_deg, t_deg = data.draw(st.integers(0, 4), label="s_deg"), data.draw(st.integers(0, 4), label="t_deg")
+        box = data.draw(st.tuples(st.integers(0, s_deg), st.integers(0, t_deg)), label="box")
+        exponents = st.tuples(st.integers(0, box[0]), st.integers(0, box[1]))
+        p = PolyST(data.draw(st.dictionaries(exponents, st.integers(-bound, bound), max_size=12), label="terms"))
+        packing = numerics._Kronecker(bound, s_deg, t_deg)
+        assert packing.unpack([_packed(packing, p)], [box]) == [p]
 
     def test_degree_bounds_past_the_top_slot_raise(self):
         packing = numerics._Kronecker(9, 2, 2)
