@@ -463,6 +463,12 @@ def _egf_values(F: TruncSeries) -> list[Fraction]:
     return [Fraction(c * math.factorial(n), F._den) for n, c in enumerate(F._num)]
 
 
+def _egf_march(h0: Fraction, c: Fraction, expo: int, s: int, t: int, N: int) -> list[Fraction]:
+    """n! [y^n] (g/h0)^s ((1-h0)/(1-g))^(s+t), n = 0..N, for g' = c g (1-g)^expo, g(0) = h0."""
+    g = _ode_march(h0, c, expo, N)
+    return _egf_values((g / h0) ** s * ((1 - g) / (1 - h0)) ** (-(s + t)))
+
+
 def _check_args(nu: int, s: int, t: int, N: int):
     for name, value in (("nu", nu), ("s", s), ("t", t), ("N", N)):
         _require_int(name, value)
@@ -485,10 +491,7 @@ def egf_eulerian_coeffs(nu: int, s: int, t: int, x0, N: int) -> list[Fraction]:
     x0 = as_fraction(x0)
     if not 0 < x0 < 1:
         raise ValueError("x0 must lie strictly between 0 and 1, got %s" % (x0,))
-    c = (1 - x0) ** nu
-    g = _ode_march(x0, c, 1 - nu, N)
-    F = (g / x0) ** s * ((1 - g) / (1 - x0)) ** (-(s + t))
-    return _egf_values(F)
+    return _egf_march(x0, (1 - x0) ** nu, 1 - nu, s, t, N)
 
 
 def egf_order1_direct(s: int, t: int, x0, N: int) -> list[Fraction]:
@@ -509,17 +512,14 @@ def egf_order1_direct(s: int, t: int, x0, N: int) -> list[Fraction]:
 def egf_ward_coeffs(nu: int, s: int, t: int, x0, N: int) -> list[Fraction]:
     """Ward row polynomial values sum_k W(n, k) x0^k for n = 0..N.
 
-    Solves h' = (1+x0)^(-nu) h (1-h)^(-nu) with h(0) = x0/(1+x0) and reads
-    the coefficients of y^n/n! in h^s / ((1-h)^(s+t) x0^s (1+x0)^t).
+    Solves h' = (1+x0)^(-nu) h (1-h)^(-nu) with h(0) = h0 = x0/(1+x0) and reads
+    y^n/n! in h^s / ((1-h)^(s+t) x0^s (1+x0)^t), the Eulerian formula at h0.
     """
     _check_args(nu, s, t, N)
     x0 = as_fraction(x0)
     if x0 <= 0:
         raise ValueError("x0 must be positive, got %s" % (x0,))
-    c = Fraction(1) / (1 + x0) ** nu
-    h = _ode_march(x0 / (1 + x0), c, -nu, N)
-    F = h**s * (1 - h) ** (-(s + t)) / (x0**s * (1 + x0) ** t)
-    return _egf_values(F)
+    return _egf_march(x0 / (1 + x0), Fraction(1) / (1 + x0) ** nu, -nu, s, t, N)
 
 
 def egf_transform_sides(nu: int, s: int, t: int, x0, N: int) -> tuple[list, list]:

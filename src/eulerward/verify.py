@@ -6,11 +6,13 @@ triangle vs binomial transform of the companion triangle, recurrence vs
 marked-forest counting, table rows vs generating function coefficients.  All
 comparisons are exact; there are no tolerances anywhere.
 
-Each check generates its cases, (instance, (name_a, a), (name_b, b)), over
-its parameter grid in ascending order; one harness (``_first_mismatch``)
-stops at the first (smallest) case whose two routes disagree and reports the
-instance plus both routes' values as the witness.  A route that raises fails
-its check the same way, with the case's number and the exception as the
+Each check is a generator over the grid it is handed: it yields its cases,
+(instance, (name_a, a), (name_b, b)), in ascending order.  One harness,
+``run_check(id)``, hands a check its declared grid and feeds its cases to
+``_first_mismatch``, which stops at the first (smallest) case whose two
+routes disagree and reports the instance plus both routes' values as the
+witness.  Anything that raises inside a check, its set-up lines included,
+fails it the same way, with the case's number and the exception as the
 witness, so the report is still written.  An identity enters as one
 more case: its ``*_sides`` function returns both sides, compared like any two
 routes.  ``run_suite(name)`` returns the suite's report, the JSON object
@@ -19,14 +21,14 @@ carry no timestamps and all set-like data is sorted, so a report is
 byte-for-byte reproducible.
 
 ``_CHECKS`` at the foot of this module is the one place a check is
-declared: its suite, its grid (every value its loops read, which the report
-prints as its ``params``) and its case families, each with its routes and
-the paper claim it covers.  To add a check, write a ``check_*`` function
-whose loops read the grid from its entry, and add the entry; the tests
-audit the declared routes, shrink each grid dimension and pin the case
-count.  Both report shapes carry the constant key ``"size_level":
-"default"``, which the pinned report digests and the benchmark's report
-check read.
+declared: its suite, its case generator, its grid (every value the
+generator reads, which the report prints as its ``params``) and its case
+families, each with its routes and the paper claim it covers.  To add a
+check, write a ``check_*(grid)`` generator that reads every value from the
+grid it is handed, and add the entry; the tests audit the declared routes,
+shrink each grid dimension and pin the case count.  Both report shapes
+carry the constant key ``"size_level": "default"``, which the pinned report
+digests and the benchmark's report check read.
 """
 
 from __future__ import annotations
@@ -90,19 +92,9 @@ from .ward import (
 __all__ = [
     "CheckResult",
     "SUITE_NAMES",
+    "run_check",
     "run_suite",
     "run_all",
-    "check_golden_examples",
-    "check_recurrence_vs_enumeration",
-    "check_row_sums",
-    "check_closed_forms",
-    "check_special_cases",
-    "check_inverse_pairs",
-    "check_classic_ward",
-    "check_ward_interpretation",
-    "check_series_tree_function",
-    "check_egf",
-    "check_series_identities",
 ]
 
 
@@ -173,226 +165,191 @@ _GOLDEN_WORDS = (
 )
 
 
-def check_golden_examples() -> CheckResult:
-    grid = _CHECKS["golden-examples"].grid
-
-    def cases():
-        ok = ("expected", True)
-        # the worked words, then the forest example as the last case
-        for text, nu, asc, eset, dset in _GOLDEN_WORDS[: grid["cases"] - 1]:
-            w = word_from_text(text)
-            # each word alone must use exactly the labels 1..n
-            valid = validate_word(w, nu) and _labels_partition_range((w,))
-            yield {"word": text, "failed": "validate"}, ("valid", valid), ok
-            yield {"word": text, "failed": "ascents"}, ("got", sorted(ascent_positions(w))), ("expected", list(asc))
-            tree = perm_to_tree(w, nu)
-            yield {"word": text, "failed": "tree-structure"}, ("valid", validate_tree(tree, nu)), ok
-            yield {"word": text, "failed": "roundtrip"}, ("got", list(tree_to_perm(tree))), ("expected", list(w))
-            got = sorted(leftmost_internal_set(tree))
-            yield {"word": text, "failed": "leftmost-set"}, ("got", got), ("expected", list(eset))
-            got = sorted(distinguished_set(tree))
-            yield {"word": text, "failed": "distinguished-set"}, ("got", got), ("expected", list(dset))
-        # the four-entry sequence example: n, ascents, D sets, tree validity
-        seq = tuple(map(word_from_text, ("23332200", "555111", "0444", "")))
-        forest = seq_to_forest(seq, 3)
-        got = [
-            len(set().union(*seq) - {0}),
-            seq_ascent_count(seq),
-            sorted(forest_distinguished_set(forest)),
-            [sorted(distinguished_set(tr)) for tr in forest],
-            all(validate_tree(tr, 3) for tr in forest),
-        ]
-        expected = [5, 2, [1, 2, 5], [[2], [1, 5], [], []], True]
-        yield {"word": "forest", "failed": "forest-statistics"}, ("got", got), ("expected", expected)
-
-    return _first_mismatch("golden-examples", grid, cases())
+def check_golden_examples(grid):
+    ok = ("expected", True)
+    # the worked words, then the forest example as the last case
+    for text, nu, asc, eset, dset in _GOLDEN_WORDS[: grid["cases"] - 1]:
+        w = word_from_text(text)
+        # each word alone must use exactly the labels 1..n
+        valid = validate_word(w, nu) and _labels_partition_range((w,))
+        yield {"word": text, "failed": "validate"}, ("valid", valid), ok
+        yield {"word": text, "failed": "ascents"}, ("got", sorted(ascent_positions(w))), ("expected", list(asc))
+        tree = perm_to_tree(w, nu)
+        yield {"word": text, "failed": "tree-structure"}, ("valid", validate_tree(tree, nu)), ok
+        yield {"word": text, "failed": "roundtrip"}, ("got", list(tree_to_perm(tree))), ("expected", list(w))
+        got = sorted(leftmost_internal_set(tree))
+        yield {"word": text, "failed": "leftmost-set"}, ("got", got), ("expected", list(eset))
+        got = sorted(distinguished_set(tree))
+        yield {"word": text, "failed": "distinguished-set"}, ("got", got), ("expected", list(dset))
+    # the four-entry sequence example: n, ascents, D sets, tree validity
+    seq = tuple(map(word_from_text, ("23332200", "555111", "0444", "")))
+    forest = seq_to_forest(seq, 3)
+    got = [
+        len(set().union(*seq) - {0}),
+        seq_ascent_count(seq),
+        sorted(forest_distinguished_set(forest)),
+        [sorted(distinguished_set(tr)) for tr in forest],
+        all(validate_tree(tr, 3) for tr in forest),
+    ]
+    expected = [5, 2, [1, 2, 5], [[2], [1, 5], [], []], True]
+    yield {"word": "forest", "failed": "forest-statistics"}, ("got", got), ("expected", expected)
 
 
 # ------------------------------------------------- recurrence vs counting
 
 
-def check_recurrence_vs_enumeration() -> CheckResult:
-    grid = _CHECKS["recurrence-vs-enumeration"].grid
-
-    def cases():
-        for p in _box(grid):
-            n_top = grid["n_max"]
-            while n_top > 0 and count_sequences(p, n_top) > grid["object_cap"]:
-                n_top -= 1
-            hists = ascent_histograms_up_to(p, n_top)
-            table = eulerian_table(p, n_top)
-            # orders 0 and 1 take their own returns, which n_top >= 2 never reaches
-            for nmax in (0, 1):
-                rows = [list(table.row(n)) for n in range(nmax + 1)]
-                instance = {"nu": p.nu, "s": p.s, "t": p.t, "nmax": nmax}
-                yield instance, ("recurrence", rows), ("enumeration", ascent_histograms_up_to(p, nmax))
-            for n in range(n_top + 1):
-                yield (
-                    {"nu": p.nu, "s": p.s, "t": p.t, "n": n},
-                    ("recurrence", list(table.row(n))),
-                    ("enumeration", hists[n]),
-                )
-        # histogram independence from the composition of t
-        size = grid["composition_n_max"]
-        for nu in grid["composition_nu_values"]:
-            for base, comp in [((2, 0), (1, 1)), ((0, 2), (1, 1))]:
-                yield (
-                    {"nu": nu, "s": 2, "t": 2, "failed": "composition-independence", "tvec": list(comp)},
-                    ("histograms", ascent_histograms_up_to(Params(nu, 2, 2, comp), size)),
-                    ("base_histograms", ascent_histograms_up_to(Params(nu, 2, 2, base), size)),
-                )
-
-    return _first_mismatch("recurrence-vs-enumeration", grid, cases())
+def check_recurrence_vs_enumeration(grid):
+    for p in _box(grid):
+        n_top = grid["n_max"]
+        while n_top > 0 and count_sequences(p, n_top) > grid["object_cap"]:
+            n_top -= 1
+        hists = ascent_histograms_up_to(p, n_top)
+        table = eulerian_table(p, n_top)
+        # orders 0 and 1 take their own returns, which n_top >= 2 never reaches
+        for nmax in (0, 1):
+            rows = [list(table.row(n)) for n in range(nmax + 1)]
+            instance = {"nu": p.nu, "s": p.s, "t": p.t, "nmax": nmax}
+            yield instance, ("recurrence", rows), ("enumeration", ascent_histograms_up_to(p, nmax))
+        for n in range(n_top + 1):
+            yield (
+                {"nu": p.nu, "s": p.s, "t": p.t, "n": n},
+                ("recurrence", list(table.row(n))),
+                ("enumeration", hists[n]),
+            )
+    # histogram independence from the composition of t
+    size = grid["composition_n_max"]
+    for nu in grid["composition_nu_values"]:
+        for base, comp in [((2, 0), (1, 1)), ((0, 2), (1, 1))]:
+            yield (
+                {"nu": nu, "s": 2, "t": 2, "failed": "composition-independence", "tvec": list(comp)},
+                ("histograms", ascent_histograms_up_to(Params(nu, 2, 2, comp), size)),
+                ("base_histograms", ascent_histograms_up_to(Params(nu, 2, 2, base), size)),
+            )
 
 
-def check_row_sums() -> CheckResult:
-    grid = _CHECKS["row-sums"].grid
-
-    def cases():
-        for p in _box(grid):
-            table = eulerian_table(p, grid["n_max"])
-            for n in range(grid["n_max"] + 1):
-                yield (
-                    {"nu": p.nu, "s": p.s, "t": p.t, "n": n},
-                    ("sum", sum(table.row(n))),
-                    ("product", row_sum_product(p, n)),
-                )
-
-    return _first_mismatch("row-sums", grid, cases())
+def check_row_sums(grid):
+    for p in _box(grid):
+        table = eulerian_table(p, grid["n_max"])
+        for n in range(grid["n_max"] + 1):
+            yield (
+                {"nu": p.nu, "s": p.s, "t": p.t, "n": n},
+                ("sum", sum(table.row(n))),
+                ("product", row_sum_product(p, n)),
+            )
 
 
 # ------------------------------------------------------------ closed forms
 
 
-def check_closed_forms() -> CheckResult:
-    grid = _CHECKS["closed-forms"].grid
-
-    def cases():
-        closed_forms = {1: closed_form_order1, 2: closed_form_order2}
-        for s, t in grid["st_pairs"]:
-            forms = [
-                (order, closed_forms[order], eulerian_table(Params(order, s, t), grid["n_max"]))
-                for order in grid["orders"]
-            ]
-            for n in range(grid["n_max"] + 1):
-                rows = [(order, closed_form(n, s, t), table.row(n)) for order, closed_form, table in forms]
-                for k in range(n + 1):
-                    for order, closed, recurrence in rows:
-                        yield (
-                            {"order": order, "s": s, "t": t, "n": n, "k": k},
-                            ("closed", closed[k]),
-                            ("recurrence", recurrence[k]),
-                        )
-
-    return _first_mismatch("closed-forms", grid, cases())
-
-
-def check_special_cases() -> CheckResult:
-    grid = _CHECKS["special-cases"].grid
-    nmax, smax = grid["shift_n_max"], grid["s_minus_s_n_max"]
-
-    def cases():
-        # the classic triangles are the (1,0) and (0,1) instances
-        classics = [
-            (failed, classic, indexing, eulerian_table(p, nmax))
-            for failed, classic, indexing, p in (
-                ("classic-standard", classic_eulerian, "standard", Params(1, 1, 0)),
-                ("classic-traditional", classic_eulerian, "traditional", Params(1, 0, 1)),
-                ("second-order-standard", classic_second_order, "standard", Params(2, 1, 0)),
-                ("second-order-traditional", classic_second_order, "traditional", Params(2, 0, 1)),
-            )
+def check_closed_forms(grid):
+    closed_forms = {1: closed_form_order1, 2: closed_form_order2}
+    for s, t in grid["st_pairs"]:
+        forms = [
+            (order, closed_forms[order], eulerian_table(Params(order, s, t), grid["n_max"]))
+            for order in grid["orders"]
         ]
-        for n in range(nmax + 1):
+        for n in range(grid["n_max"] + 1):
+            rows = [(order, closed_form(n, s, t), table.row(n)) for order, closed_form, table in forms]
             for k in range(n + 1):
-                for failed, classic, indexing, table in classics:
+                for order, closed, recurrence in rows:
                     yield (
-                        {"failed": failed, "n": n, "k": k},
-                        ("classic", classic(n, k, indexing)),
+                        {"order": order, "s": s, "t": t, "n": n, "k": k},
+                        ("closed", closed[k]),
+                        ("recurrence", recurrence[k]),
+                    )
+
+
+def check_special_cases(grid):
+    nmax, smax = grid["shift_n_max"], grid["s_minus_s_n_max"]
+    # the classic triangles are the (1,0) and (0,1) instances
+    classics = [
+        (failed, classic, indexing, eulerian_table(p, nmax))
+        for failed, classic, indexing, p in (
+            ("classic-standard", classic_eulerian, "standard", Params(1, 1, 0)),
+            ("classic-traditional", classic_eulerian, "traditional", Params(1, 0, 1)),
+            ("second-order-standard", classic_second_order, "standard", Params(2, 1, 0)),
+            ("second-order-traditional", classic_second_order, "traditional", Params(2, 0, 1)),
+        )
+    ]
+    for n in range(nmax + 1):
+        for k in range(n + 1):
+            for failed, classic, indexing, table in classics:
+                yield (
+                    {"failed": failed, "n": n, "k": k},
+                    ("classic", classic(n, k, indexing)),
+                    ("recurrence", table.entry(n, k)),
+                )
+    # the shift between the two indexings, on its domain n >= 1, 1 <= k <= n
+    shifts = (("order1-shift", classic_eulerian), ("order2-shift", classic_second_order))
+    for n in range(1, nmax + 1):
+        for k in range(1, n + 1):
+            for failed, classic in shifts:
+                yield (
+                    {"failed": failed, "n": n, "k": k},
+                    ("traditional", classic(n, k, "traditional")),
+                    ("standard", classic(n, k - 1, "standard")),
+                )
+    # degenerate t = -s closed forms against the recurrence
+    for nu in grid["s_minus_s_nu_values"]:
+        for s in grid["s_minus_s_s_values"]:
+            table = eulerian_table(Params(nu, s, -s), smax)
+            for n in range(smax + 1):
+                for k in range(n + 1):
+                    yield (
+                        {"failed": "s-minus-s", "nu": nu, "s": s, "n": n, "k": k},
+                        ("closed", s_minus_s_closed_forms(nu, n, k, s)),
                         ("recurrence", table.entry(n, k)),
                     )
-        # the shift between the two indexings, on its domain n >= 1, 1 <= k <= n
-        shifts = (("order1-shift", classic_eulerian), ("order2-shift", classic_second_order))
-        for n in range(1, nmax + 1):
-            for k in range(1, n + 1):
-                for failed, classic in shifts:
-                    yield (
-                        {"failed": failed, "n": n, "k": k},
-                        ("traditional", classic(n, k, "traditional")),
-                        ("standard", classic(n, k - 1, "standard")),
-                    )
-        # degenerate t = -s closed forms against the recurrence
-        for nu in grid["s_minus_s_nu_values"]:
-            for s in grid["s_minus_s_s_values"]:
-                table = eulerian_table(Params(nu, s, -s), smax)
-                for n in range(smax + 1):
-                    for k in range(n + 1):
-                        yield (
-                            {"failed": "s-minus-s", "nu": nu, "s": s, "n": n, "k": k},
-                            ("closed", s_minus_s_closed_forms(nu, n, k, s)),
-                            ("recurrence", table.entry(n, k)),
-                        )
-
-    return _first_mismatch("special-cases", grid, cases())
 
 
 # ----------------------------------------------------------- inverse pairs
 
 
-def check_inverse_pairs() -> CheckResult:
-    grid = _CHECKS["inverse-pairs"].grid
+def check_inverse_pairs(grid):
     nmax = grid["n_max"]
-
-    def cases():
-        for nu in range(1, grid["nu_max"] + 1):
-            for s, t in ((s, t) for s in grid["s_values"] for t in grid["t_values"]):
-                e = eulerian_table(Params(nu + 1, s, t), nmax)
-                w = ward_table(Params(nu, s, t), nmax)
-                for n in range(nmax + 1):
-                    at = {"nu": nu, "s": s, "t": t, "n": n}
-                    yield (
-                        {"failed": "euler-to-ward", **at},
-                        ("transform", euler_to_ward(list(e.row(n)), n)),
-                        ("ward", list(w.row(n))),
-                    )
-                    yield (
-                        {"failed": "ward-to-euler", **at},
-                        ("transform", ward_to_euler(list(w.row(n)), n)),
-                        ("eulerian", list(e.row(n))),
-                    )
-        for n in range(nmax + 1):
-            yield _sides({"failed": "orthogonality", "n": n}, riordan_orthogonality_sides(n))
-        # ratio roundtrips over deterministic pseudorandom integer rows
-        rng = random.Random(grid["roundtrip_seed"])
-        for r in map(Fraction, grid["ratios"]):
-            for n in range(grid["roundtrip_n_max"] + 1):
-                row = [rng.randrange(-50, 50) for _ in range(n + 1)]
-                fwd = general_inverse_transform(row, n, r, "forward")
+    for nu in range(1, grid["nu_max"] + 1):
+        for s, t in ((s, t) for s in grid["s_values"] for t in grid["t_values"]):
+            e = eulerian_table(Params(nu + 1, s, t), nmax)
+            w = ward_table(Params(nu, s, t), nmax)
+            for n in range(nmax + 1):
+                at = {"nu": nu, "s": s, "t": t, "n": n}
                 yield (
-                    {"failed": "ratio-roundtrip", "r": str(r), "n": n},
-                    ("roundtrip", general_inverse_transform(fwd, n, r, "backward")),
-                    ("row", row),
+                    {"failed": "euler-to-ward", **at},
+                    ("transform", euler_to_ward(list(e.row(n)), n)),
+                    ("ward", list(w.row(n))),
                 )
+                yield (
+                    {"failed": "ward-to-euler", **at},
+                    ("transform", ward_to_euler(list(w.row(n)), n)),
+                    ("eulerian", list(e.row(n))),
+                )
+    for n in range(nmax + 1):
+        yield _sides({"failed": "orthogonality", "n": n}, riordan_orthogonality_sides(n))
+    # ratio roundtrips over deterministic pseudorandom integer rows
+    rng = random.Random(grid["roundtrip_seed"])
+    for r in map(Fraction, grid["ratios"]):
+        for n in range(grid["roundtrip_n_max"] + 1):
+            row = [rng.randrange(-50, 50) for _ in range(n + 1)]
+            fwd = general_inverse_transform(row, n, r, "forward")
+            yield (
+                {"failed": "ratio-roundtrip", "r": str(r), "n": n},
+                ("roundtrip", general_inverse_transform(fwd, n, r, "backward")),
+                ("row", row),
+            )
 
-    return _first_mismatch("inverse-pairs", grid, cases())
 
-
-def check_classic_ward() -> CheckResult:
-    grid = _CHECKS["classic-ward"].grid
+def check_classic_ward(grid):
     top, smiley_n = grid["n_plus_k_max"], grid["smiley_n_max"]
-
-    def cases():
-        w = ward_table(Params(1, 0, 1), top)
-        for n in range(top + 1):
-            for k in range(min(n, top - n) + 1):
-                yield (
-                    {"n": n, "k": k},
-                    ("ward", w.entry(n, k)),
-                    ("assoc_stirling", assoc_stirling_subset(n + k, k)),
-                )
-        for n in range(1, smiley_n + 1):
-            yield _sides({"failed": "smiley-identities", "n": n}, smiley_identities_sides(n))
-
-    return _first_mismatch("classic-ward", grid, cases())
+    w = ward_table(Params(1, 0, 1), top)
+    for n in range(top + 1):
+        for k in range(min(n, top - n) + 1):
+            yield (
+                {"n": n, "k": k},
+                ("ward", w.entry(n, k)),
+                ("assoc_stirling", assoc_stirling_subset(n + k, k)),
+            )
+    for n in range(1, smiley_n + 1):
+        yield _sides({"failed": "smiley-identities", "n": n}, smiley_identities_sides(n))
 
 
 # ----------------------------------------------------- ward interpretation
@@ -406,25 +363,20 @@ def _compositions_for(s: int, t: int) -> list[tuple[int, ...]]:
     return list(dict.fromkeys(cands))
 
 
-def check_ward_interpretation() -> CheckResult:
-    grid = _CHECKS["ward-interpretation"].grid
+def check_ward_interpretation(grid):
     nmax = grid["n_max"]
-
-    def cases():
-        for nu in grid["nu_values"]:
-            for s in grid["s_values"]:
-                for t in range(grid["t_max"] + 1):
-                    table = ward_table(Params(nu, s, t), nmax)
-                    for comp in _compositions_for(s, t):
-                        marked = ward_marked_rows_up_to(Params(nu, s, t, comp), nmax)
-                        for n in range(nmax + 1):
-                            yield (
-                                {"nu": nu, "s": s, "t": t, "tvec": list(comp), "n": n},
-                                ("marked", marked[n]),
-                                ("recurrence", list(table.row(n))),
-                            )
-
-    return _first_mismatch("ward-interpretation", grid, cases())
+    for nu in grid["nu_values"]:
+        for s in grid["s_values"]:
+            for t in range(grid["t_max"] + 1):
+                table = ward_table(Params(nu, s, t), nmax)
+                for comp in _compositions_for(s, t):
+                    marked = ward_marked_rows_up_to(Params(nu, s, t, comp), nmax)
+                    for n in range(nmax + 1):
+                        yield (
+                            {"nu": nu, "s": s, "t": t, "tvec": list(comp), "n": n},
+                            ("marked", marked[n]),
+                            ("recurrence", list(table.row(n))),
+                        )
 
 
 # ----------------------------------------------------------------- series
@@ -435,33 +387,28 @@ def _cayley(n: int) -> Fraction:
     return Fraction(n ** (n - 1), math.factorial(n))
 
 
-def check_series_tree_function() -> CheckResult:
-    grid = _CHECKS["tree-function"].grid
+def check_series_tree_function(grid):
     K = grid["order"]
-
-    def cases():
-        x = TruncSeries.x(K)
-        for nu in range(1, grid["nu_max"] + 1):
-            T = t_nu_series(nu, K)
-            q = [Fraction(0)] * (K + 1)
-            for k in range(1, nu):
-                q[k] = Fraction(math.comb(nu - 1, k) * (-1) ** k, k)
-            f = x * TruncSeries(q).exp()
-            at = {"failed": "reversion-contract", "nu": nu}
-            yield at, ("f_of_T", f.compose(T).coeffs), ("x", x.coeffs)
-            yield at, ("T_of_f", T.compose(f).coeffs), ("x", x.coeffs)
-            yield _sides({"failed": "derivative-identity", "nu": nu}, t_nu_derivative_sides(nu, K))
-        T2 = t_nu_series(2, K)
-        for n in range(1, K + 1):
-            yield (
-                {"failed": "tree-coefficients", "n": n},
-                ("series", T2.coefficient(n)),
-                ("closed", _cayley(n)),
-            )
-        for s in grid["tree_power_s_values"]:
-            yield _sides({"failed": "tree-powers", "s": s}, tree_power_sides(s, K))
-
-    return _first_mismatch("tree-function", grid, cases())
+    x = TruncSeries.x(K)
+    for nu in range(1, grid["nu_max"] + 1):
+        T = t_nu_series(nu, K)
+        q = [Fraction(0)] * (K + 1)
+        for k in range(1, nu):
+            q[k] = Fraction(math.comb(nu - 1, k) * (-1) ** k, k)
+        f = x * TruncSeries(q).exp()
+        at = {"failed": "reversion-contract", "nu": nu}
+        yield at, ("f_of_T", f.compose(T).coeffs), ("x", x.coeffs)
+        yield at, ("T_of_f", T.compose(f).coeffs), ("x", x.coeffs)
+        yield _sides({"failed": "derivative-identity", "nu": nu}, t_nu_derivative_sides(nu, K))
+    T2 = t_nu_series(2, K)
+    for n in range(1, K + 1):
+        yield (
+            {"failed": "tree-coefficients", "n": n},
+            ("series", T2.coefficient(n)),
+            ("closed", _cayley(n)),
+        )
+    for s in grid["tree_power_s_values"]:
+        yield _sides({"failed": "tree-powers", "s": s}, tree_power_sides(s, K))
 
 
 def _poly_value(row, x0: Fraction) -> Fraction:
@@ -474,78 +421,68 @@ def _poly_value(row, x0: Fraction) -> Fraction:
     return Fraction(num * b, den)
 
 
-def check_egf() -> CheckResult:
-    grid = _CHECKS["egf"].grid
+def check_egf(grid):
     nmax = grid["n_max"]
-
-    def cases():
-        for nu in grid["nu_eulerian"]:
-            for s, t in grid["st_pairs"]:
-                table = eulerian_table(Params(nu, s, t), nmax)
-                for x0 in map(Fraction, grid["x0_eulerian"]):
-                    at = {"nu": nu, "s": s, "t": t, "x0": str(x0)}
-                    want = [_poly_value(table.row(n), x0) for n in range(nmax + 1)]
+    for nu in grid["nu_eulerian"]:
+        for s, t in grid["st_pairs"]:
+            table = eulerian_table(Params(nu, s, t), nmax)
+            for x0 in map(Fraction, grid["x0_eulerian"]):
+                at = {"nu": nu, "s": s, "t": t, "x0": str(x0)}
+                want = [_poly_value(table.row(n), x0) for n in range(nmax + 1)]
+                yield (
+                    {"failed": "eulerian", **at},
+                    ("egf", egf_eulerian_coeffs(nu, s, t, x0, nmax)),
+                    ("table", want),
+                )
+                if nu == 1:
                     yield (
-                        {"failed": "eulerian", **at},
-                        ("egf", egf_eulerian_coeffs(nu, s, t, x0, nmax)),
+                        {"failed": "order1-direct", **at},
+                        ("direct", egf_order1_direct(s, t, x0, nmax)),
                         ("table", want),
                     )
-                    if nu == 1:
-                        yield (
-                            {"failed": "order1-direct", **at},
-                            ("direct", egf_order1_direct(s, t, x0, nmax)),
-                            ("table", want),
-                        )
-        for nu in grid["nu_ward"]:
-            for s, t in grid["st_pairs"]:
-                table = ward_table(Params(nu, s, t), nmax)
-                for x0 in map(Fraction, grid["x0_ward"]):
-                    at = {"nu": nu, "s": s, "t": t, "x0": str(x0)}
-                    want = [_poly_value(table.row(n), x0) for n in range(nmax + 1)]
-                    # the transform's left side is egf_ward_coeffs itself
-                    sides = egf_transform_sides(nu, s, t, x0, nmax)
-                    yield {"failed": "ward", **at}, ("egf", sides[0]), ("table", want)
-                    yield _sides({"failed": "transform", **at}, sides)
-
-    return _first_mismatch("egf", grid, cases())
+    for nu in grid["nu_ward"]:
+        for s, t in grid["st_pairs"]:
+            table = ward_table(Params(nu, s, t), nmax)
+            for x0 in map(Fraction, grid["x0_ward"]):
+                at = {"nu": nu, "s": s, "t": t, "x0": str(x0)}
+                want = [_poly_value(table.row(n), x0) for n in range(nmax + 1)]
+                # the transform's left side is egf_ward_coeffs itself
+                sides = egf_transform_sides(nu, s, t, x0, nmax)
+                yield {"failed": "ward", **at}, ("egf", sides[0]), ("table", want)
+                yield _sides({"failed": "transform", **at}, sides)
 
 
-def check_series_identities() -> CheckResult:
-    grid = _CHECKS["series-identities"].grid
+def check_series_identities(grid):
     nmax, K = grid["n_max"], grid["order"]
-
-    def cases():
-        for s, t in grid["order1_st_pairs"]:
-            for n in range(nmax + 1):
-                yield _sides(
-                    {"failed": "order1-ratio", "n": n, "s": s, "t": t},
-                    eulerian_ratio_expansion_sides(n, s, t, K),
-                )
-        for s, t in grid["order2_st_pairs"]:
-            for n in range(nmax + 1):
-                yield _sides(
-                    {"failed": "order2-ratio", "n": n, "s": s, "t": t},
-                    second_order_ratio_expansion_sides(n, s, t, K),
-                )
-        for n in range(1, grid["unit_sums_n_max"] + 1):
-            yield _sides({"failed": "unit-sums", "n": n}, binomial_unit_sums_sides(n))
-
-    return _first_mismatch("series-identities", grid, cases())
+    for s, t in grid["order1_st_pairs"]:
+        for n in range(nmax + 1):
+            yield _sides(
+                {"failed": "order1-ratio", "n": n, "s": s, "t": t},
+                eulerian_ratio_expansion_sides(n, s, t, K),
+            )
+    for s, t in grid["order2_st_pairs"]:
+        for n in range(nmax + 1):
+            yield _sides(
+                {"failed": "order2-ratio", "n": n, "s": s, "t": t},
+                second_order_ratio_expansion_sides(n, s, t, K),
+            )
+    for n in range(1, grid["unit_sums_n_max"] + 1):
+        yield _sides({"failed": "unit-sums", "n": n}, binomial_unit_sums_sides(n))
 
 
 # ------------------------------------------------------------- the table
 
 
 class _Check(_Record):
-    _fields = ("suite", "run", "grid", "families")
+    _fields = ("suite", "cases", "grid", "families")
 
 
 _SIDES = "one function returns both sides"
 _EULERIAN = ("recurrence", eulerian_table)
 
-# Every check, declared once, in report order: its suite, its function, its
-# grid (every value its loops read, printed as the report's params) and its
-# case families.  A family is (failed tag or None, paper claim, a, b): a
+# Every check, declared once, in report order: its suite, its case generator,
+# its grid (every value the generator reads, handed to it by run_check and
+# printed as the report's params) and its case families.  A family is (failed tag or None, paper claim, a, b): a
 # cross-check names its two routes a and b, each (name, callable); an
 # identity gives in a the reason it is one, and in b its ``*_sides``
 # function, or None where there is no such function to run.
@@ -630,11 +567,19 @@ _CHECKS = {
 SUITE_NAMES = tuple(dict.fromkeys(check.suite for check in _CHECKS.values()))
 
 
+def run_check(check_id: str) -> CheckResult:
+    """Run one check over the grid its entry declares: the one place a check runs."""
+    if check_id not in _CHECKS:
+        raise ValueError("unknown check %r; pick one of %s" % (check_id, ", ".join(_CHECKS)))
+    check = _CHECKS[check_id]
+    return _first_mismatch(check_id, check.grid, check.cases(check.grid))
+
+
 def run_suite(name: str) -> dict:
     """The suite's report: the JSON object ``verify --suite <name>`` prints."""
     if name not in SUITE_NAMES:
         raise ValueError("unknown suite %r; pick one of %s" % (name, ", ".join(SUITE_NAMES)))
-    checks = [check.run() for check in _CHECKS.values() if check.suite == name]
+    checks = [run_check(check_id) for check_id, check in _CHECKS.items() if check.suite == name]
     return {
         "suite": name,
         "size_level": "default",

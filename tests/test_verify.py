@@ -35,7 +35,7 @@ def test_inverse_pairs_fault(monkeypatch):
         return out[:-1] + [out[-1] + 1] if n == 2 else out
 
     monkeypatch.setattr(verify, "ward_to_euler", faulty)
-    result = verify.check_inverse_pairs()
+    result = verify.run_check("inverse-pairs")
     want = list(eulerian_table(Params(2, 0, -2), 2).row(2))
     assert result.check_id == "inverse-pairs"
     assert not result.passed
@@ -62,7 +62,7 @@ def test_transform_fault_is_caught_against_the_recurrence(monkeypatch):
         return out
 
     monkeypatch.setattr(ward, "general_inverse_transform", faulty)
-    result = verify.check_inverse_pairs()
+    result = verify.run_check("inverse-pairs")
     want = list(ward_table(Params(1, 0, -2), 9).row(9))
     assert result.check_id == "inverse-pairs"
     assert not result.passed
@@ -83,7 +83,7 @@ def test_leaf_tally_fault_is_caught_at_the_top_order(monkeypatch):
     # first grid point with equal neighbours, (1, 1, 2) with its 0 0, fails
     # at n_top - 1, the first tallied order
     monkeypatch.setattr(stirlingperm, "ge", operator.gt)
-    result = verify.check_recurrence_vs_enumeration()
+    result = verify.run_check("recurrence-vs-enumeration")
     assert result.check_id == "recurrence-vs-enumeration"
     assert not result.passed
     w = result.witness
@@ -109,7 +109,7 @@ def test_carried_pair_count_fault_is_caught_at_the_top_order(monkeypatch):
             yield m, child, a, u - (len(block) - 1)
 
     monkeypatch.setattr(stirlingperm, "_children", faulty)
-    result = verify.check_recurrence_vs_enumeration()
+    result = verify.run_check("recurrence-vs-enumeration")
     assert result.check_id == "recurrence-vs-enumeration"
     assert not result.passed
     w = result.witness
@@ -129,7 +129,7 @@ def test_egf_fault(monkeypatch):
         return out[:3] + [out[3] + 1] + out[4:] if nu == 2 else out
 
     monkeypatch.setattr(verify, "egf_eulerian_coeffs", faulty)
-    result = verify.check_egf()
+    result = verify.run_check("egf")
     x0 = Fraction(1, 3)
     want = [
         sum(c * x0**k for k, c in enumerate(row))
@@ -154,7 +154,7 @@ def test_special_cases_fault(monkeypatch):
         return value + 1 if (n, k, indexing) == (4, 1, "traditional") else value
 
     monkeypatch.setattr(verify, "classic_eulerian", faulty)
-    result = verify.check_special_cases()
+    result = verify.run_check("special-cases")
     assert result.check_id == "special-cases"
     assert not result.passed
     assert result.witness == {
@@ -175,7 +175,7 @@ def test_closed_forms_fault_keeps_the_check_id(monkeypatch, order, route):
         return row
 
     monkeypatch.setattr(verify, route.__name__, faulty)
-    result = verify.check_closed_forms()
+    result = verify.run_check("closed-forms")
     want = eulerian_table(Params(order, 0, 1), 3).entry(3, 2)
     assert result.check_id == "closed-forms"
     assert not result.passed
@@ -281,11 +281,11 @@ def _plant_transform(mp):
     )
 
 
-# (check, sides function, its arguments at the first failing instance,
+# (check id, sides function, its arguments at the first failing instance,
 #  that instance, index path of the first mismatch, planting function)
 IDENTITY_FAULTS = {
     "orthogonality": (
-        verify.check_inverse_pairs,
+        "inverse-pairs",
         ward.riordan_orthogonality_sides,
         (2,),
         {"failed": "orthogonality", "n": 2},
@@ -293,7 +293,7 @@ IDENTITY_FAULTS = {
         _plant_orthogonality,
     ),
     "smiley": (
-        verify.check_classic_ward,
+        "classic-ward",
         ward.smiley_identities_sides,
         (5,),
         {"failed": "smiley-identities", "n": 5},
@@ -301,7 +301,7 @@ IDENTITY_FAULTS = {
         _plant_smiley,
     ),
     "derivative": (
-        verify.check_series_tree_function,
+        "tree-function",
         series.t_nu_derivative_sides,
         (3, 14),
         {"failed": "derivative-identity", "nu": 3},
@@ -309,7 +309,7 @@ IDENTITY_FAULTS = {
         _plant_derivative,
     ),
     "tree-powers": (
-        verify.check_series_tree_function,
+        "tree-function",
         series.tree_power_sides,
         (5, 14),
         {"failed": "tree-powers", "s": 5},
@@ -317,7 +317,7 @@ IDENTITY_FAULTS = {
         _plant_tree_powers,
     ),
     "egf-transform": (
-        verify.check_egf,
+        "egf",
         series.egf_transform_sides,
         (2, 1, 0, Fraction(1, 2), 8),
         {"failed": "transform", "nu": 2, "s": 1, "t": 0, "x0": "1/2"},
@@ -325,7 +325,7 @@ IDENTITY_FAULTS = {
         _plant_transform,
     ),
     "order1-ratio": (
-        verify.check_series_identities,
+        "series-identities",
         series.eulerian_ratio_expansion_sides,
         (2, 2, 3, 12),
         {"failed": "order1-ratio", "n": 2, "s": 2, "t": 3},
@@ -333,7 +333,7 @@ IDENTITY_FAULTS = {
         lambda mp: mp.setattr(series, "eulerian_table", _bump_table_entry(1, 2, 3, 2, 1)),
     ),
     "order2-ratio": (
-        verify.check_series_identities,
+        "series-identities",
         series.second_order_ratio_expansion_sides,
         (1, 2, 1, 12),
         {"failed": "order2-ratio", "n": 1, "s": 2, "t": 1},
@@ -341,7 +341,7 @@ IDENTITY_FAULTS = {
         lambda mp: mp.setattr(series, "eulerian_table", _bump_table_entry(2, 2, 1, 1, 1)),
     ),
     "unit-sums": (
-        verify.check_series_identities,
+        "series-identities",
         series.binomial_unit_sums_sides,
         (13,),
         {"failed": "unit-sums", "n": 13},
@@ -355,14 +355,14 @@ IDENTITY_FAULTS = {
 def test_identity_fault_shows_both_sides(monkeypatch, name):
     # a fault inside one route of the identity fails its check at the first
     # failing instance, and the witness carries both sides in full
-    check, sides, args, instance, path, plant = IDENTITY_FAULTS[name]
-    healthy = check()
+    check_id, sides, args, instance, path, plant = IDENTITY_FAULTS[name]
+    healthy = verify.run_check(check_id)
     lhs, rhs = sides(*args)
     assert type(lhs) is list and type(rhs) is list and lhs == rhs
     assert not any(isinstance(x, (bool, float)) for x in _leaves([lhs, rhs]))
     plant(monkeypatch)
-    result = check()
-    assert result.check_id == healthy.check_id
+    result = verify.run_check(check_id)
+    assert result.check_id == healthy.check_id == check_id
     assert healthy.passed and not result.passed
     lhs, rhs = sides(*args)
     assert result.witness == {**instance, "lhs": verify._shown(lhs), "rhs": verify._shown(rhs)}
@@ -373,7 +373,7 @@ def test_smiley_fault_shows_both_rows(monkeypatch):
     # {{7, 2}} = 2^6 - 8 = 56, planted as 57: the second identity's rows
     # disagree at k = 2, beside the first identity's sums that use it
     _plant_smiley(monkeypatch)
-    w = verify.check_classic_ward().witness
+    w = verify.run_check("classic-ward").witness
     assert (w["lhs"][1][2], w["rhs"][1][2]) == ("57", "56")
 
 
@@ -388,10 +388,10 @@ def test_ward_egf_fault_fails_the_ward_case(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(series, "egf_ward_coeffs", counted)
-    assert verify.check_egf().passed
+    assert verify.run_check("egf").passed
     assert len(calls) == len(set(calls)) == 12
     monkeypatch.setattr(series, "egf_ward_coeffs", _bump_where(real, lambda nu, s, t, x0, N: nu == 2, 3))
-    result = verify.check_egf()
+    result = verify.run_check("egf")
     x0 = Fraction(1, 2)
     want = [verify._poly_value(row, x0) for row in ward_table(Params(2, 1, 0), 8).rows]
     assert result.witness == {
@@ -423,7 +423,7 @@ CASE_COUNTS = {
 
 
 def test_case_counts_are_pinned():
-    checks = [check.run() for check in verify._CHECKS.values()]
+    checks = [verify.run_check(check_id) for check_id in verify._CHECKS]
     assert all(c.passed for c in checks)
     assert {c.check_id: c.cases for c in checks} == CASE_COUNTS
     assert "cases" not in checks[0].to_json()
@@ -442,16 +442,13 @@ SIZES_EACH_CASE = {
 @pytest.mark.parametrize(
     "check_id,dim", [(check_id, dim) for check_id, check in verify._CHECKS.items() for dim in check.grid]
 )
-def test_every_grid_dimension_is_live(monkeypatch, check_id, dim):
-    # the check runs with each case kept; then one dimension shrinks in a
-    # copy of its entry (a tuple loses its last value, a number halves)
-    monkeypatch.setattr(verify, "_first_mismatch", lambda check_id, params, cases: list(cases))
+def test_every_grid_dimension_is_live(check_id, dim):
+    # the check's cases over its grid, then over a copy in which one
+    # dimension shrinks (a tuple loses its last value, a number halves)
     check = verify._CHECKS[check_id]
-    full = check.run()
+    full = list(check.cases(check.grid))
     value = check.grid[dim]
-    grid = {**check.grid, dim: value[:-1] if isinstance(value, tuple) else value // 2}
-    monkeypatch.setitem(verify._CHECKS, check_id, verify._Check(check.suite, check.run, grid, check.families))
-    shrunk = check.run()
+    shrunk = list(check.cases({**check.grid, dim: value[:-1] if isinstance(value, tuple) else value // 2}))
     if (check_id, dim) in SIZES_EACH_CASE:
         assert len(shrunk) == len(full) and shrunk != full
     else:
@@ -496,3 +493,29 @@ def test_a_check_that_raises_fails_in_the_written_report(monkeypatch, capsys):
     # the first grid point, (nu, s, t) = (1, 1, 0), reaches n = 3 at its fourth case
     assert checks["row-sums"]["witness"] == {"case": 4, "raised": "ArithmeticError: planted"}
     assert checks["golden-examples"]["passed"] and checks["recurrence-vs-enumeration"]["passed"]
+
+
+@pytest.mark.parametrize("check_id,key", [("egf", "n_max"), ("special-cases", "shift_n_max")])
+def test_a_fault_in_a_checks_set_up_fails_in_the_written_report(monkeypatch, capsys, check_id, key):
+    # both checks read their grid in set-up lines, before their first case;
+    # an empty grid fails the check there, inside the report, and the
+    # suite's other checks still run and pass
+    check = verify._CHECKS[check_id]
+    monkeypatch.setitem(verify._CHECKS, check_id, verify._Check(check.suite, check.cases, {}, check.families))
+    assert main(["verify", "--suite", check.suite]) == 1
+    report = json.loads(capsys.readouterr().out)
+    checks = {c["id"]: c for c in report["checks"]}
+    assert checks.pop(check_id)["witness"] == {"case": 1, "raised": "KeyError: '%s'" % key}
+    assert all(c["passed"] for c in checks.values())
+
+
+@pytest.mark.parametrize("check_id", list(verify._CHECKS))
+def test_every_check_fails_its_first_case_on_an_empty_grid(check_id):
+    result = verify._first_mismatch(check_id, {}, verify._CHECKS[check_id].cases({}))
+    assert (result.passed, result.cases) == (False, 1)
+    assert result.witness["case"] == 1 and result.witness["raised"].startswith("KeyError: ")
+
+
+def test_run_check_rejects_an_unknown_id():
+    with pytest.raises(ValueError, match="unknown check 'nope'"):
+        verify.run_check("nope")
