@@ -37,16 +37,15 @@ from .stirlingperm import (
     ascent_positions,
     count_sequences,
     enumerate_sequences,
-    validate_word,
     word_from_text,
     word_text,
 )
 from .trees import (
-    _tree,
     _with_root,
     forest_to_dot,
     forest_to_json,
     leftmost_internal_set,
+    perm_to_tree,
 )
 from .verify import SUITE_NAMES, run_all, run_suite
 from .ward import ward_recurrence
@@ -184,16 +183,19 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_bijection(args) -> int:
+    """Report the forest of the words: one pass (``perm_to_tree``) checks and
+    factorizes each word, and a bad word is reported before a bad partition."""
     seq = tuple(word_from_text(text) for text in args.word)
     tvec = tuple(w.count(0) for w in seq)  # the words fix the parts of t
     Params(args.nu, len(tvec), sum(tvec), tvec)  # checks nu, as enumerate does
-    for idx, w in enumerate(seq):
-        if not validate_word(w, args.nu):
-            raise ValueError("word %d is not a valid order-%d word" % (idx + 1, args.nu))
+    forest = []
+    for idx, w in enumerate(seq, 1):
+        try:
+            forest.append(perm_to_tree(w, args.nu))
+        except ValueError:
+            raise ValueError("word %d is not a valid order-%d word" % (idx, args.nu)) from None
     if not _labels_partition_range(seq):
         raise ValueError("the labels across the words must partition 1..n")
-    # the words are valid (checked above), so _tree can skip perm_to_tree's check
-    forest = tuple(_tree(w) for w in seq)
     positions = [sorted(ascent_positions(w)) for w in seq]
     n, j = len(set().union(*seq) - {0}), sum(map(len, positions))
     esets = [leftmost_internal_set(tr) for tr in forest]

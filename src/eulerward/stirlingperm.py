@@ -4,6 +4,8 @@ A (nu, t, X)-Stirling permutation is a word over the multiset containing the
 symbol 0 exactly t times and each label of the ordered set X exactly nu
 times, subject to the betweenness condition: every letter lying strictly
 between two occurrences of x is >= x.  (For 0 the condition is vacuous.)
+One left-to-right pass, ``_factor``, checks a word and factorizes it on
+least letters into its tree (see ``trees``), so the two never disagree.
 
 A (nu, tvec, n)-Stirling permutation is an s-tuple of such words: the labels
 1..n are split into an ordered partition (X_1, ..., X_s), possibly with empty
@@ -50,7 +52,6 @@ one gap at a time and tallies their children from each child's gaps and
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from itertools import chain
 from operator import ge
@@ -71,32 +72,52 @@ __all__ = [
 
 
 def validate_word(letters: tuple[int, ...], nu: int) -> bool:
-    """True iff the letters form an order-nu generalized Stirling word.
+    """True iff the letters form an order-nu generalized Stirling word:
+    every nonzero letter occurs exactly nu times, no letter is negative (0
+    may occur any number of times: that number is the word's t), and the
+    letters strictly between two copies of x are all >= x.  The check is
+    the factorization pass ``_factor``, building nothing.  A letter or nu
+    that is not an int raises TypeError rather than being truncated.
+    """
+    return _factor(letters, nu, lambda label, slots: None) is not False
 
-    Multiset: every nonzero letter occurs exactly nu times, and no letter is
-    negative (0 may occur any number of times: that number is the word's
-    t).  Betweenness: letters strictly between two consecutive occurrences
-    of x are all >= x (checking consecutive occurrences suffices, since the
-    intermediate copies of x pass for themselves).  A letter or nu that is
-    not an int raises TypeError rather than being truncated.
+
+def _factor(letters, nu: int, node):
+    """Least-letter factorization of an order-nu word in one left-to-right
+    pass that also checks it: the root of its tree, each node built as
+    node(label, slots) (None for the empty tree), or False for a non-word.
+
+    The stack holds the open letters, increasing upwards, each with its
+    slots so far; ``done`` is the subtree finished since the last letter.
+    A letter x closes every open letter above x, then fills the next slot
+    of the open x or opens x with ``done`` as its first slot.  A final -1
+    closes all of them and keeps the root as its only slot.  Betweenness
+    says a closed letter never recurs, so it must have had nu copies (0
+    closes only at the end, with t copies), and no letter opens twice.
     """
     _require_int("nu", nu)
     for x in letters:
         _require_int("each letter", x)
     if nu < 1 or min(letters, default=0) < 0:
         return False
-    counts = Counter(letters)
-    counts.pop(0, None)
-    if any(c != nu for c in counts.values()):
-        return False
-    positions: dict[int, list[int]] = {}
-    for i, x in enumerate(letters):
-        positions.setdefault(x, []).append(i)
-    for x, pos in positions.items():
-        for a, b in zip(pos, pos[1:]):
-            if any(y < x for y in letters[a + 1 : b]):
+    stack: list[tuple[int, list]] = []
+    opened, done = set(), None
+    for x in (*letters, -1):
+        while stack and stack[-1][0] > x:
+            label, slots = stack.pop()
+            if label and len(slots) != nu:
                 return False
-    return True
+            slots.append(done)
+            done = node(label, slots)
+        if stack and stack[-1][0] == x:
+            stack[-1][1].append(done)
+        elif x in opened:
+            return False
+        else:
+            opened.add(x)
+            stack.append((x, [done]))
+        done = None
+    return stack[0][1][0]
 
 
 def _labels_partition_range(seq: tuple[tuple[int, ...], ...]) -> bool:

@@ -35,10 +35,11 @@ reads its |D(F)| off the factorization pass itself (``_stack_pass``,
 without building the trees) and tallies its children's pools gap by gap
 from the forest into the next order, so the last order is never built.
 
-The factorization is one left-to-right stack pass over the word, and every
-walk over a tree (reading, validation, statistics, equality, hashing, repr,
-JSON and DOT output) reads one stack-based Euler tour, ``_tour``, so a
-tree's depth is not bounded by the interpreter's recursion limit.
+The factorization is one left-to-right stack pass, ``stirlingperm._factor``,
+which checks the word as it builds the tree.  Every walk over a tree
+(reading, validation, statistics, equality, hashing, repr, JSON and DOT
+output) reads one stack-based Euler tour, ``_tour``, so a tree's depth is
+not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from collections import Counter
 
 from .eulerian import Params
 from .numerics import _Record, _require_int, binomial
-from .stirlingperm import _enumeration_params, _insertions, validate_word
+from .stirlingperm import _enumeration_params, _factor, _insertions
 
 __all__ = [
     "TreeNode",
@@ -138,36 +139,12 @@ def _zeros(tree: TreeNode | None) -> int:
 
 
 def perm_to_tree(letters: tuple[int, ...], nu: int) -> TreeNode | None:
-    """Factorize a valid order-nu word on least letters into its increasing tree."""
-    if not validate_word(letters, nu):
+    """Factorize an order-nu word on least letters into its increasing tree,
+    in the one pass (``stirlingperm._factor``) that also checks the word."""
+    tree = _factor(letters, nu, TreeNode)
+    if tree is False:
         raise ValueError("not a valid order-%d generalized Stirling permutation: %r" % (nu, letters))
-    return _tree(letters)
-
-
-def _tree(letters) -> TreeNode | None:
-    """Least-letter factorization of a valid word, in one left-to-right pass.
-
-    The stack holds the nodes whose last slot is still open, labels
-    increasing upwards, each with the slots filled so far; ``done`` is the
-    subtree finished since the last letter.  A letter x closes every open
-    node above x, then either fills the next slot of the open node x or opens
-    x with ``done`` as its first slot.  A final -1, below every letter,
-    closes all nodes and keeps the root (or None) as its only slot.
-    Validity of the word is assumed.
-    """
-    stack: list[tuple[int, list]] = []
-    done = None
-    for x in (*letters, -1):
-        while stack and stack[-1][0] > x:
-            label, slots = stack.pop()
-            slots.append(done)
-            done = TreeNode(label, slots)
-        if stack and stack[-1][0] == x:
-            stack[-1][1].append(done)
-        else:
-            stack.append((x, [done]))
-        done = None
-    return stack[0][1][0]
+    return tree
 
 
 def tree_to_perm(tree: TreeNode | None) -> tuple[int, ...]:
@@ -207,7 +184,7 @@ def forest_distinguished_set(forest: tuple[TreeNode | None, ...]) -> frozenset[i
 
 
 def _stack_pass(word, floor: int) -> tuple[int, int]:
-    """(opens, first-slot closes) of ``_tree``'s least-letter pass over a
+    """(opens, first-slot closes) of ``_factor``'s least-letter pass over a
     valid flat word (see ``stirlingperm``) whose letters and separators all
     lie above floor.
 

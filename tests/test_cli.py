@@ -402,16 +402,31 @@ class TestBijection:
         code, _, err = run_cli(capsys, "bijection", "11", "33", "--nu", "2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "words,error",
+        [
+            (["1122", "2112"], "word 2 is not a valid order-2 word"),
+            (["1122", "1122"], "the labels across the words must partition 1..n"),
+            # word 1 and 3 repeat a label, but the bad word is reported first
+            (["11", "2112", "11"], "word 2 is not a valid order-2 word"),
+        ],
+        ids=["bad-word", "bad-partition", "word-before-partition"],
+    )
+    def test_input_errors(self, capsys, words, error):
+        code, out, err = run_cli(capsys, "bijection", *words, "--nu", "2")
+        assert (code, out, err) == (2, "", "error: %s\n" % (error,))
+
     def test_each_word_is_validated_once(self, capsys, monkeypatch):
+        # the one pass that checks a word also builds its tree
         calls = []
-        real = stirlingperm.validate_word
+        real = stirlingperm._factor
 
-        def counting(letters, nu):
+        def counting(letters, nu, node):
             calls.append(letters)
-            return real(letters, nu)
+            return real(letters, nu, node)
 
-        for module in (cli, stirlingperm, trees):
-            monkeypatch.setattr(module, "validate_word", counting)
+        for module in (stirlingperm, trees):
+            monkeypatch.setattr(module, "_factor", counting)
         code, _, _ = run_cli(capsys, "bijection", "23332200", "555111", "0444", "", "--nu", "3")
         assert code == 0
         assert sorted(calls) == sorted(

@@ -1,8 +1,9 @@
 """Golden-output guard: sha256 digests of outputs that must not change.
 
 The digests pin the exact bytes of integer and symbolic tables in both
-formats, of the enumeration stream in both formats, of six bijection reports
-(one over a 600-level chain) and of every verify report; any change to the
+formats, of the enumeration stream in both formats, of seven bijection
+reports (one over a 600-level chain, one over an order-2 word nested 300
+deep) and of every verify report; any change to the
 engine, the enumeration order, the tree bijection, the rendering or the
 verify report shows up here first.  A second set pins the series layer: T_nu
 and both egf coefficient routes, one exact rational per line.  A third set
@@ -36,6 +37,7 @@ from eulerward.trees import ward_marked_rows_up_to
 from eulerward.verify import _compositions_for
 
 CHAIN_600 = " ".join(map(str, range(1, 601)))
+NESTED_300 = " ".join(map(str, [*range(1, 301), *range(300, 0, -1)]))
 
 GOLDEN = [
     (
@@ -97,6 +99,12 @@ GOLDEN = [
         "bijection '%s' --nu 1" % CHAIN_600,
         "edbee1ed46115d8f2fa63b6ea12d5ac3702569b7f25c348fbb8c4181e6fea216",
     ),
+    # 1..300 300..1 at order 2: the word is checked by the same pass that
+    # builds its 300-deep tree
+    (
+        "bijection '%s' --nu 2" % NESTED_300,
+        "83dbf0d130f154d2879f3035b31304beb9cbb2fc25cbb33a16a226d698bc967c",
+    ),
     (
         "verify --suite all",
         "88bb464aab4965fb79bcaed9af172ff2d6c19fd4465f99cf33066f44fcc717da",
@@ -139,7 +147,9 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize(
-    "argv,digest", GOLDEN, ids=[argv.replace(CHAIN_600, "1 2 ... 600") for argv, _ in GOLDEN]
+    "argv,digest",
+    GOLDEN,
+    ids=[argv.replace(CHAIN_600, "1 2 ... 600").replace(NESTED_300, "1 ... 300 300 ... 1") for argv, _ in GOLDEN],
 )
 def test_output_digest(capsys, argv, digest):
     assert main(shlex.split(argv)) == 0

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from operator import ge
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerward.eulerian import Params, eulerian_table, row_sum_product
+from eulerward.numerics import _require_int
 from eulerward.stirlingperm import (
     _entries,
     _flat_word,
@@ -26,7 +28,7 @@ from eulerward.stirlingperm import (
     word_from_text,
     word_text,
 )
-from eulerward.trees import perm_to_tree
+from eulerward.trees import perm_to_tree, tree_to_perm, validate_tree
 
 
 class TestWordValidity:
@@ -107,6 +109,84 @@ class TestWordValidity:
     def test_order_below_one_is_invalid(self):
         assert not validate_word((), 0)
         assert not validate_word((0,), -1)
+
+
+def oracle_validate_word(letters, nu):
+    """The validator before the factorization pass checked words, kept as
+    the oracle: a multiset count, then a scan of the letters between every
+    two consecutive copies of each letter (quadratic on nested words)."""
+    _require_int("nu", nu)
+    for x in letters:
+        _require_int("each letter", x)
+    if nu < 1 or min(letters, default=0) < 0:
+        return False
+    counts = Counter(letters)
+    counts.pop(0, None)
+    if any(c != nu for c in counts.values()):
+        return False
+    positions = {}
+    for i, x in enumerate(letters):
+        positions.setdefault(x, []).append(i)
+    for x, pos in positions.items():
+        for a, b in zip(pos, pos[1:]):
+            if any(y < x for y in letters[a + 1 : b]):
+                return False
+    return True
+
+
+def one_step_mutants(w, n):
+    """Each adjacent swap of a word, and each change of one letter to -1..n+1."""
+    for i in range(len(w) - 1):
+        yield w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+    for i in range(len(w)):
+        for x in range(-1, n + 2):
+            yield w[:i] + (x,) + w[i + 1 :]
+
+
+def assert_agrees_with_the_oracle(letters, nu):
+    valid = validate_word(letters, nu)
+    assert valid == oracle_validate_word(letters, nu), (letters, nu)
+    if valid:
+        assert tree_to_perm(perm_to_tree(letters, nu)) == letters
+    else:
+        with pytest.raises(ValueError, match="^not a valid order-%d " % (nu,)):
+            perm_to_tree(letters, nu)
+
+
+class TestValidatorOracle:
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_every_small_word_and_every_one_step_mutant(self, nu):
+        words = set()
+        for s, t in ((1, 0), (1, 2), (2, 1)):
+            for n in range(4):
+                for seq in enumerate_sequences(Params(nu, s, t), n):
+                    for w in seq:
+                        words.add(w)
+                        words.update(one_step_mutants(w, n))
+        for w in words:
+            assert_agrees_with_the_oracle(w, nu)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=4), max_size=10).map(tuple),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_random_short_words(self, letters, nu):
+        assert_agrees_with_the_oracle(letters, nu)
+
+    def test_deep_nested_word(self):
+        # 1..N N..1 at order 2 nests N deep, far past the recursion limit
+        n = 3000
+        assert sys.getrecursionlimit() < n
+        w = (*range(1, n + 1), *range(n, 0, -1))
+        assert validate_word(w, 2)
+        tree = perm_to_tree(w, 2)
+        assert tree_to_perm(tree) == w and validate_tree(tree, 2)
+        # ... n-2 n n-1 n n-1 ...: a copy of n-1 lies between the two n's
+        swapped = w[: n - 2] + (w[n - 1], w[n - 2]) + w[n:]
+        assert not validate_word(swapped, 2)
+        with pytest.raises(ValueError):
+            perm_to_tree(swapped, 2)
 
 
 class TestAscents:

@@ -26,7 +26,6 @@ from eulerward.trees import (
     TreeNode,
     _child_pools,
     _stack_pass,
-    _tree,
     distinguished_set,
     forest_distinguished_set,
     forest_to_dot,
@@ -647,7 +646,7 @@ class TestMarkedCounts:
 
 
 def _pool_size(letters) -> int:
-    """|D(T)| for the tree of a valid word, read off ``_tree``'s pass.
+    """|D(T)| for the tree of a valid word, read off ``_stack_pass``.
 
     On the one-entry flat word, the pass closes |E(T)| times into a letter,
     and once into the separator when the tree is nonempty.  That last one
@@ -740,7 +739,7 @@ class TestPoolTally:
 
 def built_pool_size(obj, nu):
     """The slow route: build the forest and collect its distinguished labels."""
-    forest = tuple(_tree(e) for e in obj)
+    forest = seq_to_forest(obj, nu)
     return len(forest_distinguished_set(forest))
 
 
