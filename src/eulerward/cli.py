@@ -125,8 +125,6 @@ def cmd_table(args) -> int:
     """Write the table one row at a time, as soon as each row is built, so
     neither the triangle nor its text is ever held whole.  Every input is
     checked before the first byte is written."""
-    if args.nmax < 0:
-        raise ValueError("--nmax must be >= 0")
     p = Params(args.nu, args.s, args.t)
     recurrence = eulerian_recurrence if args.kind == "eulerian" else ward_recurrence
     rows = recurrence(p, args.mode).iter_rows(args.nmax)
@@ -150,8 +148,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.n < 0:
-        raise ValueError("--n must be >= 0")
     if args.max_count < 0:
         raise ValueError("--max-count must be >= 0")
     tvec = None if args.tvec is None else _parse_tvec(args.tvec)

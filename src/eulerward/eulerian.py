@@ -83,16 +83,16 @@ class Params(_Record):
     part and accept an explicit split.
 
     Every number must be an int: floats, Fractions and bools raise a
-    TypeError here, so no non-integer value reaches a table.
+    TypeError here, so no non-integer value reaches a table; nu < 1 raises
+    ValueError.
     """
 
     _fields = ("nu", "s", "t", "tvec")
 
     def __init__(self, nu: int, s: int, t: int, tvec: tuple[int, ...] | None = None):
-        for name, value in (("nu", nu), ("s", s), ("t", t)):
-            _require_int(name, value)
-        if nu < 1:
-            raise ValueError("nu must be a positive integer, got %r" % (nu,))
+        _require_int("nu", nu, 1)
+        _require_int("s", s)
+        _require_int("t", t)
         if tvec is not None:
             tvec = tuple(tvec)
             for x in tvec:
@@ -209,9 +209,7 @@ class Recurrence(_Record):
         max sits at j = 0 or j = n - 1.  Every coefficient of rows 1..nmax
         is then at most prod_{m=1}^{nmax} max(L_m, 1).
         """
-        _require_int("nmax", nmax)
-        if nmax < 0:
-            raise ValueError("nmax must be >= 0")
+        _require_int("nmax", nmax, 0)
         if isinstance(self.gamma, PolyST):
             return self._row_loop(nmax, *self._packing(nmax))
         return self._row_loop(nmax, self.gamma, self.gamma_p, None, tuple)
@@ -311,9 +309,7 @@ def eulerian_table(p: Params, nmax: int, mode: str = INT_MODE) -> TriangleRows:
 
 def row_sum_product(p: Params, n: int) -> int:
     """The row sum sum_k E(n, k) in product form: prod_{k=0}^{n-1} (k nu + t + s)."""
-    _require_int("n", n)
-    if n < 0:
-        raise ValueError("need n >= 0, got %r" % (n,))
+    _require_int("n", n, 0)
     return math.prod(k * p.nu + p.t + p.s for k in range(n))
 
 
@@ -337,10 +333,9 @@ def closed_form_order1(n: int, s: int, t: int) -> list[int]:
     row costs O(n^2) terms.  Each division by k! must come out exact;
     anything else raises.
     """
-    for name, value in (("n", n), ("s", s), ("t", t)):
-        _require_int(name, value)
-    if n < 0:
-        raise ValueError("need n >= 0, got %r" % (n,))
+    _require_int("n", n, 0)
+    _require_int("s", s)
+    _require_int("t", t)
     rising, falling = [1], [1]  # (s+t)^rising(i) and (n+s+t)^falling(i), i <= n
     for i in range(n):
         rising.append(rising[-1] * (s + t + i))
@@ -380,10 +375,9 @@ def closed_form_order2(n: int, s: int, t: int) -> list[int]:
     n = 0 would hit (p+s)^(-1), so that row is returned directly from the
     base case E(0, 0) = 1.
     """
-    for name, value in (("n", n), ("s", s), ("t", t)):
-        _require_int(name, value)
-    if n < 0:
-        raise ValueError("need n >= 0, got %r" % (n,))
+    _require_int("n", n, 0)
+    _require_int("s", s)
+    _require_int("t", t)
     if n == 0:
         return [1]
     rising, falling = [1], [1]  # (s+t)^rising(i) and (s+t+2n)^falling(i), i <= n
@@ -417,10 +411,8 @@ def classic_eulerian(n: int, k: int, indexing: str = "standard") -> int:
     which agrees with <n, k-1> for n >= 1 and 1 <= k <= n (not at (0, 1),
     where A vanishes but <0, 0> = 1).
     """
-    _require_int("n", n)
-    _require_int("k", k)
-    if n < 0 or k < 0:
-        raise ValueError("need n, k >= 0")
+    _require_int("n", n, 0)
+    _require_int("k", k, 0)
     if indexing == "standard":
         return sum((-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1))
     if indexing == "traditional":
@@ -438,10 +430,8 @@ def classic_second_order(n: int, k: int, indexing: str = "standard") -> int:
     standard indexing is the (1,0) instance of the order-2 triangle and the
     traditional one is its (0,1) instance.
     """
-    _require_int("n", n)
-    _require_int("k", k)
-    if n < 0 or k < 0:
-        raise ValueError("need n, k >= 0")
+    _require_int("n", n, 0)
+    _require_int("k", k, 0)
     if indexing == "standard":
         return sum(
             (-1) ** (k - r) * math.comb(2 * n + 1, k - r) * stirling_subset(n + r + 1, r + 1)
@@ -468,10 +458,10 @@ def s_minus_s_closed_forms(nu: int, n: int, k: int, s: int) -> int:
     row is returned directly from the base case E(0, 0) = 1.  In both orders
     k outside 0..n gives the int 0, and n < 0 raises ValueError.
     """
-    for name, value in (("nu", nu), ("n", n), ("k", k), ("s", s)):
-        _require_int(name, value)
-    if n < 0:
-        raise ValueError("need n >= 0, got %r" % (n,))
+    _require_int("nu", nu)
+    _require_int("n", n, 0)
+    _require_int("k", k)
+    _require_int("s", s)
     if nu not in (1, 2):
         raise ValueError("closed forms are available for nu in {1, 2}, got %r" % (nu,))
     if k < 0 or k > n:

@@ -114,10 +114,17 @@ def as_fraction(x) -> Fraction:
         raise ValueError("exact rational wanted, got %r with a zero denominator" % (x,)) from None
 
 
-def _require_int(name: str, value):
-    # bool is an int subclass, but True as an exponent or a coefficient is a bug
+def _require_int(name: str, value, least: int | None = None) -> None:
+    """The one check of an integer argument: ``value`` must be an int, not a
+    bool (an int subclass, but True as an exponent or a coefficient is a
+    bug), else TypeError "<name> must be an int, got <value>"; and with
+    ``least`` given it must be at least that, else ValueError
+    "<name> must be >= <least>, got <value>".
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError("%s must be an int, got %r" % (name, value))
+    if least is not None and value < least:
+        raise ValueError("%s must be >= %d, got %r" % (name, least, value))
 
 
 def binomial(n: int, k: int) -> int:
@@ -151,11 +158,9 @@ def binomial(n: int, k: int) -> int:
 
 def _factorial_args(name: str, x, j):
     # checked once per call, not per factor: the closed forms call these often
-    _require_int("j", j)
+    _require_int("j", j, 0)
     if isinstance(x, (float, bool)):
         raise TypeError("%s needs an int, a Fraction or a PolyST x, got %r" % (name, x))
-    if j < 0:
-        raise ValueError("%s needs j >= 0, got %r" % (name, j))
 
 
 def rising_factorial(x, j: int):
@@ -271,10 +276,9 @@ class PolyST:
         items = terms.items() if isinstance(terms, dict) else terms
         clean: dict[tuple[int, int], int] = {}
         for (a, b), c in items:
-            for name, x in (("exponent", a), ("exponent", b), ("coefficient", c)):
-                _require_int("a PolyST " + name, x)
-            if a < 0 or b < 0:
-                raise ValueError("PolyST exponents must be nonnegative")
+            _require_int("a PolyST exponent", a, 0)
+            _require_int("a PolyST exponent", b, 0)
+            _require_int("a PolyST coefficient", c)
             key = (int(a), int(b))
             acc = clean.get(key, 0) + c
             if acc:
@@ -376,9 +380,7 @@ class PolyST:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        _require_int("a PolyST exponent", e)
-        if e < 0:
-            raise ValueError("PolyST powers must be nonnegative integers")
+        _require_int("a PolyST exponent", e, 0)
         out = PolyST.constant(1)
         for _ in range(e):
             out = out * self

@@ -108,12 +108,6 @@ def _unscale(R, c: int) -> tuple[list[int], int]:
     return nums, f
 
 
-def _require_order(order) -> None:
-    _require_int("order", order)
-    if order < 0:
-        raise ValueError("order must be >= 0, got %r" % (order,))
-
-
 class TruncSeries:
     """Coefficients 0..K of a formal power series, exact rationals.
 
@@ -161,17 +155,17 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
-        _require_order(order)
+        _require_int("order", order, 0)
         return cls._make((0,) * (order + 1), 1)
 
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
-        _require_order(order)
+        _require_int("order", order, 0)
         return cls._make((1,) + (0,) * order, 1)
 
     @classmethod
     def x(cls, order: int) -> "TruncSeries":
-        _require_order(order)
+        _require_int("order", order, 0)
         if order < 1:
             return cls.zero(order)
         return cls._make((0, 1) + (0,) * (order - 1), 1)
@@ -370,12 +364,8 @@ def t_nu_series(nu: int, K: int) -> TruncSeries:
     a_(n-1) / n!.  The whole series costs O(nu K^2) integer operations;
     ``TruncSeries.reversion`` is the generic (slow) route to the same series.
     """
-    _require_int("nu", nu)
-    _require_int("K", K)
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    if K < 1:
-        raise ValueError("need K >= 1 to hold a reversion")
+    _require_int("nu", nu, 1)
+    _require_int("K", K, 1)
     dq = [math.comb(nu - 1, j + 1) * (-1) ** (j + 1) for j in range(nu - 1)]
     fk = math.factorial(K)
     nums = [0] * (K + 1)  # over K!
@@ -404,10 +394,8 @@ def t_nu_derivative_sides(nu: int, K: int) -> tuple[list, list]:
 def tree_power_sides(s: int, K: int) -> tuple[list, list]:
     """Coefficients 0..K of both sides of
     T_2(z)^s = sum_{k>=0} s (k+s)^(k-1) / k! z^(s+k)."""
-    _require_int("s", s)
+    _require_int("s", s, 1)
     _require_int("K", K)
-    if s < 1:
-        raise ValueError("s must be >= 1")
     rhs = [Fraction(0)] * (K + 1)
     for k in range(0, K + 1 - s):
         rhs[s + k] = s * Fraction(k + s) ** (k - 1) / math.factorial(k)
@@ -469,15 +457,19 @@ def _egf_march(h0: Fraction, c: Fraction, expo: int, s: int, t: int, N: int) -> 
     return _egf_values((g / h0) ** s * ((1 - g) / (1 - h0)) ** (-(s + t)))
 
 
-def _check_args(nu: int, s: int, t: int, N: int):
-    for name, value in (("nu", nu), ("s", s), ("t", t), ("N", N)):
-        _require_int(name, value)
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    if s < 1 or t < 0:
-        raise ValueError("the generating functions are set up for s >= 1, t >= 0")
-    if N < 0:
-        raise ValueError("N must be >= 0")
+def _check_args(nu: int, s: int, t: int, x0, N: int, below_one: bool) -> Fraction:
+    """Check the arguments of a generating-function route and return x0 as a
+    Fraction: 0 < x0 < 1 when ``below_one``, else only x0 > 0."""
+    _require_int("nu", nu, 1)
+    _require_int("s", s, 1)
+    _require_int("t", t, 0)
+    _require_int("N", N, 0)
+    x0 = as_fraction(x0)
+    if below_one and not 0 < x0 < 1:
+        raise ValueError("x0 must lie strictly between 0 and 1, got %s" % (x0,))
+    if x0 <= 0:
+        raise ValueError("x0 must be positive, got %s" % (x0,))
+    return x0
 
 
 def egf_eulerian_coeffs(nu: int, s: int, t: int, x0, N: int) -> list[Fraction]:
@@ -487,10 +479,7 @@ def egf_eulerian_coeffs(nu: int, s: int, t: int, x0, N: int) -> list[Fraction]:
     coefficients of y^n/n! in (g/x0)^s ((1-x0)/(1-g))^(s+t).  Entry n must
     equal sum_k E(n, k) x0^k for the nu-order (s,t)-Eulerian triangle.
     """
-    _check_args(nu, s, t, N)
-    x0 = as_fraction(x0)
-    if not 0 < x0 < 1:
-        raise ValueError("x0 must lie strictly between 0 and 1, got %s" % (x0,))
+    x0 = _check_args(nu, s, t, x0, N, below_one=True)
     return _egf_march(x0, (1 - x0) ** nu, 1 - nu, s, t, N)
 
 
@@ -500,10 +489,7 @@ def egf_order1_direct(s: int, t: int, x0, N: int) -> list[Fraction]:
     P_n at x0 equals (1-x0)^(s+t+n) n! [u^n] e^(s u) / (1 - x0 e^u)^(s+t).
     Kept as an independent second route for cross-checking the solver.
     """
-    _check_args(1, s, t, N)
-    x0 = as_fraction(x0)
-    if not 0 < x0 < 1:
-        raise ValueError("x0 must lie strictly between 0 and 1, got %s" % (x0,))
+    x0 = _check_args(1, s, t, x0, N, below_one=True)
     u = TruncSeries.x(N)
     F = (s * u).exp() * (1 - x0 * u.exp()) ** (-(s + t))
     return [(1 - x0) ** (s + t + n) * v for n, v in enumerate(_egf_values(F))]
@@ -515,10 +501,7 @@ def egf_ward_coeffs(nu: int, s: int, t: int, x0, N: int) -> list[Fraction]:
     Solves h' = (1+x0)^(-nu) h (1-h)^(-nu) with h(0) = h0 = x0/(1+x0) and reads
     y^n/n! in h^s / ((1-h)^(s+t) x0^s (1+x0)^t), the Eulerian formula at h0.
     """
-    _check_args(nu, s, t, N)
-    x0 = as_fraction(x0)
-    if x0 <= 0:
-        raise ValueError("x0 must be positive, got %s" % (x0,))
+    x0 = _check_args(nu, s, t, x0, N, below_one=False)
     return _egf_march(x0 / (1 + x0), Fraction(1) / (1 + x0) ** nu, -nu, s, t, N)
 
 
@@ -526,10 +509,7 @@ def egf_transform_sides(nu: int, s: int, t: int, x0, N: int) -> tuple[list, list
     """The Ward generating function is the order-(nu+1) Eulerian one moved by
     x -> x/(1+x), y -> y(1+x): the sides are [ward_n(x0)]_n and
     [euler_n(x0/(1+x0)) (1+x0)^n]_n for n = 0..N."""
-    _check_args(nu, s, t, N)
-    x0 = as_fraction(x0)
-    if x0 <= 0:
-        raise ValueError("x0 must be positive, got %s" % (x0,))
+    x0 = _check_args(nu, s, t, x0, N, below_one=False)
     e = egf_eulerian_coeffs(nu + 1, s, t, x0 / (1 + x0), N)
     return egf_ward_coeffs(nu, s, t, x0, N), [e[n] * (1 + x0) ** n for n in range(N + 1)]
 
@@ -540,12 +520,10 @@ def eulerian_ratio_expansion_sides(n: int, s: int, t: int, K: int) -> tuple[list
 
     At (s,t) = (1,0) this is the classical staircase sum_{k>=1} k^n x^k.
     """
-    for name, value in (("n", n), ("s", s), ("t", t), ("K", K)):
-        _require_int(name, value)
-    if s < 0 or t < 0 or s + t < 1:
-        raise ValueError("need s >= 0, t >= 0 with s + t >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    for name, value, least in (("n", n, 0), ("s", s, 0), ("t", t, 0), ("K", K, 0)):
+        _require_int(name, value, least)
+    if s + t < 1:
+        raise ValueError("need s + t >= 1, got s = %d and t = %d" % (s, t))
     row = eulerian_table(Params(1, s, t), n).row(n)
     poly = [0] * (K + 1)
     for k, e in enumerate(row):
@@ -579,12 +557,8 @@ def second_order_ratio_expansion_sides(n: int, s: int, t: int, K: int) -> tuple[
 
     is an integer sum, and each m builds one Fraction: O(K^2) terms.
     """
-    for name, value in (("n", n), ("s", s), ("t", t), ("K", K)):
-        _require_int(name, value)
-    if s < 1 or t < 0:
-        raise ValueError("need s >= 1 and t >= 0")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    for name, value, least in (("n", n, 0), ("s", s, 1), ("t", t, 0), ("K", K, 0)):
+        _require_int(name, value, least)
     row = eulerian_table(Params(2, s, t), n).row(n)
     poly = [0] * (K + 1)
     for k, e in enumerate(row):
@@ -618,9 +592,7 @@ def binomial_unit_sums_sides(n: int) -> tuple[list, list]:
         1 = sum_{j=0}^{n} C(n, j) j! j / n^(j+1)
         1 = sum_{j=0}^{n} C(n, j) (j+1)! / (n+1)^(j+1).
     """
-    _require_int("n", n)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_int("n", n, 1)
     # each sum in the integers over its common denominator
     s1 = Fraction(
         sum(math.comb(n, j) * math.factorial(j) * j * n ** (n - j) for j in range(n + 1)),

@@ -207,9 +207,7 @@ def _insertions(nu: int, tvec: tuple[int, ...], n: int):
 
 
 def _enumeration_params(p: Params, n: int) -> tuple[int, tuple[int, ...]]:
-    _require_int("n", n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_int("n", n, 0)
     if p.s < 1:
         raise ValueError("enumeration needs s >= 1 entries")
     return p.nu, p.composition

@@ -297,7 +297,8 @@ def validate_tree(tree: TreeNode | None, nu: int) -> bool:
 
 def tree_to_json(tree: TreeNode | None, nu: int) -> dict:
     """Nested dict form: {'t', 'd', 'root'}, external slots as null; t is
-    read off the root and d is nu + 1."""
+    read off the root and d is nu + 1, for an int nu >= 1."""
+    _require_int("nu", nu, 1)
     top: list = []
     open_slots = [top]  # the slot list of each open node, under the top level
     for node, i in _tour(tree):
@@ -314,6 +315,7 @@ def tree_to_json(tree: TreeNode | None, nu: int) -> dict:
 
 
 def forest_to_json(forest: tuple[TreeNode | None, ...], nu: int) -> list[dict]:
+    _require_int("nu", nu, 1)
     return [tree_to_json(tr, nu) for tr in forest]
 
 

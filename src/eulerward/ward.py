@@ -94,9 +94,9 @@ def general_inverse_transform(row, n: int, r, direction: str = "forward") -> lis
     arithmetic); entries that come out integral are ints, the others
     Fractions.
     """
-    _require_int("n", n)
-    if n < 0 or len(row) != n + 1:
-        raise ValueError("need n >= 0 and a row of n + 1 entries, got n = %d and %d entries" % (n, len(row)))
+    _require_int("n", n, 0)
+    if len(row) != n + 1:
+        raise ValueError("need a row of n + 1 entries, got n = %d and %d entries" % (n, len(row)))
     rr = as_fraction(r)
     # one scan of the entries; a PolyST entry cannot be divided by q^k, so it needs q = 1
     rejected = (bool, float) if rr.denominator == 1 else (bool, float, PolyST)
@@ -124,9 +124,7 @@ def riordan_orthogonality_sides(n: int) -> tuple[list, list]:
     two-sided inverse up to the sign conjugation used above.  Row k of each
     side holds the entries j = 0..k, for 0 <= k <= n.
     """
-    _require_int("n", n)
-    if n < 0:
-        raise ValueError("need n >= 0")
+    _require_int("n", n, 0)
     lhs = [
         [
             sum(
@@ -153,9 +151,7 @@ def smiley_identities_sides(n: int) -> tuple[list, list]:
     negative upper arguments (C(-1, 0) = 1 at j = n), where the generalized
     convention of numerics.binomial is essential.
     """
-    _require_int("n", n)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_int("n", n, 1)
     ks = range(n + 1)
     eul = [classic_second_order(n, k, "standard") for k in ks]
     assoc = [assoc_stirling_subset(n + j + 1, j + 1) for j in ks]

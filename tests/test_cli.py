@@ -111,6 +111,11 @@ class TestTable:
             main(["table", "pascal", "--nu", "1", "--nmax", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_nmax_is_the_library_error(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "table", "eulerian", "--nu", "1", "--nmax=-1", "--format", fmt)
+        assert (code, out, err) == (2, "", "error: nmax must be >= 0, got -1\n")
+
 
 def _oracle_render(value) -> str:
     if isinstance(value, PolyST):
@@ -310,6 +315,10 @@ class TestEnumerate:
             assert out == ""
             assert err == "error: enumeration needs s >= 1 entries\n"
 
+    def test_negative_n_is_the_library_error(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--nu", "1", "--n", "-1")
+        assert (code, out, err) == (2, "", "error: n must be >= 0, got -1\n")
+
     def test_rejects_negative_cap(self, capsys):
         code, out, err = run_cli(
             capsys, "enumerate", "--nu", "2", "--n", "1", "--max-count", "-5"
@@ -388,7 +397,7 @@ class TestBijection:
         # the word is fine for some order; the fault is nu, and the error
         # names it as enumerate does
         flags = ["--nu", nu]
-        message = "nu must be a positive integer, got %s" % (nu,)
+        message = "nu must be >= 1, got %s" % (nu,)
         code, out, err = run_cli(capsys, "bijection", "1", *flags)
         assert (code, out, err) == (2, "", "error: %s\n" % (message,))
         code, _, enumerate_err = run_cli(capsys, "enumerate", "--n", "1", *flags)

@@ -1,17 +1,47 @@
 """Value semantics of the record classes: repr, equality, hashing, immutability
 and the argument checks, pinned to what they were as dataclasses.  The two
 word rows pin the same checks on ``validate_word``, since a word is a plain
-tuple of letters."""
+tuple of letters.
+
+The ``BAD`` table also pins the one boundary rule for integer arguments,
+``numerics._require_int``: a non-int or a bool raises TypeError "<name> must
+be an int, got <value>", and a value one below its least raises ValueError
+"<name> must be >= <least>, got <value>", at every entry point that has a
+least value."""
 
 import re
 
 import pytest
 
-from eulerward.eulerian import Params, Recurrence, TriangleRows
-from eulerward.numerics import PolyST
-from eulerward.stirlingperm import validate_word
-from eulerward.trees import TreeNode
+from eulerward.eulerian import (
+    Params,
+    Recurrence,
+    TriangleRows,
+    classic_eulerian,
+    classic_second_order,
+    closed_form_order1,
+    closed_form_order2,
+    eulerian_recurrence,
+    row_sum_product,
+    s_minus_s_closed_forms,
+)
+from eulerward.numerics import PolyST, binomial, falling_factorial, rising_factorial
+from eulerward.series import (
+    TruncSeries,
+    binomial_unit_sums_sides,
+    egf_eulerian_coeffs,
+    egf_order1_direct,
+    egf_transform_sides,
+    egf_ward_coeffs,
+    eulerian_ratio_expansion_sides,
+    second_order_ratio_expansion_sides,
+    t_nu_series,
+    tree_power_sides,
+)
+from eulerward.stirlingperm import count_sequences, enumerate_sequences, validate_word
+from eulerward.trees import TreeNode, forest_to_json, tree_to_json
 from eulerward.verify import CheckResult
+from eulerward.ward import general_inverse_transform, riordan_orthogonality_sides, smiley_identities_sides
 
 RECORDS = {
     "params": (lambda: Params(2, 1, 0), "Params(nu=2, s=1, t=0, tvec=None)"),
@@ -65,7 +95,7 @@ def test_record_value_semantics(build, text):
 BAD = {
     "params-float": (lambda: Params(1.0, 1, 0), TypeError, "nu must be an int, got 1.0"),
     "params-bool": (lambda: Params(1, True, 0), TypeError, "s must be an int, got True"),
-    "params-nu": (lambda: Params(0, 1, 0), ValueError, "nu must be a positive integer, got 0"),
+    "params-nu": (lambda: Params(0, 1, 0), ValueError, "nu must be >= 1, got 0"),
     "params-tvec-len": (lambda: Params(1, 2, 3, (1,)), ValueError, "tvec must have s = 2 parts, got (1,)"),
     "params-tvec-sign": (lambda: Params(1, 2, 3, (4, -1)), ValueError, "tvec parts must be nonnegative, got (4, -1)"),
     "params-tvec-sum": (lambda: Params(1, 2, 3, (1, 1)), ValueError, "tvec must sum to t = 3, got (1, 1)"),
@@ -92,6 +122,66 @@ BAD = {
         TypeError,
         "missing 1 required positional argument: 'passed'",
     ),
+    # numerics
+    "binomial-bool": (lambda: binomial(True, 1), TypeError, "n must be an int, got True"),
+    "rising-factorial-j": (lambda: rising_factorial(2, -1), ValueError, "j must be >= 0, got -1"),
+    "falling-factorial-j": (lambda: falling_factorial(2, -1), ValueError, "j must be >= 0, got -1"),
+    "polyst-power": (lambda: PolyST.s() ** -1, ValueError, "a PolyST exponent must be >= 0, got -1"),
+    "polyst-term": (lambda: PolyST({(0, -1): 1}), ValueError, "a PolyST exponent must be >= 0, got -1"),
+    # eulerian (Params(1, True, 0) above is its bool row)
+    "iter-rows-nmax": (
+        lambda: eulerian_recurrence(Params(1, 1, 0)).iter_rows(-1),
+        ValueError,
+        "nmax must be >= 0, got -1",
+    ),
+    "row-sum-product-n": (lambda: row_sum_product(Params(1, 1, 0), -1), ValueError, "n must be >= 0, got -1"),
+    "closed-form-order1-n": (lambda: closed_form_order1(-1, 1, 0), ValueError, "n must be >= 0, got -1"),
+    "closed-form-order2-n": (lambda: closed_form_order2(-1, 1, 0), ValueError, "n must be >= 0, got -1"),
+    "s-minus-s-n": (lambda: s_minus_s_closed_forms(1, -1, 0, 1), ValueError, "n must be >= 0, got -1"),
+    "classic-eulerian-n": (lambda: classic_eulerian(-1, 0), ValueError, "n must be >= 0, got -1"),
+    "classic-eulerian-k": (lambda: classic_eulerian(0, -1), ValueError, "k must be >= 0, got -1"),
+    "classic-second-order-n": (lambda: classic_second_order(-1, 0), ValueError, "n must be >= 0, got -1"),
+    "classic-second-order-k": (lambda: classic_second_order(0, -1), ValueError, "k must be >= 0, got -1"),
+    # series
+    "series-bool": (lambda: t_nu_series(True, 3), TypeError, "nu must be an int, got True"),
+    "series-zero-order": (lambda: TruncSeries.zero(-1), ValueError, "order must be >= 0, got -1"),
+    "series-one-order": (lambda: TruncSeries.one(-1), ValueError, "order must be >= 0, got -1"),
+    "series-x-order": (lambda: TruncSeries.x(-1), ValueError, "order must be >= 0, got -1"),
+    "t-nu-series-nu": (lambda: t_nu_series(0, 3), ValueError, "nu must be >= 1, got 0"),
+    "t-nu-series-K": (lambda: t_nu_series(1, 0), ValueError, "K must be >= 1, got 0"),
+    "tree-power-s": (lambda: tree_power_sides(0, 3), ValueError, "s must be >= 1, got 0"),
+    "egf-nu": (lambda: egf_eulerian_coeffs(0, 1, 0, "1/2", 3), ValueError, "nu must be >= 1, got 0"),
+    "egf-s": (lambda: egf_ward_coeffs(1, 0, 0, 1, 3), ValueError, "s must be >= 1, got 0"),
+    "egf-t": (lambda: egf_order1_direct(1, -1, "1/2", 3), ValueError, "t must be >= 0, got -1"),
+    "egf-N": (lambda: egf_transform_sides(1, 1, 0, 1, -1), ValueError, "N must be >= 0, got -1"),
+    "order1-ratio-n": (lambda: eulerian_ratio_expansion_sides(-1, 1, 0, 3), ValueError, "n must be >= 0, got -1"),
+    "order1-ratio-s": (lambda: eulerian_ratio_expansion_sides(1, -1, 2, 3), ValueError, "s must be >= 0, got -1"),
+    "order1-ratio-t": (lambda: eulerian_ratio_expansion_sides(1, 2, -1, 3), ValueError, "t must be >= 0, got -1"),
+    "order1-ratio-K": (lambda: eulerian_ratio_expansion_sides(1, 1, 0, -1), ValueError, "K must be >= 0, got -1"),
+    "order1-ratio-s-plus-t": (
+        lambda: eulerian_ratio_expansion_sides(1, 0, 0, 3),
+        ValueError,
+        "need s + t >= 1, got s = 0 and t = 0",
+    ),
+    "order2-ratio-n": (lambda: second_order_ratio_expansion_sides(-1, 1, 0, 3), ValueError, "n must be >= 0, got -1"),
+    "order2-ratio-s": (lambda: second_order_ratio_expansion_sides(1, 0, 1, 3), ValueError, "s must be >= 1, got 0"),
+    "order2-ratio-t": (lambda: second_order_ratio_expansion_sides(1, 1, -1, 3), ValueError, "t must be >= 0, got -1"),
+    "order2-ratio-K": (lambda: second_order_ratio_expansion_sides(1, 1, 0, -1), ValueError, "K must be >= 0, got -1"),
+    "unit-sums-n": (lambda: binomial_unit_sums_sides(0), ValueError, "n must be >= 1, got 0"),
+    # stirlingperm
+    "count-bool": (lambda: count_sequences(Params(1, 1, 0), True), TypeError, "n must be an int, got True"),
+    "count-n": (lambda: count_sequences(Params(1, 1, 0), -1), ValueError, "n must be >= 0, got -1"),
+    "enumerate-n": (lambda: next(enumerate_sequences(Params(1, 1, 0), -1)), ValueError, "n must be >= 0, got -1"),
+    # ward
+    "ward-bool": (lambda: riordan_orthogonality_sides(True), TypeError, "n must be an int, got True"),
+    "inverse-transform-n": (lambda: general_inverse_transform([], -1, 1), ValueError, "n must be >= 0, got -1"),
+    "riordan-n": (lambda: riordan_orthogonality_sides(-1), ValueError, "n must be >= 0, got -1"),
+    "smiley-n": (lambda: smiley_identities_sides(0), ValueError, "n must be >= 1, got 0"),
+    # trees: d = nu + 1 would be the float 3.0, 2 or -4
+    "tree-json-float": (lambda: tree_to_json(TreeNode(1, (None,) * 3), 2.0), TypeError, "nu must be an int, got 2.0"),
+    "tree-json-bool": (lambda: tree_to_json(TreeNode(1, (None,) * 3), True), TypeError, "nu must be an int, got True"),
+    "tree-json-nu": (lambda: tree_to_json(TreeNode(1, (None,) * 3), -5), ValueError, "nu must be >= 1, got -5"),
+    "forest-json-nu": (lambda: forest_to_json((), 0), ValueError, "nu must be >= 1, got 0"),
 }
 
 

@@ -26,7 +26,7 @@ CLAIMS = {
 
 # Package functions both routes of a cross-check may enter, each with its reason.
 SHARED = {
-    "numerics._require_int": "checks an argument's type before any work",
+    "numerics._require_int": "checks an argument's type and least value before any work",
     "numerics.as_fraction": "reads x0, which is input data",
     "numerics._Record.__init__": "stores the fields of a record",
     "eulerian.Params.__init__": "builds the parameters, which are input data",

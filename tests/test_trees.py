@@ -514,7 +514,11 @@ class TestWalkOracles:
         for tree, nu, base in small_trees_and_mutants():
             assert tree_to_perm(tree) == oracle_tree_to_perm(tree), tree
             assert leftmost_internal_set(tree) == oracle_leftmost_internal_set(tree), tree
-            assert tree_to_json(tree, nu) == oracle_tree_to_json(tree, nu)
+            if nu < 1:  # the nu - 1 mutant of an order-1 tree: no order, so no d
+                with pytest.raises(ValueError, match="^nu must be >= 1, got %d$" % (nu,)):
+                    tree_to_json(tree, nu)
+            else:
+                assert tree_to_json(tree, nu) == oracle_tree_to_json(tree, nu)
             assert same_dot(tree, monkeypatch), tree
             if tree is None:
                 continue
