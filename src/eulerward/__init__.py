@@ -18,13 +18,11 @@ from .eulerian import (
     closed_form_order2,
     eulerian_table,
     row_sum_product,
-    s_minus_s_closed_forms,
 )
 from .numerics import (
     PolyST,
     assoc_stirling_subset,
     binomial,
-    falling_factorial,
     rising_factorial,
     stirling_subset,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "TreeNode",
     "binomial",
     "rising_factorial",
-    "falling_factorial",
     "stirling_subset",
     "assoc_stirling_subset",
     "eulerian_table",
@@ -78,7 +75,6 @@ __all__ = [
     "closed_form_order2",
     "classic_eulerian",
     "classic_second_order",
-    "s_minus_s_closed_forms",
     "ward_table",
     "euler_to_ward",
     "ward_to_euler",

@@ -32,6 +32,7 @@ import os
 import sys
 
 from .eulerian import Params, eulerian_recurrence
+from .numerics import _require_int
 from .stirlingperm import (
     _labels_partition_range,
     ascent_positions,
@@ -148,8 +149,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.max_count < 0:
-        raise ValueError("--max-count must be >= 0")
+    _require_int("--max-count", args.max_count, 0)
     tvec = None if args.tvec is None else _parse_tvec(args.tvec)
     s, t = (1, 0) if tvec is None else (len(tvec), sum(tvec))
     p = Params(args.nu, s if args.s is None else args.s, t if args.t is None else args.t, tvec)
@@ -183,7 +183,7 @@ def cmd_bijection(args) -> int:
     factorizes each word, and a bad word is reported before a bad partition."""
     seq = tuple(word_from_text(text) for text in args.word)
     tvec = tuple(w.count(0) for w in seq)  # the words fix the parts of t
-    Params(args.nu, len(tvec), sum(tvec), tvec)  # checks nu, as enumerate does
+    _require_int("nu", args.nu, 1)  # as enumerate's Params does
     forest = []
     for idx, w in enumerate(seq, 1):
         try:

@@ -25,7 +25,7 @@ concrete integers ("int" mode) or the symbolic indeterminates of
 ``numerics.PolyST`` ("poly" mode).  The recurrence itself never requires
 s >= 1 or t >= 0; those constraints belong to the combinatorial models, and
 the engine deliberately accepts things like (s, t) = (0, 1) or t = -s, both
-of which have closed forms of their own (see ``s_minus_s_closed_forms``).
+of which the closed forms below cover.
 
 Both modes run one loop over ints.  In poly mode, substituting s -> 2^B and
 t -> 2^(B W) (Kronecker substitution) is a ring homomorphism from Z[s, t]
@@ -35,10 +35,11 @@ terms and no decoding.  ``Recurrence.iter_rows`` states the slot layout and
 the coefficient bound that make the reading exact.
 
 Besides the recurrence, this module evaluates the explicit summation formulas
-for orders 1 and 2, a whole row per call, the classic Eulerian and
-second-order Eulerian numbers in both of their usual indexings, and the
-degenerate t = -s forms.  All of them are exact; divisions by k! are
-asserted to be exact rather than trusted.
+for orders 1 and 2, a whole row per call, and the classic Eulerian and
+second-order Eulerian numbers in both of their usual indexings.  The
+degenerate t = -s forms are those summation formulas at t = -s.  All of
+them are exact; divisions by k! are asserted to be exact rather than
+trusted.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ from .numerics import (
     _Kronecker,
     _Record,
     _require_int,
-    binomial,
-    falling_factorial,
     stirling_subset,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "closed_form_order2",
     "classic_eulerian",
     "classic_second_order",
-    "s_minus_s_closed_forms",
 ]
 
 INT_MODE = "int"
@@ -322,32 +320,47 @@ def _exact_div(total: int, divisor: int) -> int:
     return q
 
 
+def _closed_row(n: int, nu: int, s: int, t: int, inner: list[int]) -> list[int]:
+    """The outer sum both closed forms share, a whole row at once:
+
+        E(n, k) = ((-1)^k / k!) sum_{r=0}^{k} C(k,r) (nu n+s+t)^falling(k-r) I_r
+
+    for k = 0..n, with I_0..I_n the form's inner sums.  The falling
+    factorials are one running product; each division by k! must come out
+    exact, anything else raises.
+    """
+    falling = [1]  # (nu n+s+t)^falling(i), i <= n
+    for i in range(n):
+        falling.append(falling[-1] * (nu * n + s + t - i))
+    return [
+        _exact_div(
+            (-1) ** k * sum(math.comb(k, r) * falling[k - r] * inner[r] for r in range(k + 1)),
+            math.factorial(k),
+        )
+        for k in range(n + 1)
+    ]
+
+
 def closed_form_order1(n: int, s: int, t: int) -> list[int]:
     """Row n of the order-1 (s,t)-Eulerian triangle by its explicit alternating sum.
 
     E(n, k) = (1/k!) sum_{j=0}^{k} (-1)^(k-j) C(k,j) (n+s+t)^falling(k-j)
                                    (s+t)^rising(j) (s+j)^n
 
-    The rising and falling factorials are running products and the powers
-    (s+j)^n are taken once, all shared by the row's n + 1 entries, so the
-    row costs O(n^2) terms.  Each division by k! must come out exact;
-    anything else raises.
+    that is ``_closed_row`` with I_j = (-1)^j (s+t)^rising(j) (s+j)^n.  The
+    rising factorials are a running product and the powers (s+j)^n are taken
+    once, all shared by the row's n + 1 entries, so the row costs O(n^2)
+    terms.  At t = -s only I_0 = s^n survives, and the row collapses to the
+    signed binomials (-1)^k C(n, k) s^n.
     """
     _require_int("n", n, 0)
     _require_int("s", s)
     _require_int("t", t)
-    rising, falling = [1], [1]  # (s+t)^rising(i) and (n+s+t)^falling(i), i <= n
-    for i in range(n):
-        rising.append(rising[-1] * (s + t + i))
-        falling.append(falling[-1] * (n + s + t - i))
-    terms = [rising[j] * (s + j) ** n for j in range(n + 1)]
-    return [
-        _exact_div(
-            sum((-1) ** (k - j) * math.comb(k, j) * falling[k - j] * terms[j] for j in range(k + 1)),
-            math.factorial(k),
-        )
-        for k in range(n + 1)
-    ]
+    inner, rising = [], 1  # rising = (s+t)^rising(j)
+    for j in range(n + 1):
+        inner.append((-1) ** j * rising * (s + j) ** n)
+        rising *= s + t + j
+    return _closed_row(n, 1, s, t, inner)
 
 
 def closed_form_order2(n: int, s: int, t: int) -> list[int]:
@@ -363,14 +376,14 @@ def closed_form_order2(n: int, s: int, t: int) -> list[int]:
 
         h_p = sum_j C(p,j) (s+t)^rising(j) (s+j) (p+s)^(p-j),
 
-    and (-1)^(k-p) = (-1)^k (-1)^p, so
+    and (-1)^(k-p) = (-1)^k (-1)^p, so this is ``_closed_row`` with
 
-        E(n, k) = ((-1)^k / k!) sum_r C(k,r) (s+t+2n)^falling(k-r) I_r,
         I_r = sum_p C(r,p) (-1)^p h_p (p+s)^(n+r-1-p).
 
     Neither h_p nor I_r depends on k, so the row computes h_0..h_n, then
-    I_0..I_n, then its n + 1 entries: O(n^2) terms in all.  Each division
-    by k! must come out exact; anything else raises.
+    I_0..I_n, then its n + 1 entries: O(n^2) terms in all.  At t = -s only
+    h_p = s (p+s)^p survives, which leaves the paper's double sum for the
+    degenerate triangle.
 
     n = 0 would hit (p+s)^(-1), so that row is returned directly from the
     base case E(0, 0) = 1.
@@ -380,10 +393,9 @@ def closed_form_order2(n: int, s: int, t: int) -> list[int]:
     _require_int("t", t)
     if n == 0:
         return [1]
-    rising, falling = [1], [1]  # (s+t)^rising(i) and (s+t+2n)^falling(i), i <= n
+    rising = [1]  # (s+t)^rising(i), i <= n
     for i in range(n):
         rising.append(rising[-1] * (s + t + i))
-        falling.append(falling[-1] * (s + t + 2 * n - i))
     inner = [0] * (n + 1)  # I_0..I_n
     for p in range(n + 1):
         base = p + s
@@ -392,13 +404,16 @@ def closed_form_order2(n: int, s: int, t: int) -> list[int]:
         for r in range(p, n + 1):
             inner[r] += math.comb(r, p) * term
             term *= base
-    return [
-        _exact_div(
-            (-1) ** k * sum(math.comb(k, r) * falling[k - r] * inner[r] for r in range(k + 1)),
-            math.factorial(k),
-        )
-        for k in range(n + 1)
-    ]
+    return _closed_row(n, 2, s, t, inner)
+
+
+_INDEXINGS = ("traditional", "standard")  # by the shift each adds to k
+
+
+def _shift(indexing: str) -> int:
+    if indexing not in _INDEXINGS:
+        raise ValueError("indexing must be 'standard' or 'traditional', got %r" % (indexing,))
+    return _INDEXINGS.index(indexing)
 
 
 def classic_eulerian(n: int, k: int, indexing: str = "standard") -> int:
@@ -413,11 +428,8 @@ def classic_eulerian(n: int, k: int, indexing: str = "standard") -> int:
     """
     _require_int("n", n, 0)
     _require_int("k", k, 0)
-    if indexing == "standard":
-        return sum((-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1))
-    if indexing == "traditional":
-        return sum((-1) ** j * math.comb(n + 1, j) * (k - j) ** n for j in range(k + 1))
-    raise ValueError("indexing must be 'standard' or 'traditional', got %r" % (indexing,))
+    shift = _shift(indexing)
+    return sum((-1) ** j * math.comb(n + 1, j) * (k + shift - j) ** n for j in range(k + 1))
 
 
 def classic_second_order(n: int, k: int, indexing: str = "standard") -> int:
@@ -432,46 +444,8 @@ def classic_second_order(n: int, k: int, indexing: str = "standard") -> int:
     """
     _require_int("n", n, 0)
     _require_int("k", k, 0)
-    if indexing == "standard":
-        return sum(
-            (-1) ** (k - r) * math.comb(2 * n + 1, k - r) * stirling_subset(n + r + 1, r + 1)
-            for r in range(k + 1)
-        )
-    if indexing == "traditional":
-        return sum(
-            (-1) ** (k - r) * math.comb(2 * n + 1, k - r) * stirling_subset(n + r, r)
-            for r in range(k + 1)
-        )
-    raise ValueError("indexing must be 'standard' or 'traditional', got %r" % (indexing,))
-
-
-def s_minus_s_closed_forms(nu: int, n: int, k: int, s: int) -> int:
-    """Entries of the degenerate t = -s triangles in closed form.
-
-    Order 1 collapses to signed binomials, (-1)^k C(n, k) s^n.  Order 2 keeps
-    one alternating double sum,
-
-        (s/k!) sum_r (k!/r!) C(2n, k-r) sum_p C(r,p) (-1)^(k-p) (p+s)^(n+r-1),
-
-    whose division by k! must come out exact.  Its exponents are >= 0 for
-    n >= 1; n = 0 would hit (p+s)^(-1), a division by zero at s = 0, so that
-    row is returned directly from the base case E(0, 0) = 1.  In both orders
-    k outside 0..n gives the int 0, and n < 0 raises ValueError.
-    """
-    _require_int("nu", nu)
-    _require_int("n", n, 0)
-    _require_int("k", k)
-    _require_int("s", s)
-    if nu not in (1, 2):
-        raise ValueError("closed forms are available for nu in {1, 2}, got %r" % (nu,))
-    if k < 0 or k > n:
-        return 0
-    if nu == 1:
-        return (-1) ** k * binomial(n, k) * s**n
-    if n == 0:
-        return 1
-    total = 0
-    for r in range(k + 1):
-        inner = sum(math.comb(r, p) * (-1) ** (k - p) * (p + s) ** (n + r - 1) for p in range(r + 1))
-        total += falling_factorial(k, k - r) * binomial(2 * n, k - r) * inner
-    return _exact_div(s * total, math.factorial(k))
+    shift = _shift(indexing)
+    return sum(
+        (-1) ** (k - r) * math.comb(2 * n + 1, k - r) * stirling_subset(n + r + shift, r + shift)
+        for r in range(k + 1)
+    )

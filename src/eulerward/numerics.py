@@ -4,8 +4,8 @@ Integers are plain Python ints (arbitrary precision) and rationals are
 ``fractions.Fraction`` (always lowest terms, positive denominator), so the
 whole package computes without rounding; rational arguments pass through
 ``as_fraction``, which refuses floats.  On top of those this module
-provides the generalized binomial coefficient, rising and falling factorials
-that also accept polynomial arguments, Stirling subset numbers, their
+provides the generalized binomial coefficient, the rising factorial, which
+also accepts polynomial arguments, Stirling subset numbers, their
 associated variant (every block of size at least 2), and ``PolyST``, a small
 sparse polynomial type in the two indeterminates s and t used by the triangle
 builders when s and t are left symbolic.  A ``PolyST`` stores its terms as two
@@ -33,7 +33,6 @@ __all__ = [
     "as_fraction",
     "binomial",
     "rising_factorial",
-    "falling_factorial",
     "stirling_subset",
     "assoc_stirling_subset",
     "PolyST",
@@ -156,13 +155,6 @@ def binomial(n: int, k: int) -> int:
     return (-1) ** k * math.comb(k - n - 1, k)
 
 
-def _factorial_args(name: str, x, j):
-    # checked once per call, not per factor: the closed forms call these often
-    _require_int("j", j, 0)
-    if isinstance(x, (float, bool)):
-        raise TypeError("%s needs an int, a Fraction or a PolyST x, got %r" % (name, x))
-
-
 def rising_factorial(x, j: int):
     """Rising factorial x (x+1) ... (x+j-1), the empty product 1 when j = 0.
 
@@ -176,25 +168,12 @@ def rising_factorial(x, j: int):
     >>> rising_factorial(Fraction(1, 2), 3)
     Fraction(15, 8)
     """
-    _factorial_args("rising_factorial", x, j)
+    _require_int("j", j, 0)
+    if isinstance(x, (float, bool)):
+        raise TypeError("rising_factorial needs an int, a Fraction or a PolyST x, got %r" % (x,))
     out = 1
     for i in range(j):
         out = out * (x + i)
-    return out
-
-
-def falling_factorial(x, j: int):
-    """Falling factorial x (x-1) ... (x-j+1), the empty product 1 when j = 0.
-
-    >>> falling_factorial(5, 3)
-    60
-    >>> falling_factorial(2, 4)
-    0
-    """
-    _factorial_args("falling_factorial", x, j)
-    out = 1
-    for i in range(j):
-        out = out * (x - i)
     return out
 
 

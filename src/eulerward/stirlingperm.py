@@ -95,6 +95,7 @@ def _factor(letters, nu: int, node):
     says a closed letter never recurs, so it must have had nu copies (0
     closes only at the end, with t copies), and no letter opens twice.
     """
+    letters = tuple(letters)  # read three times: a one-shot iterator must not run dry
     _require_int("nu", nu)
     for x in letters:
         _require_int("each letter", x)

@@ -45,7 +45,6 @@ from .eulerian import (
     closed_form_order2,
     eulerian_table,
     row_sum_product,
-    s_minus_s_closed_forms,
 )
 from .numerics import _Record, assoc_stirling_subset
 from .series import (
@@ -289,15 +288,17 @@ def check_special_cases(grid):
                     ("traditional", classic(n, k, "traditional")),
                     ("standard", classic(n, k - 1, "standard")),
                 )
-    # degenerate t = -s closed forms against the recurrence
+    # the degenerate t = -s triangles: the closed forms at t = -s against the recurrence
+    closed_forms = {1: closed_form_order1, 2: closed_form_order2}
     for nu in grid["s_minus_s_nu_values"]:
         for s in grid["s_minus_s_s_values"]:
             table = eulerian_table(Params(nu, s, -s), smax)
             for n in range(smax + 1):
+                closed = closed_forms[nu](n, s, -s)
                 for k in range(n + 1):
                     yield (
                         {"failed": "s-minus-s", "nu": nu, "s": s, "n": n, "k": k},
-                        ("closed", s_minus_s_closed_forms(nu, n, k, s)),
+                        ("closed", closed[k]),
                         ("recurrence", table.entry(n, k)),
                     )
 
@@ -517,7 +518,8 @@ _CHECKS = {
         ("second-order-traditional", "classic-triangles", ("classic", classic_second_order), _EULERIAN),
         ("order1-shift", "indexing-shift", "one function at its two indexings", None),
         ("order2-shift", "indexing-shift", "one function at its two indexings", None),
-        ("s-minus-s", "t-equals-minus-s", ("closed", s_minus_s_closed_forms), _EULERIAN),
+        ("s-minus-s", "t-equals-minus-s", ("closed", closed_form_order1), _EULERIAN),
+        ("s-minus-s", "t-equals-minus-s", ("closed", closed_form_order2), _EULERIAN),
     ]),
     "inverse-pairs": _Check("inverse-pairs", check_inverse_pairs, {
         "nu_max": 3, "n_max": 10, "ratios": ("1", "-1", "2/3"), "s_values": (0, 1, 2, 3),

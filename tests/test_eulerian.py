@@ -7,6 +7,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_numerics import falling
 
 from eulerward.cli import _trimmed
 from eulerward.eulerian import (
@@ -20,9 +21,8 @@ from eulerward.eulerian import (
     eulerian_recurrence,
     eulerian_table,
     row_sum_product,
-    s_minus_s_closed_forms,
 )
-from eulerward.numerics import PolyST, binomial, falling_factorial, rising_factorial, stirling_subset
+from eulerward.numerics import PolyST, binomial, rising_factorial, stirling_subset
 from eulerward.ward import ward_recurrence, ward_table
 
 
@@ -402,7 +402,7 @@ def oracle_closed_form_order1(n, k, s, t):
         total += (
             (-1) ** (k - j)
             * math.comb(k, j)
-            * falling_factorial(n + s + t, k - j)
+            * falling(n + s + t, k - j)
             * rising_factorial(s + t, j)
             * (s + j) ** n
         )
@@ -430,7 +430,7 @@ def oracle_closed_form_order2(n, k, s, t):
                     * (s + j)
                     * (p + s) ** (n + r - j - 1)
                 )
-        total += math.comb(k, r) * falling_factorial(s + t + 2 * n, k - r) * inner
+        total += math.comb(k, r) * falling(s + t + 2 * n, k - r) * inner
     q, rem = divmod(total, math.factorial(k))
     assert rem == 0
     return q
@@ -549,54 +549,97 @@ class TestClassicTriangles:
         with pytest.raises(ValueError):
             classic_eulerian(3, 1, "middle")
 
+    @pytest.mark.parametrize("classic", [classic_eulerian, classic_second_order])
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((3, 1, "middle"), "indexing must be 'standard' or 'traditional', got 'middle'"),
+            ((3, 1, ["standard"]), "indexing must be 'standard' or 'traditional', got ['standard']"),
+            ((-1, 1, "middle"), "n must be >= 0, got -1"),
+            ((3, -1, "middle"), "k must be >= 0, got -1"),
+        ],
+        ids=["unknown", "unhashable", "n-first", "k-first"],
+    )
+    def test_indexing_is_checked_after_n_and_k(self, classic, args, message):
+        with pytest.raises(ValueError) as info:
+            classic(*args)
+        assert str(info.value) == message
+
+
+def oracle_s_minus_s(nu, n, k, s):
+    """Entry (n, k) of the degenerate t = -s triangle as the paper states it.
+
+    Order 1 collapses to signed binomials, (-1)^k C(n, k) s^n.  Order 2 keeps
+    one alternating double sum,
+
+        (s/k!) sum_r (k!/r!) C(2n, k-r) sum_p C(r,p) (-1)^(k-p) (p+s)^(n+r-1),
+
+    whose division by k! must come out exact; its n = 0 row is the base case
+    E(0, 0) = 1, as (p+s)^(-1) would divide by zero at s = 0.
+    """
+    if k < 0 or k > n:
+        return 0
+    if nu == 1:
+        return (-1) ** k * binomial(n, k) * s**n
+    if n == 0:
+        return 1
+    total = 0
+    for r in range(k + 1):
+        inner = sum(math.comb(r, p) * (-1) ** (k - p) * (p + s) ** (n + r - 1) for p in range(r + 1))
+        total += falling(k, k - r) * binomial(2 * n, k - r) * inner
+    q, rem = divmod(s * total, math.factorial(k))
+    assert rem == 0
+    return q
+
+
+CLOSED_FORMS = {1: closed_form_order1, 2: closed_form_order2}
+
+
+def assert_t_minus_s_rows(nu, s, nmax):
+    """The closed form at t = -s, the oracle and the recurrence agree row by row."""
+    tri = eulerian_table(Params(nu, s, -s), nmax)
+    for n in range(nmax + 1):
+        row = CLOSED_FORMS[nu](n, s, -s)
+        assert row == [oracle_s_minus_s(nu, n, k, s) for k in range(n + 1)]
+        assert tuple(row) == tri.row(n)
+
 
 class TestDegenerateParameters:
+    """The t = -s triangles are the closed forms at t = -s."""
+
     def test_order1_signed_binomial(self):
-        assert s_minus_s_closed_forms(1, 3, 1, 2) == -24
-        for s in (1, 2, 3):
-            tri = eulerian_table(Params(1, s, -s), 8)
-            for n in range(9):
-                for k in range(n + 1):
-                    want = (-1) ** k * binomial(n, k) * s**n
-                    assert s_minus_s_closed_forms(1, n, k, s) == want
-                    assert tri.entry(n, k) == want
+        assert closed_form_order1(3, 2, -2)[1] == -24
+        for s in range(-3, 4):
+            assert_t_minus_s_rows(1, s, 8)
 
     def test_order2_matches_recurrence(self):
-        for s in (1, 2, 3):
-            tri = eulerian_table(Params(2, s, -s), 8)
-            for n in range(9):
-                for k in range(n + 1):
-                    assert s_minus_s_closed_forms(2, n, k, s) == tri.entry(n, k)
+        # past the verify grid's n <= 8 and s <= 3
+        for s in (4, 5):
+            assert_t_minus_s_rows(2, s, 11)
 
     @pytest.mark.parametrize("s", range(-3, 4))
     def test_order2_matches_recurrence_for_every_sign_of_s(self, s):
-        # s = 0 used to divide by zero in the n = 0 row
-        tri = eulerian_table(Params(2, s, -s), 8)
-        for n in range(9):
-            for k in range(n + 1):
-                assert s_minus_s_closed_forms(2, n, k, s) == tri.entry(n, k)
-
-    def test_orders_above_two_unsupported(self):
-        with pytest.raises(ValueError):
-            s_minus_s_closed_forms(3, 2, 1, 1)
+        # s = 0 once divided by zero in the n = 0 row
+        assert closed_form_order2(0, s, -s) == [1]
+        assert_t_minus_s_rows(2, s, 8)
 
     @pytest.mark.parametrize("nu", [1, 2])
     @pytest.mark.parametrize("n,k", [(3, -1), (3, 4), (0, 1), (0, -2), (5, 9)])
     def test_outside_the_triangle_is_the_int_zero(self, nu, n, k):
-        # order 1 once returned -0.0 at k = -1
-        value = s_minus_s_closed_forms(nu, n, k, 2)
-        assert type(value) is int and value == 0
+        # order 1 once returned -0.0 at k = -1; a closed row now holds only k = 0..n
+        assert len(CLOSED_FORMS[nu](n, 2, -2)) == n + 1
+        value = eulerian_table(Params(nu, 2, -2), n).entry(n, k)
+        assert type(value) is int and value == 0 == oracle_s_minus_s(nu, n, k, 2)
 
     @pytest.mark.parametrize("nu", [1, 2])
     @pytest.mark.parametrize("n", [-1, -3])
     def test_negative_row_raises(self, nu, n):
         # order 1 once returned the float 0.5, order 2 an ArithmeticError
         with pytest.raises(ValueError):
-            s_minus_s_closed_forms(nu, n, 0, 2)
+            CLOSED_FORMS[nu](n, 2, -2)
 
-    @pytest.mark.parametrize(
-        "args", [(1, 3, 1, 1.5), (2, 3, 1, 1.5), (1.0, 3, 1, 1), (2, 3, True, 1), (2, 3.0, 1, 1)]
-    )
+    @pytest.mark.parametrize("args", [(1, 3, 1.5), (2, 3, 1.5), (1, 3.0, 1), (2, True, 1), (2, 3.0, 1)])
     def test_non_integers_raise(self, args):
+        nu, n, s = args
         with pytest.raises(TypeError):
-            s_minus_s_closed_forms(*args)
+            CLOSED_FORMS[nu](n, s, -s)

@@ -23,9 +23,8 @@ from eulerward.eulerian import (
     closed_form_order2,
     eulerian_recurrence,
     row_sum_product,
-    s_minus_s_closed_forms,
 )
-from eulerward.numerics import PolyST, binomial, falling_factorial, rising_factorial
+from eulerward.numerics import PolyST, binomial, rising_factorial
 from eulerward.series import (
     TruncSeries,
     binomial_unit_sums_sides,
@@ -125,7 +124,6 @@ BAD = {
     # numerics
     "binomial-bool": (lambda: binomial(True, 1), TypeError, "n must be an int, got True"),
     "rising-factorial-j": (lambda: rising_factorial(2, -1), ValueError, "j must be >= 0, got -1"),
-    "falling-factorial-j": (lambda: falling_factorial(2, -1), ValueError, "j must be >= 0, got -1"),
     "polyst-power": (lambda: PolyST.s() ** -1, ValueError, "a PolyST exponent must be >= 0, got -1"),
     "polyst-term": (lambda: PolyST({(0, -1): 1}), ValueError, "a PolyST exponent must be >= 0, got -1"),
     # eulerian (Params(1, True, 0) above is its bool row)
@@ -137,7 +135,6 @@ BAD = {
     "row-sum-product-n": (lambda: row_sum_product(Params(1, 1, 0), -1), ValueError, "n must be >= 0, got -1"),
     "closed-form-order1-n": (lambda: closed_form_order1(-1, 1, 0), ValueError, "n must be >= 0, got -1"),
     "closed-form-order2-n": (lambda: closed_form_order2(-1, 1, 0), ValueError, "n must be >= 0, got -1"),
-    "s-minus-s-n": (lambda: s_minus_s_closed_forms(1, -1, 0, 1), ValueError, "n must be >= 0, got -1"),
     "classic-eulerian-n": (lambda: classic_eulerian(-1, 0), ValueError, "n must be >= 0, got -1"),
     "classic-eulerian-k": (lambda: classic_eulerian(0, -1), ValueError, "k must be >= 0, got -1"),
     "classic-second-order-n": (lambda: classic_second_order(-1, 0), ValueError, "n must be >= 0, got -1"),

@@ -46,7 +46,6 @@ SMALL = {
     **dict.fromkeys(["euler_to_ward", "ward_to_euler"], ([1, 4, 1], 2)),
     **dict.fromkeys(["eulerian_ratio_expansion_sides", "second_order_ratio_expansion_sides"], (3, 2, 1, 10)),
     "ward_marked_rows_up_to": (Params(1, 2, 1, (1, 0)), 3),
-    "s_minus_s_closed_forms": (2, 4, 1, 2),
     "assoc_stirling_subset": (6, 2),
     "egf_eulerian_coeffs": (3, 2, 1, Fraction(1, 3), 8),
     "egf_ward_coeffs": (2, 2, 1, Fraction(3, 2), 8),

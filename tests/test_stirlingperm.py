@@ -110,6 +110,13 @@ class TestWordValidity:
         assert not validate_word((), 0)
         assert not validate_word((0,), -1)
 
+    def test_a_one_shot_iterator_is_read_as_its_word(self):
+        # the pass reads the letters three times; an iterator once ran dry
+        # after the first and validated as the empty word
+        assert validate_word(iter((2, 1, 1, 2)), 1) is validate_word((2, 1, 1, 2), 1) is False
+        tree = perm_to_tree(iter((1, 1)), 2)
+        assert tree is not None and tree == perm_to_tree((1, 1), 2)
+
 
 def oracle_validate_word(letters, nu):
     """The validator before the factorization pass checked words, kept as
