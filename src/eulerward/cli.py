@@ -42,7 +42,7 @@ from .stirlingperm import (
     word_text,
 )
 from .trees import (
-    _with_root,
+    distinguished_set,
     forest_to_dot,
     forest_to_json,
     leftmost_internal_set,
@@ -195,7 +195,7 @@ def cmd_bijection(args) -> int:
     positions = [sorted(ascent_positions(w)) for w in seq]
     n, j = len(set().union(*seq) - {0}), sum(map(len, positions))
     esets = [leftmost_internal_set(tr) for tr in forest]
-    dsets = [_with_root(tr, e) for tr, e in zip(forest, esets)]
+    dsets = [distinguished_set(tr) for tr in forest]
     dset = frozenset().union(*dsets)
     payload = {
         "nu": str(args.nu),

@@ -37,17 +37,17 @@ entry-major order is position order, and inserting m^nu before position i
 adds an ascent iff word[i-1] >= word[i]: inside an entry that is the usual
 rule, after the last letter of an entry it always holds (the back gap), and
 after a separator it never does (a front gap, or an empty entry), nor at
-position 0.  Along
-with the ascent count, the walk carries ``up``, the number of adjacent
-pairs l >= r of the flat word, which is the number of gaps that add an
-ascent.  Each insertion updates it from the letters around its gap alone.
+position 0.  The walk carries the ascent count alone: the gaps that add
+one, the pairs l >= r of the flat word, number len - s - asc, since the
+s - 1 pairs that start at a separator other than the last are its only
+pairs l < r that are not ascents.
 
 One streaming depth-first walk serves enumeration, the ascent histograms and
 the marked-forest counts in ``trees``: it holds one child generator per
 order, so its memory is O(n) in the depth.  The histograms build words only
 up to two orders short of the top: each parent there counts its children
-one gap at a time and tallies their children from each child's gaps and
-``up``, so the last two orders, nearly all of the objects, are never built.
+one gap at a time and tallies their children from each child's length and
+ascents, so the last two orders, nearly all of the objects, are never built.
 """
 
 from __future__ import annotations
@@ -160,40 +160,28 @@ def _entries(word: tuple[int, ...], s: int) -> tuple[tuple[int, ...], ...]:
     return tuple(entries)
 
 
-def _children(word, asc: int, up: int, block: tuple[int, ...]):
-    """Yield (m, child, ascents, up) for every child of a flat word, where
-    block = m^nu.
-
-    Gap i is the position before word[i] (see the module docstring), so the
-    children come entry-major, gaps left to right, and the child at gap
-    i > 0 gains an ascent iff l >= r for l, r = word[i-1], word[i].  Its
-    >=-pairs lose (l, r) and gain the nu - 1 pairs (m, m) inside the block
-    and (m, r); (l, m) is never one, since m exceeds every letter.
-    """
+def _children(word, asc: int, block: tuple[int, ...]):
+    """Yield (m, child, ascents) for every child of a flat word, where
+    block = m^nu, gap by gap in position order (see the module docstring)."""
     m = block[0]
-    up += len(block)
-    yield m, block + word, asc, up
+    yield m, block + word, asc
     for i in range(1, len(word)):
-        g = word[i - 1] >= word[i]
-        yield m, word[:i] + block + word[i:], asc + g, up - g
+        yield m, word[:i] + block + word[i:], asc + (word[i - 1] >= word[i])
 
 
 def _insertions(nu: int, tvec: tuple[int, ...], n: int):
-    """Stream (m, word, ascents, up) for every object of order 0..n, depth
-    first, where up counts the adjacent pairs l >= r of the flat word.
+    """Stream (m, word, ascents) for every object of order 0..n, depth first.
 
     The walk holds one ``_children`` generator per open order, so its memory
     is O(n).  Each object is yielded before its descendants; the generator of
-    order n is drained in one loop, since its children are leaves.  The
-    order-0 word has up = t: each 0 is followed by a 0 or by its entry's
-    separator.
+    order n is drained in one loop, since its children are leaves.
     """
-    word, up = _flat_word(tvec), sum(tvec)
-    yield 0, word, 0, up
+    word = _flat_word(tvec)
+    yield 0, word, 0
     if n == 0:
         return
     blocks = [(m,) * nu for m in range(n + 1)]
-    stack = [_children(word, 0, up, blocks[1])]
+    stack = [_children(word, 0, blocks[1])]
     while stack:
         m = len(stack)
         if m == n:
@@ -204,7 +192,7 @@ def _insertions(nu: int, tvec: tuple[int, ...], n: int):
             stack.pop()
         else:
             yield step
-            stack.append(_children(step[1], step[2], step[3], blocks[m + 1]))
+            stack.append(_children(step[1], step[2], blocks[m + 1]))
 
 
 def _enumeration_params(p: Params, n: int) -> tuple[int, tuple[int, ...]]:
@@ -230,7 +218,7 @@ def enumerate_sequences(p: Params, n: int) -> Iterator[tuple[tuple[int, ...], ..
     """
     nu, tvec = _enumeration_params(p, n)
     s = len(tvec)
-    for m, word, _, _ in _insertions(nu, tvec, n):
+    for m, word, _ in _insertions(nu, tvec, n):
         if m == n:
             yield _entries(word, s)
 
@@ -242,26 +230,25 @@ def ascent_histograms_up_to(p: Params, nmax: int) -> list[list[int]]:
 
     The walk builds flat words up to order nmax - 2.  Each parent there
     visits its children one gap at a time: the child gains an ascent iff
-    the letters l, r around its gap have l >= r (gap 0 never adds one),
-    and its up is the parent's, less that pair, plus the nu pairs the block
-    brings.  That counts the child at order nmax - 1.  Its own children,
-    at order nmax, are tallied from its gaps and up alone: up of them gain
-    an ascent and the rest keep the child's count.
+    the letters l, r around its gap have l >= r (gap 0 never adds one).
+    That counts the child at order nmax - 1.  Its own children, at order
+    nmax, are tallied from its length and ascents alone: len - s - asc of
+    them gain an ascent (see the module docstring), the rest keep its count.
     """
     nu, tvec = _enumeration_params(p, nmax)
+    s, t = len(tvec), sum(tvec)
     if nmax == 0:
         return [[1]]
     if nmax == 1:
-        # the order-0 word is the one parent, tallied like an order-(nmax - 1) child
-        ((_, word, _, up),) = _insertions(nu, tvec, 0)
-        return [[1], [len(word) - up, up]]
+        # the order-0 word has s + t gaps, and the t that follow a 0 add an ascent
+        return [[1], [s, t]]
     hists = [[0] * (m + 1) for m in range(nmax + 1)]
     top, below = hists[nmax], hists[nmax - 1]
-    for m, word, asc, up in _insertions(nu, tvec, nmax - 2):
+    for m, word, asc in _insertions(nu, tvec, nmax - 2):
         hists[m][asc] += 1
         if m == nmax - 2:
             gaps = len(word) + nu  # gaps of every child
-            up += nu
+            up = gaps - s - asc  # a child's pairs l >= r, before its own gap's pair
             for g in chain((False,), map(ge, word, word[1:])):
                 a = asc + g
                 u = up - g

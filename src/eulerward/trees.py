@@ -141,6 +141,7 @@ def _zeros(tree: TreeNode | None) -> int:
 def perm_to_tree(letters: tuple[int, ...], nu: int) -> TreeNode | None:
     """Factorize an order-nu word on least letters into its increasing tree,
     in the one pass (``stirlingperm._factor``) that also checks the word."""
+    letters = tuple(letters)  # a bad word is reported as its letters, not as an iterator
     tree = _factor(letters, nu, TreeNode)
     if tree is False:
         raise ValueError("not a valid order-%d generalized Stirling permutation: %r" % (nu, letters))
@@ -169,11 +170,7 @@ def leftmost_internal_set(tree: TreeNode | None) -> frozenset[int]:
 
 def distinguished_set(tree: TreeNode | None) -> frozenset[int]:
     """The distinguished pool: E(T), plus the root label unless the root is the 0-node."""
-    return _with_root(tree, leftmost_internal_set(tree))
-
-
-def _with_root(tree: TreeNode | None, base: frozenset[int]) -> frozenset[int]:
-    """D(T) from base = E(T): the root's rule of ``distinguished_set``."""
+    base = leftmost_internal_set(tree)
     if tree is None or tree.label == 0:
         return base
     return base | {tree.label}
@@ -248,15 +245,15 @@ def ward_marked_rows_up_to(p: Params, n: int) -> list[list[int]]:
     built.  The rule (``_child_pools``): a child's pool is its parent's plus
     the new label exactly when the new leaf fills an empty first slot of a
     node, or is the root of an empty t_i = 0 entry.  No recurrence and no
-    ascent count is involved (the ascent count and ``up`` the walk yields
-    are ignored), which is the point: this is the independent combinatorial
-    route the Ward recurrence is checked against.
+    ascent count is involved (the ascent count the walk yields is ignored),
+    which is the point: this is the independent combinatorial route the
+    Ward recurrence is checked against.
     """
     nu, tvec = _enumeration_params(Params(p.nu + 1, p.s, p.t, p.tvec), n)
     # pools[m][size]: forests of order m with that pool size; order 0 has one, with an empty pool
     pools = [Counter({0: 1})] + [Counter() for _ in range(n)]
     if n:
-        for m, word, _, _ in _insertions(nu, tvec, n - 1):
+        for m, word, _ in _insertions(nu, tvec, n - 1):
             pool, keep, gain = _child_pools(word, tvec)
             pools[m + 1][pool] += keep
             pools[m + 1][pool + 1] += gain

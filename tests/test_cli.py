@@ -440,17 +440,17 @@ class TestBijection:
             [(2, 3, 3, 3, 2, 2, 0, 0), (5, 5, 5, 1, 1, 1), (0, 4, 4, 4), ()]
         )
 
-    def test_each_leftmost_set_is_built_once(self, capsys, monkeypatch):
-        # the D sets derive from the E sets already built, not from a second walk
+    def test_each_distinguished_set_is_the_library_rule(self, capsys, monkeypatch):
+        # the D sets come from distinguished_set, which holds the root rule,
+        # one call per tree, not from a second copy of the rule in cli
         calls = []
-        real = trees.leftmost_internal_set
+        real = trees.distinguished_set
 
         def counting(tree):
             calls.append(tree)
             return real(tree)
 
-        for module in (cli, trees):
-            monkeypatch.setattr(module, "leftmost_internal_set", counting)
+        monkeypatch.setattr(cli, "distinguished_set", counting)
         code, out, _ = run_cli(capsys, "bijection", "23332200", "555111", "0444", "", "--nu", "3")
         assert code == 0 and len(calls) == 4
         assert json.loads(out)["distinguished_sets"] == [["2"], ["1", "5"], [], []]

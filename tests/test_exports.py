@@ -1,7 +1,8 @@
 """Every exported name resolves, both for the package's users and for the
 benchmark's tracer, which wraps each module's ``__all__`` plus the ``PolyST``
 and ``TruncSeries`` methods it names: a stale entry would crash a traced run.
-And every imported name is used."""
+And every imported name is used, and every private name that one module of
+the package imports from another is named in ``CROSSING`` with its reason."""
 
 import ast
 import importlib
@@ -13,6 +14,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 MODULES = ["", ".numerics", ".eulerian", ".ward", ".stirlingperm", ".trees", ".series", ".verify", ".cli"]
+
+# "module._name": why another module of the package may import it
+CROSSING = {
+    "numerics._require_int": "the one integer check at every module's boundary",
+    "numerics._Record": "the value base of the records other modules define",
+    "numerics._Kronecker": "the packing the triangle engine runs poly mode on",
+    "stirlingperm._labels_partition_range": "the partition check of a word tuple, in cli and verify",
+    "stirlingperm._enumeration_params": "the word model's argument check, shared by the marked forests",
+    "stirlingperm._factor": "the one pass that checks a word and builds its tree",
+    "stirlingperm._insertions": "the insertion walk the marked forests share",
+}
 
 
 @pytest.mark.parametrize("name", MODULES, ids=[name or "eulerward" for name in MODULES])
@@ -55,3 +67,21 @@ def test_every_import_is_used():
     paths = sorted((ROOT / "src" / "eulerward").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert len(paths) > 20
     assert [found for path in paths for found in _unused_imports(path)] == []
+
+
+def _private_imports(path):
+    """'module._name' for each private name a package module imports from a sibling."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return {
+        "%s.%s" % (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_every_private_import_is_named():
+    found = set().union(*map(_private_imports, (ROOT / "src" / "eulerward").glob("*.py")))
+    assert sorted(found - set(CROSSING)) == [], "a private name crosses modules unnamed"
+    assert sorted(set(CROSSING) - found) == [], "a named private name crosses no module any more"

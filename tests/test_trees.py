@@ -100,6 +100,12 @@ class TestSingleTreeBijection:
         with pytest.raises(ValueError):
             perm_to_tree(word_from_text("2112"), 2)
 
+    @pytest.mark.parametrize("given", [tuple, iter], ids=["tuple", "iterator"])
+    def test_invalid_word_is_reported_by_its_letters(self, given):
+        # an iterator was once shown as itself, at an address that changes per run
+        with pytest.raises(ValueError, match=r"permutation: \(1, 2\)$"):
+            perm_to_tree(given((1, 2)), 2)
+
     def test_empty_word_gives_empty_tree(self):
         tree = perm_to_tree((), 2)
         assert tree is None
@@ -639,7 +645,7 @@ class TestMarkedCounts:
         real = trees._insertions
 
         def wrong_ascents(nu, tvec, n):
-            return ((m, word, -1, -1) for m, word, _, _ in real(nu, tvec, n))
+            return ((m, word, -1) for m, word, _ in real(nu, tvec, n))
 
         monkeypatch.setattr(trees, "_insertions", wrong_ascents)
         for nu in (1, 2):
@@ -664,7 +670,7 @@ def oracle_ward_marked_row(p, n):
     with ``_pool_size``."""
     tvec = p.composition
     pools = Counter()
-    for m, word, _, _ in _insertions(p.nu + 1, tvec, n):
+    for m, word, _ in _insertions(p.nu + 1, tvec, n):
         if m == n:
             pools[sum(map(_pool_size, _entries(word, p.s)))] += 1
     return [sum(c * math.comb(size, n - k) for size, c in pools.items()) for k in range(n + 1)]
@@ -677,7 +683,7 @@ def one_row_ward_marked_row(p, n):
     if n == 0:
         return [1]
     pools = Counter()
-    for m, word, _, _ in _insertions(nu, tvec, n - 1):
+    for m, word, _ in _insertions(nu, tvec, n - 1):
         if m == n - 1:
             pool, keep, gain = _child_pools(word, tvec)
             pools[pool] += keep
@@ -719,13 +725,13 @@ class TestPoolTally:
             for s in (1, 2):
                 for t in range(3):
                     for tvec in _compositions_for(s, t):
-                        for m, word, asc, up in _insertions(nu, tvec, 3):
+                        for m, word, asc in _insertions(nu, tvec, 3):
                             obj = _entries(word, s)
                             pool, keep, gain = _child_pools(word, tvec)
                             assert pool == built_pool_size(obj, nu)
                             built = Counter(
                                 built_pool_size(_entries(child, s), nu)
-                                for _, child, _, _ in _children(word, asc, up, (m + 1,) * nu)
+                                for _, child, _ in _children(word, asc, (m + 1,) * nu)
                             )
                             assert +Counter({pool: keep, pool + 1: gain}) == built, (obj, tvec)
 
@@ -760,7 +766,7 @@ class TestPoolSize:
             for s in (1, 2):
                 for t in range(3):
                     for tvec in _compositions_for(s, t):
-                        for _, word, _, _ in _insertions(nu, tvec, 4):
+                        for _, word, _ in _insertions(nu, tvec, 4):
                             obj = _entries(word, s)
                             fast = sum(map(_pool_size, obj))
                             assert fast == built_pool_size(obj, nu), (obj, tvec)

@@ -98,29 +98,40 @@ def test_leaf_tally_fault_is_caught_at_the_top_order(monkeypatch):
     assert w["enumeration"] == _shown(faulty)
 
 
-def test_carried_pair_count_fault_is_caught_at_the_top_order(monkeypatch):
-    # every built child forgets the nu - 1 pairs (m, m) inside its block.
-    # Ascent counts are carried apart from up and only the top order reads
-    # up, so nu = 1 hides the fault and (2, 1, 0) fails at n_top
-    real = stirlingperm._children
+class _Miscounted(tuple):
+    """A composition that claims one entry more than it has."""
 
-    def faulty(word, asc, up, block):
-        for m, child, a, u in real(word, asc, up, block):
-            yield m, child, a, u - (len(block) - 1)
+    def __len__(self):
+        return super().__len__() + 1
 
-    monkeypatch.setattr(stirlingperm, "_children", faulty)
+
+def test_entry_count_fault_is_caught_at_the_top_order(monkeypatch):
+    # the histograms read s off the composition: one entry too many makes
+    # every pair count len - s - asc one short.  The walk only needs its
+    # separators negative and increasing, so it still builds the same
+    # words, and only the top order, which reads the pair count, goes wrong
+    real = stirlingperm._enumeration_params
+
+    def faulty(p, n):
+        nu, tvec = real(p, n)
+        return nu, _Miscounted(tvec)
+
+    monkeypatch.setattr(stirlingperm, "_enumeration_params", faulty)
     result = verify.run_check("recurrence-vs-enumeration")
     assert result.check_id == "recurrence-vs-enumeration"
     assert not result.passed
     w = result.witness
     p = Params(w["nu"], w["s"], w["t"])
+    # the order-1 return is the first top order the check reaches
+    assert (w["nu"], w["s"], w["t"], w["nmax"]) == (1, 1, 0, 1)
+    assert w["recurrence"] == [["1"], ["1", "0"]]
+    assert w["enumeration"] == [["1"], ["2", "0"]]
+    # and the tally's top order, below which every row still agrees
     n_top = result.params["n_max"]
-    assert (w["nu"], w["s"], w["t"], w["n"]) == (2, 1, 0, n_top)
-    want = list(eulerian_table(p, n_top).row(n_top))
-    faulty_row = stirlingperm.ascent_histograms_up_to(p, n_top)[n_top]
-    assert faulty_row != want and sum(faulty_row) == sum(want)
-    assert w["recurrence"] == _shown(want)
-    assert w["enumeration"] == _shown(faulty_row)
+    want = [list(row) for row in eulerian_table(p, n_top).rows]
+    faulty_rows = stirlingperm.ascent_histograms_up_to(p, n_top)
+    assert faulty_rows[:-1] == want[:-1]
+    assert faulty_rows[-1] != want[-1] and sum(faulty_rows[-1]) == sum(want[-1])
 
 
 def test_egf_fault(monkeypatch):
