@@ -206,6 +206,19 @@ class Recurrence(_Record):
         A sum of absolute values of affine functions of j is convex, so the
         max sits at j = 0 or j = n - 1.  Every coefficient of rows 1..nmax
         is then at most prod_{m=1}^{nmax} max(L_m, 1).
+
+        The digits.  If gamma and gamma' have no negative coefficient past
+        their constant terms, and the affine parts alpha n + beta j +
+        gamma_0 and alpha' n + beta' (j+1) + gamma'_0 are >= 0 for
+        1 <= n <= nmax and 0 <= j < n (affine, so j = 0 and j = n - 1
+        suffice), then every factor u(n, j) and d(n, j+1) has nonnegative
+        coefficients, and so, from E(0, 0) = 1 on, does every entry: sums and
+        products keep them >= 0.  No slot of a packed entry then borrows
+        from the one above it, and the decoder reads plain base-2^B digits,
+        with no offset added per entry and none taken off per slot;
+        otherwise it reads balanced ones.  Both families of the paper read
+        plain digits at every nu and nmax: the affine parts of their factors
+        are j and nu (n - 1) -+ j, and s and t enter with coefficient 1.
         """
         _require_int("nmax", nmax, 0)
         if isinstance(self.gamma, PolyST):
@@ -233,16 +246,18 @@ class Recurrence(_Record):
         alpha, beta, alpha_p, beta_p = self.alpha, self.beta, self.alpha_p, self.beta_p
         gammas = [self.gamma.terms, self.gamma_p.terms]
         c0, c0_p = [g.get((0, 0), 0) for g in gammas]
-        rest = sum(abs(c) for g in gammas for key, c in g.items() if key != (0, 0))
-
-        def spread(n):  # L_n, its max taken at j = 0 and j = n - 1
-            up, diag = alpha * n + c0, alpha_p * n + c0_p
-            return rest + max(abs(up + beta * j) + abs(diag + beta_p * (j + 1)) for j in (0, n - 1))
-
+        others = [c for g in gammas for key, c in g.items() if key != (0, 0)]
+        # the affine parts of u(n, j) and d(n, j + 1) at j = 0 and j = n - 1, where their extremes sit
+        ends = [
+            [(alpha * n + beta * j + c0, alpha_p * n + beta_p * (j + 1) + c0_p) for j in (0, n - 1)]
+            for n in range(1, nmax + 1)
+        ]
+        rest = sum(map(abs, others))
+        bound = math.prod(max(rest + max(abs(u) + abs(d) for u, d in pair), 1) for pair in ends)  # prod max(L_n, 1)
+        nonnegative = all(c >= 0 for c in others) and all(u >= 0 and d >= 0 for pair in ends for u, d in pair)
         # (s-degree, t-degree) of gamma and of gamma'
         (su, tu), (sd, td) = [(max(i for i, _ in g), max(j for _, j in g)) if g else (0, 0) for g in gammas]
-        bound = math.prod(max(spread(n), 1) for n in range(1, nmax + 1))
-        packing = _Kronecker(bound, nmax * max(su, sd), nmax * max(tu, td))
+        packing = _Kronecker(bound, nmax * max(su, sd), nmax * max(tu, td), nonnegative)
         lifts = ((packing.shifts(self.gamma), 0), (packing.shifts(self.gamma_p), 1))
 
         def lift(row, prev):  # the nonconstant terms of gamma (into k) and gamma' (into k + 1)

@@ -1,14 +1,17 @@
 """Triangle recurrences, closed forms, and classic specializations."""
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_numerics import falling
 
+import eulerward.eulerian as eulerian
 from eulerward.cli import _trimmed
 from eulerward.eulerian import (
     Params,
@@ -22,7 +25,7 @@ from eulerward.eulerian import (
     eulerian_table,
     row_sum_product,
 )
-from eulerward.numerics import PolyST, binomial, rising_factorial, stirling_subset
+from eulerward.numerics import PolyST, _Kronecker, binomial, rising_factorial, stirling_subset
 from eulerward.ward import ward_recurrence, ward_table
 
 
@@ -306,6 +309,24 @@ _gammas = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-9, 9), max_size=4
 ).map(PolyST)
 _int_gammas = st.integers(-9, 9)
+_nonnegative_gammas = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(0, 9), max_size=4
+).map(PolyST)
+
+
+@contextmanager
+def _digit_reads():
+    """The ``nonnegative`` flag of every packing the engine builds in the block:
+    True where it reads plain digits, False where it reads balanced ones."""
+    flags = []
+
+    class Spy(_Kronecker):
+        def __init__(self, bound, s_deg, t_deg, nonnegative=False):
+            flags.append(nonnegative)
+            super().__init__(bound, s_deg, t_deg, nonnegative)
+
+    with mock.patch.object(eulerian, "_Kronecker", Spy):
+        yield flags
 
 
 class TestPackedPolyRows:
@@ -339,6 +360,45 @@ class TestPackedPolyRows:
         rows = rec.rows(nmax)
         assert all(isinstance(v, PolyST) for row in rows for v in row)
         assert _term_maps(rows) == _term_maps(_polyst_rows(rec, nmax))
+
+    @given(
+        st.integers(0, 4), st.integers(0, 4), _nonnegative_gammas,
+        st.integers(0, 4), st.integers(0, 4), _nonnegative_gammas, st.integers(0, 10),
+    )
+    def test_nonnegative_factors_read_plain_digits(self, alpha, beta, gamma, alpha_p, beta_p, gamma_p, nmax):
+        rec = Recurrence(alpha, beta, gamma, alpha_p, beta_p, gamma_p)
+        with _digit_reads() as flags:
+            rows = rec.rows(nmax)
+        assert flags == [True]
+        assert _term_maps(rows) == _term_maps(_polyst_rows(rec, nmax))
+
+    @pytest.mark.parametrize("nmax", [2, 3, 8])
+    @pytest.mark.parametrize("where", ["d(n, j + 1) at j = n - 1", "u(n, j) at j = 0"])
+    def test_a_factor_negative_only_at_the_last_row_reads_balanced_digits(self, where, nmax):
+        # the factor is >= 0 on rows 1..nmax-1 and -1 at one end of row nmax,
+        # so that row, and only it, holds a negative coefficient
+        s, t = PolyST.s(), PolyST.t()
+        if where == "u(n, j) at j = 0":  # u = -n + j + nmax - 1 + s, d = n + t
+            rec = Recurrence(-1, 1, s + nmax - 1, 1, 0, t)
+        else:  # u = j + s, d = n - 2 (j + 1) + nmax - 1 + t
+            rec = Recurrence(0, 1, s, 1, -2, t + nmax - 1)
+        with _digit_reads() as flags:
+            shorter, rows = rec.rows(nmax - 1), rec.rows(nmax)
+        assert flags == [True, False]
+        assert min(c for row in shorter for v in row for c in v.terms.values()) >= 0
+        assert min(c for v in rows[nmax] for c in v.terms.values()) < 0
+        assert _term_maps(rows) == _term_maps(_polyst_rows(rec, nmax))
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("recurrence", [eulerian_recurrence, ward_recurrence])
+    def test_both_families_read_plain_digits(self, recurrence, nu):
+        # the affine parts of their factors are j and nu (n - 1) -+ j, and
+        # s, t have coefficient 1, so every table of theirs reads plain digits
+        rec = recurrence(Params(nu, 0, 0), "poly")
+        with _digit_reads() as flags:
+            for nmax in (0, 1, 2, 30, 60):
+                rec.iter_rows(nmax)  # the packing is fixed when this is called
+        assert flags == [True] * 5
 
     @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, 1, -1, -1), (-1, 1, 1, -1)])
     def test_large_mixed_sign_coefficients(self, signs):

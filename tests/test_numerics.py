@@ -380,6 +380,23 @@ class TestKronecker:
             PolyST(),
         ]
 
+    @pytest.mark.parametrize("bound", [1, 127, 128, 255, 2**64 - 1])
+    def test_nonnegative_coefficients_at_the_bound_read_back(self, bound):
+        # full slots next to empty ones: plain digits carry nothing between slots
+        packing = numerics._Kronecker(bound, 2, 2, nonnegative=True)
+        assert bound < 1 << (packing.bits - 1) <= 256 * bound
+        p = PolyST({(i % 3, i // 3): bound for i in range(9)})
+        q = PolyST({(2, 2): bound, (1, 0): 1})
+        assert packing.unpack([_packed(packing, p), _packed(packing, q), 0], [(2, 2)] * 3) == [
+            p,
+            q,
+            PolyST(),
+        ]
+        # the read is plain: s - 1 packs to 2^B - 1, which balanced digits read as s - 1
+        assert packing.unpack([_packed(packing, PolyST.s() - 1)], [(1, 0)]) == [
+            PolyST.constant((1 << packing.bits) - 1)
+        ]
+
     def test_shifts_skip_the_constant_term(self):
         packing = numerics._Kronecker(100, 3, 1)
         p = 5 * PolyST.s() ** 2 - 3 * PolyST.t() + 7
@@ -388,16 +405,25 @@ class TestKronecker:
         lifted = sum(c * (x << shift) for c, shift in packing.shifts(p))
         assert lifted == _packed(packing, (p - 7) * (PolyST.s() + 2))
 
-    @given(st.data())
-    def test_unpack_inverts_the_substitution(self, data):
+    @staticmethod
+    def _assert_round_trip(data, nonnegative):
         # slots of 1 to 9 bytes; W = 1 leaves no pad between the slots one read takes
         bound = data.draw(st.integers(1, 2**70), label="bound")
         s_deg, t_deg = data.draw(st.integers(0, 4), label="s_deg"), data.draw(st.integers(0, 4), label="t_deg")
         box = data.draw(st.tuples(st.integers(0, s_deg), st.integers(0, t_deg)), label="box")
         exponents = st.tuples(st.integers(0, box[0]), st.integers(0, box[1]))
-        p = PolyST(data.draw(st.dictionaries(exponents, st.integers(-bound, bound), max_size=12), label="terms"))
-        packing = numerics._Kronecker(bound, s_deg, t_deg)
+        least = 0 if nonnegative else -bound
+        p = PolyST(data.draw(st.dictionaries(exponents, st.integers(least, bound), max_size=12), label="terms"))
+        packing = numerics._Kronecker(bound, s_deg, t_deg, nonnegative)
         assert packing.unpack([_packed(packing, p)], [box]) == [p]
+
+    @given(st.data())
+    def test_unpack_inverts_the_substitution(self, data):
+        self._assert_round_trip(data, nonnegative=False)
+
+    @given(st.data())
+    def test_unpack_inverts_the_substitution_in_plain_digits(self, data):
+        self._assert_round_trip(data, nonnegative=True)
 
     def test_degree_bounds_past_the_top_slot_raise(self):
         packing = numerics._Kronecker(9, 2, 2)
