@@ -31,8 +31,8 @@ Both modes run one loop over ints.  In poly mode, substituting s -> 2^B and
 t -> 2^(B W) (Kronecker substitution) is a ring homomorphism from Z[s, t]
 to the integers, so every entry is built as one packed int and read back
 into a ``PolyST`` once, row by row; int mode is the same loop with no shift
-terms and no decoding.  ``Recurrence.iter_rows`` states the slot layout and
-the coefficient bound that make the reading exact.
+terms and no decoding.  ``Recurrence.iter_rows`` states the slot layout, the
+coefficient bound and the nonnegative factors that make the reading exact.
 
 Besides the recurrence, this module evaluates the explicit summation formulas
 for orders 1 and 2, a whole row per call, and the classic Eulerian and
@@ -124,7 +124,8 @@ class Recurrence(_Record):
     seeded by |0, 0| = 1.  The slopes are ints; the constant terms are
     both ints or both PolyST, and the entries then live in that ring, the
     seed included.  Anything else (floats, bools, Fractions, or one int next
-    to one PolyST) raises TypeError.
+    to one PolyST) raises TypeError.  Int mode takes any six coefficients,
+    poly mode only those whose factors have nonnegative coefficients.
     """
 
     _fields = ("alpha", "beta", "gamma", "alpha_p", "beta_p", "gamma_p")
@@ -191,34 +192,32 @@ class Recurrence(_Record):
         slots hold every power of s, and the decoder reads only the slots
         inside each entry's box.
 
+        The digits.  Poly mode reads each packed entry as plain base-2^B
+        digits, exact only while no coefficient is negative: a negative
+        term would borrow from the slot above it.  So poly mode needs every
+        factor u(n, j) = alpha n + beta j + gamma and d(n, j+1) =
+        alpha' n + beta' (j+1) + gamma' of rows 1..nmax (0 <= j < n) to have
+        nonnegative coefficients, and then every entry has them too, from
+        E(0, 0) = 1 on.  Their constant terms are affine in j, so they are
+        checked at j = 0 and j = n - 1; a factor that goes negative raises
+        ValueError, naming it.  Both families of the paper qualify at every
+        nu and nmax: the constant terms of their factors are j and
+        nu (n - 1) -+ j, and s and t enter with coefficient 1.
+
         The bound.  B is the least multiple of 8 with every coefficient below
-        2^(B-1) in absolute value.  Write |P| for the l1 norm of P (the sum
-        of |coefficients|), which bounds every coefficient and is
-        submultiplicative, and S_n for the sum of |E(n, k)| over row n.
-        E(n-1, j) feeds only E(n, j), through u(n, j) = alpha n + beta j +
-        gamma, and E(n, j+1), through d(n, j+1) = alpha' n + beta' (j+1) +
-        gamma'.  So S_n <= L_n S_{n-1}, with S_0 = 1 and
+        2^B.  A polynomial with nonnegative coefficients has each of them at
+        most its value at s = t = 1, and that value is multiplicative; let
+        S_n be the sum of E(n, k) over row n at s = t = 1.  E(n-1, j) feeds
+        only E(n, j), through u(n, j), and E(n, j+1), through d(n, j+1).  So
+        S_n <= L_n S_{n-1}, with S_0 = 1 and, at s = t = 1,
 
-            L_n = max_{0 <= j < n} |u(n, j)| + |d(n, j+1)|
-                = |gamma - gamma_0| + |gamma' - gamma'_0|
-                  + max_{0 <= j < n} |alpha n + beta j + gamma_0| + |alpha' n + beta' (j+1) + gamma'_0|.
+            L_n = max_{0 <= j < n} u(n, j) + d(n, j+1)
+                = (gamma - gamma_0) + (gamma' - gamma'_0)
+                  + max_{0 <= j < n} (alpha n + beta j + gamma_0) + (alpha' n + beta' (j+1) + gamma'_0).
 
-        A sum of absolute values of affine functions of j is convex, so the
-        max sits at j = 0 or j = n - 1.  Every coefficient of rows 1..nmax
-        is then at most prod_{m=1}^{nmax} max(L_m, 1).
-
-        The digits.  If gamma and gamma' have no negative coefficient past
-        their constant terms, and the affine parts alpha n + beta j +
-        gamma_0 and alpha' n + beta' (j+1) + gamma'_0 are >= 0 for
-        1 <= n <= nmax and 0 <= j < n (affine, so j = 0 and j = n - 1
-        suffice), then every factor u(n, j) and d(n, j+1) has nonnegative
-        coefficients, and so, from E(0, 0) = 1 on, does every entry: sums and
-        products keep them >= 0.  No slot of a packed entry then borrows
-        from the one above it, and the decoder reads plain base-2^B digits,
-        with no offset added per entry and none taken off per slot;
-        otherwise it reads balanced ones.  Both families of the paper read
-        plain digits at every nu and nmax: the affine parts of their factors
-        are j and nu (n - 1) -+ j, and s and t enter with coefficient 1.
+        The last sum is affine in j, so its max sits at j = 0 or j = n - 1.
+        Every coefficient of rows 1..nmax is then at most
+        prod_{m=1}^{nmax} max(L_m, 1).
         """
         _require_int("nmax", nmax, 0)
         if isinstance(self.gamma, PolyST):
@@ -242,22 +241,26 @@ class Recurrence(_Record):
             prev = row
 
     def _packing(self, nmax: int) -> tuple:
-        """(gamma_0, gamma'_0, lift, decode) for poly mode; ``iter_rows`` gives the layout and the bound."""
+        """(gamma_0, gamma'_0, lift, decode) for poly mode; ``iter_rows`` gives the checks, layout and bound."""
         alpha, beta, alpha_p, beta_p = self.alpha, self.beta, self.alpha_p, self.beta_p
         gammas = [self.gamma.terms, self.gamma_p.terms]
-        c0, c0_p = [g.get((0, 0), 0) for g in gammas]
-        others = [c for g in gammas for key, c in g.items() if key != (0, 0)]
-        # the affine parts of u(n, j) and d(n, j + 1) at j = 0 and j = n - 1, where their extremes sit
-        ends = [
-            [(alpha * n + beta * j + c0, alpha_p * n + beta_p * (j + 1) + c0_p) for j in (0, n - 1)]
-            for n in range(1, nmax + 1)
-        ]
-        rest = sum(map(abs, others))
-        bound = math.prod(max(rest + max(abs(u) + abs(d) for u, d in pair), 1) for pair in ends)  # prod max(L_n, 1)
-        nonnegative = all(c >= 0 for c in others) and all(u >= 0 and d >= 0 for pair in ends for u, d in pair)
+        c0, c0_p = [g.pop((0, 0), 0) for g in gammas]  # gammas keep their nonconstant terms
+        rest = sum(sum(g.values()) for g in gammas)
+        bound = 1
+        for n in range(1, nmax + 1):
+            # the constant terms of u(n, j) and d(n, j + 1) are affine in j, least at j = 0 or j = n - 1
+            ends = [(alpha * n + beta * j + c0, alpha_p * n + beta_p * (j + 1) + c0_p) for j in (0, n - 1)]
+            for j, pair in zip((0, n - 1), ends):
+                for name, c, g in zip(("u(n, j)", "d(n, j + 1)"), pair, gammas):
+                    if min([c, *g.values()]) < 0:
+                        raise ValueError(
+                            "poly mode needs factors with nonnegative coefficients, but %s = %s at n = %d, j = %d"
+                            % (name, PolyST({**g, (0, 0): c}).render(), n, j)
+                        )
+            bound *= max(rest + max(map(sum, ends)), 1)  # max(L_n, 1)
         # (s-degree, t-degree) of gamma and of gamma'
         (su, tu), (sd, td) = [(max(i for i, _ in g), max(j for _, j in g)) if g else (0, 0) for g in gammas]
-        packing = _Kronecker(bound, nmax * max(su, sd), nmax * max(tu, td), nonnegative)
+        packing = _Kronecker(bound, nmax * max(su, sd), nmax * max(tu, td))
         lifts = ((packing.shifts(self.gamma), 0), (packing.shifts(self.gamma_p), 1))
 
         def lift(row, prev):  # the nonconstant terms of gamma (into k) and gamma' (into k + 1)

@@ -27,7 +27,6 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from operator import sub
 
 __all__ = [
     "as_fraction",
@@ -402,18 +401,13 @@ class _Kronecker:
 
     The term c s^a t^b (0 <= a < W) lands in the B-bit slot a + W b of an
     int, so polynomials add and multiply as their packed ints do.  A packed
-    int reads back as balanced base-2^B digits, which is exact for every
-    polynomial of s-degree < W whose coefficients all have |c| < 2^(B-1).
-    The caller vouches for that through ``bound`` (>= every |c|) and
-    ``s_deg`` (W = s_deg + 1); B is the least multiple of 8 above
-    ``bound``'s bit length, and ``t_deg`` bounds the t-degree.
-
-    A caller that also vouches that every coefficient is >= 0 passes
-    ``nonnegative``, and the int then reads back as plain base-2^B digits:
+    int reads back as plain base-2^B digits, which is exact for every
+    polynomial of s-degree < W whose coefficients all lie in 0 <= c < 2^B:
     with no negative term no slot borrows from the one above it, so each
-    slot holds its coefficient as it is, and the offset that turns balanced
-    digits into plain ones, added per int and taken off per slot, is not
-    needed.
+    slot holds its coefficient as it is.  The caller vouches for that
+    through ``bound`` (>= 1 and >= every c) and ``s_deg``
+    (W = s_deg + 1); B is the least multiple of 8 with bound < 2^B, and
+    ``t_deg`` bounds the t-degree.
 
     ``unpack`` reads only the slots inside the degree bounds it is given, so
     those must hold too.  A term past an int's top slot makes
@@ -421,16 +415,13 @@ class _Kronecker:
     power of t would go unread.
     """
 
-    def __init__(self, bound: int, s_deg: int, t_deg: int, nonnegative: bool = False):
-        size = (bound.bit_length() + 8) // 8  # bytes per slot, so that bound < 2^(B - 1)
+    def __init__(self, bound: int, s_deg: int, t_deg: int):
+        size = (bound.bit_length() + 7) // 8  # bytes per slot, so that bound < 2^B
         self.bits = 8 * size
         self.width = s_deg + 1
         self._size = size
         self._depth = t_deg + 1
         self._keys = [(a, b) for a in range(self.width) for b in range(self._depth)]
-        # 2^(B-1) in every slot turns balanced digits into plain base-2^B ones; plain digits need none
-        self._half = 0 if nonnegative else 1 << (self.bits - 1)
-        self._offset = 0 if nonnegative else int.from_bytes((bytes(size - 1) + b"\x80") * len(self._keys), "little")
         # _runs[b] reads the b + 1 slots of t-degree 0..b at one power of s, W slots apart, in one C call
         step = "%dx%ds" % (size * (self.width - 1), size)
         self._runs = [struct.Struct("%ds" % size + step * b).unpack_from for b in range(self._depth)]
@@ -447,23 +438,19 @@ class _Kronecker:
         """The PolyST of each packed int in xs, given its (s-degree, t-degree) bounds.
 
         Per int: one ``to_bytes``, then one C-level read per power of s of
-        the slots within the bounds; balanced digits add the offset to the
-        int first and take 2^(B-1) off each slot.  The slots come out in
-        ascending (s-degree, t-degree) order, which is the order a PolyST
-        stores, so ``compress`` and ``filter`` give its two tuples directly:
-        no dict and no sort.
+        the slots within the bounds.  The slots come out in ascending
+        (s-degree, t-degree) order, which is the order a PolyST stores, so
+        ``compress`` and ``filter`` give its two tuples directly: no dict and
+        no sort.
         """
-        width, size, bits, keys, depth, half = self.width, self._size, self.bits, self._keys, self._depth, self._half
+        width, size, keys, depth = self.width, self._size, self._keys, self._depth
         out = []
         for x, (a, b) in zip(xs, degrees):
             top = width * b + a + 1  # the slots up to the int's highest term
-            if half:
-                x += self._offset >> bits * (len(keys) - top)
             buf = x.to_bytes(top * size, "little")
             run = self._runs[b]
             digits = chain.from_iterable([run(buf, i * size) for i in range(a + 1)])
-            values = map(int.from_bytes, digits, repeat("little"))
-            coeffs = list(map(sub, values, repeat(half)) if half else values)
+            coeffs = list(map(int.from_bytes, digits, repeat("little")))
             starts = range(0, depth * (a + 1), depth)
             found = compress(chain.from_iterable([keys[i : i + b + 1] for i in starts]), coeffs)
             out.append(PolyST._of(tuple(found), tuple(filter(None, coeffs))))

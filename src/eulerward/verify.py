@@ -501,7 +501,7 @@ _CHECKS = {
         ("composition-independence", "composition-independence", "one route at two compositions of t", None),
     ]),
     "row-sums": _Check("recurrence-vs-enumeration", check_row_sums, {
-        "nu_max": 3, "s_max": 3, "t_max": 2, "n_max": 10,
+        "nu_max": 3, "s_max": 3, "t_max": 2, "n_max": 14,
     }, [(None, "row-sums", ("sum", eulerian_table), ("product", row_sum_product))]),
     "closed-forms": _Check("closed-forms", check_closed_forms, {
         "n_max": 15, "st_pairs": ((1, 0), (0, 1), (2, 3), (3, 1)), "orders": (1, 2),
@@ -537,7 +537,7 @@ _CHECKS = {
     ]),
     "egf": _Check("egf", check_egf, {
         "n_max": 8, "x0_eulerian": ("1/3", "1/2", "2/3"), "x0_ward": ("1/2", "1"),
-        "nu_eulerian": (1, 2, 3), "nu_ward": (1, 2), "st_pairs": ((1, 0), (2, 1), (1, 2)),
+        "nu_eulerian": (1, 2, 3), "nu_ward": (1, 2), "st_pairs": ((1, 0), (2, 1), (1, 2), (1, 3)),
     }, [
         ("eulerian", "eulerian-egf", ("egf", egf_eulerian_coeffs), ("table", eulerian_table)),
         ("order1-direct", "eulerian-egf", ("direct", egf_order1_direct), ("table", eulerian_table)),
@@ -545,7 +545,7 @@ _CHECKS = {
         ("transform", "egf-substitution", _SIDES, egf_transform_sides),
     ]),
     "tree-function": _Check("series-identities", check_series_tree_function, {
-        "nu_max": 4, "order": 14, "tree_power_s_values": (1, 2, 5),
+        "nu_max": 4, "order": 14, "tree_power_s_values": (1, 2, 5, 8),
     }, [
         ("reversion-contract", "tree-function", "x against T_nu composed with its inverse", None),
         ("derivative-identity", "tree-function", _SIDES, t_nu_derivative_sides),
@@ -553,7 +553,7 @@ _CHECKS = {
         ("tree-powers", "tree-powers", _SIDES, tree_power_sides),
     ]),
     "series-identities": _Check("series-identities", check_series_identities, {
-        "n_max": 5, "order": 12, "unit_sums_n_max": 30,
+        "n_max": 5, "order": 12, "unit_sums_n_max": 40,
         "order1_st_pairs": ((1, 0), (0, 1), (2, 3), (3, 1)), "order2_st_pairs": ((1, 0), (2, 1), (2, 3), (3, 1)),
     }, [
         ("order1-ratio", "ratio-expansions", _SIDES, eulerian_ratio_expansion_sides),

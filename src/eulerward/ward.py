@@ -90,21 +90,27 @@ def general_inverse_transform(row, n: int, r, direction: str = "forward") -> lis
     integer r takes int and PolyST rows alike); then it divides by q^k.  It
     reads only the row it is given, never the recurrence that built it.  r
     may be a Fraction or a string such as "2/3" (a float r, a bool or float
-    entry, or a PolyST row with a non-integer r raises TypeError before any
-    arithmetic); entries that come out integral are ints, the others
-    Fractions.
+    entry, or a PolyST row with a non-integer r or a Fraction entry raises
+    TypeError before any arithmetic); entries that come out integral are
+    ints, the others Fractions.
     """
     _require_int("n", n, 0)
     if len(row) != n + 1:
         raise ValueError("need a row of n + 1 entries, got n = %d and %d entries" % (n, len(row)))
     rr = as_fraction(r)
-    # one scan of the entries; a PolyST entry cannot be divided by q^k, so it needs q = 1
-    rejected = (bool, float) if rr.denominator == 1 else (bool, float, PolyST)
-    bad = next((b for b in row if isinstance(b, rejected)), None)
-    if isinstance(bad, PolyST):
+    # one scan of the entries; a PolyST entry can neither be divided by q^k nor added to a Fraction
+    poly, frac = False, None
+    for b in row:
+        if isinstance(b, (bool, float)):
+            raise TypeError("row entries must be exact (int, Fraction or PolyST), not bool or float")
+        if isinstance(b, PolyST):
+            poly = True
+        elif frac is None and isinstance(b, Fraction):
+            frac = b
+    if poly and rr.denominator != 1:
         raise TypeError("a PolyST row needs an integer ratio, got r = %r" % (r,))
-    if bad is not None:
-        raise TypeError("row entries must be exact (int, Fraction or PolyST), not bool or float")
+    if poly and frac is not None:
+        raise TypeError("a PolyST row needs int entries beside its PolyST ones, got %r" % (frac,))
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward', got %r" % (direction,))
     if direction == "backward":

@@ -1,17 +1,15 @@
 """Triangle recurrences, closed forms, and classic specializations."""
 
 import math
-from contextlib import contextmanager
+import re
 from fractions import Fraction
 from functools import lru_cache
-from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_numerics import falling
 
-import eulerward.eulerian as eulerian
 from eulerward.cli import _trimmed
 from eulerward.eulerian import (
     Params,
@@ -25,7 +23,7 @@ from eulerward.eulerian import (
     eulerian_table,
     row_sum_product,
 )
-from eulerward.numerics import PolyST, _Kronecker, binomial, rising_factorial, stirling_subset
+from eulerward.numerics import PolyST, binomial, rising_factorial, stirling_subset
 from eulerward.ward import ward_recurrence, ward_table
 
 
@@ -314,19 +312,29 @@ _nonnegative_gammas = st.dictionaries(
 ).map(PolyST)
 
 
-@contextmanager
-def _digit_reads():
-    """The ``nonnegative`` flag of every packing the engine builds in the block:
-    True where it reads plain digits, False where it reads balanced ones."""
-    flags = []
+def _negative_factor(rec, nmax):
+    """Whether some factor u(n, j) or d(n, j + 1) of rows 1..nmax has a negative
+    coefficient, over every n and j (the engine checks only j = 0 and n - 1)."""
+    factors = [
+        f
+        for n in range(1, nmax + 1)
+        for j in range(n)
+        for f in (rec.alpha * n + rec.beta * j + rec.gamma, rec.alpha_p * n + rec.beta_p * (j + 1) + rec.gamma_p)
+    ]
+    return any(c < 0 for f in factors for c in f.terms.values())
 
-    class Spy(_Kronecker):
-        def __init__(self, bound, s_deg, t_deg, nonnegative=False):
-            flags.append(nonnegative)
-            super().__init__(bound, s_deg, t_deg, nonnegative)
 
-    with mock.patch.object(eulerian, "_Kronecker", Spy):
-        yield flags
+_REFUSAL = "poly mode needs factors with nonnegative coefficients, but "
+
+
+def _refused(rec, nmax):
+    """Whether poly mode must refuse rec at nmax, a factor going negative; if
+    so, checks that ``iter_rows`` raises before any row is asked for."""
+    if not (isinstance(rec.gamma, PolyST) and _negative_factor(rec, nmax)):
+        return False
+    with pytest.raises(ValueError, match=_REFUSAL):
+        rec.iter_rows(nmax)
+    return True
 
 
 class TestPackedPolyRows:
@@ -356,7 +364,10 @@ class TestPackedPolyRows:
 
     @given(_slopes, _slopes, _gammas, _slopes, _slopes, _gammas, st.integers(0, 10))
     def test_rows_equal_the_polyst_rows(self, alpha, beta, gamma, alpha_p, beta_p, gamma_p, nmax):
+        # signed gammas and slopes: where a factor goes negative the engine refuses
         rec = Recurrence(alpha, beta, gamma, alpha_p, beta_p, gamma_p)
+        if _refused(rec, nmax):
+            return
         rows = rec.rows(nmax)
         assert all(isinstance(v, PolyST) for row in rows for v in row)
         assert _term_maps(rows) == _term_maps(_polyst_rows(rec, nmax))
@@ -367,48 +378,55 @@ class TestPackedPolyRows:
     )
     def test_nonnegative_factors_read_plain_digits(self, alpha, beta, gamma, alpha_p, beta_p, gamma_p, nmax):
         rec = Recurrence(alpha, beta, gamma, alpha_p, beta_p, gamma_p)
-        with _digit_reads() as flags:
-            rows = rec.rows(nmax)
-        assert flags == [True]
-        assert _term_maps(rows) == _term_maps(_polyst_rows(rec, nmax))
+        assert not _negative_factor(rec, nmax)
+        assert _term_maps(rec.rows(nmax)) == _term_maps(_polyst_rows(rec, nmax))
 
     @pytest.mark.parametrize("nmax", [2, 3, 8])
     @pytest.mark.parametrize("where", ["d(n, j + 1) at j = n - 1", "u(n, j) at j = 0"])
-    def test_a_factor_negative_only_at_the_last_row_reads_balanced_digits(self, where, nmax):
+    def test_a_factor_negative_only_at_the_last_row_is_refused_there(self, where, nmax):
         # the factor is >= 0 on rows 1..nmax-1 and -1 at one end of row nmax,
-        # so that row, and only it, holds a negative coefficient
+        # so rows up to nmax - 1 build, and asking for row nmax raises
         s, t = PolyST.s(), PolyST.t()
         if where == "u(n, j) at j = 0":  # u = -n + j + nmax - 1 + s, d = n + t
             rec = Recurrence(-1, 1, s + nmax - 1, 1, 0, t)
+            refusal = "u(n, j) = -1*s^0*t^0+1*s^1*t^0 at n = %d, j = 0" % nmax
         else:  # u = j + s, d = n - 2 (j + 1) + nmax - 1 + t
             rec = Recurrence(0, 1, s, 1, -2, t + nmax - 1)
-        with _digit_reads() as flags:
-            shorter, rows = rec.rows(nmax - 1), rec.rows(nmax)
-        assert flags == [True, False]
-        assert min(c for row in shorter for v in row for c in v.terms.values()) >= 0
-        assert min(c for v in rows[nmax] for c in v.terms.values()) < 0
-        assert _term_maps(rows) == _term_maps(_polyst_rows(rec, nmax))
+            refusal = "d(n, j + 1) = -1*s^0*t^0+1*s^0*t^1 at n = %d, j = %d" % (nmax, nmax - 1)
+        assert not _negative_factor(rec, nmax - 1) and _negative_factor(rec, nmax)
+        assert _term_maps(rec.rows(nmax - 1)) == _term_maps(_polyst_rows(rec, nmax - 1))
+        with pytest.raises(ValueError, match=re.escape(_REFUSAL + refusal)):
+            rec.iter_rows(nmax)
+        # the oracle's row nmax holds the negative coefficient plain digits could not read
+        assert min(c for v in _polyst_rows(rec, nmax)[nmax] for c in v.terms.values()) < 0
 
     @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("recurrence", [eulerian_recurrence, ward_recurrence])
     def test_both_families_read_plain_digits(self, recurrence, nu):
-        # the affine parts of their factors are j and nu (n - 1) -+ j, and
-        # s, t have coefficient 1, so every table of theirs reads plain digits
+        # the constant terms of their factors are j and nu (n - 1) -+ j, and
+        # s, t have coefficient 1, so poly mode, whose one read is plain
+        # digits, takes every table of theirs
         rec = recurrence(Params(nu, 0, 0), "poly")
-        with _digit_reads() as flags:
-            for nmax in (0, 1, 2, 30, 60):
-                rec.iter_rows(nmax)  # the packing is fixed when this is called
-        assert flags == [True] * 5
+        for nmax in (0, 1, 2, 30, 60):
+            assert not _negative_factor(rec, nmax)
+            rec.iter_rows(nmax)  # the packing is fixed, and any refusal raised, when this is called
 
     @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, 1, -1, -1), (-1, 1, 1, -1)])
     def test_large_mixed_sign_coefficients(self, signs):
-        # coefficients of both signs within a few bits of the packing bound,
-        # so negative digits borrow from their neighbours all through the rows
+        # the signed gammas below go negative in every factor: poly mode refuses them up front
         s, t = PolyST.s(), PolyST.t()
         gamma = -50 * s + 70 * t - 90
         rec = Recurrence(*(3 * x for x in signs[:2]), gamma, *(3 * x for x in signs[2:]), 60 * t - 40 * s + 80)
+        assert _negative_factor(rec, 10)
+        with pytest.raises(ValueError, match=re.escape(_REFUSAL + "u(n, j) = ")):
+            rec.iter_rows(10)
+        # int mode takes the same coefficients at any integer s and t
+        ints = Recurrence(*(3 * x for x in signs[:2]), gamma.evaluate(2, -3), *(3 * x for x in signs[2:]), -40)
+        assert ints.rows(10) == _int_rows(ints, 10)
+        # the same magnitudes, all nonnegative: coefficients far past one machine word
+        rec = Recurrence(3, 3, 50 * s + 70 * t + 90, 3, 3, 60 * t + 40 * s + 80)
         rows = rec.rows(10)
-        assert max(abs(c) for v in rows[10] for c in v.terms.values()).bit_length() > 70
+        assert max(c for v in rows[10] for c in v.terms.values()).bit_length() > 70
         assert _term_maps(rows) == _term_maps(_polyst_rows(rec, 10))
 
     @pytest.mark.parametrize("nu", [1, 2, 3, 4])
@@ -442,6 +460,8 @@ class TestIterRows:
     )
     def test_yields_the_rows(self, alpha, beta, gammas, alpha_p, beta_p, nmax):
         rec = Recurrence(alpha, beta, gammas[0], alpha_p, beta_p, gammas[1])
+        if _refused(rec, nmax):
+            return
         streamed = tuple(rec.iter_rows(nmax))
         assert streamed == rec.rows(nmax)
         assert _term_maps(streamed) == _term_maps(_polyst_rows(rec, nmax))

@@ -107,12 +107,12 @@ GOLDEN = [
     ),
     (
         "verify --suite all",
-        "88bb464aab4965fb79bcaed9af172ff2d6c19fd4465f99cf33066f44fcc717da",
+        "8863f84767ef61770d8e8ff39da8815eb68c3621bb937ce6f08542ce8d867eb1",
     ),
     # the six per-suite reports, as the benchmark's verify workload prints them
     (
         "verify --suite recurrence-vs-enumeration",
-        "4014f61156e8a1e6cb45eea44233510cf1b782a3a1e0fdcbe8e6d06b22ecbf81",
+        "7b928f26703396a352a80299cb90d192195e31a34c250ac46e0f7be399498827",
     ),
     (
         "verify --suite closed-forms",
@@ -124,11 +124,11 @@ GOLDEN = [
     ),
     (
         "verify --suite egf",
-        "76eb4effb1aafdd383ec2245dbbc02744cf19daffc85da51f0096a3cbe59e7cf",
+        "b4c69688dfcbf5472e7aba5a2f1eb0a5a88ed0e7b5ffd7bf61572ea7825ee657",
     ),
     (
         "verify --suite series-identities",
-        "0685bd21daf5fc9e2002a9a0829ee387fdae147626087803f835a6e906fe9400",
+        "0ea24ffbae28ef36b709c3780b2c21567235eb9f9bb87eb5fcaff5a560b21821",
     ),
     (
         "verify --suite ward-interpretation",

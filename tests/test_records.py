@@ -10,6 +10,7 @@ be an int, got <value>", and a value one below its least raises ValueError
 least value."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -132,6 +133,18 @@ BAD = {
         ValueError,
         "nmax must be >= 0, got -1",
     ),
+    "iter-rows-negative-factor": (
+        lambda: Recurrence(0, 1, PolyST.s(), 1, -2, PolyST.t() + 1).iter_rows(2),
+        ValueError,
+        "poly mode needs factors with nonnegative coefficients, but "
+        "d(n, j + 1) = -1*s^0*t^0+1*s^0*t^1 at n = 2, j = 1",
+    ),
+    "iter-rows-negative-gamma-term": (
+        lambda: Recurrence(0, 1, PolyST.s() - PolyST.t(), 1, 0, PolyST.t()).iter_rows(1),
+        ValueError,
+        "poly mode needs factors with nonnegative coefficients, but "
+        "u(n, j) = -1*s^0*t^1+1*s^1*t^0 at n = 1, j = 0",
+    ),
     "row-sum-product-n": (lambda: row_sum_product(Params(1, 1, 0), -1), ValueError, "n must be >= 0, got -1"),
     "closed-form-order1-n": (lambda: closed_form_order1(-1, 1, 0), ValueError, "n must be >= 0, got -1"),
     "closed-form-order2-n": (lambda: closed_form_order2(-1, 1, 0), ValueError, "n must be >= 0, got -1"),
@@ -172,6 +185,21 @@ BAD = {
     # ward
     "ward-bool": (lambda: riordan_orthogonality_sides(True), TypeError, "n must be an int, got True"),
     "inverse-transform-n": (lambda: general_inverse_transform([], -1, 1), ValueError, "n must be >= 0, got -1"),
+    "inverse-transform-poly-fraction": (
+        lambda: general_inverse_transform([PolyST.s(), Fraction(1, 2)], 1, 1),
+        TypeError,
+        "a PolyST row needs int entries beside its PolyST ones, got Fraction(1, 2)",
+    ),
+    "inverse-transform-poly-integral-fraction": (
+        lambda: general_inverse_transform([PolyST.s(), Fraction(3)], 1, 1),
+        TypeError,
+        "a PolyST row needs int entries beside its PolyST ones, got Fraction(3, 1)",
+    ),
+    "inverse-transform-fraction-poly": (
+        lambda: general_inverse_transform([Fraction(1, 2), PolyST.s()], 1, 1),
+        TypeError,
+        "a PolyST row needs int entries beside its PolyST ones, got Fraction(1, 2)",
+    ),
     "riordan-n": (lambda: riordan_orthogonality_sides(-1), ValueError, "n must be >= 0, got -1"),
     "smiley-n": (lambda: smiley_identities_sides(0), ValueError, "n must be >= 1, got 0"),
     # trees: d = nu + 1 would be the float 3.0, 2 or -4

@@ -400,7 +400,7 @@ def test_ward_egf_fault_fails_the_ward_case(monkeypatch):
 
     monkeypatch.setattr(series, "egf_ward_coeffs", counted)
     assert verify.run_check("egf").passed
-    assert len(calls) == len(set(calls)) == 12
+    assert len(calls) == len(set(calls)) == 16
     monkeypatch.setattr(series, "egf_ward_coeffs", _bump_where(real, lambda nu, s, t, x0, N: nu == 2, 3))
     result = verify.run_check("egf")
     x0 = Fraction(1, 2)
@@ -421,14 +421,14 @@ def test_ward_egf_fault_fails_the_ward_case(monkeypatch):
 CASE_COUNTS = {
     "golden-examples": 25,
     "recurrence-vs-enumeration": 219,
-    "row-sums": 297,
+    "row-sums": 405,
     "closed-forms": 1088,
     "special-cases": 644,
     "inverse-pairs": 1358,
     "classic-ward": 72,
-    "egf": 60,
-    "tree-function": 29,
-    "series-identities": 78,
+    "egf": 80,
+    "tree-function": 30,
+    "series-identities": 88,
     "ward-interpretation": 90,
 }
 

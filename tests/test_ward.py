@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_eulerian import _polyst_rows, _refused
 
 from eulerward.eulerian import Params, Recurrence, eulerian_recurrence, eulerian_table
 from eulerward.numerics import PolyST, as_fraction, assoc_stirling_subset, binomial
@@ -317,9 +318,11 @@ class TestInvolution:
     @settings(deadline=None)
     @given(six_tuples(poly=False), six_tuples(poly=True))
     def test_image_rows_are_the_transformed_rows(self, int_spec, poly_spec):
+        # a poly six-tuple, or its image, with a factor that goes negative is
+        # refused by the engine; the PolyST oracle's rows then carry the identity
         for spec in (int_spec, poly_spec):
             r = -spec.beta_p // spec.beta
-            source, image = spec.rows(12), spec.involution().rows(12)
+            source, image = [_polyst_rows(x, 12) if _refused(x, 12) else x.rows(12) for x in (spec, spec.involution())]
             for n in range(13):
                 assert list(image[n]) == general_inverse_transform(list(source[n]), n, r)
 
