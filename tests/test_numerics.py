@@ -413,6 +413,31 @@ class TestKronecker:
         packing = numerics._Kronecker(bound, s_deg, t_deg)
         assert packing.unpack([_packed(packing, p)], [box]) == [p]
 
+    @given(st.data())
+    def test_unpack_inverts_the_substitution_in_plain_digits(self, data):
+        # several ints in one call, each read in its own box: every slot is one
+        # plain base-2^B digit, so a packed int is the sum of c << B (a + W b)
+        bound = data.draw(st.integers(1, 2**70), label="bound")
+        s_deg, t_deg = data.draw(st.integers(0, 3), label="s_deg"), data.draw(st.integers(0, 3), label="t_deg")
+        packing = numerics._Kronecker(bound, s_deg, t_deg)
+        boxes = data.draw(
+            st.lists(st.tuples(st.integers(0, s_deg), st.integers(0, t_deg)), min_size=1, max_size=4), label="boxes"
+        )
+        polys = [
+            PolyST(
+                data.draw(
+                    st.dictionaries(
+                        st.tuples(st.integers(0, a), st.integers(0, b)), st.integers(0, bound), max_size=8
+                    ),
+                    label="terms",
+                )
+            )
+            for a, b in boxes
+        ]
+        xs = [sum(c << packing.bits * (a + packing.width * b) for (a, b), c in p.terms.items()) for p in polys]
+        assert xs == [_packed(packing, p) for p in polys]
+        assert packing.unpack(xs, boxes) == polys
+
     def test_degree_bounds_past_the_top_slot_raise(self):
         packing = numerics._Kronecker(9, 2, 2)
         with pytest.raises(OverflowError):
