@@ -30,9 +30,9 @@ of which the closed forms below cover.
 Both modes run one loop over ints.  In poly mode, substituting s -> 2^B and
 t -> 2^(B W) (Kronecker substitution) is a ring homomorphism from Z[s, t]
 to the integers, so every entry is built as one packed int and read back
-into a ``PolyST`` once, row by row; int mode is the same loop with no shift
-terms and no decoding.  ``Recurrence.iter_rows`` states the slot layout, the
-coefficient bound and the nonnegative factors that make the reading exact.
+into a ``PolyST`` once, row by row; int mode takes the same loop's rows as
+they are.  ``Recurrence.iter_rows`` states the slot layout, the coefficient
+bound and the nonnegative factors that make the reading exact.
 
 Besides the recurrence, this module evaluates the explicit summation formulas
 for orders 1 and 2, a whole row per call, and the classic Eulerian and
@@ -142,11 +142,6 @@ class Recurrence(_Record):
             )
         super().__init__(alpha, beta, gamma, alpha_p, beta_p, gamma_p)
 
-    @property
-    def one(self):
-        """The seed |0, 0| = 1 in the ring of the constant terms."""
-        return 0 * self.gamma + 1
-
     def involution(self) -> "Recurrence":
         """The paper's involution, with r = -beta'/beta:
 
@@ -205,30 +200,21 @@ class Recurrence(_Record):
         nu (n - 1) -+ j, and s and t enter with coefficient 1.
 
         The bound.  B is the least multiple of 8 with every coefficient below
-        2^B.  A polynomial with nonnegative coefficients has each of them at
-        most its value at s = t = 1, and that value is multiplicative; let
-        S_n be the sum of E(n, k) over row n at s = t = 1.  E(n-1, j) feeds
-        only E(n, j), through u(n, j), and E(n, j+1), through d(n, j+1).  So
-        S_n <= L_n S_{n-1}, with S_0 = 1 and, at s = t = 1,
-
-            L_n = max_{0 <= j < n} u(n, j) + d(n, j+1)
-                = (gamma - gamma_0) + (gamma' - gamma'_0)
-                  + max_{0 <= j < n} (alpha n + beta j + gamma_0) + (alpha' n + beta' (j+1) + gamma'_0).
-
-        The last sum is affine in j, so its max sits at j = 0 or j = n - 1.
-        Every coefficient of rows 1..nmax is then at most
-        prod_{m=1}^{nmax} max(L_m, 1).
+        2^B.  With every factor nonnegative, each coefficient is at most its
+        entry's value at s = t = 1, so the largest entry of this recurrence in
+        int mode at (s, t) = (1, 1) bounds them all.
         """
         _require_int("nmax", nmax, 0)
         if isinstance(self.gamma, PolyST):
-            return self._row_loop(nmax, *self._packing(nmax))
-        return self._row_loop(nmax, self.gamma, self.gamma_p, None, tuple)
+            gamma, gamma_p, lift, decode = self._packing(nmax)
+            return map(decode, self._row_loop(nmax, gamma, gamma_p, lift))
+        return map(tuple, self._row_loop(nmax, self.gamma, self.gamma_p, None))
 
-    def _row_loop(self, nmax: int, gamma, gamma_p, lift, decode):
-        """The loop behind ``iter_rows``, over ints in both modes."""
+    def _row_loop(self, nmax: int, gamma, gamma_p, lift):
+        """The raw int rows behind ``iter_rows``, from the seed [1] on, in both modes."""
         alpha, beta, alpha_p, beta_p = self.alpha, self.beta, self.alpha_p, self.beta_p
-        yield (self.one,)
         prev = [1]
+        yield prev
         for n in range(1, nmax + 1):
             up = alpha * n + gamma
             diag = alpha_p * n + gamma_p
@@ -237,7 +223,7 @@ class Recurrence(_Record):
             row.append((beta_p * n + diag) * prev[n - 1])
             if lift:
                 lift(row, prev)
-            yield decode(row)
+            yield row
             prev = row
 
     def _packing(self, nmax: int) -> tuple:
@@ -245,19 +231,17 @@ class Recurrence(_Record):
         alpha, beta, alpha_p, beta_p = self.alpha, self.beta, self.alpha_p, self.beta_p
         gammas = [self.gamma.terms, self.gamma_p.terms]
         c0, c0_p = [g.pop((0, 0), 0) for g in gammas]  # gammas keep their nonconstant terms
-        rest = sum(sum(g.values()) for g in gammas)
-        bound = 1
         for n in range(1, nmax + 1):
             # the constant terms of u(n, j) and d(n, j + 1) are affine in j, least at j = 0 or j = n - 1
-            ends = [(alpha * n + beta * j + c0, alpha_p * n + beta_p * (j + 1) + c0_p) for j in (0, n - 1)]
-            for j, pair in zip((0, n - 1), ends):
+            for j in (0, n - 1):
+                pair = (alpha * n + beta * j + c0, alpha_p * n + beta_p * (j + 1) + c0_p)
                 for name, c, g in zip(("u(n, j)", "d(n, j + 1)"), pair, gammas):
                     if min([c, *g.values()]) < 0:
                         raise ValueError(
                             "poly mode needs factors with nonnegative coefficients, but %s = %s at n = %d, j = %d"
                             % (name, PolyST({**g, (0, 0): c}).render(), n, j)
                         )
-            bound *= max(rest + max(map(sum, ends)), 1)  # max(L_n, 1)
+        bound = max(map(max, self._row_loop(nmax, self.gamma.evaluate(1, 1), self.gamma_p.evaluate(1, 1), None)))
         # (s-degree, t-degree) of gamma and of gamma'
         (su, tu), (sd, td) = [(max(i for i, _ in g), max(j for _, j in g)) if g else (0, 0) for g in gammas]
         packing = _Kronecker(bound, nmax * max(su, sd), nmax * max(tu, td))

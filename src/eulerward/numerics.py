@@ -371,7 +371,8 @@ class PolyST:
         return sum(c * s0**a * t0**b for (a, b), c in zip(self._keys, self._coeffs))
 
     def render(self) -> str:
-        """Canonical text form: 'c*s^a*t^b' terms joined by '+'.
+        """Canonical text form: 'c*s^a*t^b' terms joined by '+', a negative
+        one by its own '-' (``(t - s).render() == '1*s^0*t^1-1*s^1*t^0'``).
 
         Terms come in the stored order, ascending (degree in s, degree in t),
         and exponents are always written, so the output parses unambiguously
@@ -379,7 +380,7 @@ class PolyST:
         """
         if not self._keys:
             return "0"
-        return "+".join(["%d*s^%d*t^%d" % (c, a, b) for (a, b), c in zip(self._keys, self._coeffs)])
+        return "".join(["%+d*s^%d*t^%d" % (c, a, b) for (a, b), c in zip(self._keys, self._coeffs)]).lstrip("+")
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_numerics import falling
 
+from eulerward import eulerian
 from eulerward.cli import _trimmed
 from eulerward.eulerian import (
     Params,
@@ -283,7 +284,7 @@ def _polyst_rows(rec, nmax):
     for poly rows; on int terms it is the int-mode loop from before the two
     modes shared one, the oracle for int rows (``_int_rows``)."""
     beta, beta_p = rec.beta, rec.beta_p
-    rows = [(rec.one,)]
+    rows = [(0 * rec.gamma + 1,)]
     for n in range(1, nmax + 1):
         prev = rows[-1]
         up = rec.alpha * n + rec.gamma
@@ -444,6 +445,22 @@ class TestPackedPolyRows:
         for nu in range(1, 5):
             for n, row in enumerate(build(Params(nu, 0, 0), 12, "poly").rows):
                 assert all(a + b <= n for v in row for a, b in v.terms)
+
+    @pytest.mark.parametrize("c,bits", [(255, 8), (256, 16)])
+    def test_a_coefficient_at_the_slot_edge(self, c, bits, monkeypatch):
+        # row 1 is (c s, 0), and c is also the largest entry at s = t = 1:
+        # 255 fills an 8-bit slot, 256 needs a 16-bit one
+        slots = []
+
+        class Spy(eulerian._Kronecker):
+            def __init__(self, *args):
+                super().__init__(*args)
+                slots.append(self.bits)
+
+        monkeypatch.setattr(eulerian, "_Kronecker", Spy)
+        rec = Recurrence(0, 0, c * PolyST.s(), 0, 0, PolyST())
+        assert _term_maps(rec.rows(1)) == _term_maps(_polyst_rows(rec, 1))
+        assert slots == [bits]
 
     def test_constant_and_zero_gammas(self):
         zero, two = PolyST(), PolyST.constant(2)

@@ -188,9 +188,9 @@ class TestStirlingArrays:
 
 
 def _render_by_sorting(p):
-    """The slow render oracle: sort the term map, then join."""
+    """The slow render oracle: sort the term map, then join, a negative term by its own '-'."""
     terms = sorted(p.terms.items())
-    return "+".join(["%d*s^%d*t^%d" % (c, a, b) for (a, b), c in terms]) if terms else "0"
+    return "+".join(["%d*s^%d*t^%d" % (c, a, b) for (a, b), c in terms]).replace("+-", "-") if terms else "0"
 
 
 def _assert_stored(p):
@@ -217,6 +217,7 @@ class TestPolyST:
     def test_render_golden(self):
         p = (PolyST.s() + PolyST.t()) * PolyST.s() + 3
         assert p.render() == "3*s^0*t^0+1*s^1*t^1+1*s^2*t^0"
+        assert (PolyST.t() - PolyST.s()).render() == "1*s^0*t^1-1*s^1*t^0"
         assert PolyST.constant(0).render() == "0"
 
     def test_equality_and_int_coercion(self):

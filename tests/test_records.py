@@ -145,6 +145,12 @@ BAD = {
         "poly mode needs factors with nonnegative coefficients, but "
         "u(n, j) = -1*s^0*t^1+1*s^1*t^0 at n = 1, j = 0",
     ),
+    "iter-rows-negative-later-gamma-term": (
+        lambda: Recurrence(0, 1, PolyST.s(), 1, 0, PolyST.t() - PolyST.s()).iter_rows(1),
+        ValueError,
+        "poly mode needs factors with nonnegative coefficients, but "
+        "d(n, j + 1) = 1*s^0*t^0+1*s^0*t^1-1*s^1*t^0 at n = 1, j = 0",
+    ),
     "row-sum-product-n": (lambda: row_sum_product(Params(1, 1, 0), -1), ValueError, "n must be >= 0, got -1"),
     "closed-form-order1-n": (lambda: closed_form_order1(-1, 1, 0), ValueError, "n must be >= 0, got -1"),
     "closed-form-order2-n": (lambda: closed_form_order2(-1, 1, 0), ValueError, "n must be >= 0, got -1"),
