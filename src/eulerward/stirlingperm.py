@@ -45,15 +45,14 @@ pairs l < r that are not ascents.
 One streaming depth-first walk serves enumeration, the ascent histograms and
 the marked-forest counts in ``trees``: it holds one child generator per
 order, so its memory is O(n) in the depth.  The histograms build words only
-up to two orders short of the top: each parent there counts its children
-one gap at a time and tallies their children from each child's length and
-ascents, so the last two orders, nearly all of the objects, are never built.
+up to two orders short of the top (order 0 at least): each parent there
+counts its children from its pairs l >= r and tallies theirs from each
+child's length and ascents, so the last two orders are never built.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain
 from operator import ge
 
 from .eulerian import Params, row_sum_product
@@ -226,36 +225,32 @@ def enumerate_sequences(p: Params, n: int) -> Iterator[tuple[tuple[int, ...], ..
 def ascent_histograms_up_to(p: Params, nmax: int) -> list[list[int]]:
     """Ascent histograms of orders 0..nmax from one depth-first walk:
     histogram[m][k] = number of order-m objects with exactly k ascents.
-    The last two orders are counted, not built.
 
-    The walk builds flat words up to order nmax - 2.  Each parent there
-    visits its children one gap at a time: the child gains an ascent iff
-    the letters l, r around its gap have l >= r (gap 0 never adds one).
-    That counts the child at order nmax - 1.  Its own children, at order
-    nmax, are tallied from its length and ascents alone: len - s - asc of
-    them gain an ascent (see the module docstring), the rest keep its count.
+    The walk builds flat words up to order deep = max(nmax - 2, 0), counts
+    the next two orders, not built, and drops the rows past nmax.  The rise
+    pairs l >= r of a parent there give as many of its children an ascent
+    (gap 0 never adds one), and the other keep = len - rise keep its count.
+    Each child's own children are tallied from its length and ascents
+    alone: len - s - asc of them gain an ascent (see the module docstring).
     """
     nu, tvec = _enumeration_params(p, nmax)
-    s, t = len(tvec), sum(tvec)
-    if nmax == 0:
-        return [[1]]
-    if nmax == 1:
-        # the order-0 word has s + t gaps, and the t that follow a 0 add an ascent
-        return [[1], [s, t]]
-    hists = [[0] * (m + 1) for m in range(nmax + 1)]
-    top, below = hists[nmax], hists[nmax - 1]
-    for m, word, asc in _insertions(nu, tvec, nmax - 2):
+    s, deep = len(tvec), max(nmax - 2, 0)
+    hists = [[0] * (m + 1) for m in range(deep + 3)]
+    top, below = hists[deep + 2], hists[deep + 1]
+    for m, word, asc in _insertions(nu, tvec, deep):
         hists[m][asc] += 1
-        if m == nmax - 2:
+        if m == deep:
             gaps = len(word) + nu  # gaps of every child
             up = gaps - s - asc  # a child's pairs l >= r, before its own gap's pair
-            for g in chain((False,), map(ge, word, word[1:])):
-                a = asc + g
-                u = up - g
-                below[a] += 1
-                top[a] += gaps - u
-                top[a + 1] += u
-    return hists
+            rise = sum(map(ge, word, word[1:]))
+            keep = len(word) - rise
+            below[asc] += keep
+            top[asc] += keep * (gaps - up)
+            top[asc + 1] += keep * up
+            below[asc + 1] += rise
+            top[asc + 1] += rise * (gaps - up + 1)
+            top[asc + 2] += rise * (up - 1)
+    return hists[: nmax + 1]
 
 
 def word_text(letters: tuple[int, ...]) -> str:

@@ -204,7 +204,7 @@ def check_recurrence_vs_enumeration(grid):
             n_top -= 1
         hists = ascent_histograms_up_to(p, n_top)
         table = eulerian_table(p, n_top)
-        # orders 0 and 1 take their own returns, which n_top >= 2 never reaches
+        # orders 0 and 1 tally from order 0 too and drop the spare rows, which n_top >= 2 never does
         for nmax in (0, 1):
             rows = [list(table.row(n)) for n in range(nmax + 1)]
             instance = {"nu": p.nu, "s": p.s, "t": p.t, "nmax": nmax}

@@ -98,14 +98,16 @@ def general_inverse_transform(row, n: int, r, direction: str = "forward") -> lis
     if len(row) != n + 1:
         raise ValueError("need a row of n + 1 entries, got n = %d and %d entries" % (n, len(row)))
     rr = as_fraction(r)
-    # one scan of the entries; a PolyST entry can neither be divided by q^k nor added to a Fraction
+    # scan the non-int entries: a PolyST can neither be divided by q^k nor added to frac, the first other one
     poly, frac = False, None
     for b in row:
+        if type(b) is int:
+            continue
         if isinstance(b, (bool, float)):
             raise TypeError("row entries must be exact (int, Fraction or PolyST), not bool or float")
         if isinstance(b, PolyST):
             poly = True
-        elif frac is None and isinstance(b, Fraction):
+        elif frac is None and not isinstance(b, int):
             frac = b
     if poly and rr.denominator != 1:
         raise TypeError("a PolyST row needs an integer ratio, got r = %r" % (r,))
@@ -119,8 +121,10 @@ def general_inverse_transform(row, n: int, r, direction: str = "forward") -> lis
     coeffs: list = []
     for j, b in enumerate(row):  # coeffs <- coeffs * (1 + p y) + b q^j y^j
         coeffs = [x + p * y for x, y in zip(coeffs + [b * q**j], [0] + coeffs)]
-    out = [a if q == 1 and isinstance(a, (int, PolyST)) else Fraction(a, q**k) for k, a in enumerate(coeffs)]
-    return [a.numerator if isinstance(a, Fraction) and a.denominator == 1 else a for a in out]
+    if q == 1 and frac is None:
+        return coeffs  # int and PolyST sums: nothing to divide or normalize
+    out = (Fraction(a, q**k) for k, a in enumerate(coeffs))
+    return [a.numerator if a.denominator == 1 else a for a in out]
 
 
 def riordan_orthogonality_sides(n: int) -> tuple[list, list]:

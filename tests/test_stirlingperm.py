@@ -430,6 +430,14 @@ class TestLeafTally:
             n -= 1
         assert ascent_histograms_up_to(p, n) == leaf_building_histograms(p, n)
 
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    @pytest.mark.parametrize("tvec", TALLY_TVECS)
+    def test_every_tally_below_order_3_matches_the_leaf_building_walk(self, nu, tvec):
+        # orders 0..2 all tally from order 0, and 0 and 1 drop the spare rows
+        p = Params(nu, len(tvec), sum(tvec), tvec)
+        for n in range(3):
+            assert ascent_histograms_up_to(p, n) == leaf_building_histograms(p, n)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(min_value=1, max_value=4),

@@ -78,24 +78,24 @@ def test_transform_fault_is_caught_against_the_recurrence(monkeypatch):
 
 
 def test_leaf_tally_fault_is_caught_at_the_top_order(monkeypatch):
-    # > for >= in the tally: a gap between equal letters stops counting as
-    # an ascent.  Only the last two orders are tallied, gap by gap, so the
-    # first grid point with equal neighbours, (1, 1, 2) with its 0 0, fails
-    # at n_top - 1, the first tallied order
+    # > for >= in the tally: a pair of equal letters stops giving a child an
+    # ascent.  Every order runs the tally, so the first grid point with equal
+    # neighbours, (1, 1, 2) with its 0 0, fails at order 1, the top order of
+    # the check's nmax = 1 instance, which comes before its rows 0..n_top
     monkeypatch.setattr(stirlingperm, "ge", operator.gt)
     result = verify.run_check("recurrence-vs-enumeration")
     assert result.check_id == "recurrence-vs-enumeration"
     assert not result.passed
     w = result.witness
     p = Params(w["nu"], w["s"], w["t"])
-    n_top = result.params["n_max"]
-    assert stirlingperm.count_sequences(p, n_top) <= result.params["object_cap"]
-    assert (w["nu"], w["s"], w["t"], w["n"]) == (1, 1, 2, n_top - 1)
-    want = list(eulerian_table(p, n_top).row(n_top - 1))
-    faulty = stirlingperm.ascent_histograms_up_to(p, n_top)[n_top - 1]
-    assert faulty != want and sum(faulty) == sum(want)
-    assert w["recurrence"] == _shown(want)
-    assert w["enumeration"] == _shown(faulty)
+    assert (w["nu"], w["s"], w["t"], w["nmax"]) == (1, 1, 2, 1)
+    assert w["recurrence"] == [["1"], ["1", "2"]]
+    assert w["enumeration"] == [["1"], ["2", "1"]]
+    want = [list(row) for row in eulerian_table(p, 1).rows]
+    faulty = stirlingperm.ascent_histograms_up_to(p, 1)
+    assert faulty[1] != want[1] and sum(faulty[1]) == sum(want[1])
+    assert w["recurrence"] == [_shown(row) for row in want]
+    assert w["enumeration"] == [_shown(row) for row in faulty]
 
 
 class _Miscounted(tuple):
@@ -109,7 +109,9 @@ def test_entry_count_fault_is_caught_at_the_top_order(monkeypatch):
     # the histograms read s off the composition: one entry too many makes
     # every pair count len - s - asc one short.  The walk only needs its
     # separators negative and increasing, so it still builds the same
-    # words, and only the top order, which reads the pair count, goes wrong
+    # words, and only the top order, which reads the pair count, goes wrong.
+    # Order 1 counts from the order-0 word's pairs, never reading s, so the
+    # first grid point passes its nmax = 0 and 1 instances and fails at n_top
     real = stirlingperm._enumeration_params
 
     def faulty(p, n):
@@ -122,16 +124,17 @@ def test_entry_count_fault_is_caught_at_the_top_order(monkeypatch):
     assert not result.passed
     w = result.witness
     p = Params(w["nu"], w["s"], w["t"])
-    # the order-1 return is the first top order the check reaches
-    assert (w["nu"], w["s"], w["t"], w["nmax"]) == (1, 1, 0, 1)
-    assert w["recurrence"] == [["1"], ["1", "0"]]
-    assert w["enumeration"] == [["1"], ["2", "0"]]
-    # and the tally's top order, below which every row still agrees
     n_top = result.params["n_max"]
+    assert (w["nu"], w["s"], w["t"], w["n"]) == (1, 1, 0, 5) and n_top == 5
+    assert w["recurrence"] == ["1", "26", "66", "26", "1", "0"]
+    assert w["enumeration"] == ["2", "36", "66", "16", "0", "0"]
+    # the tally's top order, below which every row still agrees
     want = [list(row) for row in eulerian_table(p, n_top).rows]
     faulty_rows = stirlingperm.ascent_histograms_up_to(p, n_top)
     assert faulty_rows[:-1] == want[:-1]
     assert faulty_rows[-1] != want[-1] and sum(faulty_rows[-1]) == sum(want[-1])
+    assert w["recurrence"] == _shown(want[-1])
+    assert w["enumeration"] == _shown(faulty_rows[-1])
 
 
 def test_egf_fault(monkeypatch):
