@@ -31,9 +31,9 @@ touches its recurrence.  It runs on the flat words of the insertion walk in
 ``stirlingperm`` (the entries joined, each followed by a negative
 separator), which are valid by construction, so they skip validation.
 One walk serves rows 0..n and stops one order short of n: each parent
-reads its |D(F)| off the factorization pass itself (``_stack_pass``,
-without building the trees) and tallies its children's pools gap by gap
-from the forest into the next order, so the last order is never built.
+reads its |D(F)| off the node openings of its flat word, in one scan that
+builds no tree, and tallies its children's pools gap by gap from the
+forest into the next order, so the last order is never built.
 
 The factorization is one left-to-right stack pass, ``stirlingperm._factor``,
 which checks the word as it builds the tree.  Every walk over a tree
@@ -180,36 +180,10 @@ def forest_distinguished_set(forest: tuple[TreeNode | None, ...]) -> frozenset[i
     return frozenset().union(*map(distinguished_set, forest))
 
 
-def _stack_pass(word, floor: int) -> tuple[int, int]:
-    """(opens, first-slot closes) of ``_factor``'s least-letter pass over a
-    valid flat word (see ``stirlingperm``) whose letters and separators all
-    lie above floor.
-
-    The stack holds only the labels of the open nodes, so no node is built.
-    Each distinct letter of an entry opens its node once, and each separator
-    opens too, after closing its entry's whole tree.  A letter that opens
-    right after the pass closed at least one node gets the closed subtree as
-    its first slot, so that subtree's root is one label of E(T); a separator
-    that does so closes a nonempty tree.  The separators increase, so each
-    one stays open below the next entry, as a floor of its own.
-    """
-    open_labels = [floor]
-    opens = closes = 0
-    for x in word:
-        closed = open_labels[-1] > x
-        while open_labels[-1] > x:
-            open_labels.pop()
-        if open_labels[-1] != x:
-            open_labels.append(x)
-            opens += 1
-            closes += closed
-    return opens, closes
-
-
 def _child_pools(word, tvec) -> tuple[int, int, int]:
     """(|D(F)|, children that keep it, children that gain one label) for a
     flat word of the insertion walk, its children being those of one more
-    insertion.  One ``_stack_pass`` reads all entries in place.
+    insertion.  One scan over the flat word reads every node opening.
 
     The gaps of a word are the external slots of its tree, and inserting
     the block m^(nu+1) at a gap hangs a new leaf node m in that slot and
@@ -222,13 +196,30 @@ def _child_pools(word, tvec) -> tuple[int, int, int]:
     root, which joins the pool.  Every node's first slot holds either a
     label of E(T) or an external leaf, and the nodes are the distinct
     letters (0 included), so a nonempty entry has (distinct letters) -
-    |E(T)| gaining gaps.  Per entry, the pass opens (distinct letters) + 1
-    times and closes |E(T)| + [nonempty] times into a first slot, so opens
-    less closes is the entry's gaining gaps, an empty one included; and
-    closes overcounts its share of the pool by one exactly when t_i > 0.
-    The rule reads the forest only, never an ascent count.
+    |E(T)| gaining gaps.
+
+    A node opens at the first occurrence of its letter in its entry, and
+    each separator opens once, after its entry's whole tree: the letters
+    seen forget 0 at each separator, since each entry's 0-root is its own
+    node.  An opening closes a subtree into its first slot exactly when the
+    letter just before it is larger (the floor -1 - s stands before the
+    first letter).  Per entry, that is (distinct letters) + 1 openings and
+    |E(T)| + [nonempty] closes, so opens less closes is the entry's gaining
+    gaps, an empty one included; and closes overcounts its share of the
+    pool by one exactly when t_i > 0.  The rule reads the forest only,
+    never an ascent count.
     """
-    opens, closes = _stack_pass(word, -1 - len(tvec))
+    seen = set()
+    opens = closes = 0
+    before = -1 - len(tvec)
+    for x in word:
+        if x < 0:
+            seen.discard(0)
+        if x not in seen:
+            seen.add(x)
+            opens += 1
+            closes += before > x
+        before = x
     gain = opens - closes
     return closes - (len(tvec) - tvec.count(0)), len(word) - gain, gain
 
@@ -239,8 +230,8 @@ def ward_marked_rows_up_to(p: Params, n: int) -> list[list[int]]:
     Streams the order-(nu+1) word model (the Ward order sits one below the
     Eulerian order of the words it marks) and counts the (m-k)-subsets of
     each order-m forest's pool D(F).  One walk to order n - 1 serves every
-    row: each parent reads its pool off the factorization pass of its words
-    (``_stack_pass``, which builds no tree) and tallies its children's pools
+    row: each parent reads its pool off the node openings of its flat word,
+    in one scan that builds no tree, and tallies its children's pools
     into the next order, so order n, nearly all of the objects, is never
     built.  The rule (``_child_pools``): a child's pool is its parent's plus
     the new label exactly when the new leaf fills an empty first slot of a

@@ -89,10 +89,11 @@ def general_inverse_transform(row, n: int, r, direction: str = "forward") -> lis
     with no binomials or per-term powers, in the ring of the entries (so an
     integer r takes int and PolyST rows alike); then it divides by q^k.  It
     reads only the row it is given, never the recurrence that built it.  r
-    may be a Fraction or a string such as "2/3" (a float r, a bool or float
-    entry, or a PolyST row with a non-integer r or a Fraction entry raises
-    TypeError before any arithmetic); entries that come out integral are
-    ints, the others Fractions.
+    may be a Fraction or a string such as "2/3".  A float r, a bool or float
+    entry, any other entry that is not an int, Fraction or PolyST, or a
+    PolyST row with a non-integer r or a Fraction entry raises TypeError
+    before any arithmetic.  Entries that come out integral are ints, the
+    others Fractions.
     """
     _require_int("n", n, 0)
     if len(row) != n + 1:
@@ -107,6 +108,8 @@ def general_inverse_transform(row, n: int, r, direction: str = "forward") -> lis
             raise TypeError("row entries must be exact (int, Fraction or PolyST), not bool or float")
         if isinstance(b, PolyST):
             poly = True
+        elif not (type(b) is Fraction or isinstance(b, (int, Fraction))):
+            raise TypeError("row entries must be int, Fraction or PolyST, got %r" % (b,))
         elif frac is None and not isinstance(b, int):
             frac = b
     if poly and rr.denominator != 1:

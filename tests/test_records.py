@@ -10,6 +10,7 @@ be an int, got <value>", and a value one below its least raises ValueError
 least value."""
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,16 @@ BAD = {
         lambda: general_inverse_transform([Fraction(1, 2), PolyST.s()], 1, 1),
         TypeError,
         "a PolyST row needs int entries beside its PolyST ones, got Fraction(1, 2)",
+    ),
+    "inverse-transform-decimal": (
+        lambda: general_inverse_transform([1, Decimal(2)], 1, 1),
+        TypeError,
+        "row entries must be int, Fraction or PolyST, got Decimal('2')",
+    ),
+    "inverse-transform-str": (
+        lambda: general_inverse_transform([1, "2"], 1, 1),
+        TypeError,
+        "row entries must be int, Fraction or PolyST, got '2'",
     ),
     "riordan-n": (lambda: riordan_orthogonality_sides(-1), ValueError, "n must be >= 0, got -1"),
     "smiley-n": (lambda: smiley_identities_sides(0), ValueError, "n must be >= 1, got 0"),

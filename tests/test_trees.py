@@ -25,7 +25,6 @@ from eulerward.stirlingperm import (
 from eulerward.trees import (
     TreeNode,
     _child_pools,
-    _stack_pass,
     distinguished_set,
     forest_distinguished_set,
     forest_to_dot,
@@ -656,13 +655,14 @@ class TestMarkedCounts:
 
 
 def _pool_size(letters) -> int:
-    """|D(T)| for the tree of a valid word, read off ``_stack_pass``.
+    """|D(T)| for the tree of a valid word, read off ``_child_pools``.
 
-    On the one-entry flat word, the pass closes |E(T)| times into a letter,
-    and once into the separator when the tree is nonempty.  That last one
-    counts the root, which D(T) holds only for a word without zeros.
+    On the one-entry flat word, the scan counts |E(T)| closes into a letter,
+    and one into the separator when the tree is nonempty.  That last one
+    counts the root, which D(T) holds only for a word without zeros, so the
+    pool drops it when the one t_i, the word's count of zeros, is > 0.
     """
-    return _stack_pass((*letters, -1), -2)[1] - (0 in letters)
+    return _child_pools((*letters, -1), (letters.count(0),))[0]
 
 
 def oracle_ward_marked_row(p, n):
@@ -745,6 +745,9 @@ class TestPoolTally:
         # 2 2 1 1 (t = 0): root 1 holds 2 in its first slot, so node 2 and the
         # empty second entry gain
         assert _child_pools(flat(((2, 2, 1, 1), ())), (0, 0)) == (2, 4, 2)
+        # 0 | 1 1 0: each entry's 0 is its own root, so the second 0 opens
+        # again and node 1 fills its first slot
+        assert _child_pools(flat(((0,), (1, 1, 0))), (1, 1)) == (1, 4, 2)
 
 
 def built_pool_size(obj, nu):
