@@ -89,10 +89,10 @@ class _Record:
 def as_fraction(x) -> Fraction:
     """An exact rational from an int, a Fraction or a string such as "1/2".
 
-    Floats raise TypeError: a float holds a binary approximation, and
-    Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.  So do
-    bools, which are ints to Python but a bug wherever a number is wanted.
-    A string with a zero denominator, such as "1/0", raises ValueError.
+    Anything else raises TypeError: a float holds a binary approximation
+    (Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10), and a
+    bool is an int to Python but a bug wherever a number is wanted.  A
+    string with a zero denominator, such as "1/0", raises ValueError.
 
     >>> as_fraction("2/3")
     Fraction(2, 3)
@@ -101,7 +101,7 @@ def as_fraction(x) -> Fraction:
     ...
     TypeError: exact rational wanted, got the float 0.5; pass a Fraction or a string such as '1/2'
     """
-    if isinstance(x, (float, bool)):
+    if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):  # ints and strs skip Fraction's ABC check
         raise TypeError(
             "exact rational wanted, got the %s %r; pass a Fraction or a string such as '1/2'"
             % (type(x).__name__, x)
@@ -159,8 +159,8 @@ def rising_factorial(x, j: int):
 
     ``x`` may be an int, a Fraction, or a PolyST; the result has the same
     flavour (except that the j = 0 value is the plain int 1, which mixes
-    fine with all three).  A float or bool ``x`` raises TypeError, as does a
-    non-int ``j``.
+    fine with all three).  Any other ``x`` raises TypeError, even at j = 0
+    (a float or a Decimal would round), as does a non-int ``j``.
 
     >>> rising_factorial(3, 2)
     12
@@ -168,7 +168,7 @@ def rising_factorial(x, j: int):
     Fraction(15, 8)
     """
     _require_int("j", j, 0)
-    if isinstance(x, (float, bool)):
+    if isinstance(x, bool) or not isinstance(x, (int, PolyST, Fraction)):
         raise TypeError("rising_factorial needs an int, a Fraction or a PolyST x, got %r" % (x,))
     out = 1
     for i in range(j):
@@ -235,10 +235,10 @@ class PolyST:
     (degree in s, degree in t) and ``_coeffs`` of their nonzero int
     coefficients, both in ascending (degree in s, degree in t) order, the
     order :meth:`render` prints, so equal polynomials hold equal tuples.
-    Exponents and coefficients must be ints (floats and bools raise
-    TypeError).  Mixed arithmetic with plain ints works on either side, and
-    :meth:`evaluate` at an integer point (s0, t0) is a ring homomorphism onto
-    the integers, which is what lets a symbolically built triangle be checked
+    Term keys are (a, b) tuples of int exponents and coefficients are ints,
+    else TypeError.  Mixed arithmetic with plain ints works on either side,
+    and :meth:`evaluate` at an integer point (s0, t0) is a ring homomorphism
+    onto the integers, which lets a symbolically built triangle be checked
     against its integer-mode twin.
 
     >>> p = (PolyST.s() + PolyST.t()) * (PolyST.s() + PolyST.t() + 1)
@@ -253,7 +253,10 @@ class PolyST:
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
         clean: dict[tuple[int, int], int] = {}
-        for (a, b), c in items:
+        for key, c in items:
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise TypeError("a PolyST term key must be a pair (degree in s, degree in t), got %r" % (key,))
+            a, b = key
             _require_int("a PolyST exponent", a, 0)
             _require_int("a PolyST exponent", b, 0)
             _require_int("a PolyST coefficient", c)
@@ -410,8 +413,9 @@ class _Kronecker:
     (W = s_deg + 1); B is the least multiple of 8 with bound < 2^B, and
     ``t_deg`` bounds the t-degree.
 
-    ``unpack`` reads only the slots inside the degree bounds it is given, so
-    those must hold too.  A term past an int's top slot makes
+    ``unpack`` reads each packed int in one C-level call, as a run of the
+    slots of s-degree 0..a per power of t, within the degree bounds (a, b)
+    it is given, so those must hold too.  A term past an int's top slot makes
     ``int.to_bytes`` raise OverflowError; one past the s-bound at a lower
     power of t would go unread.
     """
@@ -419,13 +423,13 @@ class _Kronecker:
     def __init__(self, bound: int, s_deg: int, t_deg: int):
         size = (bound.bit_length() + 7) // 8  # bytes per slot, so that bound < 2^B
         self.bits = 8 * size
-        self.width = s_deg + 1
-        self._size = size
-        self._depth = t_deg + 1
-        self._keys = [(a, b) for a in range(self.width) for b in range(self._depth)]
-        # _runs[b] reads the b + 1 slots of t-degree 0..b at one power of s, W slots apart, in one C call
-        step = "%dx%ds" % (size * (self.width - 1), size)
-        self._runs = [struct.Struct("%ds" % size + step * b).unpack_from for b in range(self._depth)]
+        self.width = width = s_deg + 1
+        # _rows[a] reads one power of t, W slots, as its slots of s-degree 0..a and skips the rest
+        runs = ["%ds" % size * (a + 1) + "%dx" % (size * (s_deg - a)) for a in range(width)]
+        self._rows = [struct.Struct(run).iter_unpack for run in runs]
+        # _keys[b]: the pairs of t-degree <= b in PolyST order; every b shares the tuples of by_s
+        by_s = [[(a, b) for b in range(t_deg + 1)] for a in range(width)]
+        self._keys = [list(chain.from_iterable([pairs[: b + 1] for pairs in by_s])) for b in range(t_deg + 1)]
 
     def shifts(self, p: "PolyST") -> tuple:
         """(c, shift) for each nonconstant term c s^a t^b of p.
@@ -436,23 +440,18 @@ class _Kronecker:
         return tuple((c, self.bits * (a + self.width * b)) for (a, b), c in zip(p._keys, p._coeffs) if a or b)
 
     def unpack(self, xs, degrees) -> list:
-        """The PolyST of each packed int in xs, given its (s-degree, t-degree) bounds.
+        """The PolyST of each packed int in xs, given its (s-degree, t-degree) bounds a and b.
 
-        Per int: one ``to_bytes``, then one C-level read per power of s of
-        the slots within the bounds.  The slots come out in ascending
-        (s-degree, t-degree) order, which is the order a PolyST stores, so
-        ``compress`` and ``filter`` give its two tuples directly: no dict and
-        no sort.
+        Per int: one ``to_bytes`` up to its highest slot, zero-padded to a
+        whole power of t, and one ``iter_unpack`` of a run of s-degree 0..a
+        per power of t; ``zip`` puts those runs in ascending (s-degree,
+        t-degree) order, the order a PolyST stores, so ``compress`` and
+        ``filter`` give its two tuples directly: no dict and no sort.
         """
-        width, size, keys, depth = self.width, self._size, self._keys, self._depth
+        width, size, rows, keys = self.width, self.bits // 8, self._rows, self._keys
         out = []
         for x, (a, b) in zip(xs, degrees):
-            top = width * b + a + 1  # the slots up to the int's highest term
-            buf = x.to_bytes(top * size, "little")
-            run = self._runs[b]
-            digits = chain.from_iterable([run(buf, i * size) for i in range(a + 1)])
-            coeffs = list(map(int.from_bytes, digits, repeat("little")))
-            starts = range(0, depth * (a + 1), depth)
-            found = compress(chain.from_iterable([keys[i : i + b + 1] for i in starts]), coeffs)
-            out.append(PolyST._of(tuple(found), tuple(filter(None, coeffs))))
+            buf = x.to_bytes((width * b + a + 1) * size, "little") + bytes((width - 1 - a) * size)
+            coeffs = list(map(int.from_bytes, chain.from_iterable(zip(*rows[a](buf))), repeat("little")))
+            out.append(PolyST._of(tuple(compress(keys[b], coeffs)), tuple(filter(None, coeffs))))
         return out

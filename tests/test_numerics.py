@@ -390,6 +390,13 @@ class TestKronecker:
             q,
             PolyST(),
         ]
+        # one-slot runs (a = 0 < W - 1), a single run (b = 0) and runs with no pad (a = W - 1)
+        shapes = {
+            (0, 2): PolyST({(0, 0): bound, (0, 2): bound}),
+            (1, 0): PolyST({(0, 0): 1, (1, 0): bound}),
+            (2, 1): PolyST({(2, 0): bound, (0, 1): 1, (2, 1): bound}),
+        }
+        assert packing.unpack([_packed(packing, p) for p in shapes.values()], list(shapes)) == list(shapes.values())
         # the read is plain: s - 1 packs to 2^B - 1, one full slot, not s - 1
         assert packing.unpack([_packed(packing, PolyST.s() - 1)], [(1, 0)]) == [
             PolyST.constant((1 << packing.bits) - 1)
@@ -441,8 +448,9 @@ class TestKronecker:
 
     def test_degree_bounds_past_the_top_slot_raise(self):
         packing = numerics._Kronecker(9, 2, 2)
-        with pytest.raises(OverflowError):
-            packing.unpack([_packed(packing, PolyST.t() ** 2)], [(2, 1)])
+        for p, box in [(PolyST.t() ** 2, (2, 1)), (PolyST.s(), (0, 0)), (PolyST.t() ** 2, (0, 1))]:
+            with pytest.raises(OverflowError):
+                packing.unpack([_packed(packing, p)], [box])
 
 
 class TestAsFraction:

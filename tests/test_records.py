@@ -26,7 +26,7 @@ from eulerward.eulerian import (
     eulerian_recurrence,
     row_sum_product,
 )
-from eulerward.numerics import PolyST, binomial, rising_factorial
+from eulerward.numerics import PolyST, as_fraction, binomial, rising_factorial
 from eulerward.series import (
     TruncSeries,
     binomial_unit_sums_sides,
@@ -128,6 +128,64 @@ BAD = {
     "rising-factorial-j": (lambda: rising_factorial(2, -1), ValueError, "j must be >= 0, got -1"),
     "polyst-power": (lambda: PolyST.s() ** -1, ValueError, "a PolyST exponent must be >= 0, got -1"),
     "polyst-term": (lambda: PolyST({(0, -1): 1}), ValueError, "a PolyST exponent must be >= 0, got -1"),
+    # x must be an int, a Fraction or a PolyST even at j = 0: a Decimal would round
+    "rising-factorial-decimal": (
+        lambda: rising_factorial(Decimal("0.1"), 40),
+        TypeError,
+        "rising_factorial needs an int, a Fraction or a PolyST x, got Decimal('0.1')",
+    ),
+    "rising-factorial-str": (
+        lambda: rising_factorial("a", 0),
+        TypeError,
+        "rising_factorial needs an int, a Fraction or a PolyST x, got 'a'",
+    ),
+    "rising-factorial-none": (
+        lambda: rising_factorial(None, 0),
+        TypeError,
+        "rising_factorial needs an int, a Fraction or a PolyST x, got None",
+    ),
+    # a term key that is not a pair is named, not left to unpacking
+    "polyst-key-short": (
+        lambda: PolyST({(1,): 1}),
+        TypeError,
+        "a PolyST term key must be a pair (degree in s, degree in t), got (1,)",
+    ),
+    "polyst-key-long": (
+        lambda: PolyST({(1, 2, 3): 1}),
+        TypeError,
+        "a PolyST term key must be a pair (degree in s, degree in t), got (1, 2, 3)",
+    ),
+    "polyst-key-int": (
+        lambda: PolyST({1: 1}),
+        TypeError,
+        "a PolyST term key must be a pair (degree in s, degree in t), got 1",
+    ),
+    # as_fraction takes an int, a Fraction or a str; x0, r and series coefficients reach it
+    "as-fraction-none": (
+        lambda: as_fraction(None),
+        TypeError,
+        "exact rational wanted, got the NoneType None; pass a Fraction or a string such as '1/2'",
+    ),
+    "as-fraction-list": (
+        lambda: as_fraction([1]),
+        TypeError,
+        "exact rational wanted, got the list [1]; pass a Fraction or a string such as '1/2'",
+    ),
+    "egf-x0-complex": (
+        lambda: egf_eulerian_coeffs(1, 1, 0, 1j, 3),
+        TypeError,
+        "exact rational wanted, got the complex 1j; pass a Fraction or a string such as '1/2'",
+    ),
+    "inverse-transform-r-nan": (
+        lambda: general_inverse_transform([1], 0, Decimal("NaN")),
+        TypeError,
+        "exact rational wanted, got the Decimal Decimal('NaN'); pass a Fraction or a string such as '1/2'",
+    ),
+    "series-coefficient-infinity": (
+        lambda: TruncSeries([1, Decimal("Infinity")]),
+        TypeError,
+        "exact rational wanted, got the Decimal Decimal('Infinity'); pass a Fraction or a string such as '1/2'",
+    ),
     # eulerian (Params(1, True, 0) above is its bool row)
     "iter-rows-nmax": (
         lambda: eulerian_recurrence(Params(1, 1, 0)).iter_rows(-1),
