@@ -222,10 +222,12 @@ def assoc_stirling_subset(n: int, k: int) -> int:
     return sum((-1) ** j * math.comb(n, j) * stirling_subset(n - j, k - j) for j in range(k + 1))
 
 
-def _sorted_terms(clean: dict) -> tuple:
-    """(keys, coeffs) of a term map in the order PolyST stores and prints: ascending (degree in s, degree in t)."""
-    keys = sorted(clean)
-    return tuple(keys), tuple([clean[key] for key in keys])
+def _sorted_terms(acc: dict) -> tuple:
+    """(keys, coeffs) of a term map's nonzero terms in the order PolyST stores
+    and prints, ascending (degree in s, degree in t): the one place a term
+    whose sum is zero is dropped."""
+    keys = sorted([key for key, c in acc.items() if c])
+    return tuple(keys), tuple([acc[key] for key in keys])
 
 
 class PolyST:
@@ -235,11 +237,12 @@ class PolyST:
     (degree in s, degree in t) and ``_coeffs`` of their nonzero int
     coefficients, both in ascending (degree in s, degree in t) order, the
     order :meth:`render` prints, so equal polynomials hold equal tuples.
-    Term keys are (a, b) tuples of int exponents and coefficients are ints,
-    else TypeError.  Mixed arithmetic with plain ints works on either side,
-    and :meth:`evaluate` at an integer point (s0, t0) is a ring homomorphism
-    onto the integers, which lets a symbolically built triangle be checked
-    against its integer-mode twin.
+    The terms come as a dict or a list of (key, coefficient) tuples, keys
+    are (a, b) tuples of int exponents and coefficients are ints, else
+    TypeError.  Mixed arithmetic with plain ints works on either side, and
+    :meth:`evaluate` at an integer point (s0, t0) is a ring homomorphism onto
+    the integers, which lets a symbolically built triangle be checked against
+    its integer-mode twin.
 
     >>> p = (PolyST.s() + PolyST.t()) * (PolyST.s() + PolyST.t() + 1)
     >>> p.evaluate(1, 0)
@@ -251,9 +254,15 @@ class PolyST:
     __slots__ = ("_keys", "_coeffs")
 
     def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        clean: dict[tuple[int, int], int] = {}
-        for key, c in items:
+        if isinstance(terms, dict):
+            terms = terms.items()
+        elif not isinstance(terms, (list, tuple)):
+            raise TypeError("PolyST terms must be a dict or a list of (key, coefficient) pairs, got %r" % (terms,))
+        acc: dict[tuple[int, int], int] = {}
+        for item in terms:
+            if not isinstance(item, tuple) or len(item) != 2:
+                raise TypeError("a PolyST term must be a pair (key, coefficient), got %r" % (item,))
+            key, c = item
             if not isinstance(key, tuple) or len(key) != 2:
                 raise TypeError("a PolyST term key must be a pair (degree in s, degree in t), got %r" % (key,))
             a, b = key
@@ -261,12 +270,8 @@ class PolyST:
             _require_int("a PolyST exponent", b, 0)
             _require_int("a PolyST coefficient", c)
             key = (int(a), int(b))
-            acc = clean.get(key, 0) + c
-            if acc:
-                clean[key] = acc
-            elif key in clean:
-                del clean[key]
-        keys, coeffs = _sorted_terms(clean)
+            acc[key] = acc.get(key, 0) + c
+        keys, coeffs = _sorted_terms(acc)
         object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_coeffs", coeffs)
 
@@ -318,11 +323,7 @@ class PolyST:
             return NotImplemented
         merged = self.terms
         for key, c in zip(o._keys, o._coeffs):
-            acc = merged.get(key, 0) + c
-            if acc:
-                merged[key] = acc
-            elif key in merged:
-                del merged[key]
+            merged[key] = merged.get(key, 0) + c
         return PolyST._of(*_sorted_terms(merged))
 
     __radd__ = __add__
@@ -351,11 +352,7 @@ class PolyST:
         for (a1, b1), c1 in zip(self._keys, self._coeffs):
             for (a2, b2), c2 in right:
                 key = (a1 + a2, b1 + b2)
-                acc = out.get(key, 0) + c1 * c2
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
+                out[key] = out.get(key, 0) + c1 * c2
         return PolyST._of(*_sorted_terms(out))
 
     __rmul__ = __mul__

@@ -20,15 +20,17 @@ routes.  ``run_suite(name)`` returns the suite's report, the JSON object
 carry no timestamps and all set-like data is sorted, so a report is
 byte-for-byte reproducible.
 
-``_CHECKS`` at the foot of this module is the one place a check is
-declared: its suite, its case generator, its grid (every value the
-generator reads, which the report prints as its ``params``) and its case
-families, each with its routes and the paper claim it covers.  To add a
-check, write a ``check_*(grid)`` generator that reads every value from the
-grid it is handed, and add the entry; the tests audit the declared routes,
-shrink each grid dimension and pin the case count.  Both report shapes
-carry the constant key ``"size_level": "default"``, which the pinned report
-digests and the benchmark's report check read.
+``_CHECKS`` at the foot of this module is the one place a check is declared:
+its suite, its case generator, its grid (every value the generator reads,
+which the report prints as its ``params``) and its case families, each with
+its routes and the paper claim it covers.  To add a check, write a
+``check_*(grid)`` generator that reads every value from the grid it is handed,
+and add the entry; the tests audit the declared routes, shrink each grid
+dimension and pin the case count.  A check that sets a closed form against the
+recurrence yields from ``_closed_form_cases``, as ``closed-forms`` and
+``special-cases`` do.  Both report shapes carry the constant key
+``"size_level": "default"``, which the pinned report digests and the
+benchmark's report check read.
 """
 
 from __future__ import annotations
@@ -240,26 +242,25 @@ def check_row_sums(grid):
 # ------------------------------------------------------------ closed forms
 
 
-def check_closed_forms(grid):
-    closed_forms = {1: closed_form_order1, 2: closed_form_order2}
-    for s, t in grid["st_pairs"]:
-        forms = [
-            (order, closed_forms[order], eulerian_table(Params(order, s, t), grid["n_max"]))
-            for order in grid["orders"]
-        ]
-        for n in range(grid["n_max"] + 1):
+def _closed_form_cases(at: dict, pairs, orders, nmax: int):
+    """Each order's closed-form entry against the recurrence's in rows 0..nmax at each (s, t), tagged with ``at``."""
+    closed_forms = {1: closed_form_order1, 2: closed_form_order2}  # looked up per call, so a patched one runs
+    for s, t in pairs:
+        forms = [(order, closed_forms[order], eulerian_table(Params(order, s, t), nmax)) for order in orders]
+        for n in range(nmax + 1):
             rows = [(order, closed_form(n, s, t), table.row(n)) for order, closed_form, table in forms]
             for k in range(n + 1):
                 for order, closed, recurrence in rows:
-                    yield (
-                        {"order": order, "s": s, "t": t, "n": n, "k": k},
-                        ("closed", closed[k]),
-                        ("recurrence", recurrence[k]),
-                    )
+                    instance = {**at, "order": order, "s": s, "t": t, "n": n, "k": k}
+                    yield instance, ("closed", closed[k]), ("recurrence", recurrence[k])
+
+
+def check_closed_forms(grid):
+    yield from _closed_form_cases({}, grid["st_pairs"], grid["orders"], grid["n_max"])
 
 
 def check_special_cases(grid):
-    nmax, smax = grid["shift_n_max"], grid["s_minus_s_n_max"]
+    nmax = grid["shift_n_max"]
     # the classic triangles are the (1,0) and (0,1) instances
     classics = [
         (failed, classic, indexing, eulerian_table(p, nmax))
@@ -289,18 +290,8 @@ def check_special_cases(grid):
                     ("standard", classic(n, k - 1, "standard")),
                 )
     # the degenerate t = -s triangles: the closed forms at t = -s against the recurrence
-    closed_forms = {1: closed_form_order1, 2: closed_form_order2}
-    for nu in grid["s_minus_s_nu_values"]:
-        for s in grid["s_minus_s_s_values"]:
-            table = eulerian_table(Params(nu, s, -s), smax)
-            for n in range(smax + 1):
-                closed = closed_forms[nu](n, s, -s)
-                for k in range(n + 1):
-                    yield (
-                        {"failed": "s-minus-s", "nu": nu, "s": s, "n": n, "k": k},
-                        ("closed", closed[k]),
-                        ("recurrence", table.entry(n, k)),
-                    )
+    pairs = [(s, -s) for s in grid["s_minus_s_s_values"]]
+    yield from _closed_form_cases({"failed": "s-minus-s"}, pairs, grid["s_minus_s_nu_values"], grid["s_minus_s_n_max"])
 
 
 # ----------------------------------------------------------- inverse pairs
@@ -455,18 +446,14 @@ def check_egf(grid):
 
 def check_series_identities(grid):
     nmax, K = grid["n_max"], grid["order"]
-    for s, t in grid["order1_st_pairs"]:
-        for n in range(nmax + 1):
-            yield _sides(
-                {"failed": "order1-ratio", "n": n, "s": s, "t": t},
-                eulerian_ratio_expansion_sides(n, s, t, K),
-            )
-    for s, t in grid["order2_st_pairs"]:
-        for n in range(nmax + 1):
-            yield _sides(
-                {"failed": "order2-ratio", "n": n, "s": s, "t": t},
-                second_order_ratio_expansion_sides(n, s, t, K),
-            )
+    ratios = (
+        ("order1-ratio", grid["order1_st_pairs"], eulerian_ratio_expansion_sides),
+        ("order2-ratio", grid["order2_st_pairs"], second_order_ratio_expansion_sides),
+    )
+    for tag, pairs, ratio_sides in ratios:
+        for s, t in pairs:
+            for n in range(nmax + 1):
+                yield _sides({"failed": tag, "n": n, "s": s, "t": t}, ratio_sides(n, s, t, K))
     for n in range(1, grid["unit_sums_n_max"] + 1):
         yield _sides({"failed": "unit-sums", "n": n}, binomial_unit_sums_sides(n))
 

@@ -160,6 +160,33 @@ BAD = {
         TypeError,
         "a PolyST term key must be a pair (degree in s, degree in t), got 1",
     ),
+    # so is a term that is not a (key, coefficient) pair, or terms that are no dict or list
+    "polyst-term-int": (lambda: PolyST([1]), TypeError, "a PolyST term must be a pair (key, coefficient), got 1"),
+    "polyst-term-short": (
+        lambda: PolyST([((1, 0),)]),
+        TypeError,
+        "a PolyST term must be a pair (key, coefficient), got ((1, 0),)",
+    ),
+    "polyst-term-long": (
+        lambda: PolyST([((1, 0), 2, 3)]),
+        TypeError,
+        "a PolyST term must be a pair (key, coefficient), got ((1, 0), 2, 3)",
+    ),
+    "polyst-terms-str": (
+        lambda: PolyST("ab"),
+        TypeError,
+        "PolyST terms must be a dict or a list of (key, coefficient) pairs, got 'ab'",
+    ),
+    "polyst-terms-int": (
+        lambda: PolyST(5),
+        TypeError,
+        "PolyST terms must be a dict or a list of (key, coefficient) pairs, got 5",
+    ),
+    "polyst-terms-none": (
+        lambda: PolyST(None),
+        TypeError,
+        "PolyST terms must be a dict or a list of (key, coefficient) pairs, got None",
+    ),
     # as_fraction takes an int, a Fraction or a str; x0, r and series coefficients reach it
     "as-fraction-none": (
         lambda: as_fraction(None),

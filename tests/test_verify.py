@@ -207,6 +207,31 @@ def test_closed_forms_fault_keeps_the_check_id(monkeypatch, order, route):
     assert not report["passed"]
 
 
+def test_s_minus_s_fault_has_the_closed_forms_witness(monkeypatch):
+    # special-cases runs its t = -s triangles through the closed-forms stream, so its witness has that shape
+    def faulty(n, s, t):
+        row = closed_form_order2(n, s, t)
+        if (n, s, t) == (5, 2, -2):
+            row[3] += 1
+        return row
+
+    monkeypatch.setattr(verify, "closed_form_order2", faulty)
+    result = verify.run_check("special-cases")
+    assert result.check_id == "special-cases"
+    assert not result.passed
+    assert result.cases == 502
+    assert result.witness == {
+        "failed": "s-minus-s",
+        "order": 2,
+        "s": 2,
+        "t": -2,
+        "n": 5,
+        "k": 3,
+        "closed": "-67",
+        "recurrence": "-68",
+    }
+
+
 # ----------------------------------------------- identities with two sides
 
 
